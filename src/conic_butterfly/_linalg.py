@@ -2,8 +2,9 @@
 
 Everything here works on plain tuples: vectors are length-3 tuples of
 scalars, matrices are 3-tuples of row tuples.  No pivoting heuristics are
-needed because the arithmetic is exact; ``nullspace`` does fraction-free
-style elimination with whatever field division the backend provides.
+needed because the arithmetic is exact; ``nullspace`` is Gauss-Jordan
+elimination that divides each pivot row by its pivot, using whatever field
+division the backend provides.
 """
 
 from __future__ import annotations

@@ -37,10 +37,10 @@ def _cmd_verify(args) -> int:
         with open(args.file, encoding="utf-8") as fh:
             doc = parse_scenario(fh.read())
         reports = run_document(doc)
+        out, close = _open_out(args.out)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out, close = _open_out(args.out)
     try:
         out.write("\n".join(r.to_text() for r in reports) + "\n")
     finally:
@@ -58,17 +58,18 @@ def _parse_checks(text: str, backend: str) -> tuple:
 
 
 def _cmd_fuzz(args) -> int:
+    counts = CampaignCounts()
     try:
         config = CampaignConfig(args.seed, args.count, args.backend, args.height,
                                 _parse_checks(args.checks, args.backend))
-    except ValueError as exc:
+        lines = run_campaign(config, jobs=args.jobs, counts=counts)
+        out, close = _open_out(args.out)
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    counts = CampaignCounts()
-    out, close = _open_out(args.out)
     started = time.perf_counter()
     try:
-        for line in run_campaign(config, jobs=args.jobs, counts=counts):
+        for line in lines:
             out.write(line + "\n")
     finally:
         if close:
@@ -129,7 +130,11 @@ _DEMOS = {"lemma1": _demo_lemma1}
 
 
 def _cmd_demo(args) -> int:
-    out, close = _open_out(args.out)
+    try:
+        out, close = _open_out(args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         _DEMOS[args.name](out)
     finally:

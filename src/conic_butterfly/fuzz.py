@@ -197,11 +197,14 @@ def run_campaign(config: CampaignConfig, jobs: int = 1,
     cell in (index, claim) order, a full report block after a VIOLATED
     cell, and a closing summary.  ``jobs`` buys wall-clock time only; the
     bytes cannot change with it.  The first VIOLATED cell ends the
-    campaign early.
+    campaign early.  A bad ``jobs`` raises here, before any line is made.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    counts = counts if counts is not None else CampaignCounts()
+    return _stream(config, jobs, counts if counts is not None else CampaignCounts())
+
+
+def _stream(config: CampaignConfig, jobs: int, counts: CampaignCounts) -> Iterator[str]:
     tasks = [(config.seed, index, claim, config.backend, config.height)
              for index in range(config.count)
              for claim in config.checks]

@@ -3,8 +3,11 @@
 Two interchangeable scalar types cover every computation:
 
 * ``GaussianRational`` -- complex numbers with rational real and imaginary
-  parts, always stored reduced.  This is the ground-truth backend: every
-  operation is exact and every value has one canonical representation.
+  parts, stored as one canonical integer triple ``(a, b, d)`` meaning
+  ``(a + b*i) / d``.  This is the ground-truth backend: every operation is
+  exact and every value has one canonical representation.  Coordinate
+  triples are kept as Gaussian integers (``d == 1``), where the arithmetic
+  is plain ``int`` arithmetic with no gcd.
 * ``PrimeFieldElement`` -- integers modulo a fixed 61-bit prime.  Much
   faster, but a vanishing result certifies an algebraic identity only with
   Schwartz-Zippel confidence (error at most degree/p per random trial), so
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 from random import Random
 from typing import Protocol, Union, runtime_checkable
@@ -67,19 +69,38 @@ def _fraction(text: str) -> Fraction:
 
 
 class GaussianRational:
-    """A complex scalar ``re + im*i`` with exact rational components.
+    """A complex scalar ``(a + b*i) / d`` held as three Python integers.
 
-    Values are immutable by convention and the components are `Fraction`
-    instances, hence always reduced with positive denominator; equality,
-    hashing and text round-trips are therefore canonical.  Division by zero
-    raises :class:`ScalarDivisionError`.
+    The triple ``(a, b, d)`` is canonical: ``d > 0``, ``gcd(a, b, d) == 1``
+    and zero is ``(0, 0, 1)``, so equality, hashing and text round-trips
+    compare integers only.  Gaussian integers (``d == 1``), which is what
+    ``reduce_content`` leaves in every coordinate triple, add, subtract and
+    multiply with plain ``int`` arithmetic and no gcd; any other result is
+    reduced by one three-argument gcd.  ``re`` and ``im`` give the parts as
+    reduced `Fraction` instances.  Values are immutable by convention.
+    Division by zero raises :class:`ScalarDivisionError`.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        # both parts are reduced, so scaling to their lcm leaves gcd(a, b, d) == 1
+        d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # ------------------------------------------------------------------
     # constructors
@@ -134,47 +155,48 @@ class GaussianRational:
     @classmethod
     def reduce_content(cls, values: tuple) -> tuple:
         """Scale a tuple by a positive rational so all components are coprime integers."""
-        nums, dens = [], []
-        for v in values:
-            for part in (v.re, v.im):
-                if part:
-                    nums.append(abs(part.numerator))
-                    dens.append(part.denominator)
-        if not nums:
-            return tuple(values)
-        common_den = reduce(lcm, dens)
-        common_num = reduce(gcd, (n * (common_den // d) for n, d in zip(nums, dens)))
-        factor = cls(Fraction(common_den, common_num))
-        return tuple(v * factor for v in values)
+        values = tuple(values)
+        den = lcm(*(v.d for v in values))
+        parts = [p * (den // v.d) for v in values for p in (v.a, v.b)]
+        content = gcd(*parts)
+        if content == 0 or (den == 1 and content == 1):
+            return values
+        return tuple(_make(parts[k] // content, parts[k + 1] // content, 1)
+                     for k in range(0, len(parts), 2))
 
     # ------------------------------------------------------------------
     # field operations
     def __add__(self, other):
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     def __sub__(self, other):
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a - other.a, self.b - other.b, d)
+        return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
 
     def inv(self) -> "GaussianRational":
-        norm = self.re * self.re + self.im * self.im
+        a, b = self.a, self.b
+        norm = a * a + b * b
         if not norm:
             raise ScalarDivisionError("0 has no multiplicative inverse")
-        return GaussianRational(self.re / norm, -self.im / norm)
+        return _reduced(self.d * a, -self.d * b, norm)
 
     def __truediv__(self, other):
         if not isinstance(other, GaussianRational):
@@ -182,35 +204,64 @@ class GaussianRational:
         return self * other.inv()
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self.a, -self.b, self.d)
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self.b
 
     # ------------------------------------------------------------------
     def __eq__(self, other):
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __str__(self):
-        if not self.im:
+        if not self.b:
             return str(self.re)
-        sign = "+" if self.im > 0 else "-"
+        sign = "+" if self.b > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
 
     def __repr__(self):
         return f"GaussianRational({self})"
 
 
-_PRIME = (1 << 61) - 1  # Mersenne prime, fixed once for the whole build
 _raw_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """Wrap a triple that is already canonical."""
+    out = _raw_new(GaussianRational)
+    out.a = a
+    out.b = b
+    out.d = d
+    return out
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """``(a + b*i) / d`` for ``d > 0``, with ``gcd(a, b, d)`` divided out.
+
+    Every arithmetic result passes through here, so the allocation of
+    ``_make`` is inlined."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    out = _raw_new(GaussianRational)
+    out.a = a
+    out.b = b
+    out.d = d
+    return out
+
+
+_PRIME = (1 << 61) - 1  # Mersenne prime, fixed once for the whole build
 
 
 class PrimeFieldElement:

@@ -54,6 +54,14 @@ class TestVerify:
         assert out == ""
         assert "verdict HOLDS" in target.read_text(encoding="utf-8")
 
+    def test_unwritable_out_exits_2(self, fixture_path, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.txt"
+        status = main(["verify", fixture_path("lemma1"), "--out", str(target)])
+        out, err = capsys.readouterr()
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestFuzz:
     def test_small_campaign(self, capsys):
@@ -103,6 +111,21 @@ class TestFuzz:
         assert text.startswith("campaign seed=5")
         assert "summary" in text
 
+    def test_zero_jobs_exits_2(self, capsys):
+        status = main(["fuzz", "--seed", "1", "--count", "1", "--jobs", "0"])
+        out, err = capsys.readouterr()
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "stream.txt"
+        status = main(["fuzz", "--seed", "1", "--count", "1", "--checks", "nut",
+                       "--out", str(target)])
+        _out, err = capsys.readouterr()
+        assert status == 2
+        assert err.startswith("error:")
+
 
 class TestDemo:
     def test_lemma1(self, capsys):
@@ -112,6 +135,12 @@ class TestDemo:
         assert "(2 : 1 : 1)" in out or "(1 : 1/2 : 1/2)" in out
         assert "harmonic" in out
         assert "involution" in out
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        status = main(["demo", "lemma1", "--out", str(tmp_path / "missing" / "demo.txt")])
+        _out, err = capsys.readouterr()
+        assert status == 2
+        assert err.startswith("error:")
 
 
 class TestRender:

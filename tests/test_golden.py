@@ -1,0 +1,85 @@
+"""Byte-for-byte golden outputs.
+
+Campaign streams, ``verify`` reports and ``.scn`` serializations are a
+contract: the same input prints the same bytes on every version of the
+kernel, whatever the scalar representation underneath.  The files under
+``tests/golden/`` pin that contract.  Regenerate them with
+``PYTHONPATH=src python tests/test_golden.py`` only when the output format
+changes on purpose.
+"""
+
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from conic_butterfly.cli import main
+from conic_butterfly.scenario_io import parse_scenario, serialize_scenario
+
+GOLDEN = Path(__file__).parent / "golden"
+
+FUZZ_STREAMS = {
+    "fuzz_gauss_all_h10.txt": ["--seed", "7", "--count", "20", "--backend", "gauss",
+                               "--height", "10"],
+    "fuzz_gauss_damn_cutl_h50.txt": ["--seed", "11", "--count", "20", "--backend", "gauss",
+                                     "--height", "50", "--checks", "damn,cutl"],
+    "fuzz_prime_h50.txt": ["--seed", "13", "--count", "100", "--backend", "prime",
+                           "--height", "50", "--checks", "mono,jap,nut,sack,pascal,damn"],
+}
+FIXTURES = ("butterfly_circle", "cutl_hyperbola", "lemma1")
+
+
+def _fixture(name: str):
+    return resources.files("conic_butterfly") / "fixtures" / f"{name}.scn"
+
+
+def _fuzz(argv: list, out: Path) -> int:
+    return main(["fuzz", *argv, "--out", str(out)])
+
+
+def _verify(name: str, out: Path) -> int:
+    return main(["verify", str(_fixture(name)), "--out", str(out)])
+
+
+def _serialize(name: str) -> str:
+    return serialize_scenario(parse_scenario(_fixture(name).read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize("golden", sorted(FUZZ_STREAMS))
+def test_fuzz_stream(golden, tmp_path):
+    out = tmp_path / golden
+    assert _fuzz(FUZZ_STREAMS[golden], out) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_fuzz_stream_under_two_jobs(tmp_path):
+    golden = "fuzz_gauss_all_h10.txt"
+    out = tmp_path / golden
+    assert _fuzz(FUZZ_STREAMS[golden] + ["--jobs", "2"], out) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_verify_report(name, tmp_path):
+    out = tmp_path / f"{name}.txt"
+    assert _verify(name, out) == 0
+    assert out.read_bytes() == (GOLDEN / f"verify_{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_serialization(name):
+    expected = (GOLDEN / f"serialize_{name}.scn").read_text(encoding="utf-8")
+    assert _serialize(name) == expected
+
+
+def _regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for golden, argv in FUZZ_STREAMS.items():
+        _fuzz(argv, GOLDEN / golden)
+    for name in FIXTURES:
+        _verify(name, GOLDEN / f"verify_{name}.txt")
+        (GOLDEN / f"serialize_{name}.scn").write_text(_serialize(name), encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _regenerate()

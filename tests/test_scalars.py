@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import gcd, lcm
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conic_butterfly.scalars import (
     BACKENDS,
@@ -18,8 +19,73 @@ G = GaussianRational
 P = PrimeFieldElement
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
-gaussians = st.builds(G, rationals, rationals)
+big_ints = st.integers(min_value=-(10**40), max_value=10**40)
+# (re, im) sources: rational parts, or integer parts that take the d == 1 paths
+parts = st.tuples(rationals, rationals) | st.tuples(big_ints, big_ints)
+gaussians = parts.map(lambda p: G(*p))
 residues = st.integers(min_value=0, max_value=P.MODULUS - 1).map(P)
+
+
+class FractionPair:
+    """Reference model for the differential tests: ``re + im*i`` as two Fractions."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o):
+        return FractionPair(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return FractionPair(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return FractionPair(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __neg__(self):
+        return FractionPair(-self.re, -self.im)
+
+    def inv(self):
+        norm = self.re * self.re + self.im * self.im
+        return FractionPair(self.re / norm, -self.im / norm)
+
+    def __truediv__(self, o):
+        return self * o.inv()
+
+    def conjugate(self):
+        return FractionPair(self.re, -self.im)
+
+    def is_zero(self):
+        return not self.re and not self.im
+
+    def is_real(self):
+        return not self.im
+
+    def __eq__(self, o):
+        return (self.re, self.im) == (o.re, o.im)
+
+    def __str__(self):
+        if not self.im:
+            return str(self.re)
+        return f"{self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}i"
+
+
+def reference_reduce_content(values: list) -> list:
+    nonzero = [p for v in values for p in (v.re, v.im) if p]
+    if not nonzero:
+        return values
+    den = lcm(*(p.denominator for p in nonzero))
+    num = gcd(*(p.numerator * (den // p.denominator) for p in nonzero))
+    factor = FractionPair(Fraction(den, num))
+    return [v * factor for v in values]
+
+
+def assert_agrees(x, ref: FractionPair) -> None:
+    """``x`` holds a canonical triple and denotes the oracle's value."""
+    assert type(x) is G
+    assert all(type(n) is int for n in (x.a, x.b, x.d))
+    assert x.d > 0 and gcd(x.a, x.b, x.d) == 1
+    assert (x.re, x.im) == (ref.re, ref.im)
+    assert str(x) == str(ref)
 
 
 class TestGaussianRational:
@@ -32,6 +98,14 @@ class TestGaussianRational:
         assert G.coerce("2/3") == G(Fraction(2, 3))
         with pytest.raises(TypeError):
             G.coerce(0.5)
+
+    def test_triple_is_canonical(self):
+        assert (G(0).a, G(0).b, G(0).d) == (0, 0, 1)
+        x = G(Fraction(2, 4), Fraction(-1, 3))
+        assert (x.a, x.b, x.d) == (3, -2, 6)
+        assert (G(4, -6).a, G(4, -6).b, G(4, -6).d) == (4, -6, 1)
+        y = G(Fraction(1, 2), Fraction(1, 2)) + G(Fraction(1, 2), Fraction(-1, 2))
+        assert (y.a, y.b, y.d) == (1, 0, 1)
 
     def test_arithmetic(self):
         i = G(0, 1)
@@ -63,6 +137,42 @@ class TestGaussianRational:
     def test_str_round_trip(self, x):
         assert G.parse(str(x)) == x
 
+    @given(parts, parts)
+    @example((0, 0), (0, 0))
+    @example((Fraction(1, 2), 0), (0, 0))
+    @example((3, -4), (Fraction(1, 3), Fraction(1, 6)))
+    def test_agrees_with_fraction_pair_oracle(self, p, q):
+        x, y = G(*p), G(*q)
+        rx, ry = FractionPair(*p), FractionPair(*q)
+        assert_agrees(x, rx)
+        assert_agrees(y, ry)
+        for got, want in ((x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry),
+                          (-x, -rx), (x.conjugate(), rx.conjugate())):
+            assert_agrees(got, want)
+        if ry.is_zero():
+            with pytest.raises(ScalarDivisionError):
+                y.inv()
+            with pytest.raises(ScalarDivisionError):
+                x / y
+        else:
+            assert_agrees(y.inv(), ry.inv())
+            assert_agrees(x / y, rx / ry)
+        assert x.is_zero() == rx.is_zero() and x.is_real() == rx.is_real()
+        assert (x == y) == (rx == ry)
+        assert_agrees(G.parse(str(x)), rx)
+        # the same value reached by another route is equal and hashes alike
+        again = (x + y) - y
+        assert again == x and hash(again) == hash(x)
+
+    @given(st.lists(parts, min_size=1, max_size=4))
+    @example([(0, 0), (0, 0)])
+    def test_reduce_content_agrees_with_oracle(self, sources):
+        reduced = G.reduce_content(tuple(G(*p) for p in sources))
+        expected = reference_reduce_content([FractionPair(*p) for p in sources])
+        assert len(reduced) == len(expected)
+        for got, want in zip(reduced, expected):
+            assert_agrees(got, want)
+
     @given(gaussians, gaussians, gaussians)
     def test_field_axioms(self, a, b, c):
         assert (a + b) + c == a + (b + c)
@@ -86,7 +196,6 @@ class TestGaussianRational:
         reduced = G.reduce_content(vals)
         parts = [p for v in reduced for p in (v.re, v.im) if p]
         assert all(p.denominator == 1 for p in parts)
-        from math import gcd
         assert gcd(*(abs(p.numerator) for p in parts)) == 1
         # the common rescale preserves all pairwise ratios
         assert reduced[0] * vals[1] == reduced[1] * vals[0]
