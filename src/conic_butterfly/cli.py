@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Exit status contract, shared by every subcommand that checks geometry:
-0 when everything HOLDS, 1 when anything is VIOLATED, 2 for input errors
-or a run that never got past DEGENERATE.
+0 when everything HOLDS, 1 when anything is VIOLATED, 2 for input errors,
+output that could not be written, or a run that never got past DEGENERATE.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Optional
@@ -32,6 +33,37 @@ def _open_out(path: Optional[str]):
     return open(path, "w", encoding="utf-8"), True
 
 
+def _emit(out, close: bool, write) -> bool:
+    """Run write(out), flush and close; False after printing a write error.
+
+    When stdout itself broke, its descriptor is pointed at /dev/null so the
+    interpreter's exit-time flush of what is still buffered cannot raise again.
+    """
+    try:
+        try:
+            write(out)
+            out.flush()
+        finally:
+            if close:
+                out.close()
+    except OSError as exc:
+        if out is sys.stdout:
+            _drop_stdout()
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _drop_stdout() -> None:
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not backed by a file descriptor; nothing is flushed at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def _cmd_verify(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
@@ -41,11 +73,9 @@ def _cmd_verify(args) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        out.write("\n".join(r.to_text() for r in reports) + "\n")
-    finally:
-        if close:
-            out.close()
+    text = "\n".join(r.to_text() for r in reports) + "\n"
+    if not _emit(out, close, lambda fh: fh.write(text)):
+        return 2
     return exit_status(reports)
 
 
@@ -68,12 +98,13 @@ def _cmd_fuzz(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     started = time.perf_counter()
-    try:
+
+    def write(fh) -> None:
         for line in lines:
-            out.write(line + "\n")
-    finally:
-        if close:
-            out.close()
+            fh.write(line + "\n")
+
+    if not _emit(out, close, write):
+        return 2
     # wall clock goes to stderr so the report stream stays byte-identical
     print(f"runtime {time.perf_counter() - started:.2f}s", file=sys.stderr)
     return counts.exit_status()
@@ -135,12 +166,7 @@ def _cmd_demo(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        _DEMOS[args.name](out)
-    finally:
-        if close:
-            out.close()
-    return 0
+    return 0 if _emit(out, close, _DEMOS[args.name]) else 2
 
 
 def main(argv=None) -> int:

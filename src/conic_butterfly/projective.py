@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from random import Random
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from ._linalg import (
     adjugate,
@@ -34,6 +34,9 @@ from ._linalg import (
     transpose,
 )
 from .scalars import GaussianRational, PrimeFieldElement
+
+if TYPE_CHECKING:
+    from .scenarios import RetryBudget
 
 
 class ProjectiveError(ValueError):
@@ -58,6 +61,30 @@ def _require_same_field(a, b) -> None:
         raise TypeError("cannot mix scalar backends in one construction")
 
 
+# slot k of cross(a, b) is the 2x2 minor a[i]*b[j] - a[j]*b[i] over these (i, j)
+_MINORS = ((1, 2), (2, 0), (0, 1))
+
+
+def _minor(a, b, k: int):
+    """Slot k of cross(a, b), without the other two slots."""
+    i, j = _MINORS[k]
+    return a[i] * b[j] - a[j] * b[i]
+
+
+def _first_nonzero_minor(a, b):
+    """The first nonzero slot of cross(a, b), one minor at a time; None when
+    a and b are proportional."""
+    for i, j in _MINORS:
+        m = a[i] * b[j] - a[j] * b[i]
+        if not m.is_zero():
+            return m
+    return None
+
+
+def _first_nonzero_slot(v):
+    return next((k for k, c in enumerate(v) if not c.is_zero()), None)
+
+
 class _Triple:
     """Shared plumbing of points and lines: a reduced homogeneous triple."""
 
@@ -78,7 +105,7 @@ class _Triple:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return all(c.is_zero() for c in cross(self.coords, other.coords))
+        return _first_nonzero_minor(self.coords, other.coords) is None
 
     def __hash__(self):
         return hash((type(self).__name__,) + self.canonical())
@@ -255,25 +282,39 @@ def cross_ratio(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint, p4: ProjPoint) -> C
     Pinned convention: ([12]*[34] : [14]*[32]); see the module docstring.
     Two coincident points are fine and produce (0:1), (1:0) or (1:1);
     three coincident points leave the value undefined and raise.
+
+    The first pair with a nonzero cross product n spans the line.  At the
+    first nonzero slot k of n, every bracket is the single minor
+    cross(pi, pj)[k]: the chart brackets over that pair are c*[ij] with
+    c = n[k], so the pair is returned scaled by c^2 to keep it the chart
+    pair exactly.  On the line two points coincide iff their bracket is
+    zero, and three coincide iff both num and den vanish.
     """
     points = (p1, p2, p3, p4)
-    for i, j, k in combinations(range(4), 3):
-        if points[i] == points[j] and points[j] == points[k]:
-            raise DegenerateInputError("cross-ratio is undefined with three coincident points")
-    b1, b2 = next(
-        (points[i], points[j]) for i, j in combinations(range(4), 2) if points[i] != points[j]
-    )
-    axis = join(b1, b2)
-    for q in points:
-        if not incident(q, axis):
+    for q in points[1:]:
+        _require_same_field(p1, q)
+    coords = tuple(q.coords for q in points)
+    for i, j in combinations(range(4), 2):
+        n = cross(coords[i], coords[j])
+        k = _first_nonzero_slot(n)
+        if k is not None:
+            break
+    else:
+        raise DegenerateInputError("cross-ratio is undefined with three coincident points")
+    for q in range(4):
+        if q != i and q != j and not dot(coords[q], n).is_zero():
             raise ProjectiveError("cross-ratio requires four collinear points")
-    charts = [line_chart(axis, (b1, b2), q) for q in points]
+    c = n[k]
 
-    def bracket(i: int, j: int):
-        (ai, bi), (aj, bj) = charts[i], charts[j]
-        return ai * bj - aj * bi
+    def bracket(x: int, y: int):
+        return c if (x, y) == (i, j) else _minor(coords[x], coords[y], k)
 
-    return CrossRatioValue(bracket(0, 1) * bracket(2, 3), bracket(0, 3) * bracket(2, 1), p1.field)
+    num = bracket(0, 1) * bracket(2, 3)
+    den = bracket(0, 3) * bracket(2, 1)
+    if num.is_zero() and den.is_zero():
+        raise DegenerateInputError("cross-ratio is undefined with three coincident points")
+    cc = c * c
+    return CrossRatioValue(cc * num, cc * den, p1.field)
 
 
 def harmonic_conjugate(u: ProjPoint, v: ProjPoint, w: ProjPoint) -> ProjPoint:
@@ -281,16 +322,21 @@ def harmonic_conjugate(u: ProjPoint, v: ProjPoint, w: ProjPoint) -> ProjPoint:
 
     In a chart where w = alpha*u + beta*v the conjugate is
     alpha*u - beta*v; the map is an involution and is undefined at u and v
-    themselves.
+    themselves.  alpha and beta are the line_chart coordinates over (u, v);
+    once w is on the line, w = u iff beta = 0 and w = v iff alpha = 0.
     """
-    if u == v:
+    _require_same_field(u, v)
+    _require_same_field(u, w)
+    n = cross(u.coords, v.coords)
+    k = _first_nonzero_slot(n)
+    if k is None:
         raise DegenerateInputError("harmonic conjugate needs a distinct reference pair")
-    if w == u or w == v:
-        raise DegenerateInputError("harmonic conjugate is undefined at the reference points")
-    axis = join(u, v)
-    if not incident(w, axis):
+    if not dot(w.coords, n).is_zero():
         raise ProjectiveError("harmonic conjugate requires collinear input")
-    alpha, beta = line_chart(axis, (u, v), w)
+    alpha = _minor(w.coords, v.coords, k)
+    beta = _minor(u.coords, w.coords, k)
+    if alpha.is_zero() or beta.is_zero():
+        raise DegenerateInputError("harmonic conjugate is undefined at the reference points")
     coords = tuple(alpha * uc - beta * vc for uc, vc in zip(u.coords, v.coords))
     return ProjPoint(coords, u.field)
 
@@ -402,8 +448,13 @@ class Projectivity:
         return cls(matmul(to_dst, adjugate(to_src)), field)
 
     @classmethod
-    def random(cls, rng: Random, field=GaussianRational, height_bound: int = 10, *, real: bool = False) -> "Projectivity":
-        """A random invertible map; entries drawn at the given height, retried if singular."""
+    def random(cls, rng: Random, field=GaussianRational, height_bound: int = 10, *, real: bool = False,
+               budget: Optional["RetryBudget"] = None) -> "Projectivity":
+        """A random invertible map; entries drawn at the given height, retried if singular.
+
+        Each singular draw ticks `budget` when one is given, so a pathological
+        rng surfaces as RetryCapError instead of looping forever.
+        """
         while True:
             rows = tuple(
                 tuple(field.random(rng, height_bound, real=real) for _ in range(3))
@@ -412,4 +463,5 @@ class Projectivity:
             try:
                 return cls(rows, field)
             except DegenerateInputError:
-                continue
+                if budget is not None:
+                    budget.tick("singular projectivity")

@@ -1,10 +1,17 @@
 """Harmonic reflection over a conic chord.
 
-The frame is a non-tangent axis line k together with its pole p.  A point
-y maps to the harmonic conjugate of y with respect to p and n = k iff py,
-which fixes k point-wise, fixes the pencil of lines through p line-wise,
-is an involution away from p, and preserves the conic.  The map is
-undefined at the pole itself.
+The frame is a non-tangent axis line k together with its pole p.  The
+reflection is the harmonic homology with axis k and center p,
+
+    H = (k.p) I - 2 p k^T,   so   y -> (k.p) y - 2 (k.y) p,
+
+which sends y to the harmonic conjugate of y with respect to p and
+n = k iff py.  It fixes k point-wise, fixes the pencil of lines through p
+line-wise, preserves the conic, and H^2 = (k.p)^2 I makes it an
+involution.  H fixes p as well, but the harmonic construction has no
+answer there, so the reflection stays undefined at the pole itself.  The
+route never uses a cross-ratio, so it is an independent witness for the
+harmonic claims.
 
 The chord endpoints u, v = k iff conic are carried by the frame only when
 they are representable in the scalar field; nothing downstream ever needs
@@ -15,31 +22,31 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._linalg import add_vec, cross
+from ._linalg import add_vec, cross, dot
 from .conics import Conic
 from .projective import (
     DegenerateInputError,
     ProjectiveError,
     ProjLine,
     ProjPoint,
-    harmonic_conjugate,
+    _first_nonzero_minor,
     incident,
     join,
-    meet,
 )
 
 
 class ReflectionFrame:
     """Axis + pole pair driving the reflection; built from the conic and axis."""
 
-    __slots__ = ("conic", "axis", "pole", "u", "v")
+    __slots__ = ("conic", "axis", "pole", "u", "v", "kp")
 
     def __init__(self, conic: Conic, axis: ProjLine,
                  u: Optional[ProjPoint] = None, v: Optional[ProjPoint] = None):
         if axis.field is not conic.field:
             raise TypeError("cannot mix scalar backends in one construction")
         pole = conic.pole(axis)
-        if incident(pole, axis):
+        kp = dot(axis.coords, pole.coords)
+        if kp.is_zero():
             raise DegenerateInputError("axis is tangent to the conic; the reflection degenerates")
         if (u is None) != (v is None):
             raise ProjectiveError("chord endpoints must be supplied together")
@@ -56,15 +63,24 @@ class ReflectionFrame:
         self.pole = pole
         self.u = u
         self.v = v
+        self.kp = kp  # k.p, nonzero because the axis is not tangent
 
     def reflect_point(self, y: ProjPoint) -> ProjPoint:
-        if y == self.pole:
+        """H y, scaled by s = the first nonzero slot of cross(p, y).
+
+        s is what tells y from the pole, and it makes the coordinates exactly
+        those of the harmonic conjugate of y over (p, meet(k, join(p, y))).
+        """
+        s = _first_nonzero_minor(self.pole.coords, y.coords)
+        if s is None:
             raise DegenerateInputError("reflection is undefined at the pole")
-        if incident(y, self.axis):
+        ky = dot(self.axis.coords, y.coords)
+        if ky.is_zero():
             return y
-        ray = join(self.pole, y)
-        n = meet(self.axis, ray)
-        return harmonic_conjugate(self.pole, n, y)
+        a = s * self.kp
+        b = s * (ky + ky)
+        return ProjPoint(tuple(a * yc - b * pc for yc, pc in zip(y.coords, self.pole.coords)),
+                         y.field)
 
     def reflect_line(self, l: ProjLine) -> ProjLine:
         """Reflect a line; anything through the pole is self-reflected."""
@@ -88,16 +104,3 @@ class ReflectionFrame:
         if not incident(self.reflect_point(p3), out):
             raise AssertionError("reflected line is sample-dependent; arithmetic bug")
         return out
-
-
-def reflection_frame(conic: Conic, axis: ProjLine,
-                     u: Optional[ProjPoint] = None, v: Optional[ProjPoint] = None) -> ReflectionFrame:
-    return ReflectionFrame(conic, axis, u, v)
-
-
-def reflect_point(frame: ReflectionFrame, y: ProjPoint) -> ProjPoint:
-    return frame.reflect_point(y)
-
-
-def reflect_line(frame: ReflectionFrame, l: ProjLine) -> ProjLine:
-    return frame.reflect_line(l)

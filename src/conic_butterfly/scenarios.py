@@ -257,10 +257,11 @@ def _random_conic_point(par: ConicParametrization, rng: Random, height: int,
 
 
 def random_conic(rng: Random, field=GaussianRational, height_bound: int = 10,
-                 *, real: bool = False) -> Tuple[Conic, ProjPoint]:
+                 *, real: bool = False, budget: Optional[RetryBudget] = None) -> Tuple[Conic, ProjPoint]:
     """A random nondegenerate conic with a known point: a projective image
     of the reference conic, whose base point rides along."""
-    t = Projectivity.random(rng, field, height_bound, real=real)
+    budget = budget if budget is not None else RetryBudget()
+    t = Projectivity.random(rng, field, height_bound, real=real, budget=budget)
     return transform_conic(t, reference_conic(field)), t.apply(reference_base(field))
 
 
@@ -283,7 +284,7 @@ def _chord_through(conic: Conic, par: ConicParametrization, m: ProjPoint,
 def random_butterfly_scenario(rng: Random, field=GaussianRational, height_bound: int = 10,
                               *, real: bool = False, budget: Optional[RetryBudget] = None) -> ButterflyScenario:
     budget = budget if budget is not None else RetryBudget()
-    conic, base = random_conic(rng, field, height_bound, real=real)
+    conic, base = random_conic(rng, field, height_bound, real=real, budget=budget)
     par = ConicParametrization(conic, base)
     a = _random_conic_point(par, rng, height_bound, budget, real=real)
     b = _random_conic_point(par, rng, height_bound, budget, real=real, avoid=(a,))
@@ -304,7 +305,7 @@ def random_planar_scenario(rng: Random, field=GaussianRational, height_bound: in
     """A real scenario; without an explicit spec, a random real conic is used."""
     budget = budget if budget is not None else RetryBudget()
     if spec is None:
-        conic, base = random_conic(rng, GaussianRational, height_bound, real=True)
+        conic, base = random_conic(rng, GaussianRational, height_bound, real=True, budget=budget)
         spec = affine_spec_from_conic(conic)
         conic = homogenize_affine_conic(spec)
     else:
@@ -351,7 +352,7 @@ def random_reflection_frame(rng: Random, field=GaussianRational, height_bound: i
     two rational conic points (attached as u, v); otherwise the axis is an
     arbitrary non-tangent line, so its conic points typically leave the field."""
     budget = budget if budget is not None else RetryBudget()
-    conic, base = random_conic(rng, field, height_bound, real=real)
+    conic, base = random_conic(rng, field, height_bound, real=real, budget=budget)
     par = ConicParametrization(conic, base)
     if with_chord:
         u = _random_conic_point(par, rng, height_bound, budget, real=real)
@@ -449,7 +450,7 @@ def random_hexagon(rng: Random, field=GaussianRational, height_bound: int = 10,
                    *, budget: Optional[RetryBudget] = None) -> Tuple[Conic, tuple]:
     """A random conic with six pairwise distinct points on it."""
     budget = budget if budget is not None else RetryBudget()
-    conic, base = random_conic(rng, field, height_bound)
+    conic, base = random_conic(rng, field, height_bound, budget=budget)
     par = ConicParametrization(conic, base)
     # distinct parameters give distinct points, so dedupe on the parameter
     seen = set()

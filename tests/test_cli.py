@@ -1,6 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import conic_butterfly
 from conic_butterfly.cli import main
+
+# a device whose every write fails with ENOSPC
+DEV_FULL = "/dev/full"
+needs_dev_full = pytest.mark.skipif(not os.path.exists(DEV_FULL), reason="no /dev/full here")
 
 
 @pytest.fixture
@@ -32,6 +42,19 @@ class TestVerify:
         assert "verdict VIOLATED" in out
         assert "residual" in out
 
+    def test_reflected_witness_residual_bytes(self, tmp_path, capsys):
+        # the residual is unreduced, so it pins the raw coordinates of y' = reflect(y)
+        doc = ("check nut\nbackend gauss\nconic symmetric 0 1/2 1/2 0 -1 0\n"
+               "line k (1 : 1 : 0)\npoint y (1 : 1 : 1)\npoint z (1 : 2 : 3)\n"
+               "expect point y' (1 : 1 : 0)\n")
+        target = tmp_path / "nut.scn"
+        target.write_text(doc, encoding="utf-8")
+        status = main(["verify", str(target)])
+        out, _err = capsys.readouterr()
+        assert status == 1
+        assert "witness y' point (1 : 1/5 : -1/3)\n" in out
+        assert "residual -5\n" in out
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         target = tmp_path / "broken.scn"
         target.write_text("check mono\nconic symmetric 1 0 0\n", encoding="utf-8")
@@ -60,6 +83,13 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert status == 2
         assert out == ""
+        assert err.startswith("error:")
+
+    @needs_dev_full
+    def test_full_disk_exits_2(self, fixture_path, capsys):
+        status = main(["verify", fixture_path("lemma1"), "--out", DEV_FULL])
+        _out, err = capsys.readouterr()
+        assert status == 2
         assert err.startswith("error:")
 
 
@@ -126,6 +156,28 @@ class TestFuzz:
         assert status == 2
         assert err.startswith("error:")
 
+    @needs_dev_full
+    def test_full_disk_exits_2(self, capsys):
+        status = main(["fuzz", "--seed", "1", "--count", "1", "--checks", "nut",
+                       "--out", DEV_FULL])
+        _out, err = capsys.readouterr()
+        assert status == 2
+        assert err.startswith("error:")
+
+    def test_closed_pipe_exits_2(self):
+        # the reader is gone before the first write, like `butterfly fuzz ... | head -0`
+        env = dict(os.environ, PYTHONPATH=str(Path(conic_butterfly.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from conic_butterfly.cli import main; sys.exit(main())",
+             "fuzz", "--seed", "1", "--count", "1", "--height", "4", "--checks", "nut"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err.startswith("error:")
+        assert "Exception ignored" not in err
+
 
 class TestDemo:
     def test_lemma1(self, capsys):
@@ -141,6 +193,38 @@ class TestDemo:
         _out, err = capsys.readouterr()
         assert status == 2
         assert err.startswith("error:")
+
+    @needs_dev_full
+    def test_full_disk_exits_2(self, capsys):
+        status = main(["demo", "lemma1", "--out", DEV_FULL])
+        _out, err = capsys.readouterr()
+        assert status == 2
+        assert err.startswith("error:")
+
+
+class _BrokenStdout:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "lemma1"],
+    ["fuzz", "--seed", "1", "--count", "1", "--height", "4", "--checks", "nut"],
+    ["demo", "lemma1"],
+], ids=("verify", "fuzz", "demo"))
+def test_broken_stdout_exits_2(argv, fixture_path, monkeypatch, capsys):
+    if argv[0] == "verify":
+        argv = ["verify", fixture_path(argv[1])]
+    monkeypatch.setattr(sys, "stdout", _BrokenStdout())
+    status = main(argv)
+    _out, err = capsys.readouterr()
+    assert status == 2
+    assert err.startswith("error: [Errno 32] Broken pipe")
 
 
 class TestRender:

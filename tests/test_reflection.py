@@ -13,7 +13,7 @@ from conic_butterfly.projective import (
     join,
     meet,
 )
-from conic_butterfly.reflection import ReflectionFrame, reflect_line, reflect_point
+from conic_butterfly.reflection import ReflectionFrame
 from conic_butterfly.scalars import GaussianRational
 from conic_butterfly.scenarios import random_reflection_frame
 
@@ -141,10 +141,3 @@ class TestProperties:
         reflected = worked_frame.reflect_line(l)
         assert incident(worked_frame.reflect_point(pt(1, 1, 1)), reflected)
         assert incident(worked_frame.reflect_point(pt(0, 1, 1)), reflected)
-
-
-def test_function_wrappers(worked_frame):
-    y = pt(1, 1, 1)
-    assert reflect_point(worked_frame, y) == worked_frame.reflect_point(y)
-    l = join(worked_frame.pole, y)
-    assert reflect_line(worked_frame, l) == l

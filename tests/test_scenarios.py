@@ -7,6 +7,7 @@ from conic_butterfly.conics import AffineConicSpec, homogenize_affine_conic
 from conic_butterfly.projective import (
     DegenerateInputError,
     ProjPoint,
+    Projectivity,
     ProjectiveError,
     incident,
     join,
@@ -84,6 +85,30 @@ class TestRetryBudget:
         budget = RetryBudget(cap=0)
         with pytest.raises(RetryCapError, match="tangent chord"):
             budget.tick("tangent chord")
+
+    @pytest.mark.parametrize("field", [G, P], ids=("gauss", "prime"))
+    def test_singular_projectivity_draws_are_budgeted(self, field):
+        budget = RetryBudget(cap=3)
+        with pytest.raises(RetryCapError, match="singular projectivity"):
+            Projectivity.random(_ConstantRng(), field, 5, budget=budget)
+        assert budget.spent == 4
+        with pytest.raises(RetryCapError, match="singular projectivity"):
+            random_conic(_ConstantRng(), field, 5)
+
+    def test_budget_leaves_the_draw_alone(self):
+        plain = Projectivity.random(Random(9), G, 6)
+        assert Projectivity.random(Random(9), G, 6, budget=RetryBudget()) == plain
+        assert random_conic(Random(9), G, 6) == random_conic(Random(9), G, 6, budget=RetryBudget())
+
+
+class _ConstantRng(Random):
+    """Every draw is 1, so every random 3x3 matrix has equal entries."""
+
+    def randint(self, a, b):
+        return 1
+
+    def randrange(self, *args):
+        return 1
 
 
 class TestBuildScenario:
