@@ -5,49 +5,89 @@ scalars, matrices are 3-tuples of row tuples.  No pivoting heuristics are
 needed because the arithmetic is exact; ``nullspace`` is Gauss-Jordan
 elimination that divides each pivot row by its pivot, using whatever field
 division the backend provides.
+
+Integer kernels.  ``cross``, ``dot`` and ``minor`` run in the fuzz
+campaigns' inner loops, so each picks one of three paths from the type of
+one input entry and the denominators of its inputs, and from nothing else:
+
+1. ``PrimeFieldElement``: the formula on raw residues, reduced once per
+   result entry.
+2. ``GaussianRational`` with ``d == 1`` in every entry (the coordinates
+   ``reduce_content`` leaves): the formula on the raw ``(a, b)`` integer
+   pairs, and each result wrapped once as ``(re, im, 1)``, which is
+   canonical because ``gcd(re, im, 1) == 1``.
+3. Anything else: the same formula over the scalar operators.
+
+``matvec`` and ``quad_form`` have their own residue paths and otherwise,
+like ``matmul``, ``bilinear`` and ``det3``, are built from ``dot``;
+``adjugate`` is three ``cross`` products and ``first_nonzero_minor`` runs
+``minor`` slot by slot, so each of them takes the paths above piece by
+piece.  ``primitive`` (content removal) and ``normalize`` (leading entry
+scaled to one) have integer paths of their own.  Every path computes the
+same exact value and both backends keep one canonical representation per
+value, so the choice of path never shows in a result.  Inputs are
+backend-homogeneous by construction, so one entry picks the backend.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple, TypeVar
+from math import gcd
+from typing import Optional, Sequence, Tuple, TypeVar
 
+from .scalars import GaussianRational as _G
 from .scalars import PrimeFieldElement as _P
+from .scalars import _make as _gmake
+from .scalars import _reduced
 
 S = TypeVar("S")
 
 Vec3 = Tuple[S, S, S]
 Mat3 = Tuple[Vec3, Vec3, Vec3]
 
-# The prime campaigns hit cross/dot/matvec in the million-call range; working
-# on raw residues and reducing once per entry roughly halves their cost.
-# Vectors are backend-homogeneous by construction, so testing one entry is
-# enough to pick the path.
 _MOD = _P.MODULUS
-_make = _P._make
+_pmake = _P._make
 
 
 def cross(a: Vec3, b: Vec3) -> Vec3:
-    if type(a[0]) is _P:
-        a0, a1, a2 = a[0].residue, a[1].residue, a[2].residue
-        b0, b1, b2 = b[0].residue, b[1].residue, b[2].residue
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    t = type(a0)
+    if t is _P:
+        a0, a1, a2 = a0.residue, a1.residue, a2.residue
+        b0, b1, b2 = b0.residue, b1.residue, b2.residue
         return (
-            _make((a1 * b2 - a2 * b1) % _MOD),
-            _make((a2 * b0 - a0 * b2) % _MOD),
-            _make((a0 * b1 - a1 * b0) % _MOD),
+            _pmake((a1 * b2 - a2 * b1) % _MOD),
+            _pmake((a2 * b0 - a0 * b2) % _MOD),
+            _pmake((a0 * b1 - a1 * b0) % _MOD),
+        )
+    if t is _G and a0.d == a1.d == a2.d == b0.d == b1.d == b2.d == 1:
+        p0, q0, p1, q1, p2, q2 = a0.a, a0.b, a1.a, a1.b, a2.a, a2.b
+        r0, s0, r1, s1, r2, s2 = b0.a, b0.b, b1.a, b1.b, b2.a, b2.b
+        return (
+            _gmake(p1 * r2 - q1 * s2 - p2 * r1 + q2 * s1, p1 * s2 + q1 * r2 - p2 * s1 - q2 * r1, 1),
+            _gmake(p2 * r0 - q2 * s0 - p0 * r2 + q0 * s2, p2 * s0 + q2 * r0 - p0 * s2 - q0 * r2, 1),
+            _gmake(p0 * r1 - q0 * s1 - p1 * r0 + q1 * s0, p0 * s1 + q0 * r1 - p1 * s0 - q1 * r0, 1),
         )
     return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
+        a1 * b2 - a2 * b1,
+        a2 * b0 - a0 * b2,
+        a0 * b1 - a1 * b0,
     )
 
 
 def dot(a: Vec3, b: Vec3) -> S:
-    if type(a[0]) is _P:
-        return _make((a[0].residue * b[0].residue
-                      + a[1].residue * b[1].residue
-                      + a[2].residue * b[2].residue) % _MOD)
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    t = type(a0)
+    if t is _P:
+        return _pmake((a0.residue * b0.residue + a1.residue * b1.residue
+                       + a2.residue * b2.residue) % _MOD)
+    if t is _G and a0.d == a1.d == a2.d == b0.d == b1.d == b2.d == 1:
+        p0, q0, p1, q1, p2, q2 = a0.a, a0.b, a1.a, a1.b, a2.a, a2.b
+        r0, s0, r1, s1, r2, s2 = b0.a, b0.b, b1.a, b1.b, b2.a, b2.b
+        return _gmake(p0 * r0 - q0 * s0 + p1 * r1 - q1 * s1 + p2 * r2 - q2 * s2,
+                      p0 * s0 + q0 * r0 + p1 * s1 + q1 * r1 + p2 * s2 + q2 * r2, 1)
+    return a0 * b0 + a1 * b1 + a2 * b2
 
 
 def det3(a: Vec3, b: Vec3, c: Vec3) -> S:
@@ -58,11 +98,25 @@ def matvec(m: Mat3, v: Vec3) -> Vec3:
     if type(v[0]) is _P:
         v0, v1, v2 = v[0].residue, v[1].residue, v[2].residue
         return (
-            _make((m[0][0].residue * v0 + m[0][1].residue * v1 + m[0][2].residue * v2) % _MOD),
-            _make((m[1][0].residue * v0 + m[1][1].residue * v1 + m[1][2].residue * v2) % _MOD),
-            _make((m[2][0].residue * v0 + m[2][1].residue * v1 + m[2][2].residue * v2) % _MOD),
+            _pmake((m[0][0].residue * v0 + m[0][1].residue * v1 + m[0][2].residue * v2) % _MOD),
+            _pmake((m[1][0].residue * v0 + m[1][1].residue * v1 + m[1][2].residue * v2) % _MOD),
+            _pmake((m[2][0].residue * v0 + m[2][1].residue * v1 + m[2][2].residue * v2) % _MOD),
         )
     return (dot(m[0], v), dot(m[1], v), dot(m[2], v))
+
+
+def quad_form(m: Mat3, v: Vec3) -> S:
+    if type(v[0]) is _P:
+        v0, v1, v2 = v[0].residue, v[1].residue, v[2].residue
+        return _pmake((v0 * (m[0][0].residue * v0 + m[0][1].residue * v1 + m[0][2].residue * v2)
+                       + v1 * (m[1][0].residue * v0 + m[1][1].residue * v1 + m[1][2].residue * v2)
+                       + v2 * (m[2][0].residue * v0 + m[2][1].residue * v1 + m[2][2].residue * v2))
+                      % _MOD)
+    return dot(v, matvec(m, v))
+
+
+def bilinear(m: Mat3, u: Vec3, v: Vec3) -> S:
+    return dot(u, matvec(m, v))
 
 
 def transpose(m: Mat3) -> Mat3:
@@ -75,11 +129,7 @@ def transpose(m: Mat3) -> Mat3:
 
 def matmul(a: Mat3, b: Mat3) -> Mat3:
     bt = transpose(b)
-    return (
-        (dot(a[0], bt[0]), dot(a[0], bt[1]), dot(a[0], bt[2])),
-        (dot(a[1], bt[0]), dot(a[1], bt[1]), dot(a[1], bt[2])),
-        (dot(a[2], bt[0]), dot(a[2], bt[1]), dot(a[2], bt[2])),
-    )
+    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def det_mat3(m: Mat3) -> S:
@@ -87,29 +137,32 @@ def det_mat3(m: Mat3) -> S:
 
 
 def adjugate(m: Mat3) -> Mat3:
-    """Transposed cofactor matrix, so ``m @ adjugate(m) == det(m) * I``."""
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    return (
-        (e * i - f * h, c * h - b * i, b * f - c * e),
-        (f * g - d * i, a * i - c * g, c * d - a * f),
-        (d * h - e * g, b * g - a * h, a * e - b * d),
-    )
+    """Transposed cofactor matrix, so ``m @ adjugate(m) == det(m) * I``.
+
+    Column j is the cross product of the two rows other than j."""
+    c0, c1, c2 = cross(m[1], m[2]), cross(m[2], m[0]), cross(m[0], m[1])
+    return ((c0[0], c1[0], c2[0]), (c0[1], c1[1], c2[1]), (c0[2], c1[2], c2[2]))
 
 
-def quad_form(m: Mat3, v: Vec3) -> S:
-    if type(v[0]) is _P:
-        v0, v1, v2 = v[0].residue, v[1].residue, v[2].residue
-        return _make((v0 * (m[0][0].residue * v0 + m[0][1].residue * v1 + m[0][2].residue * v2)
-                      + v1 * (m[1][0].residue * v0 + m[1][1].residue * v1 + m[1][2].residue * v2)
-                      + v2 * (m[2][0].residue * v0 + m[2][1].residue * v1 + m[2][2].residue * v2))
-                     % _MOD)
-    return dot(v, matvec(m, v))
+def normalize(v: Sequence[S]) -> tuple:
+    """v scaled so its first nonzero entry is one; v must not be zero."""
+    k = next(i for i, c in enumerate(v) if not c.is_zero())
+    lead = v[k]
+    if type(lead) is _G and all(c.d == 1 for c in v):
+        # c / lead = c * conj(lead) / norm(lead): one reduction per entry
+        p, q = lead.a, lead.b
+        norm = p * p + q * q
+        return tuple(_reduced(c.a * p + c.b * q, c.b * p - c.a * q, norm) for c in v)
+    inv = lead.inv()
+    return tuple(c * inv for c in v)
 
 
-def bilinear(m: Mat3, u: Vec3, v: Vec3) -> S:
-    return dot(u, matvec(m, v))
+def proportional(a: Sequence[S], b: Sequence[S]) -> bool:
+    """Whether b is a nonzero multiple of a; a must not be zero."""
+    k = next(i for i, c in enumerate(a) if not c.is_zero())
+    if b[k].is_zero():
+        return False
+    return all((a[k] * b[i] - b[k] * a[i]).is_zero() for i in range(len(a)))
 
 
 def scale_vec(s: S, v: Sequence[S]) -> tuple:
@@ -118,6 +171,54 @@ def scale_vec(s: S, v: Sequence[S]) -> tuple:
 
 def add_vec(a: Sequence[S], b: Sequence[S]) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
+
+
+# slot k of cross(a, b) is the 2x2 minor a[i]*b[j] - a[j]*b[i] over these (i, j)
+_MINORS = ((1, 2), (2, 0), (0, 1))
+
+
+def minor(a: Vec3, b: Vec3, k: int) -> S:
+    """Slot k of cross(a, b), without the other two slots."""
+    i, j = _MINORS[k]
+    x, y, u, w = a[i], b[j], a[j], b[i]
+    t = type(x)
+    if t is _P:
+        return _pmake((x.residue * y.residue - u.residue * w.residue) % _MOD)
+    if t is _G and x.d == y.d == u.d == w.d == 1:
+        return _gmake(x.a * y.a - x.b * y.b - u.a * w.a + u.b * w.b,
+                      x.a * y.b + x.b * y.a - u.a * w.b - u.b * w.a, 1)
+    return x * y - u * w
+
+
+def first_nonzero_minor(a: Vec3, b: Vec3) -> Optional[S]:
+    """The first nonzero slot of cross(a, b), one minor at a time; None when
+    a and b are proportional."""
+    for k in range(3):
+        m = minor(a, b, k)
+        if not m.is_zero():
+            return m
+    return None
+
+
+def primitive(v: Vec3) -> Optional[Vec3]:
+    """``field.reduce_content(v)`` for a vector whose entries are all of one
+    backend type, or None when v is zero."""
+    x, y, z = v
+    if type(x) is _P:
+        if x.residue or y.residue or z.residue:
+            return v
+        return None
+    if x.d == y.d == z.d == 1:
+        g = gcd(x.a, x.b, y.a, y.b, z.a, z.b)
+        if g == 1:
+            return v
+        if g == 0:
+            return None
+        return (_gmake(x.a // g, x.b // g, 1), _gmake(y.a // g, y.b // g, 1),
+                _gmake(z.a // g, z.b // g, 1))
+    if x.is_zero() and y.is_zero() and z.is_zero():
+        return None
+    return _G.reduce_content(v)
 
 
 def nullspace(rows: Sequence[Sequence[S]], width: int, field) -> list:

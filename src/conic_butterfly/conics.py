@@ -9,9 +9,10 @@ which keeps everything inside the scalar field.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Sequence
 
-from ._linalg import adjugate, bilinear, cross, dot, matmul, matvec, nullspace, quad_form, transpose
+from ._linalg import (adjugate, bilinear, cross, det_mat3, dot, matmul, matvec, normalize, nullspace,
+                      proportional, quad_form, transpose)
 from .projective import (
     DegenerateInputError,
     ProjectiveError,
@@ -51,11 +52,7 @@ class Conic:
                 raise ProjectiveError("conic matrix must be symmetric")
         flat = field.reduce_content(flat)
         form = (flat[0:3], flat[3:6], flat[6:9])
-        d = dot(form[0], (
-            form[1][1] * form[2][2] - form[1][2] * form[2][1],
-            form[1][2] * form[2][0] - form[1][0] * form[2][2],
-            form[1][0] * form[2][1] - form[1][1] * form[2][0],
-        ))
+        d = det_mat3(form)
         if d.is_zero():
             raise DegenerateConicError("degenerate conic (zero determinant)", witness=d)
         self.form = form
@@ -106,39 +103,16 @@ class Conic:
     def __eq__(self, other):
         if not isinstance(other, Conic):
             return NotImplemented
-        a = tuple(e for r in self.form for e in r)
-        b = tuple(e for r in other.form for e in r)
-        k = next(i for i, e in enumerate(a) if not e.is_zero())
-        if b[k].is_zero():
-            return False
-        return all((a[k] * b[i] - b[k] * a[i]).is_zero() for i in range(9))
+        return proportional(sum(self.form, ()), sum(other.form, ()))
 
     def __hash__(self):
-        a = tuple(e for r in self.form for e in r)
-        lead = next(e for e in a if not e.is_zero())
-        inv = lead.inv()
-        return hash(("conic",) + tuple(e * inv for e in a))
+        return hash(("conic",) + normalize(sum(self.form, ())))
 
     def __str__(self):
-        lead = next(e for e in self.upper_entries() if not e.is_zero())
-        inv = lead.inv()
-        return "[" + ", ".join(str(e * inv) for e in self.upper_entries()) + "]"
+        return "[" + ", ".join(str(e) for e in normalize(self.upper_entries())) + "]"
 
     def __repr__(self):
         return f"Conic{self}"
-
-
-def conic_from_symmetric_form(rows, field=None) -> Conic:
-    return Conic(rows, field)
-
-
-def pole_polar(conic: Conic, obj: Union[ProjPoint, ProjLine]):
-    """Duality in both directions: points to polars, lines to poles."""
-    if isinstance(obj, ProjPoint):
-        return conic.polar(obj)
-    if isinstance(obj, ProjLine):
-        return conic.pole(obj)
-    raise TypeError(f"pole_polar expects a point or line, got {type(obj).__name__}")
 
 
 def conic_through_five(points: Sequence[ProjPoint]) -> Conic:
@@ -298,10 +272,6 @@ class ConicParametrization:
             # fall back to the direct chord solve
             return second_intersection(self.conic, self.line(t), self.base)
         return ProjPoint(coords, self.conic.field)
-
-
-def param_point(parametrization: ConicParametrization, t) -> ProjPoint:
-    return parametrization.point(t)
 
 
 class AffineConicSpec:

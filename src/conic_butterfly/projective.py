@@ -28,8 +28,13 @@ from ._linalg import (
     det3,
     det_mat3,
     dot,
+    first_nonzero_minor,
     matmul,
     matvec,
+    minor,
+    normalize,
+    primitive,
+    proportional,
     scale_vec,
     transpose,
 )
@@ -61,26 +66,6 @@ def _require_same_field(a, b) -> None:
         raise TypeError("cannot mix scalar backends in one construction")
 
 
-# slot k of cross(a, b) is the 2x2 minor a[i]*b[j] - a[j]*b[i] over these (i, j)
-_MINORS = ((1, 2), (2, 0), (0, 1))
-
-
-def _minor(a, b, k: int):
-    """Slot k of cross(a, b), without the other two slots."""
-    i, j = _MINORS[k]
-    return a[i] * b[j] - a[j] * b[i]
-
-
-def _first_nonzero_minor(a, b):
-    """The first nonzero slot of cross(a, b), one minor at a time; None when
-    a and b are proportional."""
-    for i, j in _MINORS:
-        m = a[i] * b[j] - a[j] * b[i]
-        if not m.is_zero():
-            return m
-    return None
-
-
 def _first_nonzero_slot(v):
     return next((k for k, c in enumerate(v) if not c.is_zero()), None)
 
@@ -91,6 +76,17 @@ class _Triple:
     __slots__ = ("coords", "field")
 
     def __init__(self, coords: Sequence, field=None):
+        if type(coords) is tuple and len(coords) == 3:
+            t = type(coords[0])
+            if ((t is GaussianRational or t is PrimeFieldElement) and (field is None or field is t)
+                    and type(coords[1]) is t and type(coords[2]) is t):
+                # already typed: no coercion, and content removed by the backend kernel
+                vals = primitive(coords)
+                if vals is None:
+                    raise ProjectiveError("(0 : 0 : 0) is not a projective object")
+                self.coords = vals
+                self.field = t
+                return
         coords = tuple(coords)
         if len(coords) != 3:
             raise ProjectiveError(f"expected 3 homogeneous coordinates, got {len(coords)}")
@@ -105,16 +101,14 @@ class _Triple:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return _first_nonzero_minor(self.coords, other.coords) is None
+        return first_nonzero_minor(self.coords, other.coords) is None
 
     def __hash__(self):
         return hash((type(self).__name__,) + self.canonical())
 
     def canonical(self) -> tuple:
         """Coordinates rescaled so the first nonzero entry is 1."""
-        lead = next(c for c in self.coords if not c.is_zero())
-        inv = lead.inv()
-        return tuple(c * inv for c in self.coords)
+        return normalize(self.coords)
 
     def conjugate(self):
         return type(self)(tuple(c.conjugate() for c in self.coords), self.field)
@@ -307,7 +301,7 @@ def cross_ratio(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint, p4: ProjPoint) -> C
     c = n[k]
 
     def bracket(x: int, y: int):
-        return c if (x, y) == (i, j) else _minor(coords[x], coords[y], k)
+        return c if (x, y) == (i, j) else minor(coords[x], coords[y], k)
 
     num = bracket(0, 1) * bracket(2, 3)
     den = bracket(0, 3) * bracket(2, 1)
@@ -333,8 +327,8 @@ def harmonic_conjugate(u: ProjPoint, v: ProjPoint, w: ProjPoint) -> ProjPoint:
         raise DegenerateInputError("harmonic conjugate needs a distinct reference pair")
     if not dot(w.coords, n).is_zero():
         raise ProjectiveError("harmonic conjugate requires collinear input")
-    alpha = _minor(w.coords, v.coords, k)
-    beta = _minor(u.coords, w.coords, k)
+    alpha = minor(w.coords, v.coords, k)
+    beta = minor(u.coords, w.coords, k)
     if alpha.is_zero() or beta.is_zero():
         raise DegenerateInputError("harmonic conjugate is undefined at the reference points")
     coords = tuple(alpha * uc - beta * vc for uc, vc in zip(u.coords, v.coords))
@@ -397,18 +391,10 @@ class Projectivity:
     def __eq__(self, other):
         if not isinstance(other, Projectivity):
             return NotImplemented
-        a = tuple(e for r in self.matrix for e in r)
-        b = tuple(e for r in other.matrix for e in r)
-        k = next(i for i, e in enumerate(a) if not e.is_zero())
-        if b[k].is_zero():
-            return False
-        return all((a[k] * b[i] - b[k] * a[i]).is_zero() for i in range(9))
+        return proportional(sum(self.matrix, ()), sum(other.matrix, ()))
 
     def __hash__(self):
-        a = tuple(e for r in self.matrix for e in r)
-        lead = next(e for e in a if not e.is_zero())
-        inv = lead.inv()
-        return hash(("projectivity",) + tuple(e * inv for e in a))
+        return hash(("projectivity",) + normalize(sum(self.matrix, ())))
 
     def __repr__(self):
         return f"Projectivity({self.matrix!r})"

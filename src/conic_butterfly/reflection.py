@@ -22,14 +22,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._linalg import add_vec, cross, dot
+from ._linalg import add_vec, cross, dot, first_nonzero_minor
 from .conics import Conic
 from .projective import (
     DegenerateInputError,
     ProjectiveError,
     ProjLine,
     ProjPoint,
-    _first_nonzero_minor,
     incident,
     join,
 )
@@ -71,7 +70,7 @@ class ReflectionFrame:
         s is what tells y from the pole, and it makes the coordinates exactly
         those of the harmonic conjugate of y over (p, meet(k, join(p, y))).
         """
-        s = _first_nonzero_minor(self.pole.coords, y.coords)
+        s = first_nonzero_minor(self.pole.coords, y.coords)
         if s is None:
             raise DegenerateInputError("reflection is undefined at the pole")
         ky = dot(self.axis.coords, y.coords)

@@ -15,6 +15,14 @@ Two interchangeable scalar types cover every computation:
 
 Neither backend offers square roots.  The geometry layers are arranged so
 that every construction stays inside the field.
+
+Text codec.  A Gaussian literal is ``x``, ``yi`` or ``x+yi`` / ``x-yi``
+where each part is an integer or ``n/d``.  ``parse`` reads the parts with
+``int()`` and builds the canonical triple with one reduction; ``str``
+prints each part in lowest terms with one ``gcd(n, d)``; ``random`` draws
+each part as ``randint(-h, h) / randint(1, h)`` and reduces once.  None of
+them builds a ``Fraction``; ``re``, ``im`` and the constructor still accept
+and return them.  Prime residues are plain decimal integers.
 """
 
 from __future__ import annotations
@@ -59,13 +67,28 @@ _IMAG_RE = re.compile(rf"^({_RAT})i$")
 _COMPLEX_RE = re.compile(rf"^({_RAT})([+-]\d+(?:/\d+)?)i$")
 
 
-def _fraction(text: str) -> Fraction:
+def _rational(text: str) -> tuple:
+    """``(numerator, denominator)`` of a literal that matched ``_RAT``, unreduced."""
+    num, _, den = text.partition("/")
     try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ScalarParseError(f"zero denominator in {text!r}") from None
-    except ValueError:
+        num, den = int(num), (int(den) if den else 1)
+    except ValueError:  # int() refuses digit strings past sys.get_int_max_str_digits()
         raise ScalarParseError(f"bad rational literal {text!r}") from None
+    if not den:
+        raise ScalarParseError(f"zero denominator in {text!r}")
+    return num, den
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """``n/d`` in lowest terms, or ``n`` alone when the denominator reduces to 1."""
+    if d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+        if d != 1:
+            return f"{n}/{d}"
+    return str(n)
 
 
 class GaussianRational:
@@ -132,25 +155,30 @@ class GaussianRational:
         t = text.strip().replace(" ", "")
         m = _COMPLEX_RE.match(t)
         if m:
-            return cls(_fraction(m.group(1)), _fraction(m.group(2)))
+            (a, d), (b, e) = _rational(m.group(1)), _rational(m.group(2))
+            return _reduced(a * e, b * d, d * e)
         m = _IMAG_RE.match(t)
         if m:
-            return cls(0, _fraction(m.group(1)))
+            b, e = _rational(m.group(1))
+            return _reduced(0, b, e)
         m = _REAL_RE.match(t)
         if m:
-            return cls(_fraction(m.group(1)))
+            a, d = _rational(m.group(1))
+            return _reduced(a, 0, d)
         raise ScalarParseError(f"bad scalar literal {text!r}")
 
     @classmethod
     def random(cls, rng: Random, height_bound: int, *, real: bool = False) -> "GaussianRational":
-        """Random scalar whose numerators and denominators stay within ``height_bound``."""
+        """Random scalar whose numerators and denominators stay within ``height_bound``.
+
+        Each part is ``randint(-h, h) / randint(1, h)``, real part first."""
         if height_bound < 1:
             raise ValueError("height_bound must be at least 1")
-
-        def part() -> Fraction:
-            return Fraction(rng.randint(-height_bound, height_bound), rng.randint(1, height_bound))
-
-        return cls(part(), 0 if real else part())
+        a, d = rng.randint(-height_bound, height_bound), rng.randint(1, height_bound)
+        if real:
+            return _reduced(a, 0, d)
+        b, e = rng.randint(-height_bound, height_bound), rng.randint(1, height_bound)
+        return _reduced(a * e, b * d, d * e)
 
     @classmethod
     def reduce_content(cls, values: tuple) -> tuple:
@@ -222,10 +250,11 @@ class GaussianRational:
         return hash((self.a, self.b, self.d))
 
     def __str__(self):
-        if not self.b:
-            return str(self.re)
-        sign = "+" if self.b > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _ratio_text(a, d)
+        sign = "+" if b > 0 else "-"
+        return f"{_ratio_text(a, d)}{sign}{_ratio_text(abs(b), d)}i"
 
     def __repr__(self):
         return f"GaussianRational({self})"

@@ -21,8 +21,8 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple
 
-from ._linalg import cross
-from .scalars import BACKENDS, GaussianRational, ScalarParseError
+from ._linalg import cross, normalize
+from .scalars import BACKENDS, GaussianRational, ScalarParseError, backend_name
 from .projective import (CrossRatioValue, DegenerateInputError, ProjLine, ProjPoint,
                          ProjectiveError, join)
 from .conics import (AffineConicSpec, Conic, ConicParametrization, DegenerateConicError,
@@ -325,18 +325,8 @@ def parse_scenario(text: str) -> ScenarioDocument:
     return ScenarioDocument(check, field, conic, points, lines, expects, base=base)
 
 
-def _backend_key(field) -> str:
-    for name, cls in BACKENDS.items():
-        if cls is field:
-            return name
-    raise ScenarioParseError(f"unregistered backend {field!r}")
-
-
 def _conic_entries(conic: Conic) -> List[str]:
-    entries = conic.upper_entries()
-    lead = next(e for e in entries if not e.is_zero())
-    inv = lead.inv()
-    return [str(e * inv) for e in entries]
+    return [str(e) for e in normalize(conic.upper_entries())]
 
 
 def serialize_scenario(doc: ScenarioDocument) -> str:
@@ -346,7 +336,7 @@ def serialize_scenario(doc: ScenarioDocument) -> str:
     so serialized fixtures diff cleanly.
     """
     shape = _SHAPES[doc.check]
-    out = [f"check {doc.check}", f"backend {_backend_key(doc.field)}"]
+    out = [f"check {doc.check}", f"backend {backend_name(doc.field)}"]
     out.append("conic symmetric " + " ".join(_conic_entries(doc.conic)))
     if doc.base is not None:
         out.append(f"base {doc.base}")

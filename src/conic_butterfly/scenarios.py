@@ -150,16 +150,18 @@ class PlanarScenario:
                 ("r", self.r), ("s", self.s), ("u", self.u), ("v", self.v))
 
 
-def _validate_chord(conic, end1, end2, m, label: str) -> Optional[str]:
-    """Membership errors raise; structural collapse returns a reason string."""
+def _validate_chord(conic, end1, end2, m, label: str) -> Tuple[Optional[ProjLine], Optional[str]]:
+    """(chord line, None), or (None, reason) on structural collapse;
+    membership errors raise."""
     for w in (end1, end2):
         if not conic.contains(w):
             raise ProjectiveError(f"chord point {w} of {label} is not on the conic")
     if end1 == end2:
-        return f"tangent chord {label}"
-    if not incident(m, join(end1, end2)):
+        return None, f"tangent chord {label}"
+    chord = join(end1, end2)
+    if not incident(m, chord):
         raise ProjectiveError(f"chord {label} does not pass through m")
-    return None
+    return chord, None
 
 
 def build_scenario(conic: Conic, a, b, m, r, s, f, g) -> ButterflyScenario:
@@ -174,10 +176,12 @@ def build_scenario(conic: Conic, a, b, m, r, s, f, g) -> ButterflyScenario:
     if not incident(m, ab):
         raise ProjectiveError("m must lie on the chord ab")
 
-    reason = _validate_chord(conic, r, s, m, "(r,s)") or _validate_chord(conic, f, g, m, "(f,g)")
+    rs, reason = _validate_chord(conic, r, s, m, "(r,s)")
+    fg = None
+    if reason is None:
+        fg, reason = _validate_chord(conic, f, g, m, "(f,g)")
     p = harmonic_conjugate(a, b, m)
     if reason is None:
-        rs, fg = join(r, s), join(f, g)
         if rs == ab or fg == ab:
             reason = "chord coincides with ab"
         elif rs == fg:
@@ -208,10 +212,12 @@ def build_planar_scenario(spec: AffineConicSpec, a, b, m, r, s, u, v) -> PlanarS
     if not incident(m, ab):
         raise ProjectiveError("m must lie on the chord ab")
 
-    reason = _validate_chord(conic, r, s, m, "(r,s)") or _validate_chord(conic, u, v, m, "(u,v)")
+    rs, reason = _validate_chord(conic, r, s, m, "(r,s)")
+    uv = None
+    if reason is None:
+        uv, reason = _validate_chord(conic, u, v, m, "(u,v)")
     m_prime = harmonic_conjugate(a, b, m)
     if reason is None:
-        rs, uv = join(r, s), join(u, v)
         if rs == ab or uv == ab:
             reason = "chord coincides with ab"
         elif rs == uv:

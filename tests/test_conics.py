@@ -10,7 +10,6 @@ from conic_butterfly.conics import (
     DegenerateConicError,
     conic_through_five,
     homogenize_affine_conic,
-    pole_polar,
     second_intersection,
     transform_conic,
 )
@@ -105,14 +104,6 @@ class TestPolarity:
         assert c.pole(c.polar(p)) == p
         l = ProjLine((G(1), G(2), G(-2)), G)
         assert c.polar(c.pole(l)) == l
-
-    def test_pole_polar_dispatch(self):
-        c = circle()
-        p = pt(0, 0, 1)
-        assert pole_polar(c, p) == c.polar(p)
-        assert pole_polar(c, c.polar(p)) == p
-        with pytest.raises(TypeError):
-            pole_polar(c, 7)
 
     def test_tangent_at(self):
         c = Conic.from_upper_entries((0, "1/2", "1/2", 0, -1, 0), G)

@@ -10,10 +10,13 @@ changes on purpose.
 
 from importlib import resources
 from pathlib import Path
+from random import Random
 
 import pytest
 
+from conic_butterfly import GaussianRational, RetryBudget
 from conic_butterfly.cli import main
+from conic_butterfly.fuzz import _RUNNERS
 from conic_butterfly.scenario_io import parse_scenario, serialize_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -28,6 +31,22 @@ FUZZ_STREAMS = {
 }
 FIXTURES = ("butterfly_circle", "cutl_hyperbola", "lemma1")
 
+# Height-50 damn and cutl documents with one deliberately wrong expect line
+# each.  Witnesses print canonical coordinates, but the residual of a wrong
+# pin is computed from the raw representative the kernel built (coordinates
+# with only their rational content removed, the unreduced cross-ratio pair),
+# so these files pin those representatives.  Each document is cell 0 of
+# `butterfly fuzz --seed 11 --height 50` for its claim, stored under
+# tests/golden/ as pin_<name>.scn next to its verify_pin_<name>.txt.
+PINS = {
+    "damn_i": ("damn", "expect point i (1 : 2 : 3)"),
+    "damn_j": ("damn", "expect point j (1 : 2 : 3)"),
+    "damn_cr": ("damn", "expect ratio cr 2"),
+    "cutl_p": ("cutl", "expect point p (1 : 2 : 3)"),
+    "cutl_m": ("cutl", "expect point m' (1 : 2 : 3)"),
+    "cutl_cr": ("cutl", "expect ratio cr 2"),
+}
+
 
 def _fixture(name: str):
     return resources.files("conic_butterfly") / "fixtures" / f"{name}.scn"
@@ -39,6 +58,16 @@ def _fuzz(argv: list, out: Path) -> int:
 
 def _verify(name: str, out: Path) -> int:
     return main(["verify", str(_fixture(name)), "--out", str(out)])
+
+
+def _verify_pin(name: str, out: Path) -> int:
+    return main(["verify", str(GOLDEN / f"pin_{name}.scn"), "--out", str(out)])
+
+
+def _pin_document(name: str) -> str:
+    claim, expect = PINS[name]
+    _, make_doc = _RUNNERS[claim](Random(f"11:0:{claim}"), GaussianRational, 50, RetryBudget(), 0)
+    return serialize_scenario(make_doc()) + expect + "\n"
 
 
 def _serialize(name: str) -> str:
@@ -66,6 +95,13 @@ def test_verify_report(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"verify_{name}.txt").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_raw_representatives(name, tmp_path):
+    out = tmp_path / f"{name}.txt"
+    assert _verify_pin(name, out) == 1
+    assert out.read_bytes() == (GOLDEN / f"verify_pin_{name}.txt").read_bytes()
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_serialization(name):
     expected = (GOLDEN / f"serialize_{name}.scn").read_text(encoding="utf-8")
@@ -79,6 +115,9 @@ def _regenerate() -> None:
     for name in FIXTURES:
         _verify(name, GOLDEN / f"verify_{name}.txt")
         (GOLDEN / f"serialize_{name}.scn").write_text(_serialize(name), encoding="utf-8")
+    for name in PINS:
+        (GOLDEN / f"pin_{name}.scn").write_text(_pin_document(name), encoding="utf-8")
+        _verify_pin(name, GOLDEN / f"verify_pin_{name}.txt")
 
 
 if __name__ == "__main__":

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conic_butterfly.scalars import (
+    _COMPLEX_RE,
+    _IMAG_RE,
+    _REAL_RE,
     BACKENDS,
     GaussianRational,
     PrimeFieldElement,
@@ -217,6 +220,137 @@ class TestGaussianRational:
 
     def test_hash_consistent_with_eq(self):
         assert hash(G(Fraction(2, 4))) == hash(G(Fraction(1, 2)))
+
+
+# ----------------------------------------------------------------------
+# the Fraction-free codec against the Fraction-based one it replaced
+
+def oracle_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ScalarParseError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise ScalarParseError(f"bad rational literal {text!r}") from None
+
+
+def oracle_parse(text: str) -> G:
+    t = text.strip().replace(" ", "")
+    m = _COMPLEX_RE.match(t)
+    if m:
+        return G(oracle_fraction(m.group(1)), oracle_fraction(m.group(2)))
+    m = _IMAG_RE.match(t)
+    if m:
+        return G(0, oracle_fraction(m.group(1)))
+    m = _REAL_RE.match(t)
+    if m:
+        return G(oracle_fraction(m.group(1)))
+    raise ScalarParseError(f"bad scalar literal {text!r}")
+
+
+def oracle_str(x: G) -> str:
+    re_, im = Fraction(x.a, x.d), Fraction(x.b, x.d)
+    if not im:
+        return str(re_)
+    return f"{re_}{'+' if im > 0 else '-'}{abs(im)}i"
+
+
+def oracle_random(rng: Random, h: int, real: bool) -> G:
+    if h < 1:
+        raise ValueError("height_bound must be at least 1")
+
+    def part() -> Fraction:
+        return Fraction(rng.randint(-h, h), rng.randint(1, h))
+
+    return G(part(), 0 if real else part())
+
+
+def outcome(fn, *args):
+    """(triple, None) or (None, (exception type, message)) of fn(*args)."""
+    try:
+        x = fn(*args)
+    except Exception as exc:  # the exact type and message are compared
+        return None, (type(exc), str(exc))
+    return (x.a, x.b, x.d), None
+
+
+# unreduced literals, signs, zeros and zero denominators, up to 45 digits
+numerators = st.integers(min_value=-(10**45), max_value=10**45)
+denominators = st.integers(min_value=0, max_value=10**45) | st.integers(min_value=0, max_value=12)
+
+
+@st.composite
+def literal_parts(draw):
+    num = draw(numerators)
+    text = str(num) if num < 0 else draw(st.sampled_from(["", "+"])) + str(num)
+    if draw(st.booleans()):
+        text += f"/{draw(denominators)}"
+    return text
+
+
+@st.composite
+def literals(draw):
+    re_text = draw(literal_parts())
+    im_text = draw(literal_parts())
+    if not im_text.startswith("-"):
+        im_text = "+" + im_text.lstrip("+")
+    shape = draw(st.sampled_from(["real", "imag", "complex", "spaced", "garbage"]))
+    if shape == "real":
+        return re_text
+    if shape == "imag":
+        return re_text + "i"
+    if shape == "complex":
+        return re_text + im_text + "i"
+    if shape == "spaced":
+        return f"  {re_text} {im_text[0]} {im_text[1:]}i "
+    return draw(st.sampled_from(["", "i", "+i", "1.5", "2j", "1/-2", "3/4/5", "--1", "1+2",
+                                 "1/2i+3", "x"]))
+
+
+class TestCodec:
+    @given(literals())
+    @example("6/4-10/8i")
+    @example("0/7")
+    @example("-0/3+0/5i")
+    @example("5/0")
+    @example("1/2+3/0i")
+    @example("7/0i")
+    @example("+12/18i")
+    def test_parse_matches_fraction_oracle(self, text):
+        assert outcome(G.parse, text) == outcome(oracle_parse, text)
+
+    def test_parse_error_messages(self):
+        for text, message in (("5/0", "zero denominator in '5/0'"),
+                              ("1/2+3/0i", "zero denominator in '+3/0'"),
+                              ("2i+", "bad scalar literal '2i+'")):
+            with pytest.raises(ScalarParseError) as info:
+                G.parse(text)
+            assert str(info.value) == message
+        # int() refuses digit strings beyond the interpreter's limit, as Fraction did
+        long_text = "1" * 5000
+        assert outcome(G.parse, long_text) == outcome(oracle_parse, long_text)
+        assert outcome(G.parse, long_text)[1] == (ScalarParseError,
+                                                   f"bad rational literal {long_text!r}")
+
+    @given(parts)
+    @example((Fraction(-3, 6), Fraction(4, 6)))
+    @example((0, Fraction(-1, 7)))
+    @example((Fraction(5, 1), 0))
+    def test_str_matches_fraction_oracle(self, p):
+        x = G(*p)
+        assert str(x) == oracle_str(x)
+        assert outcome(G.parse, str(x)) == ((x.a, x.b, x.d), None)
+
+    @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=-1, max_value=10**6),
+           st.booleans())
+    @example(0, 1, False)
+    @example(0, 0, False)
+    @example(3, 50, True)
+    def test_random_matches_fraction_oracle(self, seed, height, real):
+        ours, theirs = Random(seed), Random(seed)
+        assert (outcome(lambda: G.random(ours, height, real=real))
+                == outcome(lambda: oracle_random(theirs, height, real)))
+        assert ours.getstate() == theirs.getstate()
 
 
 class TestPrimeField:
