@@ -22,16 +22,16 @@ one input entry and the denominators of its inputs, and from nothing else:
 like ``matmul``, ``bilinear`` and ``det3``, are built from ``dot``;
 ``adjugate`` is three ``cross`` products and ``first_nonzero_minor`` runs
 ``minor`` slot by slot, so each of them takes the paths above piece by
-piece.  ``primitive`` (content removal) and ``normalize`` (leading entry
-scaled to one) have integer paths of their own.  Every path computes the
-same exact value and both backends keep one canonical representation per
-value, so the choice of path never shows in a result.  Inputs are
-backend-homogeneous by construction, so one entry picks the backend.
+piece.  ``normalize`` (leading entry scaled to one) has an integer path of
+its own.  Every path computes the same exact value and both backends keep
+one canonical representation per value, so the choice of path never shows
+in a result.  One entry picks the backend, so inputs must not mix
+backends; the public constructions in ``projective`` and ``conics`` reject
+mixed inputs with ``TypeError`` before they reach these kernels.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Optional, Sequence, Tuple, TypeVar
 
 from .scalars import GaussianRational as _G
@@ -129,7 +129,11 @@ def transpose(m: Mat3) -> Mat3:
 
 def matmul(a: Mat3, b: Mat3) -> Mat3:
     bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    return (
+        (dot(a[0], bt[0]), dot(a[0], bt[1]), dot(a[0], bt[2])),
+        (dot(a[1], bt[0]), dot(a[1], bt[1]), dot(a[1], bt[2])),
+        (dot(a[2], bt[0]), dot(a[2], bt[1]), dot(a[2], bt[2])),
+    )
 
 
 def det_mat3(m: Mat3) -> S:
@@ -198,27 +202,6 @@ def first_nonzero_minor(a: Vec3, b: Vec3) -> Optional[S]:
         if not m.is_zero():
             return m
     return None
-
-
-def primitive(v: Vec3) -> Optional[Vec3]:
-    """``field.reduce_content(v)`` for a vector whose entries are all of one
-    backend type, or None when v is zero."""
-    x, y, z = v
-    if type(x) is _P:
-        if x.residue or y.residue or z.residue:
-            return v
-        return None
-    if x.d == y.d == z.d == 1:
-        g = gcd(x.a, x.b, y.a, y.b, z.a, z.b)
-        if g == 1:
-            return v
-        if g == 0:
-            return None
-        return (_gmake(x.a // g, x.b // g, 1), _gmake(y.a // g, y.b // g, 1),
-                _gmake(z.a // g, z.b // g, 1))
-    if x.is_zero() and y.is_zero() and z.is_zero():
-        return None
-    return _G.reduce_content(v)
 
 
 def nullspace(rows: Sequence[Sequence[S]], width: int, field) -> list:

@@ -20,6 +20,7 @@ from .projective import (
     ProjPoint,
     Projectivity,
     _infer_field,
+    _require_same_field,
     incident,
     join,
 )
@@ -76,16 +77,17 @@ class Conic:
         return quad_form(self.form, p.coords)
 
     def contains(self, p: ProjPoint) -> bool:
-        if p.field is not self.field:
-            raise TypeError("cannot mix scalar backends in one construction")
+        _require_same_field(self, p)
         return self.membership_residual(p).is_zero()
 
     def polar(self, p: ProjPoint) -> ProjLine:
         """The polar line M*p; for p on the conic this is the tangent."""
+        _require_same_field(self, p)
         return ProjLine(matvec(self.form, p.coords), self.field)
 
     def pole(self, l: ProjLine) -> ProjPoint:
         """The pole adj(M)*l, inverse of `polar` up to scale."""
+        _require_same_field(self, l)
         return ProjPoint(matvec(adjugate(self.form), l.coords), self.field)
 
     def tangent_at(self, p: ProjPoint) -> ProjLine:

@@ -33,7 +33,6 @@ from ._linalg import (
     matvec,
     minor,
     normalize,
-    primitive,
     proportional,
     scale_vec,
     transpose,
@@ -76,31 +75,26 @@ class _Triple:
     __slots__ = ("coords", "field")
 
     def __init__(self, coords: Sequence, field=None):
-        if type(coords) is tuple and len(coords) == 3:
-            t = type(coords[0])
-            if ((t is GaussianRational or t is PrimeFieldElement) and (field is None or field is t)
-                    and type(coords[1]) is t and type(coords[2]) is t):
-                # already typed: no coercion, and content removed by the backend kernel
-                vals = primitive(coords)
-                if vals is None:
-                    raise ProjectiveError("(0 : 0 : 0) is not a projective object")
-                self.coords = vals
-                self.field = t
-                return
-        coords = tuple(coords)
-        if len(coords) != 3:
-            raise ProjectiveError(f"expected 3 homogeneous coordinates, got {len(coords)}")
-        if field is None:
-            field = _infer_field(coords)
-        vals = tuple(field.coerce(c) for c in coords)
-        if all(v.is_zero() for v in vals):
+        t = type(coords[0]) if type(coords) is tuple and len(coords) == 3 else None
+        if ((t is GaussianRational or t is PrimeFieldElement) and (field is None or field is t)
+                and type(coords[1]) is t and type(coords[2]) is t):
+            field = t  # already typed: nothing to coerce
+        else:
+            coords = tuple(coords)
+            if len(coords) != 3:
+                raise ProjectiveError(f"expected 3 homogeneous coordinates, got {len(coords)}")
+            if field is None:
+                field = _infer_field(coords)
+            coords = tuple(field.coerce(c) for c in coords)
+        if coords[0].is_zero() and coords[1].is_zero() and coords[2].is_zero():
             raise ProjectiveError("(0 : 0 : 0) is not a projective object")
-        self.coords = field.reduce_content(vals)
+        self.coords = field.reduce_content(coords)
         self.field = field
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
+        _require_same_field(self, other)
         return first_nonzero_minor(self.coords, other.coords) is None
 
     def __hash__(self):
@@ -181,11 +175,13 @@ def meet(k: ProjLine, l: ProjLine) -> ProjPoint:
 
 
 def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
-    return det3(p.coords, q.coords, r.coords).is_zero()
+    return collinearity_residual(p, q, r).is_zero()
 
 
 def collinearity_residual(p: ProjPoint, q: ProjPoint, r: ProjPoint):
     """The raw 3x3 determinant; zero iff the points are collinear."""
+    _require_same_field(p, q)
+    _require_same_field(p, r)
     return det3(p.coords, q.coords, r.coords)
 
 

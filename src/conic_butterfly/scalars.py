@@ -182,8 +182,19 @@ class GaussianRational:
 
     @classmethod
     def reduce_content(cls, values: tuple) -> tuple:
-        """Scale a tuple by a positive rational so all components are coprime integers."""
+        """Scale a tuple by a positive rational so all components are coprime integers.
+
+        A coordinate triple of Gaussian integers, the common case, costs one
+        gcd of its six parts and is returned as it is when that gcd is 1."""
         values = tuple(values)
+        if len(values) == 3:
+            x, y, z = values
+            if x.d == y.d == z.d == 1:
+                g = gcd(x.a, x.b, y.a, y.b, z.a, z.b)
+                if g <= 1:  # 0 only for the zero triple
+                    return values
+                return (_make(x.a // g, x.b // g, 1), _make(y.a // g, y.b // g, 1),
+                        _make(z.a // g, z.b // g, 1))
         den = lcm(*(v.d for v in values))
         parts = [p * (den // v.d) for v in values for p in (v.a, v.b)]
         content = gcd(*parts)

@@ -105,6 +105,16 @@ class TestPolarity:
         l = ProjLine((G(1), G(2), G(-2)), G)
         assert c.polar(c.pole(l)) == l
 
+    def test_backend_mixing_rejected(self):
+        P = PrimeFieldElement
+        gauss = Conic.from_upper_entries((1, 0, 0, 1, 0, -1), G)
+        prime = Conic.from_upper_entries(tuple(P(k % P.MODULUS) for k in (1, 0, 0, 1, 0, -1)), P)
+        for c, p, l in ((gauss, ProjPoint((P(3), P(4), P(5)), P), ProjLine((P(1), P(0), P(1)), P)),
+                        (prime, pt(3, 4, 5), ProjLine((G(1), G(0), G(1)), G))):
+            for call in (lambda: c.polar(p), lambda: c.pole(l), lambda: c.contains(p)):
+                with pytest.raises(TypeError):
+                    call()
+
     def test_tangent_at(self):
         c = Conic.from_upper_entries((0, "1/2", "1/2", 0, -1, 0), G)
         assert c.tangent_at(pt(0, 1, 0)) == ProjLine((G(1), G(0), G(-2)), G)

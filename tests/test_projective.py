@@ -95,6 +95,21 @@ class TestIncidence:
         with pytest.raises(TypeError):
             join(p, q)
 
+    def test_backend_mixing_rejected_by_equality_and_collinearity(self):
+        P = PrimeFieldElement
+        gauss = (pt(1, 2, 3), pt(2, 1, 5), pt(3, 3, 8))
+        prime = tuple(ProjPoint(tuple(P(c) for c in xs), P) for xs in ((1, 2, 3), (2, 1, 5), (3, 3, 8)))
+        for a, b in ((gauss, prime), (prime, gauss)):
+            with pytest.raises(TypeError):
+                a[0] == b[0]
+            with pytest.raises(TypeError):
+                join(*a[:2]) == join(*b[:2])
+            for mixed in ((a[0], b[1], b[2]), (a[0], a[1], b[2])):
+                with pytest.raises(TypeError):
+                    collinear(*mixed)
+                with pytest.raises(TypeError):
+                    collinearity_residual(*mixed)
+
     def test_collinearity(self):
         assert collinear(pt(1, 0, 0), pt(0, 1, 0), pt(1, 1, 0))
         assert not collinear(pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1))
