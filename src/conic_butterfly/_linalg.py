@@ -6,9 +6,11 @@ needed because the arithmetic is exact; ``nullspace`` is Gauss-Jordan
 elimination that divides each pivot row by its pivot, using whatever field
 division the backend provides.
 
-Integer kernels.  ``cross``, ``dot`` and ``minor`` run in the fuzz
-campaigns' inner loops, so each picks one of three paths from the type of
-one input entry and the denominators of its inputs, and from nothing else:
+Integer kernels.  ``cross``, ``dot``, ``minor``, ``first_nonzero_minor``
+and the linear combinations ``combine`` (``a*u - b*v``) and ``combine3``
+(``a*u + b*v + c*w``) run in the fuzz campaigns' inner loops, so each picks
+one of three paths from the type of one input entry and the denominators
+of its inputs, and from nothing else:
 
 1. ``PrimeFieldElement``: the formula on raw residues, reduced once per
    result entry.
@@ -18,16 +20,18 @@ one input entry and the denominators of its inputs, and from nothing else:
    canonical because ``gcd(re, im, 1) == 1``.
 3. Anything else: the same formula over the scalar operators.
 
+``first_nonzero_minor`` computes its minors on residues and wraps only the
+one it returns; on the Gaussian backend it runs ``minor`` slot by slot.
 ``matvec`` and ``quad_form`` have their own residue paths and otherwise,
 like ``matmul``, ``bilinear`` and ``det3``, are built from ``dot``;
-``adjugate`` is three ``cross`` products and ``first_nonzero_minor`` runs
-``minor`` slot by slot, so each of them takes the paths above piece by
-piece.  ``normalize`` (leading entry scaled to one) has an integer path of
-its own.  Every path computes the same exact value and both backends keep
-one canonical representation per value, so the choice of path never shows
-in a result.  One entry picks the backend, so inputs must not mix
-backends; the public constructions in ``projective`` and ``conics`` reject
-mixed inputs with ``TypeError`` before they reach these kernels.
+``adjugate`` is three ``cross`` products, so each of them takes the paths
+above piece by piece.  ``normalize`` (leading entry scaled to one) has an
+integer path of its own.  Every path computes the same exact value and
+both backends keep one canonical representation per value, so the choice
+of path never shows in a result.  One entry picks the backend, so inputs
+must not mix backends; the public constructions in ``projective`` and
+``conics`` reject mixed inputs with ``TypeError`` before they reach these
+kernels.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from typing import Optional, Sequence, Tuple, TypeVar
 from .scalars import GaussianRational as _G
 from .scalars import PrimeFieldElement as _P
 from .scalars import _make as _gmake
+from .scalars import _make_residue as _pmake
 from .scalars import _reduced
 
 S = TypeVar("S")
@@ -45,7 +50,6 @@ Vec3 = Tuple[S, S, S]
 Mat3 = Tuple[Vec3, Vec3, Vec3]
 
 _MOD = _P.MODULUS
-_pmake = _P._make
 
 
 def cross(a: Vec3, b: Vec3) -> Vec3:
@@ -197,11 +201,65 @@ def minor(a: Vec3, b: Vec3, k: int) -> S:
 def first_nonzero_minor(a: Vec3, b: Vec3) -> Optional[S]:
     """The first nonzero slot of cross(a, b), one minor at a time; None when
     a and b are proportional."""
+    if type(a[0]) is _P:
+        x0, x1, x2 = a[0].residue, a[1].residue, a[2].residue
+        y0, y1, y2 = b[0].residue, b[1].residue, b[2].residue
+        m = (x1 * y2 - x2 * y1) % _MOD or (x2 * y0 - x0 * y2) % _MOD or (x0 * y1 - x1 * y0) % _MOD
+        return _pmake(m) if m else None
     for k in range(3):
         m = minor(a, b, k)
         if not m.is_zero():
             return m
     return None
+
+
+def combine(a: S, u: Vec3, b: S, v: Vec3) -> Vec3:
+    """Entrywise a*u - b*v."""
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    t = type(a)
+    if t is _P:
+        a, b = a.residue, b.residue
+        return (
+            _pmake((a * u0.residue - b * v0.residue) % _MOD),
+            _pmake((a * u1.residue - b * v1.residue) % _MOD),
+            _pmake((a * u2.residue - b * v2.residue) % _MOD),
+        )
+    if t is _G and a.d == b.d == u0.d == u1.d == u2.d == v0.d == v1.d == v2.d == 1:
+        p, q, r, s = a.a, a.b, b.a, b.b
+        return (
+            _gmake(p * u0.a - q * u0.b - r * v0.a + s * v0.b, p * u0.b + q * u0.a - r * v0.b - s * v0.a, 1),
+            _gmake(p * u1.a - q * u1.b - r * v1.a + s * v1.b, p * u1.b + q * u1.a - r * v1.b - s * v1.a, 1),
+            _gmake(p * u2.a - q * u2.b - r * v2.a + s * v2.b, p * u2.b + q * u2.a - r * v2.b - s * v2.a, 1),
+        )
+    return (a * u0 - b * v0, a * u1 - b * v1, a * u2 - b * v2)
+
+
+def combine3(a: S, u: Vec3, b: S, v: Vec3, c: S, w: Vec3) -> Vec3:
+    """Entrywise a*u + b*v + c*w."""
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    w0, w1, w2 = w
+    t = type(a)
+    if t is _P:
+        a, b, c = a.residue, b.residue, c.residue
+        return (
+            _pmake((a * u0.residue + b * v0.residue + c * w0.residue) % _MOD),
+            _pmake((a * u1.residue + b * v1.residue + c * w1.residue) % _MOD),
+            _pmake((a * u2.residue + b * v2.residue + c * w2.residue) % _MOD),
+        )
+    if (t is _G and a.d == b.d == c.d == 1 and u0.d == u1.d == u2.d == 1
+            and v0.d == v1.d == v2.d == 1 and w0.d == w1.d == w2.d == 1):
+        p, q, r, s, g, h = a.a, a.b, b.a, b.b, c.a, c.b
+        return (
+            _gmake(p * u0.a - q * u0.b + r * v0.a - s * v0.b + g * w0.a - h * w0.b,
+                   p * u0.b + q * u0.a + r * v0.b + s * v0.a + g * w0.b + h * w0.a, 1),
+            _gmake(p * u1.a - q * u1.b + r * v1.a - s * v1.b + g * w1.a - h * w1.b,
+                   p * u1.b + q * u1.a + r * v1.b + s * v1.a + g * w1.b + h * w1.a, 1),
+            _gmake(p * u2.a - q * u2.b + r * v2.a - s * v2.b + g * w2.a - h * w2.b,
+                   p * u2.b + q * u2.a + r * v2.b + s * v2.a + g * w2.b + h * w2.a, 1),
+        )
+    return (a * u0 + b * v0 + c * w0, a * u1 + b * v1 + c * w1, a * u2 + b * v2 + c * w2)
 
 
 def nullspace(rows: Sequence[Sequence[S]], width: int, field) -> list:

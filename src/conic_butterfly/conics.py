@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ._linalg import (adjugate, bilinear, cross, det_mat3, dot, matmul, matvec, normalize, nullspace,
-                      proportional, quad_form, transpose)
+from ._linalg import (adjugate, bilinear, combine, combine3, cross, det_mat3, dot, matmul, matvec,
+                      normalize, nullspace, proportional, quad_form, transpose)
 from .projective import (
     DegenerateInputError,
     ProjectiveError,
@@ -184,9 +184,7 @@ def second_intersection(conic: Conic, l: ProjLine, known: ProjPoint) -> ProjPoin
     m = bilinear(conic.form, known.coords, b.coords)
     if m.is_zero():
         return known
-    two = conic.field.one() + conic.field.one()
-    coords = tuple(q * a - two * m * bc for a, bc in zip(known.coords, b.coords))
-    out = ProjPoint(coords, conic.field)
+    out = ProjPoint(combine(q, known.coords, m + m, b.coords), conic.field)
     if not conic.contains(out):
         raise AssertionError("second intersection left the conic; arithmetic bug")
     return out
@@ -200,15 +198,17 @@ class ConicParametrization:
     intersection of that line.  Infinity, (1 : 0), lands on the base point
     itself, and distinct parameters give distinct points.
 
-    The point map is evaluated through precomputed coefficient vectors:
-    writing d(t) = t*d1 + d0 for the meet of line(t) with a fixed
-    coordinate line missing the base, the residual-intersection formula
+    The point map is evaluated through coefficient vectors: writing
+    d(t) = t*d1 + d0 for the meet of line(t) with a fixed coordinate line
+    missing the base, the residual-intersection formula
     q(t)*base - 2*m(t)*d(t) expands to a vector quadratic
     point(t0 : t1) = t0^2*A2 + t0*t1*A1 + t1^2*A0, so one point costs a
-    handful of multiplications instead of a full chord solve.
+    handful of multiplications instead of a full chord solve.  The vectors
+    are computed on the first `point` or `point_coefficients` call, so a
+    chart that is built but never evaluated costs only its two lines.
     """
 
-    __slots__ = ("conic", "base", "l0", "l1", "_a2", "_a1", "_a0")
+    __slots__ = ("conic", "base", "l0", "l1", "_coefficients")
 
     def __init__(self, conic: Conic, base: ProjPoint):
         if not conic.contains(base):
@@ -221,31 +221,40 @@ class ConicParametrization:
         k = next(i for i, c in enumerate(self.l1.coords) if not c.is_zero())
         e = tuple(one if i == k else zero for i in range(3))
         self.l0 = join(base, ProjPoint(e, field))
-
-        # coordinate line e_j with base[j] != 0, so d(t) is never the base
-        j = next(i for i, c in enumerate(base.coords) if not c.is_zero())
-        ej = tuple(one if i == j else zero for i in range(3))
-        d1 = cross(self.l1.coords, ej)
-        d0 = cross(self.l0.coords, ej)
-        b = base.coords
-        two = one + one
-        v1 = matvec(conic.form, d1)
-        v0 = matvec(conic.form, d0)
-        q2 = dot(d1, v1)
-        q1 = two * dot(d0, v1)
-        q0 = dot(d0, v0)
-        m1 = dot(b, v1)
-        m0 = dot(b, v0)
-        a2 = tuple(q2 * bc - two * m1 * dc for bc, dc in zip(b, d1))
-        a1 = tuple(q1 * bc - two * (m1 * dc0 + m0 * dc1) for bc, dc0, dc1 in zip(b, d0, d1))
-        a0 = tuple(q0 * bc - two * m0 * dc for bc, dc in zip(b, d0))
-        # one shared content factor: the three vectors must keep their relative scale
-        flat = field.reduce_content(a2 + a1 + a0)
-        self._a2, self._a1, self._a0 = flat[0:3], flat[3:6], flat[6:9]
+        self._coefficients = None
 
     def point_coefficients(self) -> tuple:
         """The three coefficient vectors (A2, A1, A0) of the point map."""
-        return (self._a2, self._a1, self._a0)
+        if self._coefficients is None:
+            self._coefficients = self._build_coefficients()
+        return self._coefficients
+
+    def _build_coefficients(self) -> tuple:
+        field = self.conic.field
+        one, zero = field.one(), field.zero()
+        b = self.base.coords
+        # coordinate line e_j with base[j] != 0, so d(t) is never the base
+        j = next(i for i, c in enumerate(b) if not c.is_zero())
+        ej = tuple(one if i == j else zero for i in range(3))
+        d1 = cross(self.l1.coords, ej)
+        d0 = cross(self.l0.coords, ej)
+        form = self.conic.form
+        v1 = matvec(form, d1)
+        v0 = matvec(form, d0)
+        q2 = dot(d1, v1)
+        q1 = dot(d0, v1)
+        q1 = q1 + q1
+        q0 = dot(d0, v0)
+        m1 = dot(b, v1)
+        m1 = m1 + m1
+        m0 = dot(b, v0)
+        m0 = m0 + m0
+        a2 = combine(q2, b, m1, d1)
+        a1 = combine3(q1, b, -m1, d0, -m0, d1)
+        a0 = combine(q0, b, m0, d0)
+        # one shared content factor: the three vectors must keep their relative scale
+        flat = field.reduce_content(a2 + a1 + a0)
+        return (flat[0:3], flat[3:6], flat[6:9])
 
     def _as_pair(self, t) -> tuple:
         if isinstance(t, tuple):
@@ -264,11 +273,14 @@ class ConicParametrization:
         t0, t1 = self._as_pair(t)
         if t0.is_zero() and t1.is_zero():
             raise ProjectiveError("(0 : 0) is not a parameter")
-        c22, c11, c00 = t0 * t0, t0 * t1, t1 * t1
-        coords = tuple(
-            c22 * a2 + c11 * a1 + c00 * a0
-            for a2, a1, a0 in zip(self._a2, self._a1, self._a0)
-        )
+        if type(t0) is GaussianRational and (t0.d != 1 or t1.d != 1):
+            # (t0 : t1) times t0.d*t1.d is a pair of Gaussian integers; the point
+            # scales by the positive rational (t0.d*t1.d)^2, which ProjPoint's
+            # content reduction removes
+            t0, t1 = (GaussianRational(t0.a * t1.d, t0.b * t1.d),
+                      GaussianRational(t1.a * t0.d, t1.b * t0.d))
+        a2, a1, a0 = self.point_coefficients()
+        coords = combine3(t0 * t0, a2, t0 * t1, a1, t1 * t1, a0)
         if all(c.is_zero() for c in coords):
             # d(t) degenerated to the zero vector for this one parameter;
             # fall back to the direct chord solve

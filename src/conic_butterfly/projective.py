@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from ._linalg import (
     adjugate,
+    combine,
     cross,
     det3,
     det_mat3,
@@ -327,8 +328,7 @@ def harmonic_conjugate(u: ProjPoint, v: ProjPoint, w: ProjPoint) -> ProjPoint:
     beta = minor(u.coords, w.coords, k)
     if alpha.is_zero() or beta.is_zero():
         raise DegenerateInputError("harmonic conjugate is undefined at the reference points")
-    coords = tuple(alpha * uc - beta * vc for uc, vc in zip(u.coords, v.coords))
-    return ProjPoint(coords, u.field)
+    return ProjPoint(combine(alpha, u.coords, beta, v.coords), u.field)
 
 
 def perspectivity(center: ProjPoint, source: ProjLine, target: ProjLine, p: ProjPoint) -> ProjPoint:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._linalg import add_vec, cross, dot, first_nonzero_minor
+from ._linalg import add_vec, combine, cross, dot, first_nonzero_minor
 from .conics import Conic
 from .projective import (
     DegenerateInputError,
@@ -76,10 +76,7 @@ class ReflectionFrame:
         ky = dot(self.axis.coords, y.coords)
         if ky.is_zero():
             return y
-        a = s * self.kp
-        b = s * (ky + ky)
-        return ProjPoint(tuple(a * yc - b * pc for yc, pc in zip(y.coords, self.pole.coords)),
-                         y.field)
+        return ProjPoint(combine(s * self.kp, y.coords, s * (ky + ky), self.pole.coords), y.field)
 
     def reflect_line(self, l: ProjLine) -> ProjLine:
         """Reflect a line; anything through the pole is self-reflected."""

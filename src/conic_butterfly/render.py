@@ -10,6 +10,7 @@ where the curve crosses the line at infinity.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 from xml.etree import ElementTree as ET
 
@@ -37,21 +38,42 @@ _EDGES: Dict[str, Tuple[Tuple[str, str], ...]] = {
 }
 
 
-def _to_float(value) -> float:
+# homogeneous tuples whose largest entry passes 2**_MAX_EXP are scaled down by
+# one common power of two before conversion; the drawing code squares them
+_MAX_EXP = 500
+
+
+def _real(value) -> Fraction:
     if not value.is_real():
         raise ProjectiveError(f"{value} has an imaginary part; render needs a real scenario")
-    return float(value.re)
+    return value.re
+
+
+def _floats(values) -> List[float]:
+    """Homogeneous real coordinates as floats, all scaled by one power of two.
+
+    The scale brings the largest entry down to about 2**_MAX_EXP when it is
+    larger, and changes no ratio."""
+    parts = [_real(v) for v in values]
+    exp = max((x.numerator.bit_length() - x.denominator.bit_length() for x in parts if x),
+              default=0)
+    shift = exp - _MAX_EXP
+    if shift > 0:
+        parts = [x / (1 << shift) for x in parts]
+    return [float(x) for x in parts]
 
 
 def _affine(p: ProjPoint) -> Optional[Tuple[float, float]]:
-    x, y, z = (_to_float(c) for c in p.coords)
-    if z == 0.0:
+    """Chart coordinates, divided exactly before conversion; OverflowError
+    when one of them is outside float range."""
+    x, y, z = (_real(c) for c in p.coords)
+    if not z:
         return None
-    return (x / z, y / z)
+    return (float(x / z), float(y / z))
 
 
 def _direction(p: ProjPoint) -> Tuple[float, float]:
-    x, y, _ = (_to_float(c) for c in p.coords)
+    x, y = _floats(p.coords[:2])
     n = math.hypot(x, y)
     return (x / n, y / n)
 
@@ -100,7 +122,8 @@ def _sample_base(doc: ScenarioDocument, points: Dict[str, ProjPoint]) -> ProjPoi
 
 def _conic_branches(conic: Conic, base: ProjPoint) -> List[List[Tuple[float, float]]]:
     par = ConicParametrization(conic, base)
-    a2, a1, a0 = ([_to_float(c) for c in vec] for vec in par.point_coefficients())
+    flat = _floats(sum(par.point_coefficients(), ()))
+    a2, a1, a0 = flat[0:3], flat[3:6], flat[6:9]
 
     # parameters where the sweep crosses the line at infinity: z(t) = 0
     za, zb, zc = a2[2], a1[2], a0[2]
@@ -153,7 +176,7 @@ def _bbox(points: List[Tuple[float, float]]) -> Tuple[float, float, float, float
 
 def _clip_line(l: ProjLine, box) -> Optional[Tuple[float, float, float, float]]:
     """The visible segment of a projective line inside the box, if any."""
-    a, b, c = (_to_float(v) for v in l.coords)
+    a, b, c = _floats(l.coords)
     minx, miny, maxx, maxy = box
     hits = []
     if b != 0.0:
@@ -215,7 +238,10 @@ def render_svg(doc: ScenarioDocument, out_path=None) -> str:
     placed: Dict[str, Tuple[float, float]] = {}
     ideal: Dict[str, Tuple[float, float]] = {}
     for name, p in points.items():
-        at = _affine(p)
+        try:
+            at = _affine(p)
+        except OverflowError:
+            raise ProjectiveError(f"point {name} is outside float range; render cannot draw it") from None
         if at is None:
             ideal[name] = _direction(p)
         else:

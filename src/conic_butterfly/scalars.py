@@ -318,32 +318,26 @@ class PrimeFieldElement:
     def __init__(self, value: Union[int, str] = 0):
         self.residue = int(value) % _PRIME
 
-    @classmethod
-    def _make(cls, residue: int) -> "PrimeFieldElement":
-        out = object.__new__(cls)
-        out.residue = residue
-        return out
-
     # ------------------------------------------------------------------
     # constructors
     @classmethod
     def zero(cls) -> "PrimeFieldElement":
-        return cls._make(0)
+        return _make_residue(0)
 
     @classmethod
     def one(cls) -> "PrimeFieldElement":
-        return cls._make(1)
+        return _make_residue(1)
 
     @classmethod
     def from_int(cls, n: int) -> "PrimeFieldElement":
-        return cls._make(n % _PRIME)
+        return _make_residue(n % _PRIME)
 
     @classmethod
     def coerce(cls, value) -> "PrimeFieldElement":
         if isinstance(value, PrimeFieldElement):
             return value
         if isinstance(value, int):
-            return cls._make(value % _PRIME)
+            return _make_residue(value % _PRIME)
         if isinstance(value, str):
             return cls.parse(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to PrimeFieldElement")
@@ -353,12 +347,12 @@ class PrimeFieldElement:
         t = text.strip()
         if not re.fullmatch(r"[+-]?\d+", t):
             raise ScalarParseError(f"bad residue literal {text!r}")
-        return cls._make(int(t) % _PRIME)
+        return _make_residue(int(t) % _PRIME)
 
     @classmethod
     def random(cls, rng: Random, height_bound: int = 0, *, real: bool = False) -> "PrimeFieldElement":
         """Uniform residue; the height bound and reality flag do not apply here."""
-        return cls._make(rng.randrange(_PRIME))
+        return _make_residue(rng.randrange(_PRIME))
 
     @classmethod
     def reduce_content(cls, values: tuple) -> tuple:
@@ -396,7 +390,7 @@ class PrimeFieldElement:
     def inv(self) -> "PrimeFieldElement":
         if not self.residue:
             raise ScalarDivisionError("0 has no multiplicative inverse")
-        return PrimeFieldElement._make(pow(self.residue, _PRIME - 2, _PRIME))
+        return _make_residue(pow(self.residue, _PRIME - 2, _PRIME))
 
     def __truediv__(self, other):
         if not isinstance(other, PrimeFieldElement):
@@ -426,6 +420,13 @@ class PrimeFieldElement:
 
     def __repr__(self):
         return f"PrimeFieldElement({self.residue})"
+
+
+def _make_residue(residue: int) -> PrimeFieldElement:
+    """Wrap a residue that is already reduced mod p."""
+    out = _raw_new(PrimeFieldElement)
+    out.residue = residue
+    return out
 
 
 BACKENDS = {"gauss": GaussianRational, "prime": PrimeFieldElement}

@@ -1,4 +1,4 @@
-"""Differential tests of the line kernel against the join -> chart chain.
+"""Differential tests of the line and chord kernels against older routes.
 
 The kernel reads cross-ratios and harmonic conjugates off single minors at
 one slot of the spanning cross product, and reflects by the harmonic
@@ -8,6 +8,12 @@ reflects through `meet` and a charted conjugate.  Both must agree on the
 exact coordinates and scalars, not just up to scale, and must raise the
 same exception with the same message.  The reference tests coincidence
 with the full cross product, so it does not share `_Triple.__eq__`.
+
+`second_intersection` and `ConicParametrization` form their coordinates
+with `_linalg.combine`/`combine3`, the chart computes its coefficient
+vectors on first use, and a Gaussian parameter with denominators is
+cleared to Gaussian integers first.  Their references are the older scalar
+formulas, computed eagerly on the unscaled parameter.
 """
 
 from fractions import Fraction
@@ -17,7 +23,8 @@ from random import Random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conic_butterfly._linalg import cross, dot, matmul, matvec
+from conic_butterfly._linalg import bilinear, cross, dot, matmul, matvec, quad_form
+from conic_butterfly.conics import ConicParametrization, _second_point_on, second_intersection
 from conic_butterfly.projective import (
     DegenerateInputError,
     ProjLine,
@@ -31,7 +38,8 @@ from conic_butterfly.projective import (
     meet,
 )
 from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
-from conic_butterfly.scenarios import random_reflection_frame
+from conic_butterfly.scenarios import (random_conic, random_reflection_frame, reference_base,
+                                       reference_conic)
 
 G = GaussianRational
 P = PrimeFieldElement
@@ -85,6 +93,59 @@ def ref_reflect_point(frame, y):
         return y
     n = meet(frame.axis, join(frame.pole, y))
     return ref_harmonic_conjugate(frame.pole, n, y)
+
+
+def ref_second_intersection(conic, l, known):
+    if not incident(known, l):
+        raise ProjectiveError("known point must lie on the line")
+    if not conic.contains(known):
+        raise ProjectiveError("known point must lie on the conic")
+    b = _second_point_on(l, known)
+    q = quad_form(conic.form, b.coords)
+    if q.is_zero():
+        return b
+    m = bilinear(conic.form, known.coords, b.coords)
+    if m.is_zero():
+        return known
+    two = conic.field.one() + conic.field.one()
+    coords = tuple(q * a - two * m * bc for a, bc in zip(known.coords, b.coords))
+    return ProjPoint(coords, conic.field)
+
+
+def ref_point_coefficients(par):
+    """The eager coefficient build, on the scalar operators."""
+    field = par.conic.field
+    one, zero = field.one(), field.zero()
+    j = next(i for i, c in enumerate(par.base.coords) if not c.is_zero())
+    ej = tuple(one if i == j else zero for i in range(3))
+    d1 = cross(par.l1.coords, ej)
+    d0 = cross(par.l0.coords, ej)
+    b = par.base.coords
+    two = one + one
+    v1 = matvec(par.conic.form, d1)
+    v0 = matvec(par.conic.form, d0)
+    q2, q1, q0 = dot(d1, v1), two * dot(d0, v1), dot(d0, v0)
+    m1, m0 = dot(b, v1), dot(b, v0)
+    a2 = tuple(q2 * bc - two * m1 * dc for bc, dc in zip(b, d1))
+    a1 = tuple(q1 * bc - two * (m1 * dc0 + m0 * dc1) for bc, dc0, dc1 in zip(b, d0, d1))
+    a0 = tuple(q0 * bc - two * m0 * dc for bc, dc in zip(b, d0))
+    flat = field.reduce_content(a2 + a1 + a0)
+    return (flat[0:3], flat[3:6], flat[6:9])
+
+
+def ref_chart_point(par, t, coefficients=None):
+    """The point map on the parameter as given, with the chord-solve fallback."""
+    field = par.conic.field
+    t0, t1 = ((field.coerce(t[0]), field.coerce(t[1])) if isinstance(t, tuple)
+              else (field.coerce(t), field.one()))
+    if t0.is_zero() and t1.is_zero():
+        raise ProjectiveError("(0 : 0) is not a parameter")
+    a2, a1, a0 = coefficients or ref_point_coefficients(par)
+    c22, c11, c00 = t0 * t0, t0 * t1, t1 * t1
+    coords = tuple(c22 * x2 + c11 * x1 + c00 * x0 for x2, x1, x0 in zip(a2, a1, a0))
+    if all(c.is_zero() for c in coords):
+        return ref_second_intersection(par.conic, par.line(t), par.base)
+    return ProjPoint(coords, field)
 
 
 def outcome(fn, *args):
@@ -278,3 +339,94 @@ def test_homology_is_an_exact_involution(field, data):
     image = frame.reflect_point(y)
     assert image == ProjPoint(matvec(h, y.coords), field)
     assert frame.reflect_point(image) == y
+
+
+# ----------------------------------------------------------------------
+# chord kernels: second intersection and the chart's point map
+
+
+def charts(field):
+    """A chart on a random conic, or on the reference conic xz = y^2."""
+
+    @st.composite
+    def build(draw):
+        seed = draw(st.integers(0, 2**32))
+        if seed % 5 == 0:
+            return ConicParametrization(reference_conic(field), reference_base(field))
+        conic, base = random_conic(Random(seed), field, 8)
+        return ConicParametrization(conic, base)
+
+    return build()
+
+
+def parameters(field):
+    """A scalar, or a homogeneous pair whose entries may be zero (not both)."""
+    pair = st.tuples(scalars(field), scalars(field)).filter(
+        lambda p: not (p[0].is_zero() and p[1].is_zero()))
+    return st.one_of(scalars(field), pair, st.just((field.one(), field.zero())),
+                     st.just((field.zero(), field.one())))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_chart_point_matches_scalar_formula(field, data):
+    par = data.draw(charts(field))
+    assert par._coefficients is None  # nothing is computed before the first use
+    t = data.draw(parameters(field))
+    assert outcome(par.point, t) == outcome(ref_chart_point, par, t)
+    assert par.point_coefficients() == ref_point_coefficients(par)
+    eager = ConicParametrization(par.conic, par.base)
+    eager.point_coefficients()
+    assert outcome(eager.point, t) == outcome(par.point, t)
+
+
+def test_chart_point_clears_denominators():
+    """Parameters with denominators, as pairs too, give the coordinates of the
+    unscaled formula exactly."""
+    rng = Random(31)
+    for _ in range(10):
+        conic, base = random_conic(rng, G, 12)
+        par = ConicParametrization(conic, base)
+        for t in (G("3/7"), G("-5/2", "1/3"), (G("1/6"), G("4/9", "-2")), (G(2), G("0", "7/5")),
+                  (G("2/3"), G(0)), (G(0), G("-1/8")), G.random(rng, 50)):
+            assert outcome(par.point, t) == outcome(ref_chart_point, par, t)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+def test_chart_zero_vector_falls_back_to_the_chord_solve(field):
+    """An exact chart never produces the zero vector (every chord line passes
+    through the base, and the coordinate line e_j misses it), so the fallback
+    is reached here by zeroing the coefficient vectors."""
+    par = ConicParametrization(reference_conic(field), reference_base(field))
+    zero = field.zero()
+    zeros = ((zero,) * 3,) * 3
+    par._coefficients = zeros
+    for t in (field.from_int(3), (field.from_int(2), field.from_int(-5)), (field.one(), zero)):
+        assert outcome(par.point, t) == outcome(ref_chart_point, par, t, zeros)
+        assert outcome(par.point, t) == outcome(second_intersection, par.conic, par.line(t), par.base)
+    if field is G:
+        t = (G("2/3"), G("-1/5", "1/2"))
+        assert outcome(par.point, t) == outcome(ref_chart_point, par, t, zeros)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_second_intersection_matches_scalar_formula(field, data):
+    par = data.draw(charts(field))
+    known = par.point(data.draw(parameters(field)))
+    kind = data.draw(st.sampled_from(("chord", "chord", "tangent", "off-line", "off-conic")))
+    w = data.draw(points(field))
+    if kind == "tangent":
+        l = par.conic.tangent_at(known)
+    elif kind == "off-line":  # a line through the base that may miss `known`
+        assume(not _same(w, par.base))
+        l = join(w, par.base)
+    else:
+        assume(not _same(w, known))
+        l = join(known, w)
+        if kind == "off-conic":
+            known = w
+    assert outcome(second_intersection, par.conic, l, known) == \
+        outcome(ref_second_intersection, par.conic, l, known)

@@ -1,7 +1,9 @@
 """Differential tests of the `_linalg` integer kernels.
 
-Each kernel has a residue path for the prime field and a raw-integer path
-for Gaussian integers (``d == 1``), with the scalar formula as fallback.
+Each kernel (the vector products, single minors, ``first_nonzero_minor`` and
+the combinations ``combine``/``combine3``) has a residue path for the prime
+field and a raw-integer path for Gaussian integers (``d == 1``), with the
+scalar formula as fallback.
 The references below are that scalar formula, written out with the scalar
 operators only, so every path must give the same canonical triple (or
 residue) as the reference, entry for entry.  Gaussian inputs mix ``d == 1``
@@ -68,6 +70,14 @@ def ref_first_nonzero_minor(a, b):
     return next((m for m in ref_cross(a, b) if not m.is_zero()), None)
 
 
+def ref_combine(a, u, b, v):
+    return tuple(a * x - b * y for x, y in zip(u, v))
+
+
+def ref_combine3(a, u, b, v, c, w):
+    return tuple(a * x + b * y + c * z for x, y, z in zip(u, v, w))
+
+
 def ref_normalize(v):
     inv = next(c for c in v if not c.is_zero()).inv()
     return tuple(c * inv for c in v)
@@ -131,7 +141,17 @@ gauss_mat = matrices(gauss_int) | matrices(gauss_any)
 prime_vec = vectors(residues)
 prime_mat = matrices(residues)
 VEC = {"gauss": gauss_vec, "prime": prime_vec}
+SCALAR = {"gauss": gauss_int | gauss_any, "prime": residues}
 MAT = {"gauss": gauss_mat, "prime": prime_mat}
+
+
+def gaussian_integers(data, n, *, one_off=False):
+    """n Gaussian integers; with one_off, one of them is pushed off the
+    integers by 1/2."""
+    entries = [data.draw(gauss_int) for _ in range(n)]
+    if one_off:
+        entries[data.draw(st.integers(0, n - 1))] += G(Fraction(1, 2))
+    return entries
 
 
 def both(fn):
@@ -154,6 +174,43 @@ def test_vector_kernels(backend, data):
         assert key(_linalg.minor(a, b, k)) == key(ref_minor(a, b, k))
     assert key(_linalg.first_nonzero_minor(a, b)) == key(ref_first_nonzero_minor(a, b))
     assert key(_linalg.first_nonzero_minor(a, a)) is None
+
+
+@both
+@settings(deadline=None)
+@given(data=st.data())
+def test_combine_kernels(backend, data):
+    u, v, w = (data.draw(VEC[backend]) for _ in range(3))
+    a, b, c = (data.draw(SCALAR[backend]) for _ in range(3))
+    assert key(_linalg.combine(a, u, b, v)) == key(ref_combine(a, u, b, v))
+    assert key(_linalg.combine3(a, u, b, v, c, w)) == key(ref_combine3(a, u, b, v, c, w))
+    zero = type(a).zero()
+    assert key(_linalg.combine(a, u, zero, v)) == key(tuple(a * x for x in u))
+    assert key(_linalg.combine3(zero, u, zero, v, zero, w)) == key((zero, zero, zero))
+    if backend == "gauss":
+        # every entry a Gaussian integer (the integer path), then one entry
+        # with denominator 2, which every entry's d == 1 test must see
+        for one_off in (False, True):
+            a, b, c, *e = gaussian_integers(data, 12, one_off=one_off)
+            u, v, w = tuple(e[0:3]), tuple(e[3:6]), tuple(e[6:9])
+            assert key(_linalg.combine3(a, u, b, v, c, w)) == key(ref_combine3(a, u, b, v, c, w))
+            a, b, *e = gaussian_integers(data, 8, one_off=one_off)
+            u, v = tuple(e[0:3]), tuple(e[3:6])
+            assert key(_linalg.combine(a, u, b, v)) == key(ref_combine(a, u, b, v))
+
+
+@both
+@settings(deadline=None)
+@given(data=st.data())
+def test_first_nonzero_minor_slots(backend, data):
+    """The residue path computes all three minors inline; pin which slot wins."""
+    a = data.draw(VEC[backend])
+    lam = data.draw(SCALAR[backend])
+    for b in (data.draw(VEC[backend]), tuple(lam * x for x in a),
+              (a[0], a[1], a[2] + data.draw(SCALAR[backend]))):
+        got = _linalg.first_nonzero_minor(a, b)
+        assert key(got) == key(ref_first_nonzero_minor(a, b))
+        assert got is None or type(got) is type(a[0])
 
 
 @both

@@ -3,11 +3,12 @@ from random import Random
 
 import pytest
 
+from conic_butterfly.cli import main
 from conic_butterfly.conics import Conic
 from conic_butterfly.projective import ProjLine, ProjPoint, ProjectiveError
 from conic_butterfly.render import render_svg
 from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
-from conic_butterfly.scenario_io import ScenarioDocument, parse_scenario
+from conic_butterfly.scenario_io import ScenarioDocument, parse_scenario, run_document
 from conic_butterfly.scenarios import random_butterfly_scenario
 
 G = GaussianRational
@@ -94,3 +95,41 @@ def test_random_real_scenario_renders():
     assert count_polylines(svg) >= 1
     for name in ("a", "b", "m", "r", "s", "u", "v"):
         assert f">{name}</text>" in svg or f">{name} (ideal)</text>" in svg
+
+
+def _hyperbola_with_far_r(fixture_text, coords) -> str:
+    """The hyperbola fixture with r moved to the given conic point and the
+    expectations that depended on r dropped."""
+    lines = []
+    for line in fixture_text("cutl_hyperbola").splitlines():
+        if line.startswith("point r "):
+            line = "point r ({} : {} : {})".format(*coords)
+        elif line.startswith(("expect point s", "expect point p", "expect point q")):
+            continue
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+class TestFloatRange:
+    """Exact coordinates past float range; the document itself HOLDS."""
+
+    def test_point_outside_float_range_is_an_input_error(self, fixture_text, tmp_path, capsys):
+        t = 10**400  # r = (t^2+1 : t^2-1 : 2t) sits near t/2 in the affine chart
+        source = tmp_path / "far.scn"
+        source.write_text(_hyperbola_with_far_r(fixture_text, (t * t + 1, t * t - 1, 2 * t)))
+        assert main(["verify", str(source)]) == 0
+        capsys.readouterr()
+        assert main(["render", str(source), "--out", str(tmp_path / "far.svg")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: point r is outside float range; render cannot draw it\n"
+        assert not (tmp_path / "far.svg").exists()
+
+    def test_huge_coordinates_with_affine_values_in_range(self, fixture_text):
+        # r's homogeneous coordinates are past 10^308, its chart values near 10^169
+        t = 10**170
+        doc = parse_scenario(_hyperbola_with_far_r(fixture_text, (t * t + 1, t * t - 1, 2 * t)))
+        assert [r.verdict.value for r in run_document(doc)] == ["HOLDS", "HOLDS"]
+        svg = render_svg(doc)
+        assert count_polylines(svg) == 3
+        assert "nan" not in svg and "inf" not in svg
+        assert ">r</text>" in svg

@@ -3,7 +3,8 @@ from random import Random
 
 import pytest
 
-from conic_butterfly.conics import AffineConicSpec, homogenize_affine_conic
+from conic_butterfly import scenarios
+from conic_butterfly.conics import AffineConicSpec, ConicParametrization, homogenize_affine_conic
 from conic_butterfly.projective import (
     DegenerateInputError,
     ProjPoint,
@@ -236,6 +237,34 @@ class TestLemmaInputs:
         frame, y, z = random_nut_inputs(Random(7))
         assert y != z
         assert not incident(frame.pole, join(y, z))
+
+    @pytest.mark.parametrize("field", [G, P], ids=["gauss", "prime"])
+    @pytest.mark.parametrize("draw", [random_jap_inputs, random_nut_inputs])
+    def test_jap_and_nut_leave_the_chart_unevaluated(self, monkeypatch, field, draw):
+        """The frame's chart is built but never evaluated, so its coefficient
+        vectors are never computed; a first point() on it is the point of a
+        fresh chart whose coefficients were computed eagerly."""
+        built = []
+
+        class Recording(scenarios.ConicParametrization):
+            __slots__ = ()
+
+            def __init__(self, conic, base):
+                super().__init__(conic, base)
+                built.append(self)
+
+        monkeypatch.setattr(scenarios, "ConicParametrization", Recording)
+        for seed in range(5):
+            built.clear()
+            draw(Random(seed), field, 8)
+            (par,) = built
+            assert par._coefficients is None
+            eager = ConicParametrization(par.conic, par.base)
+            eager.point_coefficients()
+            t = field.random(Random(seed), 8)
+            lazy_point = par.point(t)
+            assert lazy_point.coords == eager.point(t).coords
+            assert par.point_coefficients() == eager.point_coefficients()
 
     def test_sack_inputs(self):
         frame, m, r, s = random_sack_inputs(Random(8))
