@@ -206,9 +206,25 @@ class ConicParametrization:
     handful of multiplications instead of a full chord solve.  The vectors
     are computed on the first `point` or `point_coefficients` call, so a
     chart that is built but never evaluated costs only its two lines.
+
+    `partner(t, m)` is the Frégier involution of a point m off the conic:
+    the parameter of the second conic point on the line through point(t)
+    and m.  With w = M*m, Q(t) = point(t)^T*w = alpha*t0^2 + beta*t0*t1 +
+    gamma*t1^2 for alpha, beta, gamma = A2.w, A1.w, A0.w, and the partner is
+    the root of Q's polar form at t, (beta*t0 + 2*gamma*t1 : -(2*alpha*t0 +
+    beta*t1)).  Since point(t)^T*M*point(s) = kappa*(t0*s1 - t1*s0)^2 with
+    kappa = A2^T*M*A0 (nonzero: A2 and A0 are the distinct conic points at
+    (1 : 0) and (0 : 1)), an m built from chart points makes kappa a common
+    factor of alpha, beta and gamma.  Dividing it out keeps the partner, and
+    so point(partner), at the chart's own size; for Gaussian scenarios this
+    avoids the large non-rational common factor that `second_intersection`
+    leaves in its output.  kappa^-1 is computed on the first `partner` call.
+    The mono generator keeps `second_intersection`: its converse point is
+    built from y''s raw coordinates, so a different representative would
+    change the drawn document.
     """
 
-    __slots__ = ("conic", "base", "l0", "l1", "_coefficients")
+    __slots__ = ("conic", "base", "l0", "l1", "_coefficients", "_kappa_inv")
 
     def __init__(self, conic: Conic, base: ProjPoint):
         if not conic.contains(base):
@@ -222,6 +238,7 @@ class ConicParametrization:
         e = tuple(one if i == k else zero for i in range(3))
         self.l0 = join(base, ProjPoint(e, field))
         self._coefficients = None
+        self._kappa_inv = None
 
     def point_coefficients(self) -> tuple:
         """The three coefficient vectors (A2, A1, A0) of the point map."""
@@ -282,10 +299,25 @@ class ConicParametrization:
         a2, a1, a0 = self.point_coefficients()
         coords = combine3(t0 * t0, a2, t0 * t1, a1, t1 * t1, a0)
         if all(c.is_zero() for c in coords):
-            # d(t) degenerated to the zero vector for this one parameter;
-            # fall back to the direct chord solve
-            return second_intersection(self.conic, self.line(t), self.base)
+            raise AssertionError("chart point map gave the zero vector; arithmetic bug")
         return ProjPoint(coords, self.conic.field)
+
+    def partner(self, t, m: ProjPoint) -> tuple:
+        """The parameter of the second conic point on the line through point(t)
+        and m, for any m other than point(t); t itself when that line is the
+        tangent at point(t)."""
+        _require_same_field(self.conic, m)
+        t0, t1 = self._as_pair(t)
+        if t0.is_zero() and t1.is_zero():
+            raise ProjectiveError("(0 : 0) is not a parameter")
+        a2, a1, a0 = self.point_coefficients()
+        form = self.conic.form
+        if self._kappa_inv is None:
+            self._kappa_inv = bilinear(form, a2, a0).inv()
+        w = matvec(form, m.coords)
+        k = self._kappa_inv
+        alpha, beta, gamma = dot(a2, w) * k, dot(a1, w) * k, dot(a0, w) * k
+        return (beta * t0 + (gamma + gamma) * t1, -((alpha + alpha) * t0 + beta * t1))
 
 
 class AffineConicSpec:

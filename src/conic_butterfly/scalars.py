@@ -390,7 +390,7 @@ class PrimeFieldElement:
     def inv(self) -> "PrimeFieldElement":
         if not self.residue:
             raise ScalarDivisionError("0 has no multiplicative inverse")
-        return _make_residue(pow(self.residue, _PRIME - 2, _PRIME))
+        return _make_residue(pow(self.residue, -1, _PRIME))
 
     def __truediv__(self, other):
         if not isinstance(other, PrimeFieldElement):

@@ -252,14 +252,21 @@ def _random_point(rng: Random, field, height: int, budget: RetryBudget, *, real:
         budget.tick("point draw")
 
 
-def _random_conic_point(par: ConicParametrization, rng: Random, height: int,
-                        budget: RetryBudget, *, real: bool = False, avoid=()) -> ProjPoint:
+def _random_chart_point(par: ConicParametrization, rng: Random, height: int,
+                        budget: RetryBudget, *, real: bool = False, avoid=()) -> tuple:
+    """A random chart parameter t with its point, the point off the avoid list."""
     field = par.conic.field
     while True:
-        q = par.point(field.random(rng, height, real=real))
+        t = field.random(rng, height, real=real)
+        q = par.point(t)
         if all(q != w for w in avoid):
-            return q
+            return t, q
         budget.tick("conic point collision")
+
+
+def _random_conic_point(par: ConicParametrization, rng: Random, height: int,
+                        budget: RetryBudget, *, real: bool = False, avoid=()) -> ProjPoint:
+    return _random_chart_point(par, rng, height, budget, real=real, avoid=avoid)[1]
 
 
 def random_conic(rng: Random, field=GaussianRational, height_bound: int = 10,
@@ -271,13 +278,14 @@ def random_conic(rng: Random, field=GaussianRational, height_bound: int = 10,
     return transform_conic(t, reference_conic(field)), t.apply(reference_base(field))
 
 
-def _chord_through(conic: Conic, par: ConicParametrization, m: ProjPoint,
+def _chord_through(par: ConicParametrization, m: ProjPoint,
                    rng: Random, height: int, budget: RetryBudget,
                    *, real: bool = False, avoid=()) -> Tuple[ProjPoint, ProjPoint]:
-    """A chord (end1, end2) through m with both endpoints off the avoid list."""
+    """A chord (end1, end2) through m with both endpoints off the avoid list;
+    end2 is a chart point too, through the chart's Frégier involution at m."""
     while True:
-        end1 = _random_conic_point(par, rng, height, budget, real=real, avoid=avoid)
-        end2 = second_intersection(conic, join(end1, m), end1)
+        t, end1 = _random_chart_point(par, rng, height, budget, real=real, avoid=avoid)
+        end2 = par.point(par.partner(t, m))
         if end2 == end1:
             budget.tick("tangent chord")
             continue
@@ -296,8 +304,8 @@ def random_butterfly_scenario(rng: Random, field=GaussianRational, height_bound:
     b = _random_conic_point(par, rng, height_bound, budget, real=real, avoid=(a,))
     mu = _random_nonzero(rng, field, height_bound, budget, real=real)
     m = ProjPoint(add_vec(a.coords, scale_vec(mu, b.coords)), field)
-    r, s = _chord_through(conic, par, m, rng, height_bound, budget, real=real, avoid=(a, b))
-    f, g = _chord_through(conic, par, m, rng, height_bound, budget, real=real, avoid=(a, b, r, s))
+    r, s = _chord_through(par, m, rng, height_bound, budget, real=real, avoid=(a, b))
+    f, g = _chord_through(par, m, rng, height_bound, budget, real=real, avoid=(a, b, r, s))
     scenario = build_scenario(conic, a, b, m, r, s, f, g)
     if scenario.degenerate_reason is not None:
         raise AssertionError(f"generator produced a degenerate scenario: {scenario.degenerate_reason}")
@@ -326,8 +334,8 @@ def random_planar_scenario(rng: Random, field=GaussianRational, height_bound: in
     b = _random_conic_point(par, rng, height_bound, budget, real=True, avoid=(a,))
     mu = _random_nonzero(rng, field, height_bound, budget, real=True)
     m = ProjPoint(add_vec(a.coords, scale_vec(mu, b.coords)), field)
-    r, s = _chord_through(conic, par, m, rng, height_bound, budget, real=True, avoid=(a, b))
-    u, v = _chord_through(conic, par, m, rng, height_bound, budget, real=True, avoid=(a, b, r, s))
+    r, s = _chord_through(par, m, rng, height_bound, budget, real=True, avoid=(a, b))
+    u, v = _chord_through(par, m, rng, height_bound, budget, real=True, avoid=(a, b, r, s))
     scenario = build_planar_scenario(spec, a, b, m, r, s, u, v)
     if scenario.degenerate_reason is not None:
         raise AssertionError(f"generator produced a degenerate scenario: {scenario.degenerate_reason}")
@@ -448,7 +456,7 @@ def random_sack_inputs(rng: Random, field=GaussianRational, height_bound: int = 
     frame, par = random_reflection_frame(rng, field, height_bound, with_chord=True, budget=budget)
     lam = _random_nonzero(rng, field, height_bound, budget)
     m = ProjPoint(add_vec(frame.u.coords, scale_vec(lam, frame.v.coords)), field)
-    r, s = _chord_through(frame.conic, par, m, rng, height_bound, budget, avoid=(frame.u, frame.v))
+    r, s = _chord_through(par, m, rng, height_bound, budget, avoid=(frame.u, frame.v))
     return frame, m, r, s
 
 

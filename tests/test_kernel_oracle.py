@@ -14,6 +14,13 @@ with `_linalg.combine`/`combine3`, the chart computes its coefficient
 vectors on first use, and a Gaussian parameter with denominators is
 cleared to Gaussian integers first.  Their references are the older scalar
 formulas, computed eagerly on the unscaled parameter.
+
+`ConicParametrization.partner` builds a chord's second endpoint as a chart
+point.  Its reference is the chord solve it replaced in scenario
+generation, `second_intersection` on the join of point(t) and m; the two
+agree as points.  The partner's exact scale is pinned separately, on
+m = point(s), where the kappa-normalised polar form is the square bracket
+(t0*s1 - t1*s0)^2.
 """
 
 from fractions import Fraction
@@ -133,18 +140,20 @@ def ref_point_coefficients(par):
     return (flat[0:3], flat[3:6], flat[6:9])
 
 
-def ref_chart_point(par, t, coefficients=None):
-    """The point map on the parameter as given, with the chord-solve fallback."""
+def _pair(field, t):
+    return ((field.coerce(t[0]), field.coerce(t[1])) if isinstance(t, tuple)
+            else (field.coerce(t), field.one()))
+
+
+def ref_chart_point(par, t):
+    """The point map on the parameter as given."""
     field = par.conic.field
-    t0, t1 = ((field.coerce(t[0]), field.coerce(t[1])) if isinstance(t, tuple)
-              else (field.coerce(t), field.one()))
+    t0, t1 = _pair(field, t)
     if t0.is_zero() and t1.is_zero():
         raise ProjectiveError("(0 : 0) is not a parameter")
-    a2, a1, a0 = coefficients or ref_point_coefficients(par)
+    a2, a1, a0 = ref_point_coefficients(par)
     c22, c11, c00 = t0 * t0, t0 * t1, t1 * t1
     coords = tuple(c22 * x2 + c11 * x1 + c00 * x0 for x2, x1, x0 in zip(a2, a1, a0))
-    if all(c.is_zero() for c in coords):
-        return ref_second_intersection(par.conic, par.line(t), par.base)
     return ProjPoint(coords, field)
 
 
@@ -396,18 +405,18 @@ def test_chart_point_clears_denominators():
 @pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
 def test_chart_zero_vector_falls_back_to_the_chord_solve(field):
     """An exact chart never produces the zero vector (every chord line passes
-    through the base, and the coordinate line e_j misses it), so the fallback
-    is reached here by zeroing the coefficient vectors."""
+    through the base, and the coordinate line e_j misses it), so the point map
+    has no chord-solve fallback: hand-zeroed coefficient vectors trip its
+    arithmetic-bug assertion instead."""
     par = ConicParametrization(reference_conic(field), reference_base(field))
     zero = field.zero()
-    zeros = ((zero,) * 3,) * 3
-    par._coefficients = zeros
-    for t in (field.from_int(3), (field.from_int(2), field.from_int(-5)), (field.one(), zero)):
-        assert outcome(par.point, t) == outcome(ref_chart_point, par, t, zeros)
-        assert outcome(par.point, t) == outcome(second_intersection, par.conic, par.line(t), par.base)
+    par._coefficients = ((zero,) * 3,) * 3
+    ts = [field.from_int(3), (field.from_int(2), field.from_int(-5)), (field.one(), zero)]
     if field is G:
-        t = (G("2/3"), G("-1/5", "1/2"))
-        assert outcome(par.point, t) == outcome(ref_chart_point, par, t, zeros)
+        ts.append((G("2/3"), G("-1/5", "1/2")))
+    for t in ts:
+        with pytest.raises(AssertionError, match="zero vector"):
+            par.point(t)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
@@ -430,3 +439,63 @@ def test_second_intersection_matches_scalar_formula(field, data):
             known = w
     assert outcome(second_intersection, par.conic, l, known) == \
         outcome(ref_second_intersection, par.conic, l, known)
+
+
+# ----------------------------------------------------------------------
+# chord partner: the chart's Frégier involution
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_partner_matches_second_intersection(field, data):
+    """point(partner(t, m)) is the chord solve's second endpoint, for m random
+    (often on a coordinate line), a combination of two chart points as the
+    generators build it, a point of the conic, or a point of the tangent at
+    point(t), where the partner is point(t) itself."""
+    par = data.draw(charts(field))
+    t = data.draw(parameters(field))
+    end = par.point(t)
+    kind = data.draw(st.sampled_from(("free", "free", "chart-combination", "on-conic", "tangent")))
+    lam = data.draw(scalars(field))
+    if kind == "free":
+        m = data.draw(points(field))
+    elif kind == "tangent":
+        d = _second_point_on(par.conic.tangent_at(end), end)
+        m = ProjPoint(tuple(x + lam * y for x, y in zip(d.coords, end.coords)), field)
+    else:
+        m = par.point(data.draw(parameters(field)))
+        if kind == "chart-combination":
+            b = par.point(data.draw(parameters(field)))
+            coords = tuple(x + lam * y for x, y in zip(m.coords, b.coords))
+            assume(not all(c.is_zero() for c in coords))
+            m = ProjPoint(coords, field)
+    assume(not _same(m, end))
+    expected = second_intersection(par.conic, join(end, m), end)
+    assert par.point(par.partner(t, m)) == expected
+    if kind == "tangent":
+        assert expected == end
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_partner_exact_scale_on_conic_points(field, data):
+    """With m = point(s), Q(t)/kappa is exactly (t0*s1 - t1*s0)^2 times m's
+    content, so partner(t, m) is exactly 2*(s0*t1 - s1*t0)*(s0, s1) divided by
+    that content.  This pins kappa^-1 itself, which the point comparison
+    above cannot see (any common scale of alpha, beta, gamma gives the same
+    point)."""
+    par = data.draw(charts(field))
+    t, s = data.draw(parameters(field)), data.draw(parameters(field))
+    (t0, t1), (s0, s1) = _pair(field, t), _pair(field, s)
+    bracket = s0 * t1 - s1 * t0
+    assume(not bracket.is_zero())
+    m = par.point(s)
+    a2, a1, a0 = par.point_coefficients()
+    raw = tuple(s0 * s0 * x2 + s0 * s1 * x1 + s1 * s1 * x0 for x2, x1, x0 in zip(a2, a1, a0))
+    k = next(i for i, c in enumerate(m.coords) if not c.is_zero())
+    content = raw[k] / m.coords[k]
+    u0, u1 = par.partner(t, m)
+    two = field.one() + field.one()
+    assert (u0 * content, u1 * content) == (two * bracket * s0, two * bracket * s1)

@@ -369,6 +369,15 @@ class TestPrimeField:
         with pytest.raises(ScalarDivisionError):
             P.zero().inv()
 
+    @given(residues.filter(lambda x: not x.is_zero()))
+    @example(P(1))
+    @example(P(2))
+    @example(P(P.MODULUS - 1))
+    def test_inverse_matches_fermat(self, x):
+        p = P.MODULUS
+        assert x.inv() == P(pow(x.residue, p - 2, p))
+        assert x * x.inv() == P.one()
+
     def test_parse(self):
         assert P.parse("-1") == P(P.MODULUS - 1)
         assert P.parse(str(P.MODULUS + 5)) == P(5)

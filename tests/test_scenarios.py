@@ -160,6 +160,18 @@ class TestRandomButterfly:
         assert one.conic == two.conic
         assert [w for _n, w in one.inputs()] == [w for _n, w in two.inputs()]
 
+    def test_chord_endpoints_stay_at_chart_size(self):
+        """s and g are chart points, like r, so they carry no large Gaussian
+        common factor: on ten height-50 cells of a `butterfly fuzz --seed 11`
+        campaign their largest raw part is at most twice r's (a chord solve
+        through `second_intersection` gives about 4.5 times)."""
+        def raw_bits(w):
+            return max(max(abs(c.a), abs(c.b), c.d).bit_length() for c in w.coords)
+
+        for index in range(10):
+            sc = random_butterfly_scenario(Random(f"11:{index}:damn"), G, 50)
+            assert max(raw_bits(sc.s), raw_bits(sc.g)) <= 2 * raw_bits(sc.r)
+
     def test_prime_backend(self):
         sc = random_butterfly_scenario(Random(3), P, height_bound=6)
         assert sc.field is P
