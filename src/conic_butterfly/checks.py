@@ -21,7 +21,6 @@ from .projective import (
     DegenerateInputError,
     ProjectiveError,
     ProjPoint,
-    collinear,
     collinearity_residual,
     cross_ratio,
     incident,
@@ -30,7 +29,7 @@ from .projective import (
 )
 from .reflection import ReflectionFrame
 from .reports import CheckReport, Verdict, degenerate
-from .scenarios import ButterflyScenario, PlanarScenario
+from .scenarios import ButterflyScenario
 
 
 def _separation_residual(p, q):
@@ -201,57 +200,40 @@ def pascal_check(conic: Conic, hexagon) -> CheckReport:
 
 
 def theorem_damn_check(scenario: ButterflyScenario) -> CheckReport:
-    """cr(p, j, m, i) = -1, confirmed independently by reflecting i onto j."""
-    base = list(scenario.inputs())
-    if scenario.degenerate_reason is not None:
-        return degenerate("damn", scenario.degenerate_reason, base)
-    witnesses = base + [("i", scenario.i), ("j", scenario.j), ("p", scenario.p)]
-    try:
-        ratio = cross_ratio(scenario.p, scenario.j, scenario.m, scenario.i)
-    except DegenerateInputError as exc:
-        return degenerate("damn", f"cross-ratio undefined: {exc}", witnesses)
-    witnesses.append(("cr", ratio))
-    if not ratio.is_harmonic():
-        return CheckReport("damn", Verdict.VIOLATED, witnesses, residual=ratio.plus_one())
+    """The butterfly of the scenario's flavour, reported under its claim.
 
-    axis = scenario.conic.polar(scenario.p)
-    frame = ReflectionFrame(scenario.conic, axis)
-    if frame.pole != scenario.p or not incident(scenario.m, axis):
-        raise AssertionError("polar frame lost its defining incidences; arithmetic bug")
-    reflected = frame.reflect_point(scenario.i)
-    witnesses += [("axis", axis), ("reflect(i)", reflected)]
-    if reflected == scenario.j:
-        return CheckReport("damn", Verdict.HOLDS, witnesses)
-    return CheckReport("damn", Verdict.VIOLATED, witnesses,
-                       residual=_separation_residual(reflected, scenario.j))
-
-
-def theorem_cutl_check(scenario: PlanarScenario) -> CheckReport:
-    """cr(m', p, m, q) = -1 in the real plane, with the polar-reflection witness.
-
+    damn: cr(p, j, m, i) = -1, confirmed independently by reflecting i onto
+    j.  cutl: cr(m', p, m, q) = -1 in the real plane, with reflect(p) = q.
     The reflection uses only the pole and axis, never the axis-conic
     intersection points, so the check stays rational even when the axis
     misses the real conic.
     """
+    flavour, pts = scenario.flavour, scenario.points
+    claim = flavour.claim
     base = list(scenario.inputs())
     if scenario.degenerate_reason is not None:
-        return degenerate("cutl", scenario.degenerate_reason, base)
-    witnesses = base + [("p", scenario.p), ("q", scenario.q), ("m'", scenario.m_prime)]
+        return degenerate(claim, scenario.degenerate_reason, base)
+    d1, d2, conj = flavour.derived
+    witnesses = base + [(n, pts[n]) for n in flavour.derived]
     try:
-        ratio = cross_ratio(scenario.m_prime, scenario.p, scenario.m, scenario.q)
+        ratio = cross_ratio(*(pts[n] for n in flavour.ratio))
     except DegenerateInputError as exc:
-        return degenerate("cutl", f"cross-ratio undefined: {exc}", witnesses)
+        return degenerate(claim, f"cross-ratio undefined: {exc}", witnesses)
     witnesses.append(("cr", ratio))
     if not ratio.is_harmonic():
-        return CheckReport("cutl", Verdict.VIOLATED, witnesses, residual=ratio.plus_one())
+        return CheckReport(claim, Verdict.VIOLATED, witnesses, residual=ratio.plus_one())
 
-    axis = scenario.conic.polar(scenario.m_prime)
+    axis = scenario.conic.polar(pts[conj])
     frame = ReflectionFrame(scenario.conic, axis)
-    if frame.pole != scenario.m_prime or not incident(scenario.m, axis):
+    if frame.pole != pts[conj] or not incident(pts["m"], axis):
         raise AssertionError("polar frame lost its defining incidences; arithmetic bug")
-    reflected = frame.reflect_point(scenario.p)
-    witnesses += [("axis", axis), ("reflect(p)", reflected)]
-    if reflected == scenario.q:
-        return CheckReport("cutl", Verdict.HOLDS, witnesses)
-    return CheckReport("cutl", Verdict.VIOLATED, witnesses,
-                       residual=_separation_residual(reflected, scenario.q))
+    reflected = frame.reflect_point(pts[d1])
+    witnesses += [("axis", axis), (f"reflect({d1})", reflected)]
+    if reflected == pts[d2]:
+        return CheckReport(claim, Verdict.HOLDS, witnesses)
+    return CheckReport(claim, Verdict.VIOLATED, witnesses,
+                       residual=_separation_residual(reflected, pts[d2]))
+
+
+# one checker for both flavours; the claim comes from the scenario
+theorem_cutl_check = theorem_damn_check

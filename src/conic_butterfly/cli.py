@@ -17,8 +17,8 @@ from .scalars import BACKENDS, GaussianRational, ScalarParseError
 from .projective import (ProjLine, ProjPoint, ProjectiveError, cross_ratio, join, meet)
 from .conics import Conic
 from .reflection import ReflectionFrame
-from .reports import CLAIM_ORDER, exit_status
-from .scenario_io import ScenarioParseError, parse_scenario, run_document
+from .reports import exit_status
+from .scenario_io import CLAIM_ORDER, CLAIMS, ScenarioParseError, parse_scenario, run_document
 from .fuzz import CampaignConfig, CampaignCounts, run_campaign
 from .render import render_svg
 
@@ -81,7 +81,7 @@ def _cmd_verify(args) -> int:
 
 def _parse_checks(text: str, backend: str) -> tuple:
     if text is None:
-        picked = tuple(c for c in CLAIM_ORDER if backend == "gauss" or c != "cutl")
+        picked = tuple(c for c, claim in CLAIMS.items() if backend == "gauss" or not claim.real)
     else:
         picked = tuple(c.strip() for c in text.split(",") if c.strip())
     return picked

@@ -15,17 +15,10 @@ import multiprocessing
 from random import Random
 from typing import Iterator, List, Optional, Tuple
 
-from functools import partial
-
 from .scalars import BACKENDS
-from .reports import CLAIM_ORDER, CheckReport, Verdict
-from .scenarios import (RetryBudget, RetryCapError, random_hexagon, random_jap_inputs,
-                        random_mono_inputs, random_nut_inputs, random_sack_inputs,
-                        random_scenario)
-from .checks import (lemma_jap_check, lemma_mono_check, lemma_nut_check, lemma_sack_check,
-                     pascal_check, theorem_cutl_check, theorem_damn_check)
-from .scenario_io import (butterfly_document, frame_document, hexagon_document,
-                          planar_document, serialize_scenario)
+from .reports import CheckReport, Verdict
+from .scenarios import RetryBudget, RetryCapError
+from .scenario_io import CLAIM_ORDER, CLAIMS, serialize_scenario
 
 __all__ = ["CampaignConfig", "CampaignCounts", "run_campaign"]
 
@@ -51,13 +44,15 @@ class CampaignConfig:
             raise ValueError(f"unknown checks: {', '.join(bad)}")
         if not checks:
             raise ValueError("at least one check is required")
-        if backend != "gauss" and "cutl" in checks:
-            raise ValueError("cutl draws real planar scenarios; it needs the gauss backend")
+        picked = tuple(c for c in CLAIM_ORDER if c in set(checks))
+        real = [c for c in picked if CLAIMS[c].real]
+        if backend != "gauss" and real:
+            raise ValueError(f"{real[0]} draws real planar scenarios; it needs the gauss backend")
         self.seed = seed
         self.count = count
         self.backend = backend
         self.height = height
-        self.checks = tuple(c for c in CLAIM_ORDER if c in set(checks))
+        self.checks = picked
 
     def header(self) -> str:
         return (f"campaign seed={self.seed} count={self.count} "
@@ -87,67 +82,9 @@ class CampaignCounts:
         return 0 if self.holds else 2
 
 
-def _mono_cell(rng: Random, field, height: int, budget: RetryBudget, index: int):
-    frame, l, y, y_prime, m = random_mono_inputs(
-        rng, field, height, converse=bool(index % 2), budget=budget)
-    report = lemma_mono_check(frame, l, y, y_prime, m)
-    doc = partial(frame_document, "mono", frame, {"y": y, "y'": y_prime, "m": m},
-                  {"k": frame.axis, "l": l})
-    return report, doc
-
-
-def _jap_cell(rng: Random, field, height: int, budget: RetryBudget, index: int):
-    frame, y, u, l2 = random_jap_inputs(rng, field, height, budget=budget)
-    report = lemma_jap_check(frame, y, u, l2)
-    doc = partial(frame_document, "jap", frame, {"y": y, "u": u},
-                  {"k": frame.axis, "l2": l2})
-    return report, doc
-
-
-def _nut_cell(rng: Random, field, height: int, budget: RetryBudget, index: int):
-    frame, y, z = random_nut_inputs(rng, field, height, budget=budget)
-    report = lemma_nut_check(frame, y, z)
-    doc = partial(frame_document, "nut", frame, {"y": y, "z": z}, {"k": frame.axis})
-    return report, doc
-
-
-def _sack_cell(rng: Random, field, height: int, budget: RetryBudget, index: int):
-    frame, m, r, s = random_sack_inputs(rng, field, height, budget=budget)
-    report = lemma_sack_check(frame, m, r, s)
-    doc = partial(frame_document, "sack", frame, {"m": m, "r": r, "s": s}, {})
-    return report, doc
-
-
-def _pascal_cell(rng: Random, field, height: int, budget: RetryBudget, index: int):
-    conic, hexagon = random_hexagon(rng, field, height, budget=budget)
-    report = pascal_check(conic, hexagon)
-    doc = partial(hexagon_document, conic, hexagon)
-    return report, doc
-
-
-def _damn_cell(rng: Random, field, height: int, budget: RetryBudget, index: int):
-    scenario = random_scenario(rng, field, height, kind="damn", budget=budget)
-    report = theorem_damn_check(scenario)
-    doc = partial(butterfly_document, scenario)
-    return report, doc
-
-
-def _cutl_cell(rng: Random, field, height: int, budget: RetryBudget, index: int):
-    scenario = random_scenario(rng, field, height, kind="cutl", budget=budget)
-    report = theorem_cutl_check(scenario)
-    doc = partial(planar_document, scenario)
-    return report, doc
-
-
-_RUNNERS = {
-    "mono": _mono_cell,
-    "jap": _jap_cell,
-    "nut": _nut_cell,
-    "sack": _sack_cell,
-    "pascal": _pascal_cell,
-    "damn": _damn_cell,
-    "cutl": _cutl_cell,
-}
+# claim -> f(rng, field, height, budget, index) -> (report, make_doc); looked
+# up per cell, so a replaced entry takes effect at once
+_RUNNERS = {name: claim.cell for name, claim in CLAIMS.items()}
 
 
 def _evaluate_cell(task: Tuple[int, int, str, str, int]) -> Tuple[List[str], str, int]:

@@ -22,16 +22,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._linalg import add_vec, combine, cross, dot, first_nonzero_minor
+from ._linalg import combine, dot, first_nonzero_minor
 from .conics import Conic
-from .projective import (
-    DegenerateInputError,
-    ProjectiveError,
-    ProjLine,
-    ProjPoint,
-    incident,
-    join,
-)
+from .projective import (DegenerateInputError, ProjectiveError, ProjLine, ProjPoint,
+                         _require_same_field, incident)
 
 
 class ReflectionFrame:
@@ -79,24 +73,11 @@ class ReflectionFrame:
         return ProjPoint(combine(s * self.kp, y.coords, s * (ky + ky), self.pole.coords), y.field)
 
     def reflect_line(self, l: ProjLine) -> ProjLine:
-        """Reflect a line; anything through the pole is self-reflected."""
-        if incident(self.pole, l):
+        """H^T l = (k.p) l - 2 (p.l) k: lines map by H^-T, which is H^T up to
+        scale because H^2 = (k.p)^2 I.  A line through the pole is its own
+        image and comes back as it is."""
+        _require_same_field(self.pole, l)
+        pl = dot(self.pole.coords, l.coords)
+        if pl.is_zero():
             return l
-        one, zero = l.field.one(), l.field.zero()
-        samples = []
-        for e in ((one, zero, zero), (zero, one, zero), (zero, zero, one)):
-            c = cross(l.coords, e)
-            if all(x.is_zero() for x in c):
-                continue
-            q = ProjPoint(c, l.field)
-            if q not in samples:
-                samples.append(q)
-            if len(samples) == 2:
-                break
-        p1, p2 = samples
-        out = join(self.reflect_point(p1), self.reflect_point(p2))
-        # cross-check with an independent third point of l
-        p3 = ProjPoint(add_vec(p1.coords, p2.coords), l.field)
-        if not incident(self.reflect_point(p3), out):
-            raise AssertionError("reflected line is sample-dependent; arithmetic bug")
-        return out
+        return ProjLine(combine(self.kp, l.coords, pl + pl, self.axis.coords), l.field)

@@ -18,25 +18,12 @@ from .scalars import GaussianRational
 from .projective import ProjLine, ProjPoint, ProjectiveError, join
 from .conics import Conic, ConicParametrization
 from .reports import CheckReport
-from .scenario_io import _NAME_RE, _SHAPES, ScenarioDocument, run_document
+from .scenario_io import _NAME_RE, CLAIMS, ScenarioDocument, run_document
 
 __all__ = ["render_svg"]
 
 _SAMPLES = 256
 _VIEW = 640.0
-
-# segments worth drawing per check, named by report witnesses
-_EDGES: Dict[str, Tuple[Tuple[str, str], ...]] = {
-    "damn": (("a", "b"), ("r", "s"), ("f", "g"), ("r", "g"), ("f", "s")),
-    "cutl": (("a", "b"), ("r", "s"), ("u", "v"), ("r", "u"), ("s", "v")),
-    "pascal": (("p1", "p2"), ("p2", "p3"), ("p3", "p4"), ("p4", "p5"),
-               ("p5", "p6"), ("p6", "p1"), ("x1", "x2"), ("x2", "x3")),
-    "mono": (("y", "y'"),),
-    "jap": (),
-    "nut": (("y", "z"),),
-    "sack": (("u", "v"), ("r", "s")),
-}
-
 
 # homogeneous tuples whose largest entry passes 2**_MAX_EXP are scaled down by
 # one common power of two before conversion; the drawing code squares them
@@ -99,12 +86,12 @@ def _collect_labels(doc: ScenarioDocument, report: CheckReport):
 
 def _assert_incidences(doc: ScenarioDocument, points: Dict[str, ProjPoint]) -> None:
     """Exact re-checks of everything the figure claims by drawing it."""
-    shape = _SHAPES[doc.check]
-    for name in shape["on_conic"]:
+    claim = CLAIMS[doc.check]
+    for name in claim.on_conic:
         p = points.get(name)
         if p is not None and not doc.conic.contains(p):
             raise AssertionError(f"figure would place {name} off the conic")
-    for n1, n2 in _EDGES[doc.check]:
+    for n1, n2 in claim.edges:
         if n1 in points and n2 in points and points[n1] == points[n2]:
             raise AssertionError(f"edge {n1}{n2} collapsed to a point")
 
@@ -112,7 +99,7 @@ def _assert_incidences(doc: ScenarioDocument, points: Dict[str, ProjPoint]) -> N
 def _sample_base(doc: ScenarioDocument, points: Dict[str, ProjPoint]) -> ProjPoint:
     if doc.base is not None:
         return doc.base
-    for name in _SHAPES[doc.check]["on_conic"]:
+    for name in CLAIMS[doc.check].on_conic:
         p = points.get(name)
         if p is not None and doc.conic.contains(p):
             return p
@@ -274,7 +261,7 @@ def render_svg(doc: ScenarioDocument, out_path=None) -> str:
                       stroke="#1f4e79", attrib={"stroke-width": "2.0"})
 
     drawn_lines = dict(lines)
-    for n1, n2 in _EDGES[doc.check]:
+    for n1, n2 in CLAIMS[doc.check].edges:
         if n1 in points and n2 in points:
             drawn_lines.setdefault(f"{n1}{n2}", join(points[n1], points[n2]))
     for name, l in drawn_lines.items():

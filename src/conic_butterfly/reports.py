@@ -34,9 +34,6 @@ class Verdict(enum.Enum):
         return self.value
 
 
-CLAIM_ORDER = ("mono", "jap", "nut", "sack", "pascal", "damn", "cutl")
-
-
 def format_value(obj) -> Tuple[str, str]:
     """(kind, text) for anything a report can carry."""
     if isinstance(obj, ProjPoint):

@@ -14,12 +14,16 @@ to exact values.  The format is key-first so fixtures read well in diffs:
 Chord partners the check can reconstruct (the second endpoint through m)
 may be omitted; points may also be given in the affine chart ``(x, y)`` or
 as parameter values on the conic once a ``base`` point is declared.
+
+``CLAIMS`` at the end of the module is the one record per claim that the
+parser, the runner, campaigns and figures read.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from ._linalg import cross, normalize
 from .scalars import BACKENDS, GaussianRational, ScalarParseError, backend_name
@@ -30,20 +34,22 @@ from .conics import (AffineConicSpec, Conic, ConicParametrization, DegenerateCon
 from .reflection import ReflectionFrame
 from .reports import CheckReport, Verdict
 from .checks import (lemma_jap_check, lemma_mono_check, lemma_nut_check, lemma_sack_check,
-                     pascal_check, theorem_cutl_check, theorem_damn_check)
-from .scenarios import affine_spec_from_conic, build_planar_scenario, build_scenario
+                     pascal_check, theorem_damn_check)
+from .scenarios import (FLAVOURS, build_scenario, random_hexagon, random_jap_inputs,
+                        random_mono_inputs, random_nut_inputs, random_sack_inputs,
+                        random_scenario)
 
 __all__ = [
     "ScenarioParseError",
     "Expect",
     "ScenarioDocument",
+    "Claim",
+    "CLAIMS",
+    "CLAIM_ORDER",
     "parse_scenario",
     "serialize_scenario",
     "run_document",
-    "butterfly_document",
-    "planar_document",
-    "frame_document",
-    "hexagon_document",
+    "claim_document",
 ]
 
 
@@ -57,24 +63,6 @@ class ScenarioParseError(ValueError):
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_']*")
 _EXPECT_KINDS = ("point", "line", "ratio", "scalar")
-
-# declaration shape per check: points and lines in canonical order, with the
-# names the document may omit because the runner can derive them
-_SHAPES: Dict[str, dict] = {
-    "mono": {"points": ("y", "y'", "m"), "lines": ("k", "l"),
-             "optional": ("y'", "l"), "on_conic": ("y", "y'")},
-    "jap": {"points": ("y", "u"), "lines": ("k", "l2"), "optional": (), "on_conic": ()},
-    "nut": {"points": ("y", "z"), "lines": ("k",), "optional": (), "on_conic": ()},
-    "sack": {"points": ("u", "v", "m", "r", "s"), "lines": (),
-             "optional": ("s",), "on_conic": ("u", "v", "r", "s")},
-    "pascal": {"points": ("p1", "p2", "p3", "p4", "p5", "p6"), "lines": (),
-               "optional": (), "on_conic": ("p1", "p2", "p3", "p4", "p5", "p6")},
-    "damn": {"points": ("a", "b", "m", "r", "s", "f", "g"), "lines": (),
-             "optional": ("s", "g"), "on_conic": ("a", "b", "r", "s", "f", "g")},
-    "cutl": {"points": ("a", "b", "m", "r", "s", "u", "v"), "lines": (),
-             "optional": ("s", "v"), "on_conic": ("a", "b", "r", "s", "u", "v")},
-}
-
 
 class Expect:
     """One pinned witness: the named report value must equal this exactly."""
@@ -106,7 +94,7 @@ class ScenarioDocument:
                  points: Dict[str, ProjPoint], lines: Dict[str, ProjLine],
                  expects: Optional[List[Expect]] = None,
                  base: Optional[ProjPoint] = None):
-        if check not in _SHAPES:
+        if check not in CLAIMS:
             raise ScenarioParseError(f"unknown check {check!r}")
         self.check = check
         self.field = field
@@ -185,7 +173,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
         if key == "check":
             if check is not None:
                 raise ScenarioParseError("duplicate check declaration", lineno)
-            if rest not in _SHAPES:
+            if rest not in CLAIMS:
                 raise ScenarioParseError(f"unknown check {rest!r}", lineno)
             check = rest
 
@@ -307,14 +295,14 @@ def parse_scenario(text: str) -> ScenarioDocument:
         raise ScenarioParseError("document declares no conic")
     field = field if field is not None else GaussianRational
 
-    shape = _SHAPES[check]
-    for name in shape["points"]:
-        if name not in points and name not in shape["optional"]:
+    claim = CLAIMS[check]
+    for name in claim.points:
+        if name not in points and name not in claim.optional:
             raise ScenarioParseError(f"check {check} needs point {name!r}")
-    for name in shape["lines"]:
-        if name not in lines and name not in shape["optional"]:
+    for name in claim.lines:
+        if name not in lines and name not in claim.optional:
             raise ScenarioParseError(f"check {check} needs line {name!r}")
-    for name in shape["on_conic"]:
+    for name in claim.on_conic:
         if name in points:
             residual = conic.membership_residual(points[name])
             if not residual.is_zero():
@@ -335,17 +323,17 @@ def serialize_scenario(doc: ScenarioDocument) -> str:
     parse(serialize(doc)) reproduces the document up to projective scale,
     so serialized fixtures diff cleanly.
     """
-    shape = _SHAPES[doc.check]
+    claim = CLAIMS[doc.check]
     out = [f"check {doc.check}", f"backend {backend_name(doc.field)}"]
     out.append("conic symmetric " + " ".join(_conic_entries(doc.conic)))
     if doc.base is not None:
         out.append(f"base {doc.base}")
-    ordered = [n for n in shape["points"] if n in doc.points]
-    ordered += sorted(n for n in doc.points if n not in shape["points"])
+    ordered = [n for n in claim.points if n in doc.points]
+    ordered += sorted(n for n in doc.points if n not in claim.points)
     for name in ordered:
         out.append(f"point {name} {doc.points[name]}")
-    ordered = [n for n in shape["lines"] if n in doc.lines]
-    ordered += sorted(n for n in doc.lines if n not in shape["lines"])
+    ordered = [n for n in claim.lines if n in doc.lines]
+    ordered += sorted(n for n in doc.lines if n not in claim.lines)
     for name in ordered:
         out.append(f"line {name} {doc.lines[name]}")
     for e in doc.expects:
@@ -354,92 +342,158 @@ def serialize_scenario(doc: ScenarioDocument) -> str:
 
 
 # ----------------------------------------------------------------------
-# document construction from kernel objects
-
-def butterfly_document(scenario) -> ScenarioDocument:
-    names = ("a", "b", "m", "r", "s", "f", "g")
-    points = {n: w for n, w in zip(names, (scenario.a, scenario.b, scenario.m,
-                                           scenario.r, scenario.s, scenario.f, scenario.g))}
-    return ScenarioDocument("damn", scenario.conic.field, scenario.conic, points, {})
+# the claim registry
 
 
-def planar_document(scenario) -> ScenarioDocument:
-    names = ("a", "b", "m", "r", "s", "u", "v")
-    points = {n: w for n, w in zip(names, (scenario.a, scenario.b, scenario.m,
-                                           scenario.r, scenario.s, scenario.u, scenario.v))}
-    return ScenarioDocument("cutl", scenario.conic.field, scenario.conic, points, {})
+def claim_document(check: str, conic: Conic, named: dict) -> ScenarioDocument:
+    """A document declaring the claim's points and lines, taken from `named`."""
+    claim = CLAIMS[check]
+    return ScenarioDocument(check, conic.field, conic, {n: named[n] for n in claim.points},
+                            {n: named[n] for n in claim.lines})
 
 
-def frame_document(check: str, frame: ReflectionFrame,
-                   points: Dict[str, ProjPoint], lines: Dict[str, ProjLine]) -> ScenarioDocument:
-    """mono / jap / nut carry the axis; sack carries the chord pair instead."""
-    points = dict(points)
-    lines = dict(lines)
-    if check == "sack":
-        points.setdefault("u", frame.u)
-        points.setdefault("v", frame.v)
-    else:
-        lines.setdefault("k", frame.axis)
-    return ScenarioDocument(check, frame.conic.field, frame.conic, points, lines)
+# A cell returns (report, make_doc); the document is built only when a
+# violated cell is replayed.
+
+def _frame_cell(check: str, checker, names, drawn):
+    """A lemma cell: `drawn` is a frame followed by the checker's other
+    arguments, which `names` names.  The frame supplies the axis k, or for
+    sack the chord ends u, v."""
+    frame, *args = drawn
+    named = {"k": frame.axis, "u": frame.u, "v": frame.v}
+    named.update(zip(names, args))
+    return checker(frame, *args), partial(claim_document, check, frame.conic, named)
 
 
-def hexagon_document(conic: Conic, hexagon) -> ScenarioDocument:
-    points = {f"p{k + 1}": w for k, w in enumerate(hexagon)}
-    return ScenarioDocument("pascal", conic.field, conic, points, {})
+def _hexagon_cell(drawn):
+    conic, hexagon = drawn
+    return pascal_check(conic, hexagon), partial(
+        claim_document, "pascal", conic, dict(zip(_HEXAGON, hexagon)))
+
+
+def _butterfly_cell(scenario):
+    return theorem_damn_check(scenario), partial(
+        claim_document, scenario.flavour.claim, scenario.conic, scenario.points)
+
+
+def _partner(doc: ScenarioDocument, name: str, end_name: str, through: str) -> ProjPoint:
+    """The declared point `name`, or the second end of the chord from
+    `end_name` through `through`."""
+    got = doc.points.get(name)
+    if got is not None:
+        return got
+    end, m = doc.points[end_name], doc.points[through]
+    try:
+        return second_intersection(doc.conic, join(end, m), end)
+    except (ProjectiveError, DegenerateInputError) as exc:
+        raise ScenarioParseError(f"cannot derive {name}: {exc}") from exc
+
+
+def _axis_frame(doc: ScenarioDocument) -> ReflectionFrame:
+    return ReflectionFrame(doc.conic, doc.lines["k"])
+
+
+def _chord_frame(doc: ScenarioDocument) -> ReflectionFrame:
+    u, v = doc.points["u"], doc.points["v"]
+    return ReflectionFrame(doc.conic, join(u, v), u, v)
+
+
+def _run_mono(doc: ScenarioDocument) -> CheckReport:
+    pts, lns = doc.points, doc.lines
+    frame = _axis_frame(doc)
+    l = lns.get("l")
+    if l is None:
+        l = join(frame.pole, pts["y"])
+    y_prime = pts.get("y'")
+    if y_prime is None:
+        y_prime = second_intersection(doc.conic, l, pts["y"])
+    return lemma_mono_check(frame, l, pts["y"], y_prime, pts["m"])
+
+
+def _run_butterfly(doc: ScenarioDocument) -> CheckReport:
+    a, b, m, r, s, c, d = CLAIMS[doc.check].points
+    pts = doc.points
+    return theorem_damn_check(build_scenario(
+        doc.conic, pts[a], pts[b], pts[m], pts[r], _partner(doc, s, r, m),
+        pts[c], _partner(doc, d, c, m), kind=doc.check))
+
+
+class Claim(NamedTuple):
+    """Everything the package knows about one claim.
+
+    `points` and `lines` are a document's declarations in canonical order,
+    `optional` those a document may omit because `run` derives them, and
+    `on_conic` the points that must lie on the conic.  `edges` are the
+    segments a figure draws, named by report witnesses.  A `real` claim
+    draws real-plane configurations, so it needs the gauss backend.
+
+    `cell(rng, field, height, budget, index)` draws and checks one campaign
+    cell and returns (report, make_doc); `run(doc)` checks a document.  Both
+    reach the generators and checkers through this module's globals at call
+    time, never through a stored reference, so a wrapper that rebinds those
+    names (a tracer, a test's monkeypatch) sees every call.
+    """
+
+    name: str
+    points: tuple
+    cell: Callable
+    run: Callable
+    lines: tuple = ()
+    optional: tuple = ()
+    on_conic: tuple = ()
+    edges: tuple = ()
+    real: bool = False
+
+
+def _butterfly_claim(flavour) -> Claim:
+    a, b, m, r, s, c, d = flavour.inputs
+    return Claim(
+        flavour.claim, flavour.inputs, optional=(s, d), on_conic=(a, b, r, s, c, d),
+        edges=((a, b), (r, s), (c, d)) + flavour.crosswise, real=flavour.real,
+        cell=lambda rng, field, height, budget, index: _butterfly_cell(
+            random_scenario(rng, field, height, kind=flavour.claim, budget=budget)),
+        run=_run_butterfly)
+
+
+_HEXAGON = ("p1", "p2", "p3", "p4", "p5", "p6")
+
+CLAIMS: Dict[str, Claim] = {c.name: c for c in (
+    Claim("mono", ("y", "y'", "m"), lines=("k", "l"), optional=("y'", "l"),
+          on_conic=("y", "y'"), edges=(("y", "y'"),),
+          cell=lambda rng, field, height, budget, index: _frame_cell(
+              "mono", lemma_mono_check, ("l", "y", "y'", "m"), random_mono_inputs(
+                  rng, field, height, converse=bool(index % 2), budget=budget)),
+          run=_run_mono),
+    Claim("jap", ("y", "u"), lines=("k", "l2"),
+          cell=lambda rng, field, height, budget, index: _frame_cell(
+              "jap", lemma_jap_check, ("y", "u", "l2"),
+              random_jap_inputs(rng, field, height, budget=budget)),
+          run=lambda doc: lemma_jap_check(_axis_frame(doc), doc.points["y"], doc.points["u"],
+                                          doc.lines["l2"])),
+    Claim("nut", ("y", "z"), lines=("k",), edges=(("y", "z"),),
+          cell=lambda rng, field, height, budget, index: _frame_cell(
+              "nut", lemma_nut_check, ("y", "z"),
+              random_nut_inputs(rng, field, height, budget=budget)),
+          run=lambda doc: lemma_nut_check(_axis_frame(doc), doc.points["y"], doc.points["z"])),
+    Claim("sack", ("u", "v", "m", "r", "s"), optional=("s",), on_conic=("u", "v", "r", "s"),
+          edges=(("u", "v"), ("r", "s")),
+          cell=lambda rng, field, height, budget, index: _frame_cell(
+              "sack", lemma_sack_check, ("m", "r", "s"),
+              random_sack_inputs(rng, field, height, budget=budget)),
+          run=lambda doc: lemma_sack_check(_chord_frame(doc), doc.points["m"], doc.points["r"],
+                                           _partner(doc, "s", "r", "m"))),
+    Claim("pascal", _HEXAGON, on_conic=_HEXAGON,
+          edges=tuple(zip(_HEXAGON, _HEXAGON[1:] + _HEXAGON[:1])) + (("x1", "x2"), ("x2", "x3")),
+          cell=lambda rng, field, height, budget, index: _hexagon_cell(
+              random_hexagon(rng, field, height, budget=budget)),
+          run=lambda doc: pascal_check(doc.conic, tuple(doc.points[n] for n in _HEXAGON))),
+    *(_butterfly_claim(f) for f in FLAVOURS.values()),
+)}
+CLAIM_ORDER = tuple(CLAIMS)
 
 
 # ----------------------------------------------------------------------
 # running a document
-
-def _derived_partner(conic: Conic, end: ProjPoint, m: ProjPoint, label: str) -> ProjPoint:
-    try:
-        return second_intersection(conic, join(end, m), end)
-    except (ProjectiveError, DegenerateInputError) as exc:
-        raise ScenarioParseError(f"cannot derive {label}: {exc}") from exc
-
-
-def _partner(doc: ScenarioDocument, name: str, end_name: str, through: str) -> ProjPoint:
-    got = doc.points.get(name)
-    if got is not None:
-        return got
-    return _derived_partner(doc.conic, doc.points[end_name], doc.points[through], name)
-
-
-def _main_report(doc: ScenarioDocument) -> CheckReport:
-    conic, pts, lns = doc.conic, doc.points, doc.lines
-    if doc.check == "damn":
-        s = _partner(doc, "s", "r", "m")
-        g = _partner(doc, "g", "f", "m")
-        scenario = build_scenario(conic, pts["a"], pts["b"], pts["m"], pts["r"], s, pts["f"], g)
-        return theorem_damn_check(scenario)
-    if doc.check == "cutl":
-        s = _partner(doc, "s", "r", "m")
-        v = _partner(doc, "v", "u", "m")
-        spec = affine_spec_from_conic(conic)
-        scenario = build_planar_scenario(spec, pts["a"], pts["b"], pts["m"], pts["r"], s,
-                                         pts["u"], v)
-        return theorem_cutl_check(scenario)
-    if doc.check == "pascal":
-        return pascal_check(conic, tuple(pts[f"p{k}"] for k in range(1, 7)))
-    if doc.check == "sack":
-        axis = join(pts["u"], pts["v"])
-        frame = ReflectionFrame(conic, axis, pts["u"], pts["v"])
-        s = _partner(doc, "s", "r", "m")
-        return lemma_sack_check(frame, pts["m"], pts["r"], s)
-
-    frame = ReflectionFrame(conic, lns["k"])
-    if doc.check == "mono":
-        l = lns.get("l")
-        if l is None:
-            l = join(frame.pole, pts["y"])
-        y_prime = pts.get("y'")
-        if y_prime is None:
-            y_prime = second_intersection(conic, l, pts["y"])
-        return lemma_mono_check(frame, l, pts["y"], y_prime, pts["m"])
-    if doc.check == "jap":
-        return lemma_jap_check(frame, pts["y"], pts["u"], lns["l2"])
-    return lemma_nut_check(frame, pts["y"], pts["z"])
-
 
 def _expect_residual(expect: Expect, actual):
     if expect.kind in ("point", "line"):
@@ -457,7 +511,7 @@ def run_document(doc: ScenarioDocument) -> List[CheckReport]:
     """The main check's report, plus one expect report when the document pins
     witnesses.  A pinned witness that disagrees makes the expect report
     VIOLATED with the exact residual."""
-    reports = [_main_report(doc)]
+    reports = [CLAIMS[doc.check].run(doc)]
     if not doc.expects:
         return reports
 

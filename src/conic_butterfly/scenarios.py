@@ -1,7 +1,9 @@
 """Named butterfly configurations and their seeded random generation.
 
 A scenario bundles the conic with every named point of the statement
-(a, b, m, the two chords, and the derived meets and harmonic conjugate).
+(a, b, m, the two chords, and the derived meets and harmonic conjugate),
+under the names of its flavour: the projective butterfly (damn) or its
+real-plane form (cutl).
 Construction validates all memberships and incidences and classifies the
 exceptional positions as degenerate rather than raising, because the
 randomized campaigns will occasionally land on them.
@@ -15,7 +17,7 @@ budget, and exhausting the budget is reported distinctly.
 from __future__ import annotations
 
 from random import Random
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from ._linalg import add_vec, cross, scale_vec
 from .conics import (
@@ -95,59 +97,67 @@ def affine_spec_from_conic(conic: Conic) -> AffineConicSpec:
 
 
 # ----------------------------------------------------------------------
-# scenario containers
+# the butterfly, in its two flavours
+
+
+class Flavour(NamedTuple):
+    """What the projective butterfly (damn) and its real-plane form (cutl)
+    differ in: the names of the seven inputs and three derived points, the
+    crosswise joins whose meets with ab are the derived d1 and d2, the
+    argument order of the cross-ratio, and whether coordinates must be real.
+
+    `derived` is (d1, d2, conj), where conj is the harmonic conjugate of m in
+    {a, b}; `ratio` names the four cross-ratio arguments.  Both flavours
+    reflect d1 across the polar of conj and compare it with d2.
+    """
+
+    claim: str
+    inputs: tuple
+    derived: tuple
+    crosswise: tuple
+    ratio: tuple
+    real: bool
+
+
+FLAVOURS = {f.claim: f for f in (
+    Flavour("damn", ("a", "b", "m", "r", "s", "f", "g"), ("i", "j", "p"),
+            (("r", "g"), ("f", "s")), ("p", "j", "m", "i"), real=False),
+    Flavour("cutl", ("a", "b", "m", "r", "s", "u", "v"), ("p", "q", "m'"),
+            (("r", "u"), ("s", "v")), ("m'", "p", "m", "q"), real=True),
+)}
+
+
+def _flavour(kind: str) -> Flavour:
+    try:
+        return FLAVOURS[kind]
+    except KeyError:
+        raise ValueError(f"unknown scenario kind {kind!r}") from None
 
 
 class ButterflyScenario:
     """Conic, chord ab with interior point m, two chords through m, and the
-    derived points i = rg^ab, j = fs^ab, p = harmonic conjugate of m in {a, b}.
+    derived points: two crosswise meets with ab and the harmonic conjugate
+    of m in {a, b}.  `points` holds them all under the flavour's names.
 
-    `degenerate_reason` is set (and i, j left None) when the configuration
-    collapses; checks turn that into a DEGENERATE verdict.
+    `degenerate_reason` is set (and the crosswise meets left out) when the
+    configuration collapses; checks turn that into a DEGENERATE verdict.
     """
 
-    __slots__ = ("conic", "a", "b", "m", "r", "s", "f", "g",
-                 "i", "j", "p", "degenerate_reason", "field")
+    __slots__ = ("flavour", "conic", "points", "degenerate_reason", "field")
 
-    def __init__(self, conic, a, b, m, r, s, f, g, i, j, p, degenerate_reason):
+    def __init__(self, flavour, conic, points, degenerate_reason):
+        self.flavour = flavour
         self.conic = conic
-        self.a, self.b, self.m = a, b, m
-        self.r, self.s, self.f, self.g = r, s, f, g
-        self.i, self.j, self.p = i, j, p
+        self.points = points
         self.degenerate_reason = degenerate_reason
         self.field = conic.field
 
     def inputs(self) -> Tuple[tuple, ...]:
-        return (("a", self.a), ("b", self.b), ("m", self.m),
-                ("r", self.r), ("s", self.s), ("f", self.f), ("g", self.g))
+        return tuple((n, self.points[n]) for n in self.flavour.inputs)
 
     def transform(self, t: Projectivity) -> "ButterflyScenario":
-        return build_scenario(
-            transform_conic(t, self.conic),
-            t.apply(self.a), t.apply(self.b), t.apply(self.m),
-            t.apply(self.r), t.apply(self.s), t.apply(self.f), t.apply(self.g),
-        )
-
-
-class PlanarScenario:
-    """The real-plane variant: chords (r, s) and (u, v) through m, with
-    p = ru^ab, q = sv^ab and m' the harmonic conjugate of m in {a, b}."""
-
-    __slots__ = ("spec", "conic", "a", "b", "m", "r", "s", "u", "v",
-                 "p", "q", "m_prime", "degenerate_reason", "field")
-
-    def __init__(self, spec, conic, a, b, m, r, s, u, v, p, q, m_prime, degenerate_reason):
-        self.spec = spec
-        self.conic = conic
-        self.a, self.b, self.m = a, b, m
-        self.r, self.s, self.u, self.v = r, s, u, v
-        self.p, self.q, self.m_prime = p, q, m_prime
-        self.degenerate_reason = degenerate_reason
-        self.field = conic.field
-
-    def inputs(self) -> Tuple[tuple, ...]:
-        return (("a", self.a), ("b", self.b), ("m", self.m),
-                ("r", self.r), ("s", self.s), ("u", self.u), ("v", self.v))
+        return build_scenario(transform_conic(t, self.conic),
+                              *(t.apply(w) for _, w in self.inputs()), kind=self.flavour.claim)
 
 
 def _validate_chord(conic, end1, end2, m, label: str) -> Tuple[Optional[ProjLine], Optional[str]]:
@@ -164,7 +174,24 @@ def _validate_chord(conic, end1, end2, m, label: str) -> Tuple[Optional[ProjLine
     return chord, None
 
 
-def build_scenario(conic: Conic, a, b, m, r, s, f, g) -> ButterflyScenario:
+def build_scenario(conic: Conic, a, b, m, r, s, c, d, *, kind: str = "damn") -> ButterflyScenario:
+    """Validate a butterfly of flavour `kind`, whose second chord is (c, d).
+
+    A real-plane (cutl) scenario needs real coordinates, and its conic is
+    rebuilt from its affine coefficients."""
+    flavour = _flavour(kind)
+    if flavour.real:
+        conic = homogenize_affine_conic(affine_spec_from_conic(conic))
+    return _build_scenario(flavour, conic, (a, b, m, r, s, c, d))
+
+
+def _build_scenario(flavour: Flavour, conic: Conic, given: tuple) -> ButterflyScenario:
+    names = flavour.inputs
+    a, b, m, r, s, c, d = given
+    if flavour.real:
+        for name, w in zip(names, given):
+            if not w.is_real():
+                raise ProjectiveError(f"planar scenario requires real coordinates, but {name} = {w}")
     for w in (a, b):
         if not conic.contains(w):
             raise ProjectiveError(f"{w} is not on the conic")
@@ -177,59 +204,24 @@ def build_scenario(conic: Conic, a, b, m, r, s, f, g) -> ButterflyScenario:
         raise ProjectiveError("m must lie on the chord ab")
 
     rs, reason = _validate_chord(conic, r, s, m, "(r,s)")
-    fg = None
+    cd = None
     if reason is None:
-        fg, reason = _validate_chord(conic, f, g, m, "(f,g)")
-    p = harmonic_conjugate(a, b, m)
+        cd, reason = _validate_chord(conic, c, d, m, f"({names[5]},{names[6]})")
+    points = dict(zip(names, given))
+    points[flavour.derived[2]] = harmonic_conjugate(a, b, m)
     if reason is None:
-        if rs == ab or fg == ab:
+        if rs == ab or cd == ab:
             reason = "chord coincides with ab"
-        elif rs == fg:
+        elif rs == cd:
             reason = "coincident chords"
-    i = j = None
     if reason is None:
         try:
-            i = meet(join(r, g), ab)
-            j = meet(join(f, s), ab)
+            meets = [meet(join(points[e1], points[e2]), ab) for e1, e2 in flavour.crosswise]
         except DegenerateInputError:
             reason = "derived meet undefined"
-    return ButterflyScenario(conic, a, b, m, r, s, f, g, i, j, p, reason)
-
-
-def build_planar_scenario(spec: AffineConicSpec, a, b, m, r, s, u, v) -> PlanarScenario:
-    conic = homogenize_affine_conic(spec)
-    for name, w in (("a", a), ("b", b), ("m", m), ("r", r), ("s", s), ("u", u), ("v", v)):
-        if not w.is_real():
-            raise ProjectiveError(f"planar scenario requires real coordinates, but {name} = {w}")
-    for w in (a, b):
-        if not conic.contains(w):
-            raise ProjectiveError(f"{w} is not on the conic")
-    if a == b:
-        raise DegenerateInputError("a and b must be distinct")
-    if m == a or m == b:
-        raise ProjectiveError("m must differ from a and b")
-    ab = join(a, b)
-    if not incident(m, ab):
-        raise ProjectiveError("m must lie on the chord ab")
-
-    rs, reason = _validate_chord(conic, r, s, m, "(r,s)")
-    uv = None
-    if reason is None:
-        uv, reason = _validate_chord(conic, u, v, m, "(u,v)")
-    m_prime = harmonic_conjugate(a, b, m)
-    if reason is None:
-        if rs == ab or uv == ab:
-            reason = "chord coincides with ab"
-        elif rs == uv:
-            reason = "coincident chords"
-    p = q = None
-    if reason is None:
-        try:
-            p = meet(join(r, u), ab)
-            q = meet(join(s, v), ab)
-        except DegenerateInputError:
-            reason = "derived meet undefined"
-    return PlanarScenario(spec, conic, a, b, m, r, s, u, v, p, q, m_prime, reason)
+        else:
+            points.update(zip(flavour.derived, meets))
+    return ButterflyScenario(flavour, conic, points, reason)
 
 
 # ----------------------------------------------------------------------
@@ -295,64 +287,29 @@ def _chord_through(par: ConicParametrization, m: ProjPoint,
         return end1, end2
 
 
-def random_butterfly_scenario(rng: Random, field=GaussianRational, height_bound: int = 10,
-                              *, real: bool = False, budget: Optional[RetryBudget] = None) -> ButterflyScenario:
+def random_scenario(rng: Random, field=GaussianRational, height_bound: int = 10,
+                    *, kind: str = "damn", budget: Optional[RetryBudget] = None) -> ButterflyScenario:
+    """A random butterfly of flavour `kind`: 'damn' draws over the full
+    complex field, 'cutl' draws a real-plane configuration."""
+    flavour = _flavour(kind)
+    real = flavour.real
+    if real and field is not GaussianRational:
+        raise ProjectiveError("planar scenarios require the exact Gaussian backend")
     budget = budget if budget is not None else RetryBudget()
     conic, base = random_conic(rng, field, height_bound, real=real, budget=budget)
+    if real:
+        conic = homogenize_affine_conic(affine_spec_from_conic(conic))
     par = ConicParametrization(conic, base)
     a = _random_conic_point(par, rng, height_bound, budget, real=real)
     b = _random_conic_point(par, rng, height_bound, budget, real=real, avoid=(a,))
     mu = _random_nonzero(rng, field, height_bound, budget, real=real)
     m = ProjPoint(add_vec(a.coords, scale_vec(mu, b.coords)), field)
     r, s = _chord_through(par, m, rng, height_bound, budget, real=real, avoid=(a, b))
-    f, g = _chord_through(par, m, rng, height_bound, budget, real=real, avoid=(a, b, r, s))
-    scenario = build_scenario(conic, a, b, m, r, s, f, g)
+    c, d = _chord_through(par, m, rng, height_bound, budget, real=real, avoid=(a, b, r, s))
+    scenario = _build_scenario(flavour, conic, (a, b, m, r, s, c, d))
     if scenario.degenerate_reason is not None:
         raise AssertionError(f"generator produced a degenerate scenario: {scenario.degenerate_reason}")
     return scenario
-
-
-def random_planar_scenario(rng: Random, field=GaussianRational, height_bound: int = 10,
-                           *, spec: Optional[AffineConicSpec] = None,
-                           base: Optional[ProjPoint] = None,
-                           budget: Optional[RetryBudget] = None) -> PlanarScenario:
-    """A real scenario; without an explicit spec, a random real conic is used."""
-    budget = budget if budget is not None else RetryBudget()
-    if spec is None:
-        conic, base = random_conic(rng, GaussianRational, height_bound, real=True, budget=budget)
-        spec = affine_spec_from_conic(conic)
-        conic = homogenize_affine_conic(spec)
-    else:
-        conic = homogenize_affine_conic(spec)
-        if base is None:
-            raise ProjectiveError("an explicit spec needs a known rational base point")
-        if not conic.contains(base):
-            raise ProjectiveError("base point is not on the conic")
-    field = spec.field
-    par = ConicParametrization(conic, base)
-    a = _random_conic_point(par, rng, height_bound, budget, real=True)
-    b = _random_conic_point(par, rng, height_bound, budget, real=True, avoid=(a,))
-    mu = _random_nonzero(rng, field, height_bound, budget, real=True)
-    m = ProjPoint(add_vec(a.coords, scale_vec(mu, b.coords)), field)
-    r, s = _chord_through(par, m, rng, height_bound, budget, real=True, avoid=(a, b))
-    u, v = _chord_through(par, m, rng, height_bound, budget, real=True, avoid=(a, b, r, s))
-    scenario = build_planar_scenario(spec, a, b, m, r, s, u, v)
-    if scenario.degenerate_reason is not None:
-        raise AssertionError(f"generator produced a degenerate scenario: {scenario.degenerate_reason}")
-    return scenario
-
-
-def random_scenario(rng: Random, field=GaussianRational, height_bound: int = 10,
-                    *, kind: str = "damn", budget: Optional[RetryBudget] = None):
-    """Dispatch on the theorem flavor: 'damn' draws over the full complex
-    field, 'cutl' draws a real-plane configuration."""
-    if kind == "damn":
-        return random_butterfly_scenario(rng, field, height_bound, budget=budget)
-    if kind == "cutl":
-        if field is not GaussianRational:
-            raise ProjectiveError("planar scenarios require the exact Gaussian backend")
-        return random_planar_scenario(rng, field, height_bound, budget=budget)
-    raise ValueError(f"unknown scenario kind {kind!r}")
 
 
 # ----------------------------------------------------------------------

@@ -36,13 +36,11 @@ from conic_butterfly.projective import (
     meet,
 )
 from conic_butterfly.reflection import ReflectionFrame
-from conic_butterfly.reports import CLAIM_ORDER, Verdict
+from conic_butterfly.reports import Verdict
 from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
-from conic_butterfly.scenario_io import parse_scenario, run_document
+from conic_butterfly.scenario_io import CLAIM_ORDER, parse_scenario, run_document
 from conic_butterfly.scenarios import (
-    build_planar_scenario,
     build_scenario,
-    random_butterfly_scenario,
     random_hexagon,
     random_jap_inputs,
     random_mono_inputs,
@@ -121,11 +119,11 @@ def test_2_projective_butterfly_sweep(capsys):
 
 def test_3_hyperbola_two_branch_fixture(capsys, fixture_text):
     with criterion(capsys, "3 planar butterfly: hyperbola fixture values exact", 1.0):
-        scenario = build_planar_scenario(
-            AffineConicSpec(1, -1, 0, 0, 0, -1, G),
+        scenario = build_scenario(
+            homogenize_affine_conic(AffineConicSpec(1, -1, 0, 0, 0, -1, G)),
             affine("-5/4", "3/4"), affine("5/4", "3/4"), affine("1/4", "3/4"),
             affine("5/4", "-3/4"), affine("29/20", "-21/20"),
-            affine("13/12", "-5/12"), affine("17/8", "-15/8"),
+            affine("13/12", "-5/12"), affine("17/8", "-15/8"), kind="cutl",
         )
         report = theorem_cutl_check(scenario)
         assert report.verdict is Verdict.HOLDS
@@ -140,18 +138,18 @@ def test_3_hyperbola_two_branch_fixture(capsys, fixture_text):
 
 def test_4_circle_midpoint_corollary(capsys):
     with criterion(capsys, "4 circle midpoint: conjugate ideal, |pm|2 = |qm|2", 1.0):
-        scenario = build_planar_scenario(
-            AffineConicSpec(1, 1, 0, 0, 0, -1, G),
+        scenario = build_scenario(
+            homogenize_affine_conic(AffineConicSpec(1, 1, 0, 0, 0, -1, G)),
             affine("-3/5", "4/5"), affine("3/5", "4/5"), affine(0, "4/5"),
             affine(0, 1), affine(0, -1),
-            affine("4/5", "3/5"), affine("-36/85", "77/85"),
+            affine("4/5", "3/5"), affine("-36/85", "77/85"), kind="cutl",
         )
         report = theorem_cutl_check(scenario)
         assert report.verdict is Verdict.HOLDS
         m_prime = report.witness("m'")
         assert m_prime.to_affine() is None  # m is the midpoint, so m' is ideal
-        assert affine_squared_distance(report.witness("p"), scenario.m) \
-            == affine_squared_distance(report.witness("q"), scenario.m)
+        assert affine_squared_distance(report.witness("p"), scenario.points["m"]) \
+            == affine_squared_distance(report.witness("q"), scenario.points["m"])
 
 
 def test_5_pascal_volume(capsys):
@@ -248,7 +246,7 @@ def test_8_projective_covariance(capsys):
                     affine("4/5", "3/5"), affine("-36/85", "77/85"),
                 )
             else:
-                scenario = random_butterfly_scenario(Random(f"29:{index}"), G, 10)
+                scenario = random_scenario(Random(f"29:{index}"), G, 10)
             t = Projectivity.random(Random(f"31:{index}"), G, 6)
             before = theorem_damn_check(scenario)
             after = theorem_damn_check(scenario.transform(t))

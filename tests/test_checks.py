@@ -23,16 +23,14 @@ from conic_butterfly.projective import (
 from conic_butterfly.reports import Verdict
 from conic_butterfly.scalars import GaussianRational
 from conic_butterfly.scenarios import (
-    build_planar_scenario,
     build_scenario,
-    random_butterfly_scenario,
     random_hexagon,
     random_jap_inputs,
     random_mono_inputs,
     random_nut_inputs,
-    random_planar_scenario,
     random_reflection_frame,
     random_sack_inputs,
+    random_scenario,
 )
 
 G = GaussianRational
@@ -202,7 +200,7 @@ class TestDamn:
 
     def test_random_holds(self):
         for seed in range(5):
-            scenario = random_butterfly_scenario(Random(seed), height_bound=6)
+            scenario = random_scenario(Random(seed), height_bound=6)
             report = theorem_damn_check(scenario)
             assert report.verdict is Verdict.HOLDS
 
@@ -230,7 +228,7 @@ class TestDamn:
         assert report.verdict is Verdict.DEGENERATE
 
     def test_transform_covariance(self):
-        scenario = random_butterfly_scenario(Random(5), height_bound=5)
+        scenario = random_scenario(Random(5), height_bound=5)
         before = theorem_damn_check(scenario)
         moved = scenario.transform(Projectivity.random(Random(6), G, 5))
         after = theorem_damn_check(moved)
@@ -240,11 +238,11 @@ class TestDamn:
 
 class TestCutl:
     def test_hyperbola_fixture_values(self):
-        scenario = build_planar_scenario(
-            HYPERBOLA,
+        scenario = build_scenario(
+            homogenize_affine_conic(HYPERBOLA),
             affine("-5/4", "3/4"), affine("5/4", "3/4"), affine("1/4", "3/4"),
             affine("5/4", "-3/4"), affine("29/20", "-21/20"),
-            affine("13/12", "-5/12"), affine("17/8", "-15/8"),
+            affine("13/12", "-5/12"), affine("17/8", "-15/8"), kind="cutl",
         )
         report = theorem_cutl_check(scenario)
         assert report.verdict is Verdict.HOLDS
@@ -256,33 +254,33 @@ class TestCutl:
 
     def test_random_holds(self):
         for seed in range(4):
-            scenario = random_planar_scenario(Random(seed), height_bound=6)
+            scenario = random_scenario(Random(seed), height_bound=6, kind="cutl")
             report = theorem_cutl_check(scenario)
             assert report.verdict is Verdict.HOLDS
 
     def test_midpoint_makes_harmonic_conjugate_ideal(self):
-        scenario = build_planar_scenario(
-            CIRCLE,
+        scenario = build_scenario(
+            homogenize_affine_conic(CIRCLE),
             affine("-3/5", "4/5"), affine("3/5", "4/5"), affine(0, "4/5"),
             affine(0, 1), affine(0, -1),
-            affine("4/5", "3/5"), affine("-36/85", "77/85"),
+            affine("4/5", "3/5"), affine("-36/85", "77/85"), kind="cutl",
         )
         report = theorem_cutl_check(scenario)
         assert report.verdict is Verdict.HOLDS
         m_prime = report.witness("m'")
         assert m_prime.to_affine() is None
-        d1 = affine_squared_distance(report.witness("p"), scenario.m)
-        d2 = affine_squared_distance(report.witness("q"), scenario.m)
+        d1 = affine_squared_distance(report.witness("p"), scenario.points["m"])
+        d2 = affine_squared_distance(report.witness("q"), scenario.points["m"])
         assert d1 == d2
 
     def test_complex_inputs_rejected(self):
         i = G(0, 1)
         with pytest.raises(ProjectiveError):
-            build_planar_scenario(
-                CIRCLE,
+            build_scenario(
+                homogenize_affine_conic(CIRCLE),
                 pt(i, 0, 1), affine("3/5", "4/5"), affine(0, "4/5"),
                 affine(0, 1), affine(0, -1),
-                affine("4/5", "3/5"), affine("-36/85", "77/85"),
+                affine("4/5", "3/5"), affine("-36/85", "77/85"), kind="cutl",
             )
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from conic_butterfly import fuzz
 from conic_butterfly.fuzz import CampaignConfig, CampaignCounts, run_campaign
-from conic_butterfly.reports import CLAIM_ORDER, CheckReport, Verdict
-from conic_butterfly.scenario_io import parse_scenario, run_document
+from conic_butterfly.reports import CheckReport, Verdict
+from conic_butterfly.scenario_io import CLAIM_ORDER, parse_scenario, run_document
 from conic_butterfly.scenarios import RetryCapError
 
 

@@ -1,10 +1,11 @@
 """Differential tests of the line and chord kernels against older routes.
 
 The kernel reads cross-ratios and harmonic conjugates off single minors at
-one slot of the spanning cross product, and reflects by the harmonic
-homology.  The reference implementations below are the older chain that
-builds the axis with `join`, charts every point with `line_chart`, and
-reflects through `meet` and a charted conjugate.  Both must agree on the
+one slot of the spanning cross product, reflects points by the harmonic
+homology H and lines by its transpose.  The reference implementations below
+are the older chain that builds the axis with `join`, charts every point
+with `line_chart`, reflects points through `meet` and a charted conjugate,
+and reflects a line by joining the images of two of its points.  Both must agree on the
 exact coordinates and scalars, not just up to scale, and must raise the
 same exception with the same message.  The reference tests coincidence
 with the full cross product, so it does not share `_Triple.__eq__`.
@@ -100,6 +101,29 @@ def ref_reflect_point(frame, y):
         return y
     n = meet(frame.axis, join(frame.pole, y))
     return ref_harmonic_conjugate(frame.pole, n, y)
+
+
+def ref_reflect_line(frame, l):
+    """The sampled construction: reflect two coordinate-frame points of l and
+    join the images, cross-checked on a third point of l."""
+    if incident(frame.pole, l):
+        return l
+    one, zero = l.field.one(), l.field.zero()
+    samples = []
+    for e in ((one, zero, zero), (zero, one, zero), (zero, zero, one)):
+        c = cross(l.coords, e)
+        if all(x.is_zero() for x in c):
+            continue
+        q = ProjPoint(c, l.field)
+        if q not in samples:
+            samples.append(q)
+        if len(samples) == 2:
+            break
+    p1, p2 = samples
+    out = join(ref_reflect_point(frame, p1), ref_reflect_point(frame, p2))
+    p3 = ProjPoint(tuple(a + b for a, b in zip(p1.coords, p2.coords)), l.field)
+    assert incident(ref_reflect_point(frame, p3), out)
+    return out
 
 
 def ref_second_intersection(conic, l, known):
@@ -254,6 +278,29 @@ def frames_and_points(field):
     return build()
 
 
+def frames_and_lines(field):
+    """A reflection frame with a line that is random, the axis, through the
+    pole, or a coordinate line."""
+
+    @st.composite
+    def build(draw):
+        frame, _par = random_reflection_frame(Random(draw(st.integers(0, 2**32))), field, 8)
+        kind = draw(st.sampled_from(("free", "free", "axis", "pencil", "coordinate")))
+        if kind == "axis":
+            return frame, frame.axis
+        if kind == "pencil":
+            w = draw(points(field))
+            assume(not _same(w, frame.pole))
+            return frame, join(frame.pole, w)
+        if kind == "coordinate":
+            slot = draw(st.integers(0, 2))
+            return frame, ProjLine(tuple(field.one() if i == slot else field.zero()
+                                         for i in range(3)), field)
+        return frame, ProjLine(draw(points(field)).coords, field)
+
+    return build()
+
+
 # ----------------------------------------------------------------------
 # cross-ratio and harmonic conjugate
 
@@ -348,6 +395,16 @@ def test_homology_is_an_exact_involution(field, data):
     image = frame.reflect_point(y)
     assert image == ProjPoint(matvec(h, y.coords), field)
     assert frame.reflect_point(image) == y
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_reflect_line_matches_sampled_construction(field, data):
+    frame, l = data.draw(frames_and_lines(field))
+    image = frame.reflect_line(l)
+    assert image == ref_reflect_line(frame, l)
+    assert frame.reflect_line(image) == l
 
 
 # ----------------------------------------------------------------------

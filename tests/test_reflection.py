@@ -14,7 +14,7 @@ from conic_butterfly.projective import (
     meet,
 )
 from conic_butterfly.reflection import ReflectionFrame
-from conic_butterfly.scalars import GaussianRational
+from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
 from conic_butterfly.scenarios import random_reflection_frame
 
 G = GaussianRational
@@ -131,13 +131,14 @@ class TestProperties:
             if all(c.is_zero() for c in coords):
                 continue
             l = ProjLine(coords, G)
-            try:
-                assert frame.reflect_line(frame.reflect_line(l)) == l
-            except DegenerateInputError:
-                continue  # sampled line hit the pole of the reflection
+            assert frame.reflect_line(frame.reflect_line(l)) == l
 
     def test_line_reflection_matches_pointwise(self, worked_frame):
         l = join(pt(1, 1, 1), pt(0, 1, 1))
         reflected = worked_frame.reflect_line(l)
         assert incident(worked_frame.reflect_point(pt(1, 1, 1)), reflected)
         assert incident(worked_frame.reflect_point(pt(0, 1, 1)), reflected)
+
+    def test_line_reflection_rejects_mixed_backends(self, worked_frame):
+        with pytest.raises(TypeError, match="cannot mix scalar backends"):
+            worked_frame.reflect_line(ProjLine.parse("(1 : 2 : 3)", PrimeFieldElement))

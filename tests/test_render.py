@@ -8,8 +8,9 @@ from conic_butterfly.conics import Conic
 from conic_butterfly.projective import ProjLine, ProjPoint, ProjectiveError
 from conic_butterfly.render import render_svg
 from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
-from conic_butterfly.scenario_io import ScenarioDocument, parse_scenario, run_document
-from conic_butterfly.scenarios import random_butterfly_scenario
+from conic_butterfly.scenario_io import (ScenarioDocument, claim_document, parse_scenario,
+                                        run_document)
+from conic_butterfly.scenarios import random_scenario
 
 G = GaussianRational
 
@@ -87,10 +88,8 @@ point z (1 : 2 : 3)
 
 
 def test_random_real_scenario_renders():
-    from conic_butterfly.scenario_io import planar_document
-    from conic_butterfly.scenarios import random_planar_scenario
-
-    doc = planar_document(random_planar_scenario(Random(12), height_bound=5))
+    sc = random_scenario(Random(12), height_bound=5, kind="cutl")
+    doc = claim_document("cutl", sc.conic, sc.points)
     svg = render_svg(doc)
     assert count_polylines(svg) >= 1
     for name in ("a", "b", "m", "r", "s", "u", "v"):

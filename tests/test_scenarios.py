@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from conic_butterfly import scenarios
+from conic_butterfly.checks import theorem_damn_check
 from conic_butterfly.conics import AffineConicSpec, ConicParametrization, homogenize_affine_conic
 from conic_butterfly.projective import (
     DegenerateInputError,
@@ -17,18 +18,15 @@ from conic_butterfly.projective import (
 from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
 from conic_butterfly.scenarios import (
     ButterflyScenario,
-    PlanarScenario,
     RetryBudget,
     RetryCapError,
     affine_spec_from_conic,
     build_scenario,
-    random_butterfly_scenario,
     random_conic,
     random_hexagon,
     random_jap_inputs,
     random_mono_inputs,
     random_nut_inputs,
-    random_planar_scenario,
     random_reflection_frame,
     random_sack_inputs,
     random_scenario,
@@ -143,20 +141,21 @@ class TestBuildScenario:
 class TestRandomButterfly:
     def test_structural_invariants(self):
         for seed in range(6):
-            sc = random_butterfly_scenario(Random(seed), height_bound=6)
+            sc = random_scenario(Random(seed), height_bound=6)
             assert sc.degenerate_reason is None
-            for w in (sc.a, sc.b, sc.r, sc.s, sc.f, sc.g):
-                assert sc.conic.contains(w)
-            ab = join(sc.a, sc.b)
-            assert incident(sc.m, ab)
-            assert incident(sc.m, join(sc.r, sc.s))
-            assert incident(sc.m, join(sc.f, sc.g))
-            assert incident(sc.i, ab) and incident(sc.j, ab)
-            assert incident(sc.p, ab)
+            p = sc.points
+            for n in ("a", "b", "r", "s", "f", "g"):
+                assert sc.conic.contains(p[n])
+            ab = join(p["a"], p["b"])
+            assert incident(p["m"], ab)
+            assert incident(p["m"], join(p["r"], p["s"]))
+            assert incident(p["m"], join(p["f"], p["g"]))
+            assert incident(p["i"], ab) and incident(p["j"], ab)
+            assert incident(p["p"], ab)
 
     def test_seeded_determinism(self):
-        one = random_butterfly_scenario(Random(99), height_bound=7)
-        two = random_butterfly_scenario(Random(99), height_bound=7)
+        one = random_scenario(Random(99), height_bound=7)
+        two = random_scenario(Random(99), height_bound=7)
         assert one.conic == two.conic
         assert [w for _n, w in one.inputs()] == [w for _n, w in two.inputs()]
 
@@ -169,47 +168,40 @@ class TestRandomButterfly:
             return max(max(abs(c.a), abs(c.b), c.d).bit_length() for c in w.coords)
 
         for index in range(10):
-            sc = random_butterfly_scenario(Random(f"11:{index}:damn"), G, 50)
-            assert max(raw_bits(sc.s), raw_bits(sc.g)) <= 2 * raw_bits(sc.r)
+            p = random_scenario(Random(f"11:{index}:damn"), G, 50).points
+            assert max(raw_bits(p["s"]), raw_bits(p["g"])) <= 2 * raw_bits(p["r"])
 
     def test_prime_backend(self):
-        sc = random_butterfly_scenario(Random(3), P, height_bound=6)
+        sc = random_scenario(Random(3), P, height_bound=6)
         assert sc.field is P
         assert sc.degenerate_reason is None
-        assert sc.conic.contains(sc.a)
+        assert sc.conic.contains(sc.points["a"])
 
 
 class TestRandomPlanar:
     def test_structural_invariants(self):
         for seed in range(4):
-            sc = random_planar_scenario(Random(seed), height_bound=6)
+            sc = random_scenario(Random(seed), height_bound=6, kind="cutl")
             assert sc.degenerate_reason is None
             for _name, w in sc.inputs():
                 assert w.is_real()
-            assert sc.conic.contains(sc.r) and sc.conic.contains(sc.v)
-            assert incident(sc.m, join(sc.a, sc.b))
-
-    def test_explicit_spec_used(self):
-        base = affine(0, 1)
-        sc = random_planar_scenario(Random(5), height_bound=6, spec=CIRCLE, base=base)
-        assert sc.spec is CIRCLE
-        assert sc.conic == homogenize_affine_conic(CIRCLE)
-
-    def test_explicit_spec_needs_base(self):
-        with pytest.raises(ProjectiveError):
-            random_planar_scenario(Random(5), spec=CIRCLE)
-        with pytest.raises(ProjectiveError):
-            random_planar_scenario(Random(5), spec=CIRCLE, base=affine(2, 2))
+            p = sc.points
+            assert sc.conic.contains(p["r"]) and sc.conic.contains(p["v"])
+            assert incident(p["m"], join(p["a"], p["b"]))
 
 
 class TestDispatch:
     def test_kinds(self):
-        assert isinstance(random_scenario(Random(1), kind="damn"), ButterflyScenario)
-        assert isinstance(random_scenario(Random(1), kind="cutl"), PlanarScenario)
+        for kind in ("damn", "cutl"):
+            sc = random_scenario(Random(1), kind=kind)
+            assert isinstance(sc, ButterflyScenario)
+            assert sc.flavour.claim == kind
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             random_scenario(Random(1), kind="bogus")
+        with pytest.raises(ValueError):
+            build_scenario(homogenize_affine_conic(CIRCLE), *[affine(0, 1)] * 7, kind="bogus")
 
     def test_cutl_rejects_prime_backend(self):
         with pytest.raises(ProjectiveError):
@@ -290,3 +282,47 @@ class TestLemmaInputs:
         assert len(set(hexagon)) == 6
         for w in hexagon:
             assert conic.contains(w)
+
+
+# ----------------------------------------------------------------------
+# degenerate reasons name each flavour's own chord labels
+
+_CIRCLE_POINTS = {
+    "a": ("-3/5", "4/5"), "b": ("3/5", "4/5"), "m": (0, "4/5"),
+    "r": (0, 1), "s": (0, -1), "c": ("4/5", "3/5"), "d": ("-36/85", "77/85"),
+}
+
+
+def _build(kind, **moved):
+    """The circle fixture as a `kind` scenario, with some points replaced."""
+    pts = [moved.get(n, affine(*xy)) for n, xy in _CIRCLE_POINTS.items()]
+    return build_scenario(homogenize_affine_conic(CIRCLE), *pts, kind=kind)
+
+
+_LABEL = {"damn": "(f,g)", "cutl": "(u,v)"}
+
+
+@pytest.mark.parametrize("kind", ["damn", "cutl"])
+class TestDegenerateReasons:
+    def test_tangent_second_chord_names_its_label(self, kind):
+        sc = _build(kind, d=affine("4/5", "3/5"))
+        assert sc.degenerate_reason == f"tangent chord {_LABEL[kind]}"
+        report = theorem_damn_check(sc)
+        assert (report.claim, report.reason) == (kind, f"tangent chord {_LABEL[kind]}")
+
+    def test_tangent_first_chord(self, kind):
+        assert _build(kind, s=affine(0, 1)).degenerate_reason == "tangent chord (r,s)"
+
+    def test_coincident_chords(self, kind):
+        sc = _build(kind, c=affine(0, -1), d=affine(0, 1))
+        assert sc.degenerate_reason == "coincident chords"
+
+    def test_chord_along_ab(self, kind):
+        sc = _build(kind, c=affine("-3/5", "4/5"), d=affine("3/5", "4/5"))
+        assert sc.degenerate_reason == "chord coincides with ab"
+
+
+def test_cutl_complex_input_names_the_point():
+    i = G(0, 1)
+    with pytest.raises(ProjectiveError, match=r"requires real coordinates, but r = "):
+        _build("cutl", r=pt(i, 0, 1))
