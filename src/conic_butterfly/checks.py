@@ -15,7 +15,6 @@ the axis), sack (the hexagon collinearity feeding the main proof), pascal
 
 from __future__ import annotations
 
-from ._linalg import cross, dot
 from .conics import Conic
 from .projective import (
     DegenerateInputError,
@@ -33,11 +32,11 @@ from .scenarios import ButterflyScenario
 
 
 def _separation_residual(p, q):
-    """A nonzero cross-product entry witnessing that two objects differ."""
-    for entry in cross(p.coords, q.coords):
-        if not entry.is_zero():
-            return entry
-    raise ValueError("objects coincide; there is no separation residual")
+    """The first nonzero cross-product entry, witnessing that two objects differ."""
+    entry = p.kernels.first_nonzero_minor(p.raw, q.raw)
+    if entry is None:
+        raise ValueError("objects coincide; there is no separation residual")
+    return p.kernels.scalar(entry)
 
 
 def affine_squared_distance(p: ProjPoint, q: ProjPoint):
@@ -129,10 +128,11 @@ def lemma_nut_check(frame: ReflectionFrame, y, z) -> CheckReport:
         return degenerate("nut", "line is its own reflection", witnesses)
     w = meet(yz, ypzp)
     witnesses.append(("yz^y'z'", w))
-    residual = dot(w.coords, frame.axis.coords)
-    if residual.is_zero():
+    k = w.kernels
+    residual = k.dot(w.raw, frame.axis.raw)
+    if k.is_zero(residual):
         return CheckReport("nut", Verdict.HOLDS, witnesses)
-    return CheckReport("nut", Verdict.VIOLATED, witnesses, residual=residual)
+    return CheckReport("nut", Verdict.VIOLATED, witnesses, residual=k.scalar(residual))
 
 
 def lemma_sack_check(frame: ReflectionFrame, m, r, s) -> CheckReport:

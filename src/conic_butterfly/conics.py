@@ -11,20 +11,20 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ._linalg import (adjugate, bilinear, combine, combine3, cross, det_mat3, dot, matmul, matvec,
-                      normalize, nullspace, proportional, quad_form, transpose)
+from ._linalg import normalize, nullspace
 from .projective import (
     DegenerateInputError,
     ProjectiveError,
     ProjLine,
     ProjPoint,
     Projectivity,
-    _infer_field,
+    _cofactors,
+    _coerced,
     _require_same_field,
     incident,
     join,
 )
-from .scalars import GaussianRational
+from .scalars import GaussianRational, Kernels, thirds
 
 
 class DegenerateConicError(ProjectiveError):
@@ -38,27 +38,35 @@ class DegenerateConicError(ProjectiveError):
 class Conic:
     """A nondegenerate conic, stored as a reduced symmetric matrix up to scale."""
 
-    __slots__ = ("form", "field", "det")
+    __slots__ = ("raw", "kernels", "det")
 
     def __init__(self, rows, field=None):
-        rows = tuple(tuple(r) for r in rows)
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ProjectiveError("a conic needs a 3x3 symmetric matrix")
-        flat = tuple(e for r in rows for e in r)
-        if field is None:
-            field = _infer_field(flat)
-        flat = tuple(field.coerce(e) for e in flat)
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            if flat[3 * i + j] != flat[3 * j + i]:
+        """`rows` are three rows of scalars, or, when `field` is a kernel
+        table, the flat raw tuple of the three rows of a symmetric form."""
+        k = field
+        if type(k) is not Kernels:
+            rows = tuple(tuple(r) for r in rows)
+            if len(rows) != 3 or any(len(r) != 3 for r in rows):
+                raise ProjectiveError("a conic needs a 3x3 symmetric matrix")
+            k, flat = _coerced(sum(rows, ()), field)
+            if any(flat[3 * i + j] != flat[3 * j + i] for i, j in ((0, 1), (0, 2), (1, 2))):
                 raise ProjectiveError("conic matrix must be symmetric")
-        flat = field.reduce_content(flat)
-        form = (flat[0:3], flat[3:6], flat[6:9])
-        d = det_mat3(form)
-        if d.is_zero():
-            raise DegenerateConicError("degenerate conic (zero determinant)", witness=d)
-        self.form = form
-        self.field = field
-        self.det = d
+            rows = k.pack(flat)
+        form = thirds(k.reduce_content(rows))
+        d = k.dot(form[0], k.cross(form[1], form[2]))
+        if k.is_zero(d):
+            raise DegenerateConicError("degenerate conic (zero determinant)", witness=k.scalar(d))
+        self.raw = form
+        self.kernels = k
+        self.det = k.scalar(d)
+
+    @property
+    def form(self) -> tuple:
+        return tuple(map(self.kernels.unpack, self.raw))
+
+    @property
+    def field(self):
+        return self.kernels.field
 
     @classmethod
     def from_upper_entries(cls, entries: Sequence, field=None) -> "Conic":
@@ -74,21 +82,24 @@ class Conic:
 
     # ------------------------------------------------------------------
     def membership_residual(self, p: ProjPoint):
-        return quad_form(self.form, p.coords)
+        _require_same_field(self, p)
+        return self.kernels.scalar(self.kernels.quad_form(self.raw, p.raw))
 
     def contains(self, p: ProjPoint) -> bool:
         _require_same_field(self, p)
-        return self.membership_residual(p).is_zero()
+        k = self.kernels
+        return k.is_zero(k.quad_form(self.raw, p.raw))
 
     def polar(self, p: ProjPoint) -> ProjLine:
         """The polar line M*p; for p on the conic this is the tangent."""
         _require_same_field(self, p)
-        return ProjLine(matvec(self.form, p.coords), self.field)
+        return ProjLine(self.kernels.matvec(self.raw, p.raw), self.kernels)
 
     def pole(self, l: ProjLine) -> ProjPoint:
-        """The pole adj(M)*l, inverse of `polar` up to scale."""
+        """The pole adj(M)*l, inverse of `polar` up to scale; adj(M) is
+        symmetric, so its rows are the cofactor columns."""
         _require_same_field(self, l)
-        return ProjPoint(matvec(adjugate(self.form), l.coords), self.field)
+        return ProjPoint(self.kernels.matvec(_cofactors(self), l.raw), self.kernels)
 
     def tangent_at(self, p: ProjPoint) -> ProjLine:
         if not self.contains(p):
@@ -105,10 +116,11 @@ class Conic:
     def __eq__(self, other):
         if not isinstance(other, Conic):
             return NotImplemented
-        return proportional(sum(self.form, ()), sum(other.form, ()))
+        _require_same_field(self, other)
+        return self.kernels.proportional(sum(self.raw, ()), sum(other.raw, ()))
 
     def __hash__(self):
-        return hash(("conic",) + normalize(sum(self.form, ())))
+        return hash(("conic",) + self.kernels.normalize(sum(self.raw, ())))
 
     def __str__(self):
         return "[" + ", ".join(str(e) for e in normalize(self.upper_entries())) + "]"
@@ -153,14 +165,12 @@ def conic_through_five(points: Sequence[ProjPoint]) -> Conic:
 
 def _second_point_on(l: ProjLine, known: ProjPoint) -> ProjPoint:
     """Any point of l distinct from `known`, picked deterministically."""
-    field = l.field
-    one, zero = field.one(), field.zero()
-    basis = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
-    for e in basis:
-        c = cross(l.coords, e)
-        if all(v.is_zero() for v in c):
+    k = l.kernels
+    for e in k.units:
+        c = k.cross(l.raw, e)
+        if not any(c):
             continue
-        q = ProjPoint(c, field)
+        q = ProjPoint(c, k)
         if q != known:
             return q
     raise ProjectiveError("could not find a second point on the line")
@@ -177,14 +187,15 @@ def second_intersection(conic: Conic, l: ProjLine, known: ProjPoint) -> ProjPoin
         raise ProjectiveError("known point must lie on the line")
     if not conic.contains(known):
         raise ProjectiveError("known point must lie on the conic")
+    k = conic.kernels
     b = _second_point_on(l, known)
-    q = quad_form(conic.form, b.coords)
-    if q.is_zero():
+    q = k.quad_form(conic.raw, b.raw)
+    if k.is_zero(q):
         return b
-    m = bilinear(conic.form, known.coords, b.coords)
-    if m.is_zero():
+    m = k.dot(known.raw, k.matvec(conic.raw, b.raw))
+    if k.is_zero(m):
         return known
-    out = ProjPoint(combine(q, known.coords, m + m, b.coords), conic.field)
+    out = ProjPoint(k.combine(q, known.raw, k.add(m, m), b.raw), k)
     if not conic.contains(out):
         raise AssertionError("second intersection left the conic; arithmetic bug")
     return out
@@ -218,10 +229,16 @@ class ConicParametrization:
     factor of alpha, beta and gamma.  Dividing it out keeps the partner, and
     so point(partner), at the chart's own size; for Gaussian scenarios this
     avoids the large non-rational common factor that `second_intersection`
-    leaves in its output.  kappa^-1 is computed on the first `partner` call.
-    The mono generator keeps `second_intersection`: its converse point is
-    built from y''s raw coordinates, so a different representative would
-    change the drawn document.
+    leaves in its output.  The partner is multiplied by kernels.inv(kappa)
+    (a Gaussian kappa's conjugate, computed on the first `partner` call) and
+    returned with its rational content divided out.  The mono generator
+    keeps `second_intersection`: its converse point is built from y''s raw
+    coordinates, so a different representative would change the document.
+
+    Vectors, kappa and parameters are held raw; the public methods take and
+    return scalars.  A Gaussian parameter is cleared to Gaussian integers of
+    the same ratio, which scales the point by a positive rational that
+    ProjPoint's content reduction removes.
     """
 
     __slots__ = ("conic", "base", "l0", "l1", "_coefficients", "_kappa_inv")
@@ -232,75 +249,65 @@ class ConicParametrization:
         self.conic = conic
         self.base = base
         self.l1 = conic.tangent_at(base)
-        field = conic.field
-        one, zero = field.one(), field.zero()
-        k = next(i for i, c in enumerate(self.l1.coords) if not c.is_zero())
-        e = tuple(one if i == k else zero for i in range(3))
-        self.l0 = join(base, ProjPoint(e, field))
+        k = conic.kernels
+        self.l0 = join(base, ProjPoint(k.units[k.lead(self.l1.raw)], k))
         self._coefficients = None
         self._kappa_inv = None
 
     def point_coefficients(self) -> tuple:
         """The three coefficient vectors (A2, A1, A0) of the point map."""
+        return tuple(map(self.conic.kernels.unpack, self._raw_coefficients()))
+
+    def _raw_coefficients(self) -> tuple:
         if self._coefficients is None:
             self._coefficients = self._build_coefficients()
         return self._coefficients
 
     def _build_coefficients(self) -> tuple:
-        field = self.conic.field
-        one, zero = field.one(), field.zero()
-        b = self.base.coords
+        k = self.conic.kernels
+        b = self.base.raw
         # coordinate line e_j with base[j] != 0, so d(t) is never the base
-        j = next(i for i, c in enumerate(b) if not c.is_zero())
-        ej = tuple(one if i == j else zero for i in range(3))
-        d1 = cross(self.l1.coords, ej)
-        d0 = cross(self.l0.coords, ej)
-        form = self.conic.form
-        v1 = matvec(form, d1)
-        v0 = matvec(form, d0)
-        q2 = dot(d1, v1)
-        q1 = dot(d0, v1)
-        q1 = q1 + q1
-        q0 = dot(d0, v0)
-        m1 = dot(b, v1)
-        m1 = m1 + m1
-        m0 = dot(b, v0)
-        m0 = m0 + m0
-        a2 = combine(q2, b, m1, d1)
-        a1 = combine3(q1, b, -m1, d0, -m0, d1)
-        a0 = combine(q0, b, m0, d0)
+        ej = k.units[k.lead(b)]
+        d1 = k.cross(self.l1.raw, ej)
+        d0 = k.cross(self.l0.raw, ej)
+        form = self.conic.raw
+        v1 = k.matvec(form, d1)
+        v0 = k.matvec(form, d0)
+        q2 = k.dot(d1, v1)
+        q1 = k.dot(d0, v1)
+        q0 = k.dot(d0, v0)
+        m1 = k.dot(b, v1)
+        m1 = k.add(m1, m1)
+        m0 = k.dot(b, v0)
+        m0 = k.add(m0, m0)
+        a2 = k.combine(q2, b, m1, d1)
+        a1 = k.combine3(k.add(q1, q1), b, k.neg(m1), d0, k.neg(m0), d1)
+        a0 = k.combine(q0, b, m0, d0)
         # one shared content factor: the three vectors must keep their relative scale
-        flat = field.reduce_content(a2 + a1 + a0)
-        return (flat[0:3], flat[3:6], flat[6:9])
+        return thirds(k.reduce_content(a2 + a1 + a0))
 
     def _as_pair(self, t) -> tuple:
-        if isinstance(t, tuple):
-            t0, t1 = t
-            return (self.conic.field.coerce(t0), self.conic.field.coerce(t1))
-        return (self.conic.field.coerce(t), self.conic.field.one())
+        """The raw pair of a parameter given as a scalar or a homogeneous pair."""
+        field, k = self.conic.field, self.conic.kernels
+        t0, t1 = t if isinstance(t, tuple) else (t, field.one())
+        t0, t1 = k.param(field.coerce(t0), field.coerce(t1))
+        if k.is_zero(t0) and k.is_zero(t1):
+            raise ProjectiveError("(0 : 0) is not a parameter")
+        return t0, t1
 
     def line(self, t) -> ProjLine:
         t0, t1 = self._as_pair(t)
-        if t0.is_zero() and t1.is_zero():
-            raise ProjectiveError("(0 : 0) is not a parameter")
-        coords = tuple(t0 * a + t1 * b for a, b in zip(self.l1.coords, self.l0.coords))
-        return ProjLine(coords, self.conic.field)
+        k = self.conic.kernels
+        return ProjLine(k.combine(t0, self.l1.raw, k.neg(t1), self.l0.raw), k)
 
     def point(self, t) -> ProjPoint:
         t0, t1 = self._as_pair(t)
-        if t0.is_zero() and t1.is_zero():
-            raise ProjectiveError("(0 : 0) is not a parameter")
-        if type(t0) is GaussianRational and (t0.d != 1 or t1.d != 1):
-            # (t0 : t1) times t0.d*t1.d is a pair of Gaussian integers; the point
-            # scales by the positive rational (t0.d*t1.d)^2, which ProjPoint's
-            # content reduction removes
-            t0, t1 = (GaussianRational(t0.a * t1.d, t0.b * t1.d),
-                      GaussianRational(t1.a * t0.d, t1.b * t0.d))
-        a2, a1, a0 = self.point_coefficients()
-        coords = combine3(t0 * t0, a2, t0 * t1, a1, t1 * t1, a0)
-        if all(c.is_zero() for c in coords):
+        k = self.conic.kernels
+        a2, a1, a0 = self._raw_coefficients()
+        coords = k.combine3(k.mul(t0, t0), a2, k.mul(t0, t1), a1, k.mul(t1, t1), a0)
+        if not any(coords):
             raise AssertionError("chart point map gave the zero vector; arithmetic bug")
-        return ProjPoint(coords, self.conic.field)
+        return ProjPoint(coords, k)
 
     def partner(self, t, m: ProjPoint) -> tuple:
         """The parameter of the second conic point on the line through point(t)
@@ -308,16 +315,17 @@ class ConicParametrization:
         tangent at point(t)."""
         _require_same_field(self.conic, m)
         t0, t1 = self._as_pair(t)
-        if t0.is_zero() and t1.is_zero():
-            raise ProjectiveError("(0 : 0) is not a parameter")
-        a2, a1, a0 = self.point_coefficients()
-        form = self.conic.form
+        k = self.conic.kernels
+        a2, a1, a0 = self._raw_coefficients()
+        form = self.conic.raw
         if self._kappa_inv is None:
-            self._kappa_inv = bilinear(form, a2, a0).inv()
-        w = matvec(form, m.coords)
-        k = self._kappa_inv
-        alpha, beta, gamma = dot(a2, w) * k, dot(a1, w) * k, dot(a0, w) * k
-        return (beta * t0 + (gamma + gamma) * t1, -((alpha + alpha) * t0 + beta * t1))
+            self._kappa_inv = k.inv(k.dot(a2, k.matvec(form, a0)))
+        w = k.matvec(form, m.raw)
+        alpha, beta, gamma = k.dot(a2, w), k.dot(a1, w), k.dot(a0, w)
+        add, mul, c = k.add, k.mul, self._kappa_inv
+        u0 = add(mul(beta, t0), mul(add(gamma, gamma), t1))
+        u1 = k.neg(add(mul(add(alpha, alpha), t0), mul(beta, t1)))
+        return tuple(map(k.scalar, k.pair(mul(u0, c), mul(u1, c))))
 
 
 class AffineConicSpec:
@@ -365,8 +373,12 @@ def homogenize_affine_conic(spec: AffineConicSpec) -> Conic:
 
 
 def transform_conic(t: Projectivity, conic: Conic) -> Conic:
-    """Push the conic forward: p on C iff t(p) on the result."""
-    if t.field is not conic.field:
-        raise TypeError("cannot mix scalar backends in one construction")
-    inv = adjugate(t.matrix)
-    return Conic(matmul(transpose(inv), matmul(conic.form, inv)), conic.field)
+    """Push the conic forward: p on C iff t(p) on the result.
+
+    The new form is adj(T)^T M adj(T); with c_j the columns of adj(T), its
+    row i is (c_i . M c_0, c_i . M c_1, c_i . M c_2)."""
+    _require_same_field(t, conic)
+    k = conic.kernels
+    cols = _cofactors(t)
+    images = tuple(k.matvec(conic.raw, c) for c in cols)
+    return Conic(sum((k.matvec(images, c) for c in cols), ()), k)

@@ -22,23 +22,8 @@ from itertools import combinations
 from random import Random
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-from ._linalg import (
-    adjugate,
-    combine,
-    cross,
-    det3,
-    det_mat3,
-    dot,
-    first_nonzero_minor,
-    matmul,
-    matvec,
-    minor,
-    normalize,
-    proportional,
-    scale_vec,
-    transpose,
-)
-from .scalars import GaussianRational, PrimeFieldElement
+from ._linalg import adjugate, cross, det3, matmul, scale_vec, transpose
+from .scalars import GaussianRational, Kernels, PrimeFieldElement, thirds
 
 if TYPE_CHECKING:
     from .scenarios import RetryBudget
@@ -62,48 +47,70 @@ def _infer_field(values):
 
 
 def _require_same_field(a, b) -> None:
-    if a.field is not b.field:
+    if a.kernels is not b.kernels:
         raise TypeError("cannot mix scalar backends in one construction")
 
 
-def _first_nonzero_slot(v):
-    return next((k for k, c in enumerate(v) if not c.is_zero()), None)
+def _coerced(entries: tuple, field) -> tuple:
+    """(kernel table, scalars) of the entries coerced to `field`, which is
+    inferred from the entries when None."""
+    if field is None:
+        field = _infer_field(entries)
+    return field.kernels, tuple(field.coerce(e) for e in entries)
+
+
+def _cofactors(m) -> tuple:
+    """The columns of adj(M) for a matrix object's raw rows: column j is the
+    cross product of the two rows other than j."""
+    k = m.kernels
+    m0, m1, m2 = m.raw
+    return (k.cross(m1, m2), k.cross(m2, m0), k.cross(m0, m1))
 
 
 class _Triple:
-    """Shared plumbing of points and lines: a reduced homogeneous triple."""
+    """Shared plumbing of points and lines: a content-reduced homogeneous
+    triple in the backend's raw form (`raw`), computed on through the
+    backend's kernel table (`kernels`).  `coords` builds the scalars."""
 
-    __slots__ = ("coords", "field")
+    __slots__ = ("raw", "kernels")
 
     def __init__(self, coords: Sequence, field=None):
-        t = type(coords[0]) if type(coords) is tuple and len(coords) == 3 else None
-        if ((t is GaussianRational or t is PrimeFieldElement) and (field is None or field is t)
-                and type(coords[1]) is t and type(coords[2]) is t):
-            field = t  # already typed: nothing to coerce
-        else:
+        """`coords` are three scalars of `field`, which is inferred when None;
+        inside the package `field` may instead be a kernel table, and then
+        `coords` is already that table's raw vector."""
+        k = field
+        if type(k) is not Kernels:
             coords = tuple(coords)
             if len(coords) != 3:
                 raise ProjectiveError(f"expected 3 homogeneous coordinates, got {len(coords)}")
-            if field is None:
-                field = _infer_field(coords)
-            coords = tuple(field.coerce(c) for c in coords)
-        if coords[0].is_zero() and coords[1].is_zero() and coords[2].is_zero():
+            k, coords = _coerced(coords, field)
+            coords = k.pack(coords)
+        raw = k.reduce_content(coords)
+        if not any(raw):
             raise ProjectiveError("(0 : 0 : 0) is not a projective object")
-        self.coords = field.reduce_content(coords)
-        self.field = field
+        self.raw = raw
+        self.kernels = k
+
+    @property
+    def coords(self) -> tuple:
+        return self.kernels.unpack(self.raw)
+
+    @property
+    def field(self):
+        return self.kernels.field
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         _require_same_field(self, other)
-        return first_nonzero_minor(self.coords, other.coords) is None
+        return self.kernels.first_nonzero_minor(self.raw, other.raw) is None
 
     def __hash__(self):
         return hash((type(self).__name__,) + self.canonical())
 
     def canonical(self) -> tuple:
         """Coordinates rescaled so the first nonzero entry is 1."""
-        return normalize(self.coords)
+        return self.kernels.normalize(self.raw)
 
     def conjugate(self):
         return type(self)(tuple(c.conjugate() for c in self.coords), self.field)
@@ -156,23 +163,24 @@ class ProjLine(_Triple):
 
 def incident(p: ProjPoint, l: ProjLine) -> bool:
     _require_same_field(p, l)
-    return dot(p.coords, l.coords).is_zero()
+    k = p.kernels
+    return k.is_zero(k.dot(p.raw, l.raw))
 
 
 def join(p: ProjPoint, q: ProjPoint) -> ProjLine:
     _require_same_field(p, q)
-    coords = cross(p.coords, q.coords)
-    if all(c.is_zero() for c in coords):
+    coords = p.kernels.cross(p.raw, q.raw)
+    if not any(coords):
         raise DegenerateInputError("join of coincident points is undefined")
-    return ProjLine(coords, p.field)
+    return ProjLine(coords, p.kernels)
 
 
 def meet(k: ProjLine, l: ProjLine) -> ProjPoint:
     _require_same_field(k, l)
-    coords = cross(k.coords, l.coords)
-    if all(c.is_zero() for c in coords):
+    coords = k.kernels.cross(k.raw, l.raw)
+    if not any(coords):
         raise DegenerateInputError("meet of coincident lines is undefined")
-    return ProjPoint(coords, k.field)
+    return ProjPoint(coords, k.kernels)
 
 
 def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
@@ -183,7 +191,8 @@ def collinearity_residual(p: ProjPoint, q: ProjPoint, r: ProjPoint):
     """The raw 3x3 determinant; zero iff the points are collinear."""
     _require_same_field(p, q)
     _require_same_field(p, r)
-    return det3(p.coords, q.coords, r.coords)
+    k = p.kernels
+    return k.scalar(k.dot(p.raw, k.cross(q.raw, r.raw)))
 
 
 def line_chart(l: ProjLine, basis: Tuple[ProjPoint, ProjPoint], p: ProjPoint) -> tuple:
@@ -284,28 +293,30 @@ def cross_ratio(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint, p4: ProjPoint) -> C
     points = (p1, p2, p3, p4)
     for q in points[1:]:
         _require_same_field(p1, q)
-    coords = tuple(q.coords for q in points)
+    kern = p1.kernels
+    coords = tuple(q.raw for q in points)
     for i, j in combinations(range(4), 2):
-        n = cross(coords[i], coords[j])
-        k = _first_nonzero_slot(n)
+        n = kern.cross(coords[i], coords[j])
+        k = kern.lead(n)
         if k is not None:
             break
     else:
         raise DegenerateInputError("cross-ratio is undefined with three coincident points")
     for q in range(4):
-        if q != i and q != j and not dot(coords[q], n).is_zero():
+        if q != i and q != j and not kern.is_zero(kern.dot(coords[q], n)):
             raise ProjectiveError("cross-ratio requires four collinear points")
-    c = n[k]
 
     def bracket(x: int, y: int):
-        return c if (x, y) == (i, j) else minor(coords[x], coords[y], k)
+        return kern.minor(coords[x], coords[y], k)
 
-    num = bracket(0, 1) * bracket(2, 3)
-    den = bracket(0, 3) * bracket(2, 1)
-    if num.is_zero() and den.is_zero():
+    mul = kern.mul
+    num = mul(bracket(0, 1), bracket(2, 3))
+    den = mul(bracket(0, 3), bracket(2, 1))
+    if kern.is_zero(num) and kern.is_zero(den):
         raise DegenerateInputError("cross-ratio is undefined with three coincident points")
-    cc = c * c
-    return CrossRatioValue(cc * num, cc * den, p1.field)
+    c = bracket(i, j)
+    cc = mul(c, c)
+    return CrossRatioValue(kern.scalar(mul(cc, num)), kern.scalar(mul(cc, den)), p1.field)
 
 
 def harmonic_conjugate(u: ProjPoint, v: ProjPoint, w: ProjPoint) -> ProjPoint:
@@ -318,17 +329,18 @@ def harmonic_conjugate(u: ProjPoint, v: ProjPoint, w: ProjPoint) -> ProjPoint:
     """
     _require_same_field(u, v)
     _require_same_field(u, w)
-    n = cross(u.coords, v.coords)
-    k = _first_nonzero_slot(n)
+    kern = u.kernels
+    n = kern.cross(u.raw, v.raw)
+    k = kern.lead(n)
     if k is None:
         raise DegenerateInputError("harmonic conjugate needs a distinct reference pair")
-    if not dot(w.coords, n).is_zero():
+    if not kern.is_zero(kern.dot(w.raw, n)):
         raise ProjectiveError("harmonic conjugate requires collinear input")
-    alpha = minor(w.coords, v.coords, k)
-    beta = minor(u.coords, w.coords, k)
-    if alpha.is_zero() or beta.is_zero():
+    alpha = kern.minor(w.raw, v.raw, k)
+    beta = kern.minor(u.raw, w.raw, k)
+    if kern.is_zero(alpha) or kern.is_zero(beta):
         raise DegenerateInputError("harmonic conjugate is undefined at the reference points")
-    return ProjPoint(combine(alpha, u.coords, beta, v.coords), u.field)
+    return ProjPoint(kern.combine(alpha, u.raw, beta, v.raw), kern)
 
 
 def perspectivity(center: ProjPoint, source: ProjLine, target: ProjLine, p: ProjPoint) -> ProjPoint:
@@ -348,31 +360,40 @@ class Projectivity:
     preserved exactly.
     """
 
-    __slots__ = ("matrix", "field")
+    __slots__ = ("raw", "kernels")
 
     def __init__(self, rows, field=None):
-        rows = tuple(tuple(r) for r in rows)
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ProjectiveError("a projectivity needs a 3x3 matrix")
-        flat = tuple(e for r in rows for e in r)
-        if field is None:
-            field = _infer_field(flat)
-        flat = field.reduce_content(tuple(field.coerce(e) for e in flat))
-        matrix = (flat[0:3], flat[3:6], flat[6:9])
-        if det_mat3(matrix).is_zero():
+        """`rows` are three rows of scalars, or, when `field` is a kernel
+        table, the flat raw tuple of the three rows."""
+        k = field
+        if type(k) is not Kernels:
+            rows = tuple(tuple(r) for r in rows)
+            if len(rows) != 3 or any(len(r) != 3 for r in rows):
+                raise ProjectiveError("a projectivity needs a 3x3 matrix")
+            k, rows = _coerced(sum(rows, ()), field)
+            rows = k.pack(rows)
+        matrix = thirds(k.reduce_content(rows))
+        if k.is_zero(k.dot(matrix[0], k.cross(matrix[1], matrix[2]))):
             raise DegenerateInputError("singular matrix is not a projectivity")
-        self.matrix = matrix
-        self.field = field
+        self.raw = matrix
+        self.kernels = k
+
+    @property
+    def matrix(self) -> tuple:
+        return tuple(map(self.kernels.unpack, self.raw))
+
+    @property
+    def field(self):
+        return self.kernels.field
 
     def apply(self, p: ProjPoint) -> ProjPoint:
-        if p.field is not self.field:
-            raise TypeError("cannot mix scalar backends in one construction")
-        return ProjPoint(matvec(self.matrix, p.coords), self.field)
+        _require_same_field(self, p)
+        return ProjPoint(self.kernels.matvec(self.raw, p.raw), self.kernels)
 
     def apply_line(self, l: ProjLine) -> ProjLine:
-        if l.field is not self.field:
-            raise TypeError("cannot mix scalar backends in one construction")
-        return ProjLine(matvec(transpose(adjugate(self.matrix)), l.coords), self.field)
+        """adj(M)^T l: the rows of adj(M)^T are the cofactor columns."""
+        _require_same_field(self, l)
+        return ProjLine(self.kernels.matvec(_cofactors(self), l.raw), self.kernels)
 
     def inverse(self) -> "Projectivity":
         return Projectivity(adjugate(self.matrix), self.field)
@@ -380,17 +401,17 @@ class Projectivity:
     def __matmul__(self, other):
         if not isinstance(other, Projectivity):
             return NotImplemented
-        if other.field is not self.field:
-            raise TypeError("cannot mix scalar backends in one construction")
+        _require_same_field(self, other)
         return Projectivity(matmul(self.matrix, other.matrix), self.field)
 
     def __eq__(self, other):
         if not isinstance(other, Projectivity):
             return NotImplemented
-        return proportional(sum(self.matrix, ()), sum(other.matrix, ()))
+        _require_same_field(self, other)
+        return self.kernels.proportional(sum(self.raw, ()), sum(other.raw, ()))
 
     def __hash__(self):
-        return hash(("projectivity",) + normalize(sum(self.matrix, ())))
+        return hash(("projectivity",) + self.kernels.normalize(sum(self.raw, ())))
 
     def __repr__(self):
         return f"Projectivity({self.matrix!r})"
@@ -437,13 +458,11 @@ class Projectivity:
         Each singular draw ticks `budget` when one is given, so a pathological
         rng surfaces as RetryCapError instead of looping forever.
         """
+        k = field.kernels
         while True:
-            rows = tuple(
-                tuple(field.random(rng, height_bound, real=real) for _ in range(3))
-                for _ in range(3)
-            )
+            entries = tuple(field.random(rng, height_bound, real=real) for _ in range(9))
             try:
-                return cls(rows, field)
+                return cls(k.pack(entries), k)
             except DegenerateInputError:
                 if budget is not None:
                     budget.tick("singular projectivity")

@@ -22,24 +22,25 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._linalg import combine, dot, first_nonzero_minor
 from .conics import Conic
 from .projective import (DegenerateInputError, ProjectiveError, ProjLine, ProjPoint,
                          _require_same_field, incident)
 
 
 class ReflectionFrame:
-    """Axis + pole pair driving the reflection; built from the conic and axis."""
+    """Axis + pole pair driving the reflection; built from the conic and axis.
+
+    `kp` is k.p in the backend's raw form."""
 
     __slots__ = ("conic", "axis", "pole", "u", "v", "kp")
 
     def __init__(self, conic: Conic, axis: ProjLine,
                  u: Optional[ProjPoint] = None, v: Optional[ProjPoint] = None):
-        if axis.field is not conic.field:
-            raise TypeError("cannot mix scalar backends in one construction")
+        _require_same_field(conic, axis)
         pole = conic.pole(axis)
-        kp = dot(axis.coords, pole.coords)
-        if kp.is_zero():
+        k = conic.kernels
+        kp = k.dot(axis.raw, pole.raw)
+        if k.is_zero(kp):
             raise DegenerateInputError("axis is tangent to the conic; the reflection degenerates")
         if (u is None) != (v is None):
             raise ProjectiveError("chord endpoints must be supplied together")
@@ -56,7 +57,7 @@ class ReflectionFrame:
         self.pole = pole
         self.u = u
         self.v = v
-        self.kp = kp  # k.p, nonzero because the axis is not tangent
+        self.kp = kp  # nonzero because the axis is not tangent
 
     def reflect_point(self, y: ProjPoint) -> ProjPoint:
         """H y, scaled by s = the first nonzero slot of cross(p, y).
@@ -64,20 +65,24 @@ class ReflectionFrame:
         s is what tells y from the pole, and it makes the coordinates exactly
         those of the harmonic conjugate of y over (p, meet(k, join(p, y))).
         """
-        s = first_nonzero_minor(self.pole.coords, y.coords)
+        _require_same_field(self.pole, y)
+        k = y.kernels
+        s = k.first_nonzero_minor(self.pole.raw, y.raw)
         if s is None:
             raise DegenerateInputError("reflection is undefined at the pole")
-        ky = dot(self.axis.coords, y.coords)
-        if ky.is_zero():
+        ky = k.dot(self.axis.raw, y.raw)
+        if k.is_zero(ky):
             return y
-        return ProjPoint(combine(s * self.kp, y.coords, s * (ky + ky), self.pole.coords), y.field)
+        return ProjPoint(k.combine(k.mul(s, self.kp), y.raw, k.mul(s, k.add(ky, ky)),
+                                   self.pole.raw), k)
 
     def reflect_line(self, l: ProjLine) -> ProjLine:
         """H^T l = (k.p) l - 2 (p.l) k: lines map by H^-T, which is H^T up to
         scale because H^2 = (k.p)^2 I.  A line through the pole is its own
         image and comes back as it is."""
         _require_same_field(self.pole, l)
-        pl = dot(self.pole.coords, l.coords)
-        if pl.is_zero():
+        k = l.kernels
+        pl = k.dot(self.pole.raw, l.raw)
+        if k.is_zero(pl):
             return l
-        return ProjLine(combine(self.kp, l.coords, pl + pl, self.axis.coords), l.field)
+        return ProjLine(k.combine(self.kp, l.raw, k.add(pl, pl), self.axis.raw), k)

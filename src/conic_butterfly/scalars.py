@@ -5,9 +5,7 @@ Two interchangeable scalar types cover every computation:
 * ``GaussianRational`` -- complex numbers with rational real and imaginary
   parts, stored as one canonical integer triple ``(a, b, d)`` meaning
   ``(a + b*i) / d``.  This is the ground-truth backend: every operation is
-  exact and every value has one canonical representation.  Coordinate
-  triples are kept as Gaussian integers (``d == 1``), where the arithmetic
-  is plain ``int`` arithmetic with no gcd.
+  exact and every value has one canonical representation.
 * ``PrimeFieldElement`` -- integers modulo a fixed 61-bit prime.  Much
   faster, but a vanishing result certifies an algebraic identity only with
   Schwartz-Zippel confidence (error at most degree/p per random trial), so
@@ -15,6 +13,15 @@ Two interchangeable scalar types cover every computation:
 
 Neither backend offers square roots.  The geometry layers are arranged so
 that every construction stays inside the field.
+
+Kernel tables.  Each backend owns one ``Kernels`` table (its ``kernels``
+attribute) over a raw representation, and points, lines, conic forms,
+projectivity matrices and chart vectors hold raw tuples and compute through
+it: a prime vector is a tuple of ints mod p and a prime scalar one int; a
+Gaussian vector is the flat tuple ``(re0, im0, re1, im1, ...)`` of
+Gaussian-integer parts, kept content-reduced, and a Gaussian scalar one
+``(re, im)`` pair.  A matrix is the tuple of its three raw rows.  Scalar
+objects are built only at the edge (``pack``, ``unpack``, ``scalar``).
 
 Text codec.  A Gaussian literal is ``x``, ``yi`` or ``x+yi`` / ``x-yi``
 where each part is an integer or ``n/d``.  ``parse`` reads the parts with
@@ -28,10 +35,14 @@ and return them.  Prime residues are plain decimal integers.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
+from operator import not_
 from random import Random
 from typing import Protocol, Union, runtime_checkable
+
+from ._linalg import _MINORS
 
 RationalLike = Union[int, Fraction, str]
 
@@ -50,7 +61,8 @@ class FieldContract(Protocol):
 
     Beyond the arithmetic dunders, a backend needs ``inv``, ``conjugate``,
     ``is_zero`` and ``is_real``, plus the classmethods ``zero``, ``one``,
-    ``from_int``, ``coerce``, ``parse``, ``random`` and ``reduce_content``.
+    ``from_int``, ``coerce``, ``parse``, ``random`` and ``reduce_content``,
+    and its ``Kernels`` table as the class attribute ``kernels``.
     Conjugation must be a field automorphism; on the prime field it is the
     identity.
     """
@@ -182,26 +194,9 @@ class GaussianRational:
 
     @classmethod
     def reduce_content(cls, values: tuple) -> tuple:
-        """Scale a tuple by a positive rational so all components are coprime integers.
-
-        A coordinate triple of Gaussian integers, the common case, costs one
-        gcd of its six parts and is returned as it is when that gcd is 1."""
-        values = tuple(values)
-        if len(values) == 3:
-            x, y, z = values
-            if x.d == y.d == z.d == 1:
-                g = gcd(x.a, x.b, y.a, y.b, z.a, z.b)
-                if g <= 1:  # 0 only for the zero triple
-                    return values
-                return (_make(x.a // g, x.b // g, 1), _make(y.a // g, y.b // g, 1),
-                        _make(z.a // g, z.b // g, 1))
-        den = lcm(*(v.d for v in values))
-        parts = [p * (den // v.d) for v in values for p in (v.a, v.b)]
-        content = gcd(*parts)
-        if content == 0 or (den == 1 and content == 1):
-            return values
-        return tuple(_make(parts[k] // content, parts[k + 1] // content, 1)
-                     for k in range(0, len(parts), 2))
+        """Scale a tuple by a positive rational so all components are coprime integers."""
+        k = cls.kernels
+        return k.unpack(k.reduce_content(k.pack(tuple(values))))
 
     # ------------------------------------------------------------------
     # field operations
@@ -359,33 +354,24 @@ class PrimeFieldElement:
         return tuple(values)
 
     # ------------------------------------------------------------------
-    # field operations; allocation is inlined because these four run in
-    # the million-call range per fuzz campaign
+    # field operations
     def __add__(self, other):
         if not isinstance(other, PrimeFieldElement):
             return NotImplemented
-        out = _raw_new(PrimeFieldElement)
-        out.residue = (self.residue + other.residue) % _PRIME
-        return out
+        return _make_residue((self.residue + other.residue) % _PRIME)
 
     def __sub__(self, other):
         if not isinstance(other, PrimeFieldElement):
             return NotImplemented
-        out = _raw_new(PrimeFieldElement)
-        out.residue = (self.residue - other.residue) % _PRIME
-        return out
+        return _make_residue((self.residue - other.residue) % _PRIME)
 
     def __neg__(self):
-        out = _raw_new(PrimeFieldElement)
-        out.residue = -self.residue % _PRIME
-        return out
+        return _make_residue(-self.residue % _PRIME)
 
     def __mul__(self, other):
         if not isinstance(other, PrimeFieldElement):
             return NotImplemented
-        out = _raw_new(PrimeFieldElement)
-        out.residue = self.residue * other.residue % _PRIME
-        return out
+        return _make_residue(self.residue * other.residue % _PRIME)
 
     def inv(self) -> "PrimeFieldElement":
         if not self.residue:
@@ -427,6 +413,233 @@ def _make_residue(residue: int) -> PrimeFieldElement:
     out = _raw_new(PrimeFieldElement)
     out.residue = residue
     return out
+
+
+# ----------------------------------------------------------------------
+# kernel tables over the raw representations
+
+
+class Kernels(namedtuple("Kernels", (
+        "field units cross dot minor first_nonzero_minor combine combine3 matvec quad_form "
+        "reduce_content proportional lead is_zero add mul neg inv pair pack param unpack "
+        "scalar normalize"))):
+    """One backend's kernels over its raw representation.
+
+    Each computes the value of the generic formula of the same name in
+    ``_linalg`` and reads nothing but its arguments' entries.  Vectors:
+    ``cross``, ``dot``, ``minor(u, v, k)`` (slot k of the cross product),
+    ``first_nonzero_minor`` (None for proportional vectors),
+    ``combine(a, u, b, v)`` (a*u - b*v), ``combine3`` (a*u + b*v + c*w),
+    ``matvec``, ``quad_form``, ``reduce_content``, ``proportional`` (any
+    length), ``lead`` (the first nonzero entry's index, or None) and the
+    coordinate vectors ``units``.  Scalars: ``is_zero``, ``add``, ``mul``,
+    ``neg``, ``inv`` (the inverse up to a positive rational: the conjugate,
+    for a Gaussian integer) and ``pair`` (a homogeneous pair with its
+    rational content divided out).  The edge: ``pack`` (scalars to a raw
+    vector, denominators cleared, content kept), ``param`` (two scalars to a
+    raw pair of the same ratio), ``unpack``, ``scalar`` and ``normalize``.
+    """
+
+    __slots__ = ()
+
+
+def thirds(flat: tuple) -> tuple:
+    """A flat raw tuple of three equal-width vectors, split into them."""
+    n = len(flat) // 3
+    return (flat[:n], flat[n:2 * n], flat[2 * n:])
+
+
+# prime: ints mod p, every result reduced once
+
+
+def _p_cross(u, v):
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return ((u1 * v2 - u2 * v1) % _PRIME, (u2 * v0 - u0 * v2) % _PRIME, (u0 * v1 - u1 * v0) % _PRIME)
+
+
+def _p_dot(u, v):
+    return (u[0] * v[0] + u[1] * v[1] + u[2] * v[2]) % _PRIME
+
+
+def _p_minor(u, v, k):
+    i, j = _MINORS[k]
+    return (u[i] * v[j] - u[j] * v[i]) % _PRIME
+
+
+def _p_first_nonzero_minor(u, v):
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return ((u1 * v2 - u2 * v1) % _PRIME or (u2 * v0 - u0 * v2) % _PRIME
+            or (u0 * v1 - u1 * v0) % _PRIME or None)
+
+
+def _p_combine(a, u, b, v):
+    return ((a * u[0] - b * v[0]) % _PRIME, (a * u[1] - b * v[1]) % _PRIME,
+            (a * u[2] - b * v[2]) % _PRIME)
+
+
+def _p_combine3(a, u, b, v, c, w):
+    return ((a * u[0] + b * v[0] + c * w[0]) % _PRIME, (a * u[1] + b * v[1] + c * w[1]) % _PRIME,
+            (a * u[2] + b * v[2] + c * w[2]) % _PRIME)
+
+
+def _p_matvec(m, v):
+    v0, v1, v2 = v
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return ((a * v0 + b * v1 + c * v2) % _PRIME, (d * v0 + e * v1 + f * v2) % _PRIME,
+            (g * v0 + h * v1 + i * v2) % _PRIME)
+
+
+def _p_quad_form(m, v):
+    v0, v1, v2 = v
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return (v0 * (a * v0 + b * v1 + c * v2) + v1 * (d * v0 + e * v1 + f * v2)
+            + v2 * (g * v0 + h * v1 + i * v2)) % _PRIME
+
+
+def _p_proportional(u, v):
+    k = _p_lead(u)
+    a, b = u[k], v[k]
+    return bool(b) and all((a * y - b * x) % _PRIME == 0 for x, y in zip(u, v))
+
+
+def _p_lead(v):
+    return next((i for i, x in enumerate(v) if x), None)
+
+
+def _p_normalize(v):
+    inv = pow(v[_p_lead(v)], -1, _PRIME)
+    return tuple(_make_residue(x * inv % _PRIME) for x in v)
+
+
+PrimeFieldElement.kernels = Kernels(
+    field=PrimeFieldElement, units=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    cross=_p_cross, dot=_p_dot, minor=_p_minor, first_nonzero_minor=_p_first_nonzero_minor,
+    combine=_p_combine, combine3=_p_combine3, matvec=_p_matvec, quad_form=_p_quad_form,
+    reduce_content=tuple,  # the identity on a tuple: a residue vector has no content
+    proportional=_p_proportional, lead=_p_lead, is_zero=not_,
+    add=lambda x, y: (x + y) % _PRIME, mul=lambda x, y: x * y % _PRIME, neg=lambda x: -x % _PRIME,
+    inv=lambda x: pow(x, -1, _PRIME), pair=lambda u0, u1: (u0, u1),
+    pack=lambda values: tuple(x.residue for x in values),
+    param=lambda t0, t1: (t0.residue, t1.residue),
+    unpack=lambda v: tuple(map(_make_residue, v)), scalar=_make_residue, normalize=_p_normalize,
+)
+
+
+# gauss: Gaussian integers as (re, im) parts, no gcd until reduce_content
+
+
+def _g_cross(u, v):
+    p0, q0, p1, q1, p2, q2 = u
+    r0, s0, r1, s1, r2, s2 = v
+    return (p1 * r2 - q1 * s2 - p2 * r1 + q2 * s1, p1 * s2 + q1 * r2 - p2 * s1 - q2 * r1,
+            p2 * r0 - q2 * s0 - p0 * r2 + q0 * s2, p2 * s0 + q2 * r0 - p0 * s2 - q0 * r2,
+            p0 * r1 - q0 * s1 - p1 * r0 + q1 * s0, p0 * s1 + q0 * r1 - p1 * s0 - q1 * r0)
+
+
+def _g_dot(u, v):
+    p0, q0, p1, q1, p2, q2 = u
+    r0, s0, r1, s1, r2, s2 = v
+    return (p0 * r0 - q0 * s0 + p1 * r1 - q1 * s1 + p2 * r2 - q2 * s2,
+            p0 * s0 + q0 * r0 + p1 * s1 + q1 * r1 + p2 * s2 + q2 * r2)
+
+
+def _g_minor(u, v, k):
+    i, j = _MINORS[k]
+    a, b, c, d = u[2 * i], u[2 * i + 1], v[2 * j], v[2 * j + 1]
+    e, f, g, h = u[2 * j], u[2 * j + 1], v[2 * i], v[2 * i + 1]
+    return (a * c - b * d - e * g + f * h, a * d + b * c - e * h - f * g)
+
+
+def _g_first_nonzero_minor(u, v):
+    return next((m for m in (_g_minor(u, v, k) for k in range(3)) if m[0] or m[1]), None)
+
+
+def _g_combine(a, u, b, v):
+    p, q = a
+    r, s = b
+    u0, u1, u2, u3, u4, u5 = u
+    v0, v1, v2, v3, v4, v5 = v
+    return (p * u0 - q * u1 - r * v0 + s * v1, p * u1 + q * u0 - r * v1 - s * v0,
+            p * u2 - q * u3 - r * v2 + s * v3, p * u3 + q * u2 - r * v3 - s * v2,
+            p * u4 - q * u5 - r * v4 + s * v5, p * u5 + q * u4 - r * v5 - s * v4)
+
+
+def _g_combine3(a, u, b, v, c, w):
+    p, q = a
+    r, s = b
+    g, h = c
+    u0, u1, u2, u3, u4, u5 = u
+    v0, v1, v2, v3, v4, v5 = v
+    w0, w1, w2, w3, w4, w5 = w
+    return (p * u0 - q * u1 + r * v0 - s * v1 + g * w0 - h * w1,
+            p * u1 + q * u0 + r * v1 + s * v0 + g * w1 + h * w0,
+            p * u2 - q * u3 + r * v2 - s * v3 + g * w2 - h * w3,
+            p * u3 + q * u2 + r * v3 + s * v2 + g * w3 + h * w2,
+            p * u4 - q * u5 + r * v4 - s * v5 + g * w4 - h * w5,
+            p * u5 + q * u4 + r * v5 + s * v4 + g * w5 + h * w4)
+
+
+def _g_matvec(m, v):
+    return _g_dot(m[0], v) + _g_dot(m[1], v) + _g_dot(m[2], v)
+
+
+def _g_reduce_content(v):
+    g = gcd(*v)
+    return v if g <= 1 else tuple(x // g for x in v)  # g == 0 only for the zero vector
+
+
+def _g_proportional(u, v):
+    k = 2 * _g_lead(u)
+    a, b, c, d = u[k], u[k + 1], v[k], v[k + 1]
+    # (a + bi) * v[i] == (c + di) * u[i] for every entry i
+    return bool(c or d) and all(
+        a * v[i] - b * v[i + 1] == c * u[i] - d * u[i + 1]
+        and a * v[i + 1] + b * v[i] == c * u[i + 1] + d * u[i] for i in range(0, len(u), 2))
+
+
+def _g_lead(v):
+    return next((i // 2 for i in range(0, len(v), 2) if v[i] or v[i + 1]), None)
+
+
+def _g_pair(u0, u1):
+    g = gcd(*u0, *u1)
+    return (u0, u1) if g <= 1 else ((u0[0] // g, u0[1] // g), (u1[0] // g, u1[1] // g))
+
+
+def _g_pack(values):
+    den = lcm(*(x.d for x in values))
+    return tuple(p * (den // x.d) for x in values for p in (x.a, x.b))
+
+
+def _g_param(t0, t1):
+    a, b, c, d = _g_pack((t0, t1))
+    return (a, b), (c, d)
+
+
+def _g_normalize(v):
+    # x / lead = x * conj(lead) / norm(lead): one reduction per entry
+    k = 2 * _g_lead(v)
+    p, q = v[k], v[k + 1]
+    n = p * p + q * q
+    return tuple(_reduced(v[i] * p + v[i + 1] * q, v[i + 1] * p - v[i] * q, n)
+                 for i in range(0, len(v), 2))
+
+
+GaussianRational.kernels = Kernels(
+    field=GaussianRational, units=((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0)),
+    cross=_g_cross, dot=_g_dot, minor=_g_minor, first_nonzero_minor=_g_first_nonzero_minor,
+    combine=_g_combine, combine3=_g_combine3, matvec=_g_matvec,
+    quad_form=lambda m, v: _g_dot(v, _g_matvec(m, v)),
+    reduce_content=_g_reduce_content, proportional=_g_proportional, lead=_g_lead,
+    is_zero=(0, 0).__eq__, add=lambda x, y: (x[0] + y[0], x[1] + y[1]),
+    mul=lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]),
+    neg=lambda x: (-x[0], -x[1]), inv=lambda x: (x[0], -x[1]), pair=_g_pair,
+    pack=_g_pack, param=_g_param,
+    unpack=lambda v: tuple(_make(v[i], v[i + 1], 1) for i in range(0, len(v), 2)),
+    scalar=lambda x: _make(x[0], x[1], 1), normalize=_g_normalize,
+)
 
 
 BACKENDS = {"gauss": GaussianRational, "prime": PrimeFieldElement}

@@ -22,11 +22,12 @@ parser, the runner, campaigns and figures read.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from ._linalg import cross, normalize
-from .scalars import BACKENDS, GaussianRational, ScalarParseError, backend_name
+from .scalars import BACKENDS, GaussianRational, backend_name
 from .projective import (CrossRatioValue, DegenerateInputError, ProjLine, ProjPoint,
                          ProjectiveError, join)
 from .conics import (AffineConicSpec, Conic, ConicParametrization, DegenerateConicError,
@@ -64,25 +65,15 @@ class ScenarioParseError(ValueError):
 _NAME_RE = re.compile(r"[a-z][a-z0-9_']*")
 _EXPECT_KINDS = ("point", "line", "ratio", "scalar")
 
-class Expect:
+class Expect(namedtuple("Expect", "kind name value")):
     """One pinned witness: the named report value must equal this exactly."""
 
-    __slots__ = ("kind", "name", "value")
+    __slots__ = ()
 
-    def __init__(self, kind: str, name: str, value):
+    def __new__(cls, kind: str, name: str, value):
         if kind not in _EXPECT_KINDS:
             raise ScenarioParseError(f"unknown expect kind {kind!r}")
-        self.kind = kind
-        self.name = name
-        self.value = value
-
-    def __eq__(self, other):
-        if not isinstance(other, Expect):
-            return NotImplemented
-        return (self.kind, self.name) == (other.kind, other.name) and self.value == other.value
-
-    def __repr__(self):
-        return f"Expect({self.kind!r}, {self.name!r}, {self.value})"
+        return super().__new__(cls, kind, name, value)
 
 
 class ScenarioDocument:
@@ -113,24 +104,11 @@ class ScenarioDocument:
                 and self.expects == other.expects)
 
 
-def _parse_point(text: str, field, lineno: int) -> ProjPoint:
+def _parsed(parse, lineno: int, *args):
+    """parse(*args), with a parse error raised as ScenarioParseError at `lineno`."""
     try:
-        return ProjPoint.parse(text, field)
-    except (ScalarParseError, ProjectiveError, ValueError) as exc:
-        raise ScenarioParseError(str(exc), lineno) from exc
-
-
-def _parse_line_coords(text: str, field, lineno: int) -> ProjLine:
-    try:
-        return ProjLine.parse(text, field)
-    except (ScalarParseError, ProjectiveError, ValueError) as exc:
-        raise ScenarioParseError(str(exc), lineno) from exc
-
-
-def _parse_scalar(text: str, field, lineno: int):
-    try:
-        return field.parse(text)
-    except (ScalarParseError, ValueError) as exc:
+        return parse(*args)
+    except ValueError as exc:  # ScalarParseError and ProjectiveError included
         raise ScenarioParseError(str(exc), lineno) from exc
 
 
@@ -141,8 +119,8 @@ def _parse_affine_point(text: str, field, lineno: int) -> ProjPoint:
     m = _AFFINE_PAIR.fullmatch(text.strip())
     if m is None:
         raise ScenarioParseError(f"bad affine point {text!r}; expected (x, y)", lineno)
-    return ProjPoint.affine(_parse_scalar(m.group(1), field, lineno),
-                            _parse_scalar(m.group(2), field, lineno), field)
+    return ProjPoint.affine(_parsed(field.parse, lineno, m.group(1)),
+                            _parsed(field.parse, lineno, m.group(2)), field)
 
 
 def parse_scenario(text: str) -> ScenarioDocument:
@@ -197,20 +175,21 @@ def parse_scenario(text: str) -> ScenarioDocument:
                         raise ScenarioParseError(
                             f"conic symmetric needs 6 entries, got {len(entries)}", lineno)
                     conic = Conic.from_upper_entries(
-                        [_parse_scalar(e, f, lineno) for e in entries], f)
+                        [_parsed(f.parse, lineno, e) for e in entries], f)
                 elif flavor == "affine":
                     entries = body.split()
                     if len(entries) != 6:
                         raise ScenarioParseError(
                             f"conic affine needs 6 coefficients, got {len(entries)}", lineno)
-                    coeffs = [_parse_scalar(e, f, lineno) for e in entries]
+                    coeffs = [_parsed(f.parse, lineno, e) for e in entries]
                     conic = homogenize_affine_conic(AffineConicSpec(*coeffs, f))
                 elif flavor == "points":
                     triples = re.findall(r"\([^()]*\)", body)
                     if len(triples) != 5:
                         raise ScenarioParseError(
                             f"conic points needs 5 points, got {len(triples)}", lineno)
-                    conic = conic_through_five([_parse_point(t, f, lineno) for t in triples])
+                    conic = conic_through_five(
+                        [_parsed(ProjPoint.parse, lineno, t, f) for t in triples])
                 else:
                     raise ScenarioParseError(
                         f"unknown conic flavor {flavor!r}; use symmetric, affine, or points",
@@ -223,7 +202,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
                 raise ScenarioParseError("duplicate base declaration", lineno)
             if conic is None:
                 raise ScenarioParseError("base needs the conic declared first", lineno)
-            base = _parse_point(rest, want_field(), lineno)
+            base = _parsed(ProjPoint.parse, lineno, rest, want_field())
             residual = conic.membership_residual(base)
             if not residual.is_zero():
                 raise ScenarioParseError(
@@ -238,7 +217,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
                 raise ScenarioParseError(f"duplicate name {name!r}", lineno)
             f = want_field()
             if key == "line":
-                lines[name] = _parse_line_coords(body, f, lineno)
+                lines[name] = _parsed(ProjLine.parse, lineno, body, f)
             elif body.startswith("affine"):
                 points[name] = _parse_affine_point(body[len("affine"):], f, lineno)
             elif body.startswith("param"):
@@ -249,10 +228,10 @@ def parse_scenario(text: str) -> ScenarioDocument:
                     param_par = ConicParametrization(conic, base)
                 literals = body[len("param"):].split()
                 if len(literals) == 1:
-                    t = _parse_scalar(literals[0], f, lineno)
+                    t = _parsed(f.parse, lineno, literals[0])
                 elif len(literals) == 2:
-                    t = (_parse_scalar(literals[0], f, lineno),
-                         _parse_scalar(literals[1], f, lineno))
+                    t = (_parsed(f.parse, lineno, literals[0]),
+                         _parsed(f.parse, lineno, literals[1]))
                 else:
                     raise ScenarioParseError(
                         "param takes one value or a homogeneous pair", lineno)
@@ -261,7 +240,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
                 except ProjectiveError as exc:
                     raise ScenarioParseError(str(exc), lineno) from exc
             else:
-                points[name] = _parse_point(body, f, lineno)
+                points[name] = _parsed(ProjPoint.parse, lineno, body, f)
             decl_lines[name] = lineno
 
         elif key == "expect":
@@ -274,16 +253,16 @@ def parse_scenario(text: str) -> ScenarioDocument:
                 raise ScenarioParseError(f"bad expect name {name!r}", lineno)
             f = want_field()
             if kind == "point":
-                value = _parse_point(value_text, f, lineno)
+                value = _parsed(ProjPoint.parse, lineno, value_text, f)
             elif kind == "line":
-                value = _parse_line_coords(value_text, f, lineno)
+                value = _parsed(ProjLine.parse, lineno, value_text, f)
             elif kind == "ratio":
                 if value_text == "inf":
                     value = CrossRatioValue.infinity(f)
                 else:
-                    value = CrossRatioValue(_parse_scalar(value_text, f, lineno), f.one(), f)
+                    value = CrossRatioValue(_parsed(f.parse, lineno, value_text), f.one(), f)
             else:
-                value = _parse_scalar(value_text, f, lineno)
+                value = _parsed(f.parse, lineno, value_text)
             expects.append(Expect(kind, name, value))
 
         else:

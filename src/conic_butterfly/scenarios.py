@@ -19,11 +19,11 @@ from __future__ import annotations
 from random import Random
 from typing import NamedTuple, Optional, Tuple
 
-from ._linalg import add_vec, cross, scale_vec
 from .conics import (
     AffineConicSpec,
     Conic,
     ConicParametrization,
+    _second_point_on,
     homogenize_affine_conic,
     second_intersection,
     transform_conic,
@@ -237,11 +237,20 @@ def _random_nonzero(rng: Random, field, height: int, budget: RetryBudget, *, rea
 
 
 def _random_point(rng: Random, field, height: int, budget: RetryBudget, *, real: bool = False) -> ProjPoint:
+    k = field.kernels
     while True:
-        coords = tuple(field.random(rng, height, real=real) for _ in range(3))
-        if not all(c.is_zero() for c in coords):
-            return ProjPoint(coords, field)
+        coords = k.pack(tuple(field.random(rng, height, real=real) for _ in range(3)))
+        if any(coords):
+            return ProjPoint(coords, k)
         budget.tick("point draw")
+
+
+def _point_along(p: ProjPoint, lam, q: ProjPoint) -> ProjPoint:
+    """The point p + lam*q for a scalar lam; a Gaussian lam = n/d is taken
+    as d*p + n*q, which content reduction makes the same coordinates."""
+    k = p.kernels
+    n, d = k.param(lam, p.field.one())
+    return ProjPoint(k.combine(d, p.raw, k.neg(n), q.raw), k)
 
 
 def _random_chart_point(par: ConicParametrization, rng: Random, height: int,
@@ -303,7 +312,7 @@ def random_scenario(rng: Random, field=GaussianRational, height_bound: int = 10,
     a = _random_conic_point(par, rng, height_bound, budget, real=real)
     b = _random_conic_point(par, rng, height_bound, budget, real=real, avoid=(a,))
     mu = _random_nonzero(rng, field, height_bound, budget, real=real)
-    m = ProjPoint(add_vec(a.coords, scale_vec(mu, b.coords)), field)
+    m = _point_along(a, mu, b)
     r, s = _chord_through(par, m, rng, height_bound, budget, real=real, avoid=(a, b))
     c, d = _chord_through(par, m, rng, height_bound, budget, real=real, avoid=(a, b, r, s))
     scenario = _build_scenario(flavour, conic, (a, b, m, r, s, c, d))
@@ -330,8 +339,8 @@ def random_reflection_frame(rng: Random, field=GaussianRational, height_bound: i
         v = _random_conic_point(par, rng, height_bound, budget, real=real, avoid=(u,))
         return ReflectionFrame(conic, join(u, v), u, v), par
     while True:
-        axis_coords = _random_point(rng, field, height_bound, budget, real=real).coords
-        axis = ProjLine(axis_coords, field)
+        dual = _random_point(rng, field, height_bound, budget, real=real)
+        axis = ProjLine(dual.raw, dual.kernels)
         if not incident(conic.pole(axis), axis):
             return ReflectionFrame(conic, axis), par
         budget.tick("tangent axis")
@@ -352,7 +361,7 @@ def random_mono_inputs(rng: Random, field=GaussianRational, height_bound: int = 
         budget.tick("tangent pole line")
     if converse:
         lam = _random_nonzero(rng, field, height_bound, budget)
-        m = ProjPoint(add_vec(y.coords, scale_vec(lam, y_prime.coords)), field)
+        m = _point_along(y, lam, y_prime)
     else:
         m = meet(l, frame.axis)
     return frame, l, y, y_prime, m
@@ -370,7 +379,7 @@ def random_jap_inputs(rng: Random, field=GaussianRational, height_bound: int = 1
             budget.tick("y at pole")
             continue
         lam = _random_nonzero(rng, field, height_bound, budget)
-        u = ProjPoint(add_vec(axis_pts[0].coords, scale_vec(lam, axis_pts[1].coords)), field)
+        u = _point_along(axis_pts[0], lam, axis_pts[1])
         if u == y:
             budget.tick("u equals y")
             continue
@@ -412,7 +421,7 @@ def random_sack_inputs(rng: Random, field=GaussianRational, height_bound: int = 
     budget = budget if budget is not None else RetryBudget()
     frame, par = random_reflection_frame(rng, field, height_bound, with_chord=True, budget=budget)
     lam = _random_nonzero(rng, field, height_bound, budget)
-    m = ProjPoint(add_vec(frame.u.coords, scale_vec(lam, frame.v.coords)), field)
+    m = _point_along(frame.u, lam, frame.v)
     r, s = _chord_through(par, m, rng, height_bound, budget, avoid=(frame.u, frame.v))
     return frame, m, r, s
 
@@ -438,16 +447,6 @@ def random_hexagon(rng: Random, field=GaussianRational, height_bound: int = 10,
 
 def _axis_sample_points(axis: ProjLine) -> Tuple[ProjPoint, ProjPoint]:
     """Two distinct points of the axis, picked from the coordinate frame."""
-    field = axis.field
-    one, zero = field.one(), field.zero()
-    found = []
-    for e in ((one, zero, zero), (zero, one, zero), (zero, zero, one)):
-        c = cross(axis.coords, e)
-        if all(x.is_zero() for x in c):
-            continue
-        q = ProjPoint(c, field)
-        if all(q != w for w in found):
-            found.append(q)
-        if len(found) == 2:
-            return tuple(found)
-    raise ProjectiveError("could not sample the axis")
+    k = axis.kernels
+    first = ProjPoint(next(c for c in (k.cross(axis.raw, e) for e in k.units) if any(c)), k)
+    return first, _second_point_on(axis, first)

@@ -26,18 +26,23 @@ m = point(s), where the kappa-normalised polar form is the square bracket
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from random import Random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conic_butterfly import _linalg
 from conic_butterfly._linalg import bilinear, cross, dot, matmul, matvec, quad_form
-from conic_butterfly.conics import ConicParametrization, _second_point_on, second_intersection
+from conic_butterfly.conics import (Conic, ConicParametrization, _second_point_on, second_intersection,
+                                   transform_conic)
 from conic_butterfly.projective import (
     DegenerateInputError,
     ProjLine,
     ProjPoint,
     ProjectiveError,
+    Projectivity,
+    collinear,
     cross_ratio,
     harmonic_conjugate,
     incident,
@@ -45,6 +50,7 @@ from conic_butterfly.projective import (
     line_chart,
     meet,
 )
+from conic_butterfly.reflection import ReflectionFrame
 from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
 from conic_butterfly.scenarios import (random_conic, random_reflection_frame, reference_base,
                                        reference_conic)
@@ -467,7 +473,7 @@ def test_chart_zero_vector_falls_back_to_the_chord_solve(field):
     arithmetic-bug assertion instead."""
     par = ConicParametrization(reference_conic(field), reference_base(field))
     zero = field.zero()
-    par._coefficients = ((zero,) * 3,) * 3
+    par._coefficients = (par.conic.kernels.pack((zero,) * 3),) * 3  # raw zero vectors
     ts = [field.from_int(3), (field.from_int(2), field.from_int(-5)), (field.one(), zero)]
     if field is G:
         ts.append((G("2/3"), G("-1/5", "1/2")))
@@ -539,10 +545,12 @@ def test_partner_matches_second_intersection(field, data):
 @given(data=st.data())
 def test_partner_exact_scale_on_conic_points(field, data):
     """With m = point(s), Q(t)/kappa is exactly (t0*s1 - t1*s0)^2 times m's
-    content, so partner(t, m) is exactly 2*(s0*t1 - s1*t0)*(s0, s1) divided by
-    that content.  This pins kappa^-1 itself, which the point comparison
-    above cannot see (any common scale of alpha, beta, gamma gives the same
-    point)."""
+    content, so on the prime field partner(t, m) is exactly
+    2*(s0*t1 - s1*t0)*(s0, s1) divided by that content.  On the Gaussian
+    backend the partner is that pair with its rational content divided out,
+    a pair of Gaussian integers fixed up to sign.  This pins the division by
+    kappa itself, which the point comparison above cannot see (any common
+    scale of alpha, beta, gamma gives the same point)."""
     par = data.draw(charts(field))
     t, s = data.draw(parameters(field)), data.draw(parameters(field))
     (t0, t1), (s0, s1) = _pair(field, t), _pair(field, s)
@@ -555,4 +563,198 @@ def test_partner_exact_scale_on_conic_points(field, data):
     content = raw[k] / m.coords[k]
     u0, u1 = par.partner(t, m)
     two = field.one() + field.one()
-    assert (u0 * content, u1 * content) == (two * bracket * s0, two * bracket * s1)
+    expected = (two * bracket * s0 / content, two * bracket * s1 / content)
+    if field is G:
+        e0, e1 = G.reduce_content(expected)
+        assert (u0, u1) in ((e0, e1), (-e0, -e1))
+    else:
+        assert (u0, u1) == expected
+
+
+# ----------------------------------------------------------------------
+# kernel tables against the generic scalar formulas
+#
+# Every kernel of both tables computes on raw tuples; unpacked, its result
+# must be exactly the generic formula's value on the unpacked inputs.  Raw
+# Gaussian parts come from three size tiers, small first, so a failing
+# property shrinks into the small tier early while examples still draw
+# parts of 10^40 and more.
+
+_TIERED = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6),
+                    st.integers(10**40, 10**45), st.integers(-10**45, -10**40))
+_RESIDUES = st.one_of(st.sampled_from((0, 1, P.MODULUS - 1)), st.integers(0, 2**20),
+                      st.integers(0, P.MODULUS - 1))
+
+
+def raw_scalars(field):
+    if field is G:
+        return st.tuples(_TIERED, _TIERED)
+    return _RESIDUES
+
+
+@st.composite
+def raw_vectors(draw, field, zero_entries=True):
+    """A raw vector, its entries often zeroed (the zero vector included)."""
+    entries = [draw(raw_scalars(field)) for _ in range(3)]
+    if zero_entries:
+        for slot in draw(st.sets(st.integers(0, 2))):
+            entries[slot] = (0, 0) if field is G else 0
+    return sum(entries, ()) if field is G else tuple(entries)
+
+
+@st.composite
+def raw_vector_pairs(draw, field):
+    """(u, v) with v often a raw multiple of u, so proportional pairs occur."""
+    k = field.kernels
+    u = draw(raw_vectors(field))
+    if draw(st.booleans()):
+        return u, draw(raw_vectors(field))
+    lam = k.scalar(draw(raw_scalars(field)))
+    return u, k.pack(tuple(lam * c for c in k.unpack(u)))
+
+
+def _lead_ref(scalars_):
+    return next((i for i, c in enumerate(scalars_) if not c.is_zero()), None)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_table_vector_kernels_match_generic_formulas(field, data):
+    k = field.kernels
+    u, v = data.draw(raw_vector_pairs(field))
+    w = data.draw(raw_vectors(field))
+    a, b, c = (data.draw(raw_scalars(field)) for _ in range(3))
+    U, V, W = k.unpack(u), k.unpack(v), k.unpack(w)
+    A, B, C = k.scalar(a), k.scalar(b), k.scalar(c)
+    assert k.unpack(k.cross(u, v)) == cross(U, V)
+    assert k.scalar(k.dot(u, v)) == dot(U, V)
+    for slot in range(3):
+        assert k.scalar(k.minor(u, v, slot)) == _linalg.minor(U, V, slot)
+    m = k.first_nonzero_minor(u, v)
+    assert (m if m is None else k.scalar(m)) == _linalg.first_nonzero_minor(U, V)
+    assert k.unpack(k.combine(a, u, b, v)) == _linalg.combine(A, U, B, V)
+    assert k.unpack(k.combine3(a, u, b, v, c, w)) == _linalg.combine3(A, U, B, V, C, W)
+    rows = (u, v, w)
+    assert k.unpack(k.matvec(rows, v)) == matvec((U, V, W), V)
+    assert k.scalar(k.quad_form(rows, w)) == quad_form((U, V, W), W)
+    assert k.lead(u) == _lead_ref(U)
+    if any(u):
+        assert k.normalize(u) == _linalg.normalize(U)
+        assert k.proportional(u, v) is _linalg.proportional(U, V)
+        assert k.proportional(u + v, v + u) is _linalg.proportional(U + V, V + U)
+    else:
+        assert all(x.is_zero() for x in U)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_table_scalar_kernels_match_scalar_operators(field, data):
+    k = field.kernels
+    x, y = data.draw(raw_scalars(field)), data.draw(raw_scalars(field))
+    X, Y = k.scalar(x), k.scalar(y)
+    assert k.is_zero(x) is X.is_zero()
+    assert k.scalar(k.add(x, y)) == X + Y
+    assert k.scalar(k.mul(x, y)) == X * Y
+    assert k.scalar(k.neg(x)) == -X
+    if not X.is_zero():
+        # inv is the inverse up to a positive rational factor
+        ratio = k.scalar(k.inv(x)) / X.inv()
+        assert ratio.is_real() and (field is P or ratio.re > 0)
+        u0, u1 = k.pair(x, y)
+        U0, U1 = k.scalar(u0), k.scalar(u1)
+        assert U0 * Y == U1 * X
+        ratio = U0 / X
+        assert ratio.is_real() and (field is P or ratio.re > 0)
+        if field is G:
+            assert gcd(*u0, *u1) == 1
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_table_edge_wraps_to_canonical_scalars(field, data):
+    """unpack/scalar build canonical scalars; reduce_content divides out
+    exactly the rational content; pack and param clear denominators by a
+    positive integer and keep the ratio; units are the coordinate vectors."""
+    k = field.kernels
+    v = data.draw(raw_vectors(field))
+    scalars_ = k.unpack(v)
+    if field is G:
+        assert scalars_ == tuple(G(v[i], v[i + 1]) for i in range(0, 6, 2))
+        assert all(str(G.parse(str(c))) == str(c) and c.d == 1 for c in scalars_)
+        r = k.reduce_content(v)
+        g = gcd(*v)
+        assert r == v if g <= 1 else (gcd(*r) == 1 and tuple(g * x for x in r) == v)
+    else:
+        assert scalars_ == tuple(P(x) for x in v)
+        assert k.reduce_content(v) == v
+    assert k.pack(scalars_) == v
+    given_ = tuple(data.draw(scalars(field)) for _ in range(3))
+    den = lcm(*(c.d for c in given_)) if field is G else 1
+    assert k.unpack(k.pack(given_)) == tuple(c * field.from_int(den) for c in given_)
+    t0, t1 = given_[:2]
+    p0, p1 = k.param(t0, t1)
+    assert k.scalar(p0) * t1 == k.scalar(p1) * t0
+    assert tuple(k.unpack(e) for e in k.units) == (
+        (field.one(), field.zero(), field.zero()), (field.zero(), field.one(), field.zero()),
+        (field.zero(), field.zero(), field.one()))
+
+
+# ----------------------------------------------------------------------
+# mixed backends: no kernel looks at types, so each public construction
+# must refuse a mix before its kernels run
+
+
+def _backend_objects(field):
+    conic = reference_conic(field)
+    par = ConicParametrization(conic, reference_base(field))
+    on = par.point(field.from_int(2))
+    p = ProjPoint((1, 2, 3), field)
+    q = ProjPoint((2, -1, 5), field)
+    line = join(p, q)
+    axis = ProjLine((1, 1, 1), field)
+    return {
+        "p": p, "q": q, "r": ProjPoint(tuple(x + y for x, y in zip(p.coords, q.coords)), field),
+        "s": ProjPoint(tuple(x - y for x, y in zip(p.coords, q.coords)), field),
+        "l": line, "m": ProjLine((0, 1, 4), field), "conic": conic, "par": par, "on": on,
+        "chord": join(on, p), "t": field.from_int(3), "axis": axis,
+        "frame": ReflectionFrame(conic, axis),
+        "map": Projectivity(((1, 2, 0), (0, 1, 3), (1, 0, 1)), field),
+    }
+
+
+_OBJECTS = {field: _backend_objects(field) for field in FIELDS}
+MIXED = {
+    "join": (join, "p", "q"),
+    "meet": (meet, "l", "m"),
+    "incident": (incident, "p", "l"),
+    "collinear": (collinear, "p", "q", "r"),
+    "cross_ratio": (cross_ratio, "p", "q", "r", "s"),
+    "harmonic_conjugate": (harmonic_conjugate, "p", "q", "r"),
+    "Conic.contains": (Conic.contains, "conic", "on"),
+    "Conic.polar": (Conic.polar, "conic", "p"),
+    "Conic.pole": (Conic.pole, "conic", "l"),
+    "Conic ==": (Conic.__eq__, "conic", "conic"),
+    "second_intersection": (second_intersection, "conic", "chord", "on"),
+    "ConicParametrization.partner": (ConicParametrization.partner, "par", "t", "p"),
+    "Projectivity.apply": (Projectivity.apply, "map", "p"),
+    "Projectivity.apply_line": (Projectivity.apply_line, "map", "l"),
+    "Projectivity ==": (Projectivity.__eq__, "map", "map"),
+    "transform_conic": (transform_conic, "map", "conic"),
+    "ReflectionFrame": (ReflectionFrame, "conic", "axis"),
+    "reflect_point": (ReflectionFrame.reflect_point, "frame", "p"),
+    "reflect_line": (ReflectionFrame.reflect_line, "frame", "l"),
+}
+
+
+@pytest.mark.parametrize("first", FIELDS, ids=("gauss-first", "prime-first"))
+@pytest.mark.parametrize("name", list(MIXED))
+def test_mixed_backends_raise_type_error(name, first):
+    """The first argument from one backend, the others from the other."""
+    fn, head, *rest = MIXED[name]
+    other = P if first is G else G
+    fn(*(_OBJECTS[first][a] for a in (head, *rest)))  # the unmixed call runs
+    with pytest.raises(TypeError):
+        fn(_OBJECTS[first][head], *(_OBJECTS[other][a] for a in rest))

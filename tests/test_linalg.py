@@ -1,14 +1,13 @@
-"""Differential tests of the `_linalg` integer kernels.
+"""Differential tests of the `_linalg` generic formulas.
 
-Each kernel (the vector products, single minors, ``first_nonzero_minor`` and
-the combinations ``combine``/``combine3``) has a residue path for the prime
-field and a raw-integer path for Gaussian integers (``d == 1``), with the
-scalar formula as fallback.
-The references below are that scalar formula, written out with the scalar
-operators only, so every path must give the same canonical triple (or
-residue) as the reference, entry for entry.  Gaussian inputs mix ``d == 1``
-and ``d != 1`` entries, zeros and vectors on coordinate lines, with parts up
-to 10^40.
+The formulas (the vector products, single minors, ``first_nonzero_minor``
+and the combinations ``combine``/``combine3``) are the oracle the backends'
+kernel tables are tested against in ``test_kernel_oracle.py``.  The
+references below write each formula out once more with the scalar operators
+only, and the formulas must give the same canonical triple (or residue) as
+the reference, entry for entry.  Gaussian inputs mix ``d == 1`` and
+``d != 1`` entries, zeros and vectors on coordinate lines, with parts up to
+10^40.
 """
 
 from fractions import Fraction
@@ -135,7 +134,7 @@ def matrices(entries):
     return st.tuples(vectors(entries), vectors(entries), vectors(entries))
 
 
-# Gaussian vectors are all-integer half the time, so the d == 1 path runs often
+# Gaussian vectors are all-integer half the time, as points and lines hold them
 gauss_vec = vectors(gauss_int) | vectors(gauss_any)
 gauss_mat = matrices(gauss_int) | matrices(gauss_any)
 prime_vec = vectors(residues)
@@ -188,8 +187,7 @@ def test_combine_kernels(backend, data):
     assert key(_linalg.combine(a, u, zero, v)) == key(tuple(a * x for x in u))
     assert key(_linalg.combine3(zero, u, zero, v, zero, w)) == key((zero, zero, zero))
     if backend == "gauss":
-        # every entry a Gaussian integer (the integer path), then one entry
-        # with denominator 2, which every entry's d == 1 test must see
+        # every entry a Gaussian integer, then one entry with denominator 2
         for one_off in (False, True):
             a, b, c, *e = gaussian_integers(data, 12, one_off=one_off)
             u, v, w = tuple(e[0:3]), tuple(e[3:6]), tuple(e[6:9])
@@ -203,7 +201,7 @@ def test_combine_kernels(backend, data):
 @settings(deadline=None)
 @given(data=st.data())
 def test_first_nonzero_minor_slots(backend, data):
-    """The residue path computes all three minors inline; pin which slot wins."""
+    """Pin which slot wins, and that the minor comes back as a scalar."""
     a = data.draw(VEC[backend])
     lam = data.draw(SCALAR[backend])
     for b in (data.draw(VEC[backend]), tuple(lam * x for x in a),
@@ -241,7 +239,7 @@ def test_reduce_content_normalize_proportional(backend, data):
 
 
 # ----------------------------------------------------------------------
-# _Triple built from typed tuples against the coercing path
+# _Triple built from typed tuples and from lists agree
 
 
 @both
