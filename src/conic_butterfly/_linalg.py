@@ -26,7 +26,13 @@ Mat3 = Tuple[Vec3, Vec3, Vec3]
 
 
 def cross(a: Vec3, b: Vec3) -> Vec3:
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (
+        a1 * b2 - a2 * b1,
+        a2 * b0 - a0 * b2,
+        a0 * b1 - a1 * b0,
+    )
 
 
 def dot(a: Vec3, b: Vec3) -> S:
@@ -45,10 +51,6 @@ def quad_form(m: Mat3, v: Vec3) -> S:
     return dot(v, matvec(m, v))
 
 
-def bilinear(m: Mat3, u: Vec3, v: Vec3) -> S:
-    return dot(u, matvec(m, v))
-
-
 def transpose(m: Mat3) -> Mat3:
     return (
         (m[0][0], m[1][0], m[2][0]),
@@ -59,7 +61,11 @@ def transpose(m: Mat3) -> Mat3:
 
 def matmul(a: Mat3, b: Mat3) -> Mat3:
     bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    return (
+        (dot(a[0], bt[0]), dot(a[0], bt[1]), dot(a[0], bt[2])),
+        (dot(a[1], bt[0]), dot(a[1], bt[1]), dot(a[1], bt[2])),
+        (dot(a[2], bt[0]), dot(a[2], bt[1]), dot(a[2], bt[2])),
+    )
 
 
 def adjugate(m: Mat3) -> Mat3:
@@ -101,17 +107,26 @@ def minor(a: Vec3, b: Vec3, k: int) -> S:
 def first_nonzero_minor(a: Vec3, b: Vec3) -> Optional[S]:
     """The first nonzero slot of cross(a, b), one minor at a time; None when
     a and b are proportional."""
-    return next((m for m in (minor(a, b, k) for k in range(3)) if not m.is_zero()), None)
+    for k in range(3):
+        m = minor(a, b, k)
+        if not m.is_zero():
+            return m
+    return None
 
 
 def combine(a: S, u: Vec3, b: S, v: Vec3) -> Vec3:
     """Entrywise a*u - b*v."""
-    return tuple(a * x - b * y for x, y in zip(u, v))
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return (a * u0 - b * v0, a * u1 - b * v1, a * u2 - b * v2)
 
 
 def combine3(a: S, u: Vec3, b: S, v: Vec3, c: S, w: Vec3) -> Vec3:
     """Entrywise a*u + b*v + c*w."""
-    return tuple(a * x + b * y + c * z for x, y, z in zip(u, v, w))
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    w0, w1, w2 = w
+    return (a * u0 + b * v0 + c * w0, a * u1 + b * v1 + c * w1, a * u2 + b * v2 + c * w2)
 
 
 def nullspace(rows: Sequence[Sequence[S]], width: int, field) -> list:

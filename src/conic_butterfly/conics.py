@@ -19,12 +19,12 @@ from .projective import (
     ProjPoint,
     Projectivity,
     _cofactors,
-    _coerced,
+    _Matrix,
     _require_same_field,
     incident,
     join,
 )
-from .scalars import GaussianRational, Kernels, thirds
+from .scalars import GaussianRational, thirds
 
 
 class DegenerateConicError(ProjectiveError):
@@ -35,38 +35,20 @@ class DegenerateConicError(ProjectiveError):
         self.witness = witness
 
 
-class Conic:
+class Conic(_Matrix):
     """A nondegenerate conic, stored as a reduced symmetric matrix up to scale."""
 
-    __slots__ = ("raw", "kernels", "det")
+    __slots__ = ()
 
     def __init__(self, rows, field=None):
-        """`rows` are three rows of scalars, or, when `field` is a kernel
-        table, the flat raw tuple of the three rows of a symmetric form."""
-        k = field
-        if type(k) is not Kernels:
-            rows = tuple(tuple(r) for r in rows)
-            if len(rows) != 3 or any(len(r) != 3 for r in rows):
-                raise ProjectiveError("a conic needs a 3x3 symmetric matrix")
-            k, flat = _coerced(sum(rows, ()), field)
-            if any(flat[3 * i + j] != flat[3 * j + i] for i, j in ((0, 1), (0, 2), (1, 2))):
-                raise ProjectiveError("conic matrix must be symmetric")
-            rows = k.pack(flat)
-        form = thirds(k.reduce_content(rows))
-        d = k.dot(form[0], k.cross(form[1], form[2]))
-        if k.is_zero(d):
-            raise DegenerateConicError("degenerate conic (zero determinant)", witness=k.scalar(d))
-        self.raw = form
-        self.kernels = k
-        self.det = k.scalar(d)
+        d = self._set_rows(rows, field, "a conic needs a 3x3 symmetric matrix", symmetric=True)
+        if self.kernels.is_zero(d):
+            raise DegenerateConicError("degenerate conic (zero determinant)",
+                                       witness=self.kernels.scalar(d))
 
     @property
     def form(self) -> tuple:
         return tuple(map(self.kernels.unpack, self.raw))
-
-    @property
-    def field(self):
-        return self.kernels.field
 
     @classmethod
     def from_upper_entries(cls, entries: Sequence, field=None) -> "Conic":
@@ -113,15 +95,6 @@ class Conic:
         return self == self.conjugate()
 
     # ------------------------------------------------------------------
-    def __eq__(self, other):
-        if not isinstance(other, Conic):
-            return NotImplemented
-        _require_same_field(self, other)
-        return self.kernels.proportional(sum(self.raw, ()), sum(other.raw, ()))
-
-    def __hash__(self):
-        return hash(("conic",) + self.kernels.normalize(sum(self.raw, ())))
-
     def __str__(self):
         return "[" + ", ".join(str(e) for e in normalize(self.upper_entries())) + "]"
 
@@ -229,13 +202,12 @@ class ConicParametrization:
     factor of alpha, beta and gamma.  Dividing it out keeps the partner, and
     so point(partner), at the chart's own size; for Gaussian scenarios this
     avoids the large non-rational common factor that `second_intersection`
-    leaves in its output.  The partner is multiplied by kernels.inv(kappa)
-    (a Gaussian kappa's conjugate, computed on the first `partner` call) and
-    returned with its rational content divided out.  The mono generator
+    leaves in its output.  kappa^-1 is computed on the first `partner` call,
+    and alpha, beta and gamma are scaled by it as scalars.  The mono generator
     keeps `second_intersection`: its converse point is built from y''s raw
     coordinates, so a different representative would change the document.
 
-    Vectors, kappa and parameters are held raw; the public methods take and
+    Vectors and parameters are held raw; the public methods take and
     return scalars.  A Gaussian parameter is cleared to Gaussian integers of
     the same ratio, which scales the point by a positive rational that
     ProjPoint's content reduction removes.
@@ -286,14 +258,18 @@ class ConicParametrization:
         # one shared content factor: the three vectors must keep their relative scale
         return thirds(k.reduce_content(a2 + a1 + a0))
 
-    def _as_pair(self, t) -> tuple:
-        """The raw pair of a parameter given as a scalar or a homogeneous pair."""
-        field, k = self.conic.field, self.conic.kernels
+    def _scalar_pair(self, t) -> tuple:
+        """The two scalars of a parameter given as a scalar or a homogeneous pair."""
+        field = self.conic.field
         t0, t1 = t if isinstance(t, tuple) else (t, field.one())
-        t0, t1 = k.param(field.coerce(t0), field.coerce(t1))
-        if k.is_zero(t0) and k.is_zero(t1):
+        t0, t1 = field.coerce(t0), field.coerce(t1)
+        if t0.is_zero() and t1.is_zero():
             raise ProjectiveError("(0 : 0) is not a parameter")
         return t0, t1
+
+    def _as_pair(self, t) -> tuple:
+        """The raw pair of a parameter given as a scalar or a homogeneous pair."""
+        return self.conic.kernels.param(*self._scalar_pair(t))
 
     def line(self, t) -> ProjLine:
         t0, t1 = self._as_pair(t)
@@ -314,18 +290,16 @@ class ConicParametrization:
         and m, for any m other than point(t); t itself when that line is the
         tangent at point(t)."""
         _require_same_field(self.conic, m)
-        t0, t1 = self._as_pair(t)
+        t0, t1 = self._scalar_pair(t)
         k = self.conic.kernels
         a2, a1, a0 = self._raw_coefficients()
         form = self.conic.raw
         if self._kappa_inv is None:
-            self._kappa_inv = k.inv(k.dot(a2, k.matvec(form, a0)))
+            self._kappa_inv = k.scalar(k.dot(a2, k.matvec(form, a0))).inv()
         w = k.matvec(form, m.raw)
-        alpha, beta, gamma = k.dot(a2, w), k.dot(a1, w), k.dot(a0, w)
-        add, mul, c = k.add, k.mul, self._kappa_inv
-        u0 = add(mul(beta, t0), mul(add(gamma, gamma), t1))
-        u1 = k.neg(add(mul(add(alpha, alpha), t0), mul(beta, t1)))
-        return tuple(map(k.scalar, k.pair(mul(u0, c), mul(u1, c))))
+        c = self._kappa_inv
+        alpha, beta, gamma = (k.scalar(k.dot(a, w)) * c for a in (a2, a1, a0))
+        return (beta * t0 + (gamma + gamma) * t1, -((alpha + alpha) * t0 + beta * t1))
 
 
 class AffineConicSpec:

@@ -352,7 +352,46 @@ def perspectivity(center: ProjPoint, source: ProjLine, target: ProjLine, p: Proj
     return meet(join(center, p), target)
 
 
-class Projectivity:
+class _Matrix:
+    """Shared plumbing of projectivities and conics: a 3x3 matrix up to scale,
+    held as three content-reduced raw rows (`raw`) and computed on through
+    the backend's kernel table (`kernels`)."""
+
+    __slots__ = ("raw", "kernels")
+
+    def _set_rows(self, rows, field, shape_error: str, symmetric: bool = False):
+        """Store the matrix and return its raw determinant.  `rows` are three
+        rows of scalars of `field`, which is inferred when None; inside the
+        package `field` may instead be a kernel table, and then `rows` is
+        the flat raw tuple of the three rows."""
+        k = field
+        if type(k) is not Kernels:
+            rows = tuple(tuple(r) for r in rows)
+            if len(rows) != 3 or any(len(r) != 3 for r in rows):
+                raise ProjectiveError(shape_error)
+            k, flat = _coerced(sum(rows, ()), field)
+            if symmetric and any(flat[3 * i + j] != flat[3 * j + i] for i, j in ((0, 1), (0, 2), (1, 2))):
+                raise ProjectiveError("conic matrix must be symmetric")
+            rows = k.pack(flat)
+        m = self.raw = thirds(k.reduce_content(rows))
+        self.kernels = k
+        return k.dot(m[0], k.cross(m[1], m[2]))
+
+    @property
+    def field(self):
+        return self.kernels.field
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        _require_same_field(self, other)
+        return self.kernels.proportional(sum(self.raw, ()), sum(other.raw, ()))
+
+    def __hash__(self):
+        return hash((type(self).__name__,) + self.kernels.normalize(sum(self.raw, ())))
+
+
+class Projectivity(_Matrix):
     """An invertible linear map of the plane, stored as a 3x3 matrix up to scale.
 
     Points map by x -> Mx and lines by l -> adj(M)^T l, which is the
@@ -360,31 +399,16 @@ class Projectivity:
     preserved exactly.
     """
 
-    __slots__ = ("raw", "kernels")
+    __slots__ = ()
 
     def __init__(self, rows, field=None):
-        """`rows` are three rows of scalars, or, when `field` is a kernel
-        table, the flat raw tuple of the three rows."""
-        k = field
-        if type(k) is not Kernels:
-            rows = tuple(tuple(r) for r in rows)
-            if len(rows) != 3 or any(len(r) != 3 for r in rows):
-                raise ProjectiveError("a projectivity needs a 3x3 matrix")
-            k, rows = _coerced(sum(rows, ()), field)
-            rows = k.pack(rows)
-        matrix = thirds(k.reduce_content(rows))
-        if k.is_zero(k.dot(matrix[0], k.cross(matrix[1], matrix[2]))):
+        d = self._set_rows(rows, field, "a projectivity needs a 3x3 matrix")
+        if self.kernels.is_zero(d):
             raise DegenerateInputError("singular matrix is not a projectivity")
-        self.raw = matrix
-        self.kernels = k
 
     @property
     def matrix(self) -> tuple:
         return tuple(map(self.kernels.unpack, self.raw))
-
-    @property
-    def field(self):
-        return self.kernels.field
 
     def apply(self, p: ProjPoint) -> ProjPoint:
         _require_same_field(self, p)
@@ -403,15 +427,6 @@ class Projectivity:
             return NotImplemented
         _require_same_field(self, other)
         return Projectivity(matmul(self.matrix, other.matrix), self.field)
-
-    def __eq__(self, other):
-        if not isinstance(other, Projectivity):
-            return NotImplemented
-        _require_same_field(self, other)
-        return self.kernels.proportional(sum(self.raw, ()), sum(other.raw, ()))
-
-    def __hash__(self):
-        return hash(("projectivity",) + self.kernels.normalize(sum(self.raw, ())))
 
     def __repr__(self):
         return f"Projectivity({self.matrix!r})"

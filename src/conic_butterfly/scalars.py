@@ -279,21 +279,14 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
 
 
 def _reduced(a: int, b: int, d: int) -> GaussianRational:
-    """``(a + b*i) / d`` for ``d > 0``, with ``gcd(a, b, d)`` divided out.
-
-    Every arithmetic result passes through here, so the allocation of
-    ``_make`` is inlined."""
+    """``(a + b*i) / d`` for ``d > 0``, with ``gcd(a, b, d)`` divided out."""
     if d != 1:
         g = gcd(a, b, d)
         if g != 1:
             a //= g
             b //= g
             d //= g
-    out = _raw_new(GaussianRational)
-    out.a = a
-    out.b = b
-    out.d = d
-    return out
+    return _make(a, b, d)
 
 
 _PRIME = (1 << 61) - 1  # Mersenne prime, fixed once for the whole build
@@ -421,7 +414,7 @@ def _make_residue(residue: int) -> PrimeFieldElement:
 
 class Kernels(namedtuple("Kernels", (
         "field units cross dot minor first_nonzero_minor combine combine3 matvec quad_form "
-        "reduce_content proportional lead is_zero add mul neg inv pair pack param unpack "
+        "reduce_content proportional lead is_zero add mul neg pack param unpack "
         "scalar normalize"))):
     """One backend's kernels over its raw representation.
 
@@ -432,10 +425,8 @@ class Kernels(namedtuple("Kernels", (
     ``combine(a, u, b, v)`` (a*u - b*v), ``combine3`` (a*u + b*v + c*w),
     ``matvec``, ``quad_form``, ``reduce_content``, ``proportional`` (any
     length), ``lead`` (the first nonzero entry's index, or None) and the
-    coordinate vectors ``units``.  Scalars: ``is_zero``, ``add``, ``mul``,
-    ``neg``, ``inv`` (the inverse up to a positive rational: the conjugate,
-    for a Gaussian integer) and ``pair`` (a homogeneous pair with its
-    rational content divided out).  The edge: ``pack`` (scalars to a raw
+    coordinate vectors ``units``.  Scalars: ``is_zero``, ``add``, ``mul``
+    and ``neg``.  The edge: ``pack`` (scalars to a raw
     vector, denominators cleared, content kept), ``param`` (two scalars to a
     raw pair of the same ratio), ``unpack``, ``scalar`` and ``normalize``.
     """
@@ -520,7 +511,6 @@ PrimeFieldElement.kernels = Kernels(
     reduce_content=tuple,  # the identity on a tuple: a residue vector has no content
     proportional=_p_proportional, lead=_p_lead, is_zero=not_,
     add=lambda x, y: (x + y) % _PRIME, mul=lambda x, y: x * y % _PRIME, neg=lambda x: -x % _PRIME,
-    inv=lambda x: pow(x, -1, _PRIME), pair=lambda u0, u1: (u0, u1),
     pack=lambda values: tuple(x.residue for x in values),
     param=lambda t0, t1: (t0.residue, t1.residue),
     unpack=lambda v: tuple(map(_make_residue, v)), scalar=_make_residue, normalize=_p_normalize,
@@ -603,11 +593,6 @@ def _g_lead(v):
     return next((i // 2 for i in range(0, len(v), 2) if v[i] or v[i + 1]), None)
 
 
-def _g_pair(u0, u1):
-    g = gcd(*u0, *u1)
-    return (u0, u1) if g <= 1 else ((u0[0] // g, u0[1] // g), (u1[0] // g, u1[1] // g))
-
-
 def _g_pack(values):
     den = lcm(*(x.d for x in values))
     return tuple(p * (den // x.d) for x in values for p in (x.a, x.b))
@@ -635,7 +620,7 @@ GaussianRational.kernels = Kernels(
     reduce_content=_g_reduce_content, proportional=_g_proportional, lead=_g_lead,
     is_zero=(0, 0).__eq__, add=lambda x, y: (x[0] + y[0], x[1] + y[1]),
     mul=lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]),
-    neg=lambda x: (-x[0], -x[1]), inv=lambda x: (x[0], -x[1]), pair=_g_pair,
+    neg=lambda x: (-x[0], -x[1]),
     pack=_g_pack, param=_g_param,
     unpack=lambda v: tuple(_make(v[i], v[i + 1], 1) for i in range(0, len(v), 2)),
     scalar=lambda x: _make(x[0], x[1], 1), normalize=_g_normalize,

@@ -33,7 +33,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conic_butterfly import _linalg
-from conic_butterfly._linalg import bilinear, cross, dot, matmul, matvec, quad_form
+from conic_butterfly._linalg import cross, dot, matmul, matvec, quad_form
 from conic_butterfly.conics import (Conic, ConicParametrization, _second_point_on, second_intersection,
                                    transform_conic)
 from conic_butterfly.projective import (
@@ -141,7 +141,7 @@ def ref_second_intersection(conic, l, known):
     q = quad_form(conic.form, b.coords)
     if q.is_zero():
         return b
-    m = bilinear(conic.form, known.coords, b.coords)
+    m = dot(known.coords, matvec(conic.form, b.coords))
     if m.is_zero():
         return known
     two = conic.field.one() + conic.field.one()
@@ -545,12 +545,10 @@ def test_partner_matches_second_intersection(field, data):
 @given(data=st.data())
 def test_partner_exact_scale_on_conic_points(field, data):
     """With m = point(s), Q(t)/kappa is exactly (t0*s1 - t1*s0)^2 times m's
-    content, so on the prime field partner(t, m) is exactly
-    2*(s0*t1 - s1*t0)*(s0, s1) divided by that content.  On the Gaussian
-    backend the partner is that pair with its rational content divided out,
-    a pair of Gaussian integers fixed up to sign.  This pins the division by
-    kappa itself, which the point comparison above cannot see (any common
-    scale of alpha, beta, gamma gives the same point)."""
+    content, so partner(t, m) is exactly 2*(s0*t1 - s1*t0)*(s0, s1) divided by
+    that content.  This pins kappa^-1 itself, which the point comparison
+    above cannot see (any common scale of alpha, beta, gamma gives the same
+    point)."""
     par = data.draw(charts(field))
     t, s = data.draw(parameters(field)), data.draw(parameters(field))
     (t0, t1), (s0, s1) = _pair(field, t), _pair(field, s)
@@ -563,12 +561,7 @@ def test_partner_exact_scale_on_conic_points(field, data):
     content = raw[k] / m.coords[k]
     u0, u1 = par.partner(t, m)
     two = field.one() + field.one()
-    expected = (two * bracket * s0 / content, two * bracket * s1 / content)
-    if field is G:
-        e0, e1 = G.reduce_content(expected)
-        assert (u0, u1) in ((e0, e1), (-e0, -e1))
-    else:
-        assert (u0, u1) == expected
+    assert (u0 * content, u1 * content) == (two * bracket * s0, two * bracket * s1)
 
 
 # ----------------------------------------------------------------------
@@ -658,17 +651,6 @@ def test_table_scalar_kernels_match_scalar_operators(field, data):
     assert k.scalar(k.add(x, y)) == X + Y
     assert k.scalar(k.mul(x, y)) == X * Y
     assert k.scalar(k.neg(x)) == -X
-    if not X.is_zero():
-        # inv is the inverse up to a positive rational factor
-        ratio = k.scalar(k.inv(x)) / X.inv()
-        assert ratio.is_real() and (field is P or ratio.re > 0)
-        u0, u1 = k.pair(x, y)
-        U0, U1 = k.scalar(u0), k.scalar(u1)
-        assert U0 * Y == U1 * X
-        ratio = U0 / X
-        assert ratio.is_real() and (field is P or ratio.re > 0)
-        if field is G:
-            assert gcd(*u0, *u1) == 1
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
