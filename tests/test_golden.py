@@ -14,7 +14,7 @@ from random import Random
 
 import pytest
 
-from conic_butterfly import GaussianRational, RetryBudget
+from conic_butterfly import GaussianRational, PrimeFieldElement, RetryBudget
 from conic_butterfly.cli import main
 from conic_butterfly.fuzz import _RUNNERS
 from conic_butterfly.scenario_io import parse_scenario, serialize_scenario
@@ -47,6 +47,14 @@ PINS = {
     "cutl_cr": ("cutl", "expect ratio cr 2"),
 }
 
+# `conic points` documents, one per backend: cell 0 of `butterfly fuzz
+# --seed 11 --height 10 --checks damn` with its conic given by five of its
+# conic points, and a wrong axis.  The axis is the polar of j, so its
+# residual scales with the conic representative `conic_through_five` builds
+# (on gauss by a non-real factor too: the points are not real), and these
+# files pin that representative.
+CONIC_PINS = {"points_gauss": GaussianRational, "points_prime": PrimeFieldElement}
+
 
 def _fixture(name: str):
     return resources.files("conic_butterfly") / "fixtures" / f"{name}.scn"
@@ -68,6 +76,15 @@ def _pin_document(name: str) -> str:
     claim, expect = PINS[name]
     _, make_doc = _RUNNERS[claim](Random(f"11:0:{claim}"), GaussianRational, 50, RetryBudget(), 0)
     return serialize_scenario(make_doc()) + expect + "\n"
+
+
+def _conic_pin_document(name: str) -> str:
+    _, make_doc = _RUNNERS["damn"](Random("11:0:damn"), CONIC_PINS[name], 10, RetryBudget(), 0)
+    doc = make_doc()
+    five = " ".join(str(doc.points[n]) for n in ("a", "b", "r", "s", "f"))
+    lines = [f"conic points {five}" if line.startswith("conic ") else line
+             for line in serialize_scenario(doc).splitlines()]
+    return "\n".join(lines) + "\nexpect line axis (1 : 2 : 3)\n"
 
 
 def _serialize(name: str) -> str:
@@ -95,7 +112,7 @@ def test_verify_report(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"verify_{name}.txt").read_bytes()
 
 
-@pytest.mark.parametrize("name", sorted(PINS))
+@pytest.mark.parametrize("name", sorted(PINS) + sorted(CONIC_PINS))
 def test_raw_representatives(name, tmp_path):
     out = tmp_path / f"{name}.txt"
     assert _verify_pin(name, out) == 1
@@ -117,6 +134,9 @@ def _regenerate() -> None:
         (GOLDEN / f"serialize_{name}.scn").write_text(_serialize(name), encoding="utf-8")
     for name in PINS:
         (GOLDEN / f"pin_{name}.scn").write_text(_pin_document(name), encoding="utf-8")
+        _verify_pin(name, GOLDEN / f"verify_pin_{name}.txt")
+    for name in CONIC_PINS:
+        (GOLDEN / f"pin_{name}.scn").write_text(_conic_pin_document(name), encoding="utf-8")
         _verify_pin(name, GOLDEN / f"verify_pin_{name}.txt")
 
 
