@@ -2,13 +2,12 @@
 
 Vectors are length-3 tuples of scalars and matrices 3-tuples of rows; every
 formula uses the scalar operators only, so it runs on either backend.  They
-serve ``nullspace`` (used by ``conic_through_five``), the cold
-constructions that read the public ``coords``/``form``/``matrix``
-accessors, the benchmark's kernel timings, and the tests as the oracle that
+serve the cold constructions that read the public ``coords``/``form``/
+``matrix`` accessors (``conic_through_five``, projectivity inverses and
+products), the benchmark's kernel timings, and the tests as the oracle that
 each backend's kernel table (``scalars.Kernels``) must match.  The geometry
-itself computes on raw representations through those tables.
-``nullspace`` is Gauss-Jordan elimination; the arithmetic is exact, so it
-needs no pivoting heuristic.
+itself computes on raw representations through those tables.  Nothing here
+solves a linear system: every construction has a closed form.
 """
 
 from __future__ import annotations
@@ -127,41 +126,3 @@ def combine3(a: S, u: Vec3, b: S, v: Vec3, c: S, w: Vec3) -> Vec3:
     v0, v1, v2 = v
     w0, w1, w2 = w
     return (a * u0 + b * v0 + c * w0, a * u1 + b * v1 + c * w1, a * u2 + b * v2 + c * w2)
-
-
-def nullspace(rows: Sequence[Sequence[S]], width: int, field) -> list:
-    """Basis of the right kernel of the given row list, by Gauss elimination.
-
-    Rows may be any length-``width`` sequences over the backend ``field``.
-    Returns a list of kernel basis vectors (tuples of scalars); empty when
-    the rows have full column rank.
-    """
-    work = [list(r) for r in rows]
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(width):
-        pivot = next((i for i in range(r, len(work)) if not work[i][col].is_zero()), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = work[r][col].inv()
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and not work[i][col].is_zero():
-                factor = work[i][col]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == len(work):
-            break
-
-    free_cols = [c for c in range(width) if c not in pivot_cols]
-    basis = []
-    zero, one = field.zero(), field.one()
-    for free in free_cols:
-        vec = [zero] * width
-        vec[free] = one
-        for row_idx, col in enumerate(pivot_cols):
-            vec[col] = -work[row_idx][free]
-        basis.append(tuple(vec))
-    return basis

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ._linalg import normalize, nullspace
+from ._linalg import cross, dot
 from .projective import (
     DegenerateInputError,
     ProjectiveError,
@@ -62,6 +62,12 @@ class Conic(_Matrix):
         m = self.form
         return (m[0][0], m[0][1], m[0][2], m[1][1], m[1][2], m[2][2])
 
+    def canonical(self) -> tuple:
+        """The upper entries rescaled so the first nonzero one is 1."""
+        m = self.raw
+        w = len(m[0]) // 3
+        return self.kernels.normalize(m[0] + m[1][w:] + m[2][2 * w:])
+
     # ------------------------------------------------------------------
     def membership_residual(self, p: ProjPoint):
         _require_same_field(self, p)
@@ -96,7 +102,7 @@ class Conic(_Matrix):
 
     # ------------------------------------------------------------------
     def __str__(self):
-        return "[" + ", ".join(str(e) for e in normalize(self.upper_entries())) + "]"
+        return "[" + ", ".join(map(str, self.canonical())) + "]"
 
     def __repr__(self):
         return f"Conic{self}"
@@ -105,35 +111,36 @@ class Conic(_Matrix):
 def conic_through_five(points: Sequence[ProjPoint]) -> Conic:
     """The unique conic through five points in general position.
 
-    Solves the 5x6 incidence system exactly; a kernel of dimension other
-    than one means the input was ambiguous, and a singular resulting form
-    is rejected as degenerate.
+    The conics through p1..p4 form the pencil of the line pairs A = (p1p2)(p3p4)
+    and B = (p1p3)(p2p4), and B(p5)*A - A(p5)*B is its member through p5
+    (Richter-Gebert, *Perspectives on Projective Geometry*, the chapter on
+    conics).  The form is scaled so that its last nonzero coefficient, in the
+    order x^2, y^2, z^2, xy, xz, yz, is 1, which is the kernel vector Gauss-Jordan
+    elimination of the five incidence equations gives.  It vanishes exactly
+    when four of the points are collinear; with three collinear it is a line
+    pair, which `Conic` rejects as degenerate.
     """
     points = tuple(points)
     if len(points) != 5:
         raise ProjectiveError("expected exactly 5 points")
-    field = points[0].field
     for i in range(5):
         for j in range(i + 1, 5):
             if points[i] == points[j]:
                 raise DegenerateInputError("coincident points cannot pin down a conic")
-    rows = []
-    for p in points:
-        x, y, z = p.coords
-        rows.append((x * x, y * y, z * z, x * y, x * z, y * z))
-    kernel = nullspace(rows, 6, field)
-    if len(kernel) != 1:
-        raise DegenerateInputError(f"five-point system has kernel dimension {len(kernel)}, need 1")
-    a, b, c, d, e, f = kernel[0]
-    two_inv = (field.one() + field.one()).inv()
-    return Conic(
-        (
-            (a, d * two_inv, e * two_inv),
-            (d * two_inv, b, f * two_inv),
-            (e * two_inv, f * two_inv, c),
-        ),
-        field,
-    )
+    p1, p2, p3, p4, p5 = (p.coords for p in points)
+    a, b, c, d = cross(p1, p2), cross(p3, p4), cross(p1, p3), cross(p2, p4)
+    s, t = dot(c, p5) * dot(d, p5), dot(a, p5) * dot(b, p5)
+    # the upper entries m11, m12, m13, m22, m23, m33 of twice the matrix of
+    # B(p5)*A - A(p5)*B, where A(x) = (a.x)(b.x) and B(x) = (c.x)(d.x); the
+    # coefficients of x^2, y^2, z^2, xy, xz, yz are m11, m22, m33, 2*m12, 2*m13, 2*m23
+    m = [s * (a[i] * b[j] + a[j] * b[i]) - t * (c[i] * d[j] + c[j] * d[i])
+         for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))]
+    k = next((k for k in (4, 2, 1, 5, 3, 0) if not m[k].is_zero()), None)
+    if k is None:
+        dim = 3 if all(dot(a, p).is_zero() for p in (p3, p4, p5)) else 2
+        raise DegenerateInputError(f"five-point system has kernel dimension {dim}, need 1")
+    inv = (m[k] + m[k] if k in (1, 2, 4) else m[k]).inv()
+    return Conic.from_upper_entries([e * inv for e in m], points[0].field)
 
 
 def _second_point_on(l: ProjLine, known: ProjPoint) -> ProjPoint:

@@ -12,6 +12,7 @@ replay.
 from __future__ import annotations
 
 import multiprocessing
+from contextlib import nullcontext
 from random import Random
 from typing import Iterator, List, Optional, Tuple
 
@@ -146,22 +147,13 @@ def _stream(config: CampaignConfig, jobs: int, counts: CampaignCounts) -> Iterat
              for index in range(config.count)
              for claim in config.checks]
     yield config.header()
-
-    if jobs == 1:
-        results = map(_evaluate_cell, tasks)
+    # Pool.__exit__ terminates the workers, also when the first VIOLATED ends the loop
+    with (multiprocessing.Pool(processes=jobs) if jobs > 1 else nullcontext()) as pool:
+        results = (pool.imap(_evaluate_cell, tasks, chunksize=16) if jobs > 1
+                   else map(_evaluate_cell, tasks))
         for lines, verdict, retries in results:
             yield from lines
             _tally(counts, verdict, retries)
             if verdict == "VIOLATED":
-                break
-        yield counts.line()
-        return
-
-    with multiprocessing.Pool(processes=jobs) as pool:
-        for lines, verdict, retries in pool.imap(_evaluate_cell, tasks, chunksize=16):
-            yield from lines
-            _tally(counts, verdict, retries)
-            if verdict == "VIOLATED":
-                pool.terminate()
                 break
     yield counts.line()

@@ -1,6 +1,7 @@
 """Exact scalar backends for the projective kernel.
 
-Two interchangeable scalar types cover every computation:
+Two interchangeable scalar types, on the common base ``FieldContract``, cover
+every computation:
 
 * ``GaussianRational`` -- complex numbers with rational real and imaginary
   parts, stored as one canonical integer triple ``(a, b, d)`` meaning
@@ -40,7 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import not_
 from random import Random
-from typing import Protocol, Union, runtime_checkable
+from typing import Union
 
 from ._linalg import _MINORS
 
@@ -55,22 +56,55 @@ class ScalarParseError(ValueError):
     """Scalar text that does not match the serialization grammar."""
 
 
-@runtime_checkable
-class FieldContract(Protocol):
-    """Capabilities every scalar backend provides.
+class FieldContract:
+    """The base class of both scalar backends, with what they share.
 
-    Beyond the arithmetic dunders, a backend needs ``inv``, ``conjugate``,
-    ``is_zero`` and ``is_real``, plus the classmethods ``zero``, ``one``,
-    ``from_int``, ``coerce``, ``parse``, ``random`` and ``reduce_content``,
-    and its ``Kernels`` table as the class attribute ``kernels``.
-    Conjugation must be a field automorphism; on the prime field it is the
-    identity.
+    A backend adds the arithmetic dunders, ``inv``, ``conjugate``,
+    ``is_zero``, ``is_real``, ``__eq__``, ``__hash__`` and ``__str__``, the
+    classmethods ``parse`` and ``random``, the number types ``coerce`` wraps
+    with the constructor (``_numbers``), and its ``Kernels`` table as the
+    class attribute ``kernels``.  Conjugation must be a field automorphism;
+    on the prime field it is the identity.
     """
 
-    def inv(self): ...
-    def conjugate(self): ...
-    def is_zero(self) -> bool: ...
-    def is_real(self) -> bool: ...
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls):
+        return cls(0)
+
+    @classmethod
+    def one(cls):
+        return cls(1)
+
+    @classmethod
+    def from_int(cls, n: int):
+        return cls(n)
+
+    @classmethod
+    def coerce(cls, value):
+        if isinstance(value, cls):
+            return value
+        if isinstance(value, cls._numbers):
+            return cls(value)
+        if isinstance(value, str):
+            return cls.parse(value)
+        raise TypeError(f"cannot coerce {type(value).__name__} to {cls.__name__}")
+
+    @classmethod
+    def reduce_content(cls, values: tuple) -> tuple:
+        """Scale a tuple by a positive rational so all components are coprime
+        integers; the identity on the prime field, which has no content."""
+        k = cls.kernels
+        return k.unpack(k.reduce_content(k.pack(tuple(values))))
+
+    def __truediv__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self * other.inv()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
 
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
@@ -103,7 +137,7 @@ def _ratio_text(n: int, d: int) -> str:
     return str(n)
 
 
-class GaussianRational:
+class GaussianRational(FieldContract):
     """A complex scalar ``(a + b*i) / d`` held as three Python integers.
 
     The triple ``(a, b, d)`` is canonical: ``d > 0``, ``gcd(a, b, d) == 1``
@@ -117,6 +151,7 @@ class GaussianRational:
     """
 
     __slots__ = ("a", "b", "d")
+    _numbers = (int, Fraction)
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
         if type(re) is int and type(im) is int:
@@ -139,28 +174,6 @@ class GaussianRational:
 
     # ------------------------------------------------------------------
     # constructors
-    @classmethod
-    def zero(cls) -> "GaussianRational":
-        return cls(0)
-
-    @classmethod
-    def one(cls) -> "GaussianRational":
-        return cls(1)
-
-    @classmethod
-    def from_int(cls, n: int) -> "GaussianRational":
-        return cls(n)
-
-    @classmethod
-    def coerce(cls, value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value)
-        if isinstance(value, str):
-            return cls.parse(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
-
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
         """Inverse of ``str``: accepts ``a/b``, ``a/b+c/di`` and ``c/di``."""
@@ -191,12 +204,6 @@ class GaussianRational:
             return _reduced(a, 0, d)
         b, e = rng.randint(-height_bound, height_bound), rng.randint(1, height_bound)
         return _reduced(a * e, b * d, d * e)
-
-    @classmethod
-    def reduce_content(cls, values: tuple) -> tuple:
-        """Scale a tuple by a positive rational so all components are coprime integers."""
-        k = cls.kernels
-        return k.unpack(k.reduce_content(k.pack(tuple(values))))
 
     # ------------------------------------------------------------------
     # field operations
@@ -232,11 +239,6 @@ class GaussianRational:
             raise ScalarDivisionError("0 has no multiplicative inverse")
         return _reduced(self.d * a, -self.d * b, norm)
 
-    def __truediv__(self, other):
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self * other.inv()
-
     def conjugate(self) -> "GaussianRational":
         return _make(self.a, -self.b, self.d)
 
@@ -261,9 +263,6 @@ class GaussianRational:
             return _ratio_text(a, d)
         sign = "+" if b > 0 else "-"
         return f"{_ratio_text(a, d)}{sign}{_ratio_text(abs(b), d)}i"
-
-    def __repr__(self):
-        return f"GaussianRational({self})"
 
 
 _raw_new = object.__new__
@@ -292,7 +291,7 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
 _PRIME = (1 << 61) - 1  # Mersenne prime, fixed once for the whole build
 
 
-class PrimeFieldElement:
+class PrimeFieldElement(FieldContract):
     """An element of GF(p) for the fixed prime ``p = 2**61 - 1``.
 
     Conjugation is the identity and every element counts as real.  The
@@ -301,6 +300,7 @@ class PrimeFieldElement:
     """
 
     __slots__ = ("residue",)
+    _numbers = (int,)
     MODULUS = _PRIME
 
     def __init__(self, value: Union[int, str] = 0):
@@ -308,28 +308,6 @@ class PrimeFieldElement:
 
     # ------------------------------------------------------------------
     # constructors
-    @classmethod
-    def zero(cls) -> "PrimeFieldElement":
-        return _make_residue(0)
-
-    @classmethod
-    def one(cls) -> "PrimeFieldElement":
-        return _make_residue(1)
-
-    @classmethod
-    def from_int(cls, n: int) -> "PrimeFieldElement":
-        return _make_residue(n % _PRIME)
-
-    @classmethod
-    def coerce(cls, value) -> "PrimeFieldElement":
-        if isinstance(value, PrimeFieldElement):
-            return value
-        if isinstance(value, int):
-            return _make_residue(value % _PRIME)
-        if isinstance(value, str):
-            return cls.parse(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} to PrimeFieldElement")
-
     @classmethod
     def parse(cls, text: str) -> "PrimeFieldElement":
         t = text.strip()
@@ -341,10 +319,6 @@ class PrimeFieldElement:
     def random(cls, rng: Random, height_bound: int = 0, *, real: bool = False) -> "PrimeFieldElement":
         """Uniform residue; the height bound and reality flag do not apply here."""
         return _make_residue(rng.randrange(_PRIME))
-
-    @classmethod
-    def reduce_content(cls, values: tuple) -> tuple:
-        return tuple(values)
 
     # ------------------------------------------------------------------
     # field operations
@@ -371,11 +345,6 @@ class PrimeFieldElement:
             raise ScalarDivisionError("0 has no multiplicative inverse")
         return _make_residue(pow(self.residue, -1, _PRIME))
 
-    def __truediv__(self, other):
-        if not isinstance(other, PrimeFieldElement):
-            return NotImplemented
-        return self * other.inv()
-
     def conjugate(self) -> "PrimeFieldElement":
         return self
 
@@ -396,9 +365,6 @@ class PrimeFieldElement:
 
     def __str__(self):
         return str(self.residue)
-
-    def __repr__(self):
-        return f"PrimeFieldElement({self.residue})"
 
 
 def _make_residue(residue: int) -> PrimeFieldElement:

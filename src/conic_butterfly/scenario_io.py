@@ -26,7 +26,6 @@ from collections import namedtuple
 from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional
 
-from ._linalg import cross, normalize
 from .scalars import BACKENDS, GaussianRational, backend_name
 from .projective import (CrossRatioValue, DegenerateInputError, ProjLine, ProjPoint,
                          ProjectiveError, join)
@@ -34,8 +33,8 @@ from .conics import (AffineConicSpec, Conic, ConicParametrization, DegenerateCon
                      conic_through_five, homogenize_affine_conic, second_intersection)
 from .reflection import ReflectionFrame
 from .reports import CheckReport, Verdict
-from .checks import (lemma_jap_check, lemma_mono_check, lemma_nut_check, lemma_sack_check,
-                     pascal_check, theorem_damn_check)
+from .checks import (_separation_residual, lemma_jap_check, lemma_mono_check, lemma_nut_check,
+                     lemma_sack_check, pascal_check, theorem_damn_check)
 from .scenarios import (FLAVOURS, build_scenario, random_hexagon, random_jap_inputs,
                         random_mono_inputs, random_nut_inputs, random_sack_inputs,
                         random_scenario)
@@ -292,10 +291,6 @@ def parse_scenario(text: str) -> ScenarioDocument:
     return ScenarioDocument(check, field, conic, points, lines, expects, base=base)
 
 
-def _conic_entries(conic: Conic) -> List[str]:
-    return [str(e) for e in normalize(conic.upper_entries())]
-
-
 def serialize_scenario(doc: ScenarioDocument) -> str:
     """Canonical text: fixed key order, canonical coordinates.
 
@@ -304,7 +299,7 @@ def serialize_scenario(doc: ScenarioDocument) -> str:
     """
     claim = CLAIMS[doc.check]
     out = [f"check {doc.check}", f"backend {backend_name(doc.field)}"]
-    out.append("conic symmetric " + " ".join(_conic_entries(doc.conic)))
+    out.append("conic symmetric " + " ".join(map(str, doc.conic.canonical())))
     if doc.base is not None:
         out.append(f"base {doc.base}")
     ordered = [n for n in claim.points if n in doc.points]
@@ -476,8 +471,7 @@ CLAIM_ORDER = tuple(CLAIMS)
 
 def _expect_residual(expect: Expect, actual):
     if expect.kind in ("point", "line"):
-        c = cross(actual.coords, expect.value.coords)
-        return next((e for e in c if not e.is_zero()), c[0])
+        return _separation_residual(actual, expect.value)
     if expect.kind == "ratio":
         return actual.num * expect.value.den - expect.value.num * actual.den
     return actual - expect.value

@@ -326,20 +326,20 @@ def random_scenario(rng: Random, field=GaussianRational, height_bound: int = 10,
 
 
 def random_reflection_frame(rng: Random, field=GaussianRational, height_bound: int = 10,
-                            *, real: bool = False, with_chord: bool = False,
+                            *, with_chord: bool = False,
                             budget: Optional[RetryBudget] = None) -> Tuple[ReflectionFrame, ConicParametrization]:
     """A frame on a random conic.  With `with_chord` the axis is the join of
     two rational conic points (attached as u, v); otherwise the axis is an
     arbitrary non-tangent line, so its conic points typically leave the field."""
     budget = budget if budget is not None else RetryBudget()
-    conic, base = random_conic(rng, field, height_bound, real=real, budget=budget)
+    conic, base = random_conic(rng, field, height_bound, budget=budget)
     par = ConicParametrization(conic, base)
     if with_chord:
-        u = _random_conic_point(par, rng, height_bound, budget, real=real)
-        v = _random_conic_point(par, rng, height_bound, budget, real=real, avoid=(u,))
+        u = _random_conic_point(par, rng, height_bound, budget)
+        v = _random_conic_point(par, rng, height_bound, budget, avoid=(u,))
         return ReflectionFrame(conic, join(u, v), u, v), par
     while True:
-        dual = _random_point(rng, field, height_bound, budget, real=real)
+        dual = _random_point(rng, field, height_bound, budget)
         axis = ProjLine(dual.raw, dual.kernels)
         if not incident(conic.pole(axis), axis):
             return ReflectionFrame(conic, axis), par

@@ -1,6 +1,14 @@
 from importlib import resources
 
 import pytest
+from hypothesis import Phase, settings
+
+# Hypothesis's explain phase reruns a shrunk failing example with each draw
+# varied, to mark the draws that do not matter.  On the kernel properties it
+# took 1.5 to 4.5 minutes and up to 600 MB after shrinking had finished, so it
+# is left out; a failure still reports its shrunk example.
+settings.register_profile("no-explain", phases=tuple(p for p in Phase if p is not Phase.explain))
+settings.load_profile("no-explain")
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,11 @@ generation, `second_intersection` on the join of point(t) and m; the two
 agree as points.  The partner's exact scale is pinned separately, on
 m = point(s), where the kappa-normalised polar form is the square bracket
 (t0*s1 - t1*s0)^2.
+
+`conic_through_five` takes the member through p5 of the pencil of two line
+pairs through p1..p4.  Its reference is the Gauss-Jordan solve of the five
+incidence equations it replaced; the two must give the same raw form, or
+raise the same exception with the same message, on both backends.
 """
 
 from fractions import Fraction
@@ -34,7 +39,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conic_butterfly import _linalg
 from conic_butterfly._linalg import cross, dot, matmul, matvec, quad_form
-from conic_butterfly.conics import (Conic, ConicParametrization, _second_point_on, second_intersection,
+from conic_butterfly.conics import (Conic, ConicParametrization, DegenerateConicError,
+                                   _second_point_on, conic_through_five, second_intersection,
                                    transform_conic)
 from conic_butterfly.projective import (
     DegenerateInputError,
@@ -562,6 +568,119 @@ def test_partner_exact_scale_on_conic_points(field, data):
     u0, u1 = par.partner(t, m)
     two = field.one() + field.one()
     assert (u0 * content, u1 * content) == (two * bracket * s0, two * bracket * s1)
+
+
+# ----------------------------------------------------------------------
+# the conic through five points against the Gauss-Jordan solve
+
+
+def ref_nullspace(rows, width, field):
+    """Basis of the right kernel of the rows, by Gauss-Jordan elimination;
+    each basis vector is 1 at its free column and 0 after it."""
+    work = [list(r) for r in rows]
+    pivot_cols = []
+    r = 0
+    for col in range(width):
+        pivot = next((i for i in range(r, len(work)) if not work[i][col].is_zero()), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = work[r][col].inv()
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and not work[i][col].is_zero():
+                factor = work[i][col]
+                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
+        pivot_cols.append(col)
+        r += 1
+        if r == len(work):
+            break
+    basis = []
+    for free in (c for c in range(width) if c not in pivot_cols):
+        vec = [field.zero()] * width
+        vec[free] = field.one()
+        for row_idx, col in enumerate(pivot_cols):
+            vec[col] = -work[row_idx][free]
+        basis.append(tuple(vec))
+    return basis
+
+
+def ref_conic_through_five(points):
+    points = tuple(points)
+    if len(points) != 5:
+        raise ProjectiveError("expected exactly 5 points")
+    field = points[0].field
+    for i, j in combinations(range(5), 2):
+        if _same(points[i], points[j]):
+            raise DegenerateInputError("coincident points cannot pin down a conic")
+    rows = [(x * x, y * y, z * z, x * y, x * z, y * z) for x, y, z in (p.coords for p in points)]
+    kernel = ref_nullspace(rows, 6, field)
+    if len(kernel) != 1:
+        raise DegenerateInputError(f"five-point system has kernel dimension {len(kernel)}, need 1")
+    a, b, c, d, e, f = kernel[0]
+    half = (field.one() + field.one()).inv()
+    return Conic(((a, d * half, e * half), (d * half, b, f * half), (e * half, f * half, c)), field)
+
+
+def five_point_outcome(build, points):
+    """The raw form built, or the exception type, message and witness."""
+    try:
+        return ("conic", build(points).raw)
+    except DegenerateConicError as exc:
+        return ("raised", type(exc), str(exc), exc.witness)
+    except ProjectiveError as exc:
+        return ("raised", type(exc), str(exc))
+
+
+@st.composite
+def quintuples(draw, field):
+    """Five points of a random conic (some may coincide), five random points,
+    or random points of which three, four or all five are collinear, in
+    random order."""
+    kind = draw(st.sampled_from(("conic", "conic", "free", 3, 4, 5)))
+    if kind == "conic":
+        par = draw(charts(field))
+        return [par.point(draw(parameters(field))) for _ in range(5)]
+    pts = [draw(points(field)) for _ in range(5)]
+    if kind != "free":
+        u, v = pts[0], pts[1]
+        assume(not _same(u, v))
+        for i in range(2, kind):
+            a, b = draw(scalars(field)), draw(scalars(field))
+            coords = tuple(a * x + b * y for x, y in zip(u.coords, v.coords))
+            assume(not all(c.is_zero() for c in coords))
+            pts[i] = ProjPoint(coords, field)
+    return draw(st.permutations(pts))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_conic_through_five_matches_gauss_jordan(field, data):
+    pts = data.draw(quintuples(field))
+    assert five_point_outcome(conic_through_five, pts) == \
+        five_point_outcome(ref_conic_through_five, pts)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+def test_conic_through_five_named_failures(field):
+    """Each failure the Gauss-Jordan solve names, with its message."""
+    def pt(*c):
+        return ProjPoint(tuple(map(field.from_int, c)), field)
+
+    line = [pt(t, 1, 0) for t in range(5)]
+    off = pt(0, 0, 1)
+    cases = {
+        "coincident points cannot pin down a conic": [pt(1, 2, 3)] * 2 + line[:3],
+        "five-point system has kernel dimension 3, need 1": line,
+        "five-point system has kernel dimension 2, need 1": line[:4] + [off],
+        "degenerate conic (zero determinant)": line[:3] + [off, pt(1, 1, 1)],
+    }
+    for message, pts in cases.items():
+        for order in (pts, pts[::-1]):
+            got = five_point_outcome(conic_through_five, order)
+            assert got == five_point_outcome(ref_conic_through_five, order)
+            assert got[0] == "raised" and got[2] == message
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from conic_butterfly.scalars import (
     _IMAG_RE,
     _REAL_RE,
     BACKENDS,
+    FieldContract,
     GaussianRational,
     PrimeFieldElement,
     ScalarDivisionError,
@@ -424,3 +425,25 @@ def test_backend_registry():
         get_backend("float")
     with pytest.raises(ValueError):
         backend_name(int)
+
+
+@pytest.mark.parametrize("cls, value, text", [(G, G(Fraction(1, 2), -3), "1/2-3i"),
+                                              (P, P(-3), str(P.MODULUS - 3))],
+                         ids=("gauss", "prime"))
+def test_shared_base_methods(cls, value, text):
+    """Both backends take zero, one, from_int, coerce, reduce_content, / and
+    repr from their common base, with their own class name in messages."""
+    assert isinstance(value, FieldContract) and isinstance(cls.zero(), cls)
+    assert not hasattr(value, "__dict__")  # the base adds no instance dict
+    assert repr(value) == f"{cls.__name__}({text})"
+    assert cls.zero().is_zero() and cls.one() * value == value
+    assert cls.from_int(-3) == cls.coerce(-3) == cls.coerce("-3") == cls(-3)
+    assert cls.coerce(value) is value
+    assert (value / cls.from_int(2)) * cls.from_int(2) == value
+    assert value.__truediv__(1) is NotImplemented
+    with pytest.raises(ScalarDivisionError):
+        value / cls.zero()
+    with pytest.raises(TypeError, match=f"^cannot coerce float to {cls.__name__}$"):
+        cls.coerce(0.5)
+    assert cls.reduce_content((value, cls.zero())) == (
+        (G(1, -6), G(0)) if cls is G else (value, cls.zero()))
