@@ -214,6 +214,15 @@ class ConicParametrization:
     keeps `second_intersection`: its converse point is built from y''s raw
     coordinates, so a different representative would change the document.
 
+    `chord_meet(t, s, u, w)` meets two chords in the chart.  With S the
+    matrix of columns (A2, A1, A0), point(t) = S*v(t) for the Veronese point
+    v(t) = (t0^2, t0*t1, t1^2) of the conic xz = y^2, whose chord through
+    v(t) and v(s), with the bracket t0*s1 - t1*s0 divided out, is
+    l(t, s) = (t1*s1, -(t0*s1 + t1*s0), t0*s0), the tangent for t = s
+    (Richter-Gebert, *Perspectives on Projective Geometry*, the chapters on
+    conics).  The meet S*(l(t, s) x l(u, w)) stays at the chart's size,
+    without the large Gaussian common factor of `meet` of two `join`s.
+
     Vectors and parameters are held raw; the public methods take and
     return scalars.  A Gaussian parameter is cleared to Gaussian integers of
     the same ratio, which scales the point by a positive rational that
@@ -284,12 +293,30 @@ class ConicParametrization:
         return ProjLine(k.combine(t0, self.l1.raw, k.neg(t1), self.l0.raw), k)
 
     def point(self, t) -> ProjPoint:
-        t0, t1 = self._as_pair(t)
+        return self._point(self._as_pair(t))
+
+    def _point(self, pair) -> ProjPoint:
+        t0, t1 = pair
         k = self.conic.kernels
         a2, a1, a0 = self._raw_coefficients()
         coords = k.combine3(k.mul(t0, t0), a2, k.mul(t0, t1), a1, k.mul(t1, t1), a0)
         if not any(coords):
             raise AssertionError("chart point map gave the zero vector; arithmetic bug")
+        return ProjPoint(coords, k)
+
+    def chord_meet(self, t, s, u, w) -> ProjPoint:
+        """The meet of the chords point(t)point(s) and point(u)point(w)."""
+        return self._chord_meet(*map(self._as_pair, (t, s, u, w)))
+
+    def _chord_meet(self, t, s, u, w) -> ProjPoint:
+        k = self.conic.kernels
+        x, y, z = k.units
+        l, n = [k.combine3(k.mul(p1, q1), x, k.neg(k.add(k.mul(p0, q1), k.mul(p1, q0))), y,
+                           k.mul(p0, q0), z) for (p0, p1), (q0, q1) in ((t, s), (u, w))]
+        a2, a1, a0 = self._raw_coefficients()
+        coords = k.combine3(k.minor(l, n, 0), a2, k.minor(l, n, 1), a1, k.minor(l, n, 2), a0)
+        if not any(coords):
+            raise DegenerateInputError("meet of coincident lines is undefined")
         return ProjPoint(coords, k)
 
     def partner(self, t, m: ProjPoint) -> tuple:

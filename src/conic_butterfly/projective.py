@@ -117,7 +117,7 @@ class _Triple:
 
     def is_real(self) -> bool:
         """True when the object is fixed by coordinate-wise conjugation."""
-        return self == self.conjugate()
+        return self.kernels.real(self.raw) or self == self.conjugate()
 
     def __str__(self):
         x, y, z = self.canonical()
@@ -475,9 +475,8 @@ class Projectivity(_Matrix):
         """
         k = field.kernels
         while True:
-            entries = tuple(field.random(rng, height_bound, real=real) for _ in range(9))
             try:
-                return cls(k.pack(entries), k)
+                return cls(k.random(rng, height_bound, 9, real), k)
             except DegenerateInputError:
                 if budget is not None:
                     budget.tick("singular projectivity")

@@ -380,8 +380,8 @@ def _make_residue(residue: int) -> PrimeFieldElement:
 
 class Kernels(namedtuple("Kernels", (
         "field units cross dot minor first_nonzero_minor combine combine3 matvec quad_form "
-        "reduce_content proportional lead is_zero add mul neg pack param unpack "
-        "scalar normalize"))):
+        "reduce_content proportional lead real is_zero add mul neg pack param unpack "
+        "scalar normalize random"))):
     """One backend's kernels over its raw representation.
 
     Each computes the value of the generic formula of the same name in
@@ -390,11 +390,12 @@ class Kernels(namedtuple("Kernels", (
     ``first_nonzero_minor`` (None for proportional vectors),
     ``combine(a, u, b, v)`` (a*u - b*v), ``combine3`` (a*u + b*v + c*w),
     ``matvec``, ``quad_form``, ``reduce_content``, ``proportional`` (any
-    length), ``lead`` (the first nonzero entry's index, or None) and the
-    coordinate vectors ``units``.  Scalars: ``is_zero``, ``add``, ``mul``
+    length), ``lead`` (the first nonzero entry's index, or None), ``real``
+    (every entry real) and the coordinate vectors ``units``.  Scalars: ``is_zero``, ``add``, ``mul``
     and ``neg``.  The edge: ``pack`` (scalars to a raw
     vector, denominators cleared, content kept), ``param`` (two scalars to a
-    raw pair of the same ratio), ``unpack``, ``scalar`` and ``normalize``.
+    raw pair of the same ratio), ``unpack``, ``scalar``, ``normalize`` and
+    ``random(rng, height, n, real)`` (n packed draws of the backend's ``random``).
     """
 
     __slots__ = ()
@@ -475,11 +476,12 @@ PrimeFieldElement.kernels = Kernels(
     cross=_p_cross, dot=_p_dot, minor=_p_minor, first_nonzero_minor=_p_first_nonzero_minor,
     combine=_p_combine, combine3=_p_combine3, matvec=_p_matvec, quad_form=_p_quad_form,
     reduce_content=tuple,  # the identity on a tuple: a residue vector has no content
-    proportional=_p_proportional, lead=_p_lead, is_zero=not_,
+    proportional=_p_proportional, lead=_p_lead, real=lambda v: True, is_zero=not_,
     add=lambda x, y: (x + y) % _PRIME, mul=lambda x, y: x * y % _PRIME, neg=lambda x: -x % _PRIME,
     pack=lambda values: tuple(x.residue for x in values),
     param=lambda t0, t1: (t0.residue, t1.residue),
     unpack=lambda v: tuple(map(_make_residue, v)), scalar=_make_residue, normalize=_p_normalize,
+    random=lambda rng, height, n, real: tuple(rng.randrange(_PRIME) for _ in range(n)),
 )
 
 
@@ -584,12 +586,15 @@ GaussianRational.kernels = Kernels(
     combine=_g_combine, combine3=_g_combine3, matvec=_g_matvec,
     quad_form=lambda m, v: _g_dot(v, _g_matvec(m, v)),
     reduce_content=_g_reduce_content, proportional=_g_proportional, lead=_g_lead,
+    real=lambda v: not any(v[1::2]),  # the imaginary parts
     is_zero=(0, 0).__eq__, add=lambda x, y: (x[0] + y[0], x[1] + y[1]),
     mul=lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]),
     neg=lambda x: (-x[0], -x[1]),
     pack=_g_pack, param=_g_param,
     unpack=lambda v: tuple(_make(v[i], v[i + 1], 1) for i in range(0, len(v), 2)),
     scalar=lambda x: _make(x[0], x[1], 1), normalize=_g_normalize,
+    random=lambda rng, height, n, real: _g_pack(
+        tuple(GaussianRational.random(rng, height, real=real) for _ in range(n))),
 )
 
 

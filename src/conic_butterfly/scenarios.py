@@ -16,6 +16,7 @@ budget, and exhausting the budget is reported distinctly.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from random import Random
 from typing import NamedTuple, Optional, Tuple
 
@@ -63,33 +64,22 @@ class RetryBudget:
             raise RetryCapError(f"rejected {self.spent} draws (last: {what}); giving up")
 
 
-_REFERENCE_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def reference_conic(field=GaussianRational) -> Conic:
     """The conic xz - y^2 = 0, the fixed starting shape for random generation."""
-    cached = _REFERENCE_CACHE.get(field)
-    if cached is None:
-        one, zero = field.one(), field.zero()
-        half = (one + one).inv()
-        conic = Conic(((zero, zero, half), (zero, -one, zero), (half, zero, zero)), field)
-        cached = (conic, ProjPoint((one, zero, zero), field))
-        _REFERENCE_CACHE[field] = cached
-    return cached[0]
+    one, zero = field.one(), field.zero()
+    half = (one + one).inv()
+    return Conic(((zero, zero, half), (zero, -one, zero), (half, zero, zero)), field)
 
 
+@lru_cache(maxsize=None)
 def reference_base(field=GaussianRational) -> ProjPoint:
-    reference_conic(field)
-    return _REFERENCE_CACHE[field][1]
+    return ProjPoint((field.one(), field.zero(), field.zero()), field)
 
 
 def affine_spec_from_conic(conic: Conic) -> AffineConicSpec:
     """Read affine coefficients off a real symmetric form, rescaling first."""
-    entries = conic.upper_entries()
-    lead = next(e for e in entries if not e.is_zero())
-    inv = lead.inv()
-    m11, m12, m13, m22, m23, m33 = (e * inv for e in entries)
-    vals = (m11, m12, m13, m22, m23, m33)
+    m11, m12, m13, m22, m23, m33 = vals = conic.canonical()
     if not all(v.is_real() for v in vals):
         raise ProjectiveError("conic is not real; no affine coefficients exist")
     two = conic.field.one() + conic.field.one()
@@ -185,7 +175,8 @@ def build_scenario(conic: Conic, a, b, m, r, s, c, d, *, kind: str = "damn") -> 
     return _build_scenario(flavour, conic, (a, b, m, r, s, c, d))
 
 
-def _build_scenario(flavour: Flavour, conic: Conic, given: tuple) -> ButterflyScenario:
+def _build_scenario(flavour: Flavour, conic: Conic, given: tuple, derived=None) -> ButterflyScenario:
+    """Validate a butterfly; `derived` gives (d1, d2, conj) instead, each checked by incidence."""
     names = flavour.inputs
     a, b, m, r, s, c, d = given
     if flavour.real:
@@ -208,7 +199,10 @@ def _build_scenario(flavour: Flavour, conic: Conic, given: tuple) -> ButterflySc
     if reason is None:
         cd, reason = _validate_chord(conic, c, d, m, f"({names[5]},{names[6]})")
     points = dict(zip(names, given))
-    points[flavour.derived[2]] = harmonic_conjugate(a, b, m)
+    conj = harmonic_conjugate(a, b, m) if derived is None else derived[2]
+    if derived and (conj == m or not incident(conj, ab)):
+        raise ProjectiveError(f"{flavour.derived[2]} is not a point of ab other than m")
+    points[flavour.derived[2]] = conj
     if reason is None:
         if rs == ab or cd == ab:
             reason = "chord coincides with ab"
@@ -216,10 +210,13 @@ def _build_scenario(flavour: Flavour, conic: Conic, given: tuple) -> ButterflySc
             reason = "coincident chords"
     if reason is None:
         try:
-            meets = [meet(join(points[e1], points[e2]), ab) for e1, e2 in flavour.crosswise]
+            joins = [join(points[e1], points[e2]) for e1, e2 in flavour.crosswise]
+            meets = [meet(l, ab) for l in joins] if derived is None else derived[:2]
         except DegenerateInputError:
             reason = "derived meet undefined"
         else:
+            if derived and not all(incident(x, ab) and incident(x, l) for x, l in zip(meets, joins)):
+                raise ProjectiveError("a derived meet is off ab or off its crosswise join")
             points.update(zip(flavour.derived, meets))
     return ButterflyScenario(flavour, conic, points, reason)
 
@@ -239,7 +236,7 @@ def _random_nonzero(rng: Random, field, height: int, budget: RetryBudget, *, rea
 def _random_point(rng: Random, field, height: int, budget: RetryBudget, *, real: bool = False) -> ProjPoint:
     k = field.kernels
     while True:
-        coords = k.pack(tuple(field.random(rng, height, real=real) for _ in range(3)))
+        coords = k.random(rng, height, 3, real)
         if any(coords):
             return ProjPoint(coords, k)
         budget.tick("point draw")
@@ -253,21 +250,21 @@ def _point_along(p: ProjPoint, lam, q: ProjPoint) -> ProjPoint:
     return ProjPoint(k.combine(d, p.raw, k.neg(n), q.raw), k)
 
 
+def _same_parameter(k, t, s) -> bool:
+    """Whether two raw chart parameters, so their points, agree: t0*s1 = t1*s0."""
+    return k.mul(t[0], s[1]) == k.mul(t[1], s[0])  # raw scalars are canonical
+
+
 def _random_chart_point(par: ConicParametrization, rng: Random, height: int,
                         budget: RetryBudget, *, real: bool = False, avoid=()) -> tuple:
-    """A random chart parameter t with its point, the point off the avoid list."""
+    """A random raw chart parameter off the avoid list, with its point."""
     field = par.conic.field
+    k, one = field.kernels, field.one()
     while True:
-        t = field.random(rng, height, real=real)
-        q = par.point(t)
-        if all(q != w for w in avoid):
-            return t, q
+        t = k.param(field.random(rng, height, real=real), one)
+        if not any(_same_parameter(k, t, w) for w in avoid):
+            return t, par._point(t)
         budget.tick("conic point collision")
-
-
-def _random_conic_point(par: ConicParametrization, rng: Random, height: int,
-                        budget: RetryBudget, *, real: bool = False, avoid=()) -> ProjPoint:
-    return _random_chart_point(par, rng, height, budget, real=real, avoid=avoid)[1]
 
 
 def random_conic(rng: Random, field=GaussianRational, height_bound: int = 10,
@@ -281,19 +278,20 @@ def random_conic(rng: Random, field=GaussianRational, height_bound: int = 10,
 
 def _chord_through(par: ConicParametrization, m: ProjPoint,
                    rng: Random, height: int, budget: RetryBudget,
-                   *, real: bool = False, avoid=()) -> Tuple[ProjPoint, ProjPoint]:
-    """A chord (end1, end2) through m with both endpoints off the avoid list;
-    end2 is a chart point too, through the chart's Frégier involution at m."""
+                   *, real: bool = False, avoid=()) -> Tuple[tuple, tuple]:
+    """A chord through m as two (raw parameter, point) ends, both parameters
+    off the avoid list; the second comes from the chart's Frégier involution at m."""
+    k = par.conic.kernels
     while True:
         t, end1 = _random_chart_point(par, rng, height, budget, real=real, avoid=avoid)
-        end2 = par.point(par.partner(t, m))
-        if end2 == end1:
+        s = par._as_pair(par.partner(tuple(map(k.scalar, t)), m))
+        if _same_parameter(k, s, t):
             budget.tick("tangent chord")
             continue
-        if any(end2 == w for w in avoid):
+        if any(_same_parameter(k, s, w) for w in avoid):
             budget.tick("chord endpoint collision")
             continue
-        return end1, end2
+        return (t, end1), (s, par._point(s))
 
 
 def random_scenario(rng: Random, field=GaussianRational, height_bound: int = 10,
@@ -309,13 +307,18 @@ def random_scenario(rng: Random, field=GaussianRational, height_bound: int = 10,
     if real:
         conic = homogenize_affine_conic(affine_spec_from_conic(conic))
     par = ConicParametrization(conic, base)
-    a = _random_conic_point(par, rng, height_bound, budget, real=real)
-    b = _random_conic_point(par, rng, height_bound, budget, real=real, avoid=(a,))
+    ta, a = _random_chart_point(par, rng, height_bound, budget, real=real)
+    tb, b = _random_chart_point(par, rng, height_bound, budget, real=real, avoid=(ta,))
     mu = _random_nonzero(rng, field, height_bound, budget, real=real)
     m = _point_along(a, mu, b)
-    r, s = _chord_through(par, m, rng, height_bound, budget, real=real, avoid=(a, b))
-    c, d = _chord_through(par, m, rng, height_bound, budget, real=real, avoid=(a, b, r, s))
-    scenario = _build_scenario(flavour, conic, (a, b, m, r, s, c, d))
+    (tr, r), (ts, s) = _chord_through(par, m, rng, height_bound, budget, real=real, avoid=(ta, tb))
+    (tc, c), (td, d) = _chord_through(par, m, rng, height_bound, budget, real=real,
+                                      avoid=(ta, tb, tr, ts))
+    # the crosswise meets in the chart, and the harmonic conjugate a - mu*b of m = a + mu*b
+    params = dict(zip(flavour.inputs[3:], (tr, ts, tc, td)))
+    derived = [par._chord_meet(params[e1], params[e2], ta, tb) for e1, e2 in flavour.crosswise]
+    derived.append(_point_along(a, -mu, b))
+    scenario = _build_scenario(flavour, conic, (a, b, m, r, s, c, d), derived)
     if scenario.degenerate_reason is not None:
         raise AssertionError(f"generator produced a degenerate scenario: {scenario.degenerate_reason}")
     return scenario
@@ -332,17 +335,22 @@ def random_reflection_frame(rng: Random, field=GaussianRational, height_bound: i
     two rational conic points (attached as u, v); otherwise the axis is an
     arbitrary non-tangent line, so its conic points typically leave the field."""
     budget = budget if budget is not None else RetryBudget()
-    conic, base = random_conic(rng, field, height_bound, budget=budget)
+    return _random_frame(rng, field, height_bound, with_chord, budget)[:2]
+
+
+def _random_frame(rng: Random, field, height: int, with_chord: bool, budget: RetryBudget):
+    """`random_reflection_frame`'s (frame, chart), and the raw parameters of u, v or None."""
+    conic, base = random_conic(rng, field, height, budget=budget)
     par = ConicParametrization(conic, base)
     if with_chord:
-        u = _random_conic_point(par, rng, height_bound, budget)
-        v = _random_conic_point(par, rng, height_bound, budget, avoid=(u,))
-        return ReflectionFrame(conic, join(u, v), u, v), par
+        tu, u = _random_chart_point(par, rng, height, budget)
+        tv, v = _random_chart_point(par, rng, height, budget, avoid=(tu,))
+        return ReflectionFrame(conic, join(u, v), u, v), par, (tu, tv)
     while True:
-        dual = _random_point(rng, field, height_bound, budget)
+        dual = _random_point(rng, field, height, budget)
         axis = ProjLine(dual.raw, dual.kernels)
         if not incident(conic.pole(axis), axis):
-            return ReflectionFrame(conic, axis), par
+            return ReflectionFrame(conic, axis), par, None
         budget.tick("tangent axis")
 
 
@@ -353,7 +361,7 @@ def random_mono_inputs(rng: Random, field=GaussianRational, height_bound: int = 
     budget = budget if budget is not None else RetryBudget()
     frame, par = random_reflection_frame(rng, field, height_bound, budget=budget)
     while True:
-        y = _random_conic_point(par, rng, height_bound, budget)
+        y = _random_chart_point(par, rng, height_bound, budget)[1]
         l = join(frame.pole, y)
         y_prime = second_intersection(frame.conic, l, y)
         if y_prime != y:
@@ -419,10 +427,10 @@ def random_sack_inputs(rng: Random, field=GaussianRational, height_bound: int = 
                        *, budget: Optional[RetryBudget] = None):
     """(frame-with-chord, m, r, s): m on the axis, chord (r, s) through m."""
     budget = budget if budget is not None else RetryBudget()
-    frame, par = random_reflection_frame(rng, field, height_bound, with_chord=True, budget=budget)
+    frame, par, ends = _random_frame(rng, field, height_bound, True, budget)
     lam = _random_nonzero(rng, field, height_bound, budget)
     m = _point_along(frame.u, lam, frame.v)
-    r, s = _chord_through(par, m, rng, height_bound, budget, avoid=(frame.u, frame.v))
+    (_, r), (_, s) = _chord_through(par, m, rng, height_bound, budget, avoid=ends)
     return frame, m, r, s
 
 

@@ -23,6 +23,11 @@ agree as points.  The partner's exact scale is pinned separately, on
 m = point(s), where the kappa-normalised polar form is the square bracket
 (t0*s1 - t1*s0)^2.
 
+`ConicParametrization.chord_meet` meets two chords in the chart's Veronese
+coordinates.  Its reference is the generic route the documents take, `meet`
+of the two `join`s (the tangent where a chord's ends coincide); the two
+agree as points and raise the same error for coincident chords.
+
 `conic_through_five` takes the member through p5 of the pencil of two line
 pairs through p1..p4.  Its reference is the Gauss-Jordan solve of the five
 incidence equations it replaced; the two must give the same raw form, or
@@ -571,6 +576,34 @@ def test_partner_exact_scale_on_conic_points(field, data):
 
 
 # ----------------------------------------------------------------------
+# chord meets in the chart's Veronese coordinates
+
+
+def ref_chord(par, t, s):
+    """The join of point(t) and point(s), or the tangent there when they coincide."""
+    p, q = par.point(t), par.point(s)
+    return par.conic.tangent_at(p) if p == q else join(p, q)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_chord_meet_matches_meet_of_joins(field, data):
+    """The four parameters come from a pool of two to four, so tangents
+    (t = s), chords sharing an endpoint and coincident chords all occur."""
+    par = data.draw(charts(field))
+    pool = data.draw(st.lists(parameters(field), min_size=2, max_size=4))
+    t, s, u, w = (data.draw(st.sampled_from(pool)) for _ in range(4))
+    expected = outcome(lambda: meet(ref_chord(par, t, s), ref_chord(par, u, w)))
+    got = outcome(par.chord_meet, t, s, u, w)
+    if expected[0] == "point":
+        assert got[0] == "point"
+        assert ProjPoint(got[1], field) == ProjPoint(expected[1], field)
+    else:
+        assert got == expected
+
+
+# ----------------------------------------------------------------------
 # the conic through five points against the Gauss-Jordan solve
 
 
@@ -778,7 +811,8 @@ def test_table_scalar_kernels_match_scalar_operators(field, data):
 def test_table_edge_wraps_to_canonical_scalars(field, data):
     """unpack/scalar build canonical scalars; reduce_content divides out
     exactly the rational content; pack and param clear denominators by a
-    positive integer and keep the ratio; units are the coordinate vectors."""
+    positive integer and keep the ratio; units are the coordinate vectors;
+    real says whether every entry is real."""
     k = field.kernels
     v = data.draw(raw_vectors(field))
     scalars_ = k.unpack(v)
@@ -801,6 +835,21 @@ def test_table_edge_wraps_to_canonical_scalars(field, data):
     assert tuple(k.unpack(e) for e in k.units) == (
         (field.one(), field.zero(), field.zero()), (field.zero(), field.one(), field.zero()),
         (field.zero(), field.zero(), field.one()))
+    assert k.real(v) == all(c.is_real() for c in scalars_)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@pytest.mark.parametrize("real", (False, True), ids=("complex", "real"))
+def test_table_random_is_the_packed_scalar_draws(field, real):
+    """The vector draw packs the backend's scalar draws and leaves the rng
+    exactly where those draws leave it."""
+    for seed in range(20):
+        ours, theirs = Random(seed), Random(seed)
+        for n in (1, 3, 9):
+            raw = field.kernels.random(ours, 7, n, real)
+            assert raw == field.kernels.pack(tuple(field.random(theirs, 7, real=real)
+                                                   for _ in range(n)))
+        assert ours.getstate() == theirs.getstate()
 
 
 # ----------------------------------------------------------------------

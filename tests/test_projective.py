@@ -24,6 +24,7 @@ from conic_butterfly.projective import (
 from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
 
 G = GaussianRational
+P = PrimeFieldElement
 
 
 def pt(*coords):
@@ -73,6 +74,23 @@ class TestTriples:
         assert not pt("1i", 1, 0).is_real()
         # projectively real despite complex coordinates: (i : i : 0) = (1 : 1 : 0)
         assert pt("1i", "1i", 0).is_real()
+
+    @pytest.mark.parametrize("field", (G, P), ids=("gauss", "prime"))
+    def test_reality_agrees_with_the_conjugate_comparison(self, field):
+        """is_real reads the raw imaginary parts first and builds the conjugate
+        only when one is nonzero; the answer is the comparison's in every case."""
+        if field is G:
+            cases = {(1, 2, 3): True, ("1/2", -4, 0): True, ("1i", "1i", "2i"): True,
+                     ("1+1i", "2+2i", "-3-3i"): True, ("1+2i", "1i", "2-1i"): False,
+                     ("1i", 1, 0): False, ("1+1i", "1-1i", 2): False, (0, 0, "3i"): True}
+            triples = {tuple(map(G.parse, map(str, c))): real for c, real in cases.items()}
+        else:
+            rng = Random(5)
+            triples = {tuple(P(rng.randrange(P.MODULUS)) for _ in range(3)): True for _ in range(8)}
+        for coords, real in triples.items():
+            for obj in (ProjPoint(coords, field), ProjLine(coords, field)):
+                assert obj.is_real() is real
+                assert obj.is_real() == (obj == obj.conjugate())
 
 
 class TestIncidence:
