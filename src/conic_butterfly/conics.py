@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ._linalg import cross, dot
 from .projective import (
     DegenerateInputError,
     ProjectiveError,
@@ -22,7 +21,6 @@ from .projective import (
     _Matrix,
     _require_same_field,
     incident,
-    join,
 )
 from .scalars import GaussianRational, thirds
 
@@ -127,9 +125,12 @@ def conic_through_five(points: Sequence[ProjPoint]) -> Conic:
         for j in range(i + 1, 5):
             if points[i] == points[j]:
                 raise DegenerateInputError("coincident points cannot pin down a conic")
-    p1, p2, p3, p4, p5 = (p.coords for p in points)
-    a, b, c, d = cross(p1, p2), cross(p3, p4), cross(p1, p3), cross(p2, p4)
-    s, t = dot(c, p5) * dot(d, p5), dot(a, p5) * dot(b, p5)
+    kern = points[0].kernels
+    p1, p2, p3, p4, p5 = (p.raw for p in points)
+    lines = kern.cross(p1, p2), kern.cross(p3, p4), kern.cross(p1, p3), kern.cross(p2, p4)
+    da, db, dc, dd = (kern.dot(l, p5) for l in lines)
+    s, t = kern.scalar(kern.mul(dc, dd)), kern.scalar(kern.mul(da, db))
+    a, b, c, d = map(kern.unpack, lines)
     # the upper entries m11, m12, m13, m22, m23, m33 of twice the matrix of
     # B(p5)*A - A(p5)*B, where A(x) = (a.x)(b.x) and B(x) = (c.x)(d.x); the
     # coefficients of x^2, y^2, z^2, xy, xz, yz are m11, m22, m33, 2*m12, 2*m13, 2*m23
@@ -137,7 +138,7 @@ def conic_through_five(points: Sequence[ProjPoint]) -> Conic:
          for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))]
     k = next((k for k in (4, 2, 1, 5, 3, 0) if not m[k].is_zero()), None)
     if k is None:
-        dim = 3 if all(dot(a, p).is_zero() for p in (p3, p4, p5)) else 2
+        dim = 3 if all(kern.is_zero(kern.dot(lines[0], p)) for p in (p3, p4, p5)) else 2
         raise DegenerateInputError(f"five-point system has kernel dimension {dim}, need 1")
     inv = (m[k] + m[k] if k in (1, 2, 4) else m[k]).inv()
     return Conic.from_upper_entries([e * inv for e in m], points[0].field)
@@ -196,7 +197,8 @@ class ConicParametrization:
     point(t0 : t1) = t0^2*A2 + t0*t1*A1 + t1^2*A0, so one point costs a
     handful of multiplications instead of a full chord solve.  The vectors
     are computed on the first `point` or `point_coefficients` call, so a
-    chart that is built but never evaluated costs only its two lines.
+    chart that is built but never evaluated costs only the membership test
+    of its base.
 
     `partner(t, m)` is the Frégier involution of a point m off the conic:
     the parameter of the second conic point on the line through point(t)
@@ -229,16 +231,13 @@ class ConicParametrization:
     ProjPoint's content reduction removes.
     """
 
-    __slots__ = ("conic", "base", "l0", "l1", "_coefficients", "_kappa_inv")
+    __slots__ = ("conic", "base", "_coefficients", "_kappa_inv")
 
     def __init__(self, conic: Conic, base: ProjPoint):
         if not conic.contains(base):
             raise ProjectiveError("parametrization base must lie on the conic")
         self.conic = conic
         self.base = base
-        self.l1 = conic.tangent_at(base)
-        k = conic.kernels
-        self.l0 = join(base, ProjPoint(k.units[k.lead(self.l1.raw)], k))
         self._coefficients = None
         self._kappa_inv = None
 
@@ -254,11 +253,15 @@ class ConicParametrization:
     def _build_coefficients(self) -> tuple:
         k = self.conic.kernels
         b = self.base.raw
+        form = self.conic.raw
+        # l1 is the tangent at the base and l0 its join with a coordinate point
+        # off l1, which is not the base because the base lies on l1
+        l1 = k.reduce_content(k.matvec(form, b))
+        l0 = k.reduce_content(k.cross(b, k.units[k.lead(l1)]))
         # coordinate line e_j with base[j] != 0, so d(t) is never the base
         ej = k.units[k.lead(b)]
-        d1 = k.cross(self.l1.raw, ej)
-        d0 = k.cross(self.l0.raw, ej)
-        form = self.conic.raw
+        d1 = k.cross(l1, ej)
+        d0 = k.cross(l0, ej)
         v1 = k.matvec(form, d1)
         v0 = k.matvec(form, d0)
         q2 = k.dot(d1, v1)
@@ -286,11 +289,6 @@ class ConicParametrization:
     def _as_pair(self, t) -> tuple:
         """The raw pair of a parameter given as a scalar or a homogeneous pair."""
         return self.conic.kernels.param(*self._scalar_pair(t))
-
-    def line(self, t) -> ProjLine:
-        t0, t1 = self._as_pair(t)
-        k = self.conic.kernels
-        return ProjLine(k.combine(t0, self.l1.raw, k.neg(t1), self.l0.raw), k)
 
     def point(self, t) -> ProjPoint:
         return self._point(self._as_pair(t))

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from itertools import combinations
 from random import Random
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from ._linalg import adjugate, cross, det3, matmul, scale_vec, transpose
 from .scalars import GaussianRational, Kernels, PrimeFieldElement, thirds
 
 if TYPE_CHECKING:
@@ -195,26 +194,6 @@ def collinearity_residual(p: ProjPoint, q: ProjPoint, r: ProjPoint):
     return k.scalar(k.dot(p.raw, k.cross(q.raw, r.raw)))
 
 
-def line_chart(l: ProjLine, basis: Tuple[ProjPoint, ProjPoint], p: ProjPoint) -> tuple:
-    """Coordinates (alpha, beta) with p = alpha*b1 + beta*b2, up to scale.
-
-    alpha and beta come from cross(p, b2) = alpha*cross(b1, b2) and
-    cross(b1, p) = beta*cross(b1, b2), read off at any nonzero slot of
-    cross(b1, b2).
-    """
-    b1, b2 = basis
-    if b1 == b2:
-        raise DegenerateInputError("chart basis points coincide")
-    for q in (b1, b2, p):
-        if not incident(q, l):
-            raise ProjectiveError(f"{q} is not on the chart line {l}")
-    n = cross(b1.coords, b2.coords)
-    k = next(i for i, c in enumerate(n) if not c.is_zero())
-    alpha = cross(p.coords, b2.coords)[k]
-    beta = cross(b1.coords, p.coords)[k]
-    return (alpha, beta)
-
-
 class CrossRatioValue:
     """An element (num : den) of the projective line over the scalar field.
 
@@ -324,8 +303,9 @@ def harmonic_conjugate(u: ProjPoint, v: ProjPoint, w: ProjPoint) -> ProjPoint:
 
     In a chart where w = alpha*u + beta*v the conjugate is
     alpha*u - beta*v; the map is an involution and is undefined at u and v
-    themselves.  alpha and beta are the line_chart coordinates over (u, v);
-    once w is on the line, w = u iff beta = 0 and w = v iff alpha = 0.
+    themselves.  At the first nonzero slot k of cross(u, v), alpha and beta
+    are the minors cross(w, v)[k] and cross(u, w)[k]; once w is on the line,
+    w = u iff beta = 0 and w = v iff alpha = 0.
     """
     _require_same_field(u, v)
     _require_same_field(u, w)
@@ -341,15 +321,6 @@ def harmonic_conjugate(u: ProjPoint, v: ProjPoint, w: ProjPoint) -> ProjPoint:
     if kern.is_zero(alpha) or kern.is_zero(beta):
         raise DegenerateInputError("harmonic conjugate is undefined at the reference points")
     return ProjPoint(kern.combine(alpha, u.raw, beta, v.raw), kern)
-
-
-def perspectivity(center: ProjPoint, source: ProjLine, target: ProjLine, p: ProjPoint) -> ProjPoint:
-    """Project p from `center`, mapping `source` onto `target`."""
-    if incident(center, source) or incident(center, target):
-        raise ProjectiveError("perspectivity center must avoid both lines")
-    if not incident(p, source):
-        raise ProjectiveError("perspectivity input must lie on the source line")
-    return meet(join(center, p), target)
 
 
 class _Matrix:
@@ -419,51 +390,8 @@ class Projectivity(_Matrix):
         _require_same_field(self, l)
         return ProjLine(self.kernels.matvec(_cofactors(self), l.raw), self.kernels)
 
-    def inverse(self) -> "Projectivity":
-        return Projectivity(adjugate(self.matrix), self.field)
-
-    def __matmul__(self, other):
-        if not isinstance(other, Projectivity):
-            return NotImplemented
-        _require_same_field(self, other)
-        return Projectivity(matmul(self.matrix, other.matrix), self.field)
-
     def __repr__(self):
         return f"Projectivity({self.matrix!r})"
-
-    @classmethod
-    def identity(cls, field=GaussianRational) -> "Projectivity":
-        one, zero = field.one(), field.zero()
-        return cls(((one, zero, zero), (zero, one, zero), (zero, zero, one)), field)
-
-    @classmethod
-    def _frame_map(cls, points, field):
-        """Map sending the standard frame e1, e2, e3, (1:1:1) to the four points."""
-        c1, c2, c3, c4 = (p.coords for p in points)
-        if det3(c1, c2, c3).is_zero():
-            raise DegenerateInputError("frame points are not in general position")
-        weights = (det3(c4, c2, c3), det3(c1, c4, c3), det3(c1, c2, c4))
-        if any(w.is_zero() for w in weights):
-            raise DegenerateInputError("frame points are not in general position")
-        columns = (scale_vec(weights[0], c1), scale_vec(weights[1], c2), scale_vec(weights[2], c3))
-        return transpose(columns)
-
-    @classmethod
-    def from_points(cls, src, dst) -> "Projectivity":
-        """The unique projectivity with src[i] -> dst[i], four points each side.
-
-        Both quadruples must be in general position (no three collinear).
-        """
-        src, dst = tuple(src), tuple(dst)
-        if len(src) != 4 or len(dst) != 4:
-            raise ProjectiveError("from_points needs 4 source and 4 destination points")
-        field = src[0].field
-        for p in (*src, *dst):
-            if p.field is not field:
-                raise TypeError("cannot mix scalar backends in one construction")
-        to_src = cls._frame_map(src, field)
-        to_dst = cls._frame_map(dst, field)
-        return cls(matmul(to_dst, adjugate(to_src)), field)
 
     @classmethod
     def random(cls, rng: Random, field=GaussianRational, height_bound: int = 10, *, real: bool = False,

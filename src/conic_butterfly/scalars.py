@@ -43,8 +43,6 @@ from operator import not_
 from random import Random
 from typing import Union
 
-from ._linalg import _MINORS
-
 RationalLike = Union[int, Fraction, str]
 
 
@@ -384,9 +382,9 @@ class Kernels(namedtuple("Kernels", (
         "scalar normalize random"))):
     """One backend's kernels over its raw representation.
 
-    Each computes the value of the generic formula of the same name in
-    ``_linalg`` and reads nothing but its arguments' entries.  Vectors:
-    ``cross``, ``dot``, ``minor(u, v, k)`` (slot k of the cross product),
+    Each computes on raw operands exactly the value its formula gives on
+    the unpacked scalars, and reads nothing but its arguments' entries.
+    Vectors: ``cross``, ``dot``, ``minor(u, v, k)`` (slot k of the cross product),
     ``first_nonzero_minor`` (None for proportional vectors),
     ``combine(a, u, b, v)`` (a*u - b*v), ``combine3`` (a*u + b*v + c*w),
     ``matvec``, ``quad_form``, ``reduce_content``, ``proportional`` (any
@@ -405,6 +403,10 @@ def thirds(flat: tuple) -> tuple:
     """A flat raw tuple of three equal-width vectors, split into them."""
     n = len(flat) // 3
     return (flat[:n], flat[n:2 * n], flat[2 * n:])
+
+
+# slot k of cross(u, v) is the 2x2 minor u[i]*v[j] - u[j]*v[i] over these (i, j)
+_MINORS = ((1, 2), (2, 0), (0, 1))
 
 
 # prime: ints mod p, every result reduced once

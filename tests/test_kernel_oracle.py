@@ -4,17 +4,19 @@ The kernel reads cross-ratios and harmonic conjugates off single minors at
 one slot of the spanning cross product, reflects points by the harmonic
 homology H and lines by its transpose.  The reference implementations below
 are the older chain that builds the axis with `join`, charts every point
-with `line_chart`, reflects points through `meet` and a charted conjugate,
-and reflects a line by joining the images of two of its points.  Both must agree on the
-exact coordinates and scalars, not just up to scale, and must raise the
-same exception with the same message.  The reference tests coincidence
+with `line_chart` (kept in `generic_formulas.py`), reflects points through
+`meet` and a charted conjugate, and reflects a line by joining the images of
+two of its points.  Both must agree on the exact coordinates and scalars,
+not just up to scale, and must raise the same exception with the same
+message.  The reference tests coincidence
 with the full cross product, so it does not share `_Triple.__eq__`.
 
 `second_intersection` and `ConicParametrization` form their coordinates
-with `_linalg.combine`/`combine3`, the chart computes its coefficient
-vectors on first use, and a Gaussian parameter with denominators is
-cleared to Gaussian integers first.  Their references are the older scalar
-formulas, computed eagerly on the unscaled parameter.
+with the kernel table's `combine`/`combine3` on raw vectors, the chart
+computes its coefficient vectors on first use, and a Gaussian parameter with
+denominators is cleared to Gaussian integers first.  Their references are
+the older scalar formulas, computed eagerly on the unscaled parameter from
+the chart lines that `chart_lines` rebuilds.
 
 `ConicParametrization.partner` builds a chord's second endpoint as a chart
 point.  Its reference is the chord solve it replaced in scenario
@@ -42,8 +44,6 @@ from random import Random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conic_butterfly import _linalg
-from conic_butterfly._linalg import cross, dot, matmul, matvec, quad_form
 from conic_butterfly.conics import (Conic, ConicParametrization, DegenerateConicError,
                                    _second_point_on, conic_through_five, second_intersection,
                                    transform_conic)
@@ -58,13 +58,14 @@ from conic_butterfly.projective import (
     harmonic_conjugate,
     incident,
     join,
-    line_chart,
     meet,
 )
 from conic_butterfly.reflection import ReflectionFrame
 from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
 from conic_butterfly.scenarios import (random_conic, random_reflection_frame, reference_base,
                                        reference_conic)
+import generic_formulas as gf
+from generic_formulas import chart_lines, cross, dot, line_chart, matmul, matvec, quad_form
 
 G = GaussianRational
 P = PrimeFieldElement
@@ -166,8 +167,9 @@ def ref_point_coefficients(par):
     one, zero = field.one(), field.zero()
     j = next(i for i, c in enumerate(par.base.coords) if not c.is_zero())
     ej = tuple(one if i == j else zero for i in range(3))
-    d1 = cross(par.l1.coords, ej)
-    d0 = cross(par.l0.coords, ej)
+    l1, l0 = chart_lines(par)
+    d1 = cross(l1.coords, ej)
+    d0 = cross(l0.coords, ej)
     b = par.base.coords
     two = one + one
     v1 = matvec(par.conic.form, d1)
@@ -717,7 +719,7 @@ def test_conic_through_five_named_failures(field):
 
 
 # ----------------------------------------------------------------------
-# kernel tables against the generic scalar formulas
+# kernel tables against the generic scalar formulas of generic_formulas.py
 #
 # Every kernel of both tables computes on raw tuples; unpacked, its result
 # must be exactly the generic formula's value on the unpacked inputs.  Raw
@@ -775,19 +777,19 @@ def test_table_vector_kernels_match_generic_formulas(field, data):
     assert k.unpack(k.cross(u, v)) == cross(U, V)
     assert k.scalar(k.dot(u, v)) == dot(U, V)
     for slot in range(3):
-        assert k.scalar(k.minor(u, v, slot)) == _linalg.minor(U, V, slot)
+        assert k.scalar(k.minor(u, v, slot)) == gf.minor(U, V, slot)
     m = k.first_nonzero_minor(u, v)
-    assert (m if m is None else k.scalar(m)) == _linalg.first_nonzero_minor(U, V)
-    assert k.unpack(k.combine(a, u, b, v)) == _linalg.combine(A, U, B, V)
-    assert k.unpack(k.combine3(a, u, b, v, c, w)) == _linalg.combine3(A, U, B, V, C, W)
+    assert (m if m is None else k.scalar(m)) == gf.first_nonzero_minor(U, V)
+    assert k.unpack(k.combine(a, u, b, v)) == gf.combine(A, U, B, V)
+    assert k.unpack(k.combine3(a, u, b, v, c, w)) == gf.combine3(A, U, B, V, C, W)
     rows = (u, v, w)
     assert k.unpack(k.matvec(rows, v)) == matvec((U, V, W), V)
     assert k.scalar(k.quad_form(rows, w)) == quad_form((U, V, W), W)
     assert k.lead(u) == _lead_ref(U)
     if any(u):
-        assert k.normalize(u) == _linalg.normalize(U)
-        assert k.proportional(u, v) is _linalg.proportional(U, V)
-        assert k.proportional(u + v, v + u) is _linalg.proportional(U + V, V + U)
+        assert k.normalize(u) == gf.normalize(U)
+        assert k.proportional(u, v) is gf.proportional(U, V)
+        assert k.proportional(u + v, v + u) is gf.proportional(U + V, V + U)
     else:
         assert all(x.is_zero() for x in U)
 
@@ -869,7 +871,9 @@ def _backend_objects(field):
         "p": p, "q": q, "r": ProjPoint(tuple(x + y for x, y in zip(p.coords, q.coords)), field),
         "s": ProjPoint(tuple(x - y for x, y in zip(p.coords, q.coords)), field),
         "l": line, "m": ProjLine((0, 1, 4), field), "conic": conic, "par": par, "on": on,
-        "chord": join(on, p), "t": field.from_int(3), "axis": axis,
+        "chord": join(on, p), "t": field.from_int(3), "u": field.from_int(-1),
+        "v": field.from_int(5), "w": field.from_int(7), "axis": axis,
+        **{f"c{i}": par.point(field.from_int(i)) for i in range(5)},
         "frame": ReflectionFrame(conic, axis),
         "map": Projectivity(((1, 2, 0), (0, 1, 3), (1, 0, 1)), field),
     }
@@ -887,7 +891,10 @@ MIXED = {
     "Conic.polar": (Conic.polar, "conic", "p"),
     "Conic.pole": (Conic.pole, "conic", "l"),
     "Conic ==": (Conic.__eq__, "conic", "conic"),
+    "conic_through_five": (lambda *pts: conic_through_five(pts), "c0", "c1", "c2", "c3", "c4"),
     "second_intersection": (second_intersection, "conic", "chord", "on"),
+    "ConicParametrization.point": (ConicParametrization.point, "par", "t"),
+    "ConicParametrization.chord_meet": (ConicParametrization.chord_meet, "par", "t", "u", "v", "w"),
     "ConicParametrization.partner": (ConicParametrization.partner, "par", "t", "p"),
     "Projectivity.apply": (Projectivity.apply, "map", "p"),
     "Projectivity.apply_line": (Projectivity.apply_line, "map", "l"),

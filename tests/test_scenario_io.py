@@ -1,7 +1,11 @@
+import re
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conic_butterfly import RetryBudget, fuzz
 from conic_butterfly.projective import CrossRatioValue, ProjPoint
@@ -158,6 +162,68 @@ point z (1 : 2 : 2)
             "conic symmetric 0 1/2 1/2 0 -1 0", "conic symmetric 0 1 1 0 -2 0")
         doc = parse_scenario(text)
         assert doc.field is PrimeFieldElement
+
+
+# ----------------------------------------------------------------------
+# robustness: mutated documents raise only ScenarioParseError
+
+_SCN_TEXTS = tuple(
+    path.read_text(encoding="utf-8")
+    for path in sorted([*(resources.files("conic_butterfly") / "fixtures").iterdir(),
+                        *(Path(__file__).parent / "golden").glob("*.scn")], key=str)
+    if path.name.endswith(".scn"))
+_TOKENS = tuple(sorted({t for text in _SCN_TEXTS for t in text.split()})) + (
+    "", "0", "-0", "1/0", "0/7", "inf", "i", "1+i", "-1/2-3/4i", "(0 : 0 : 0)", "(1 : 2)",
+    "(1 : 2 : 3 : 4)", "(1, 2)", "((1 : 2 : 3))", "#", ":", "(", ")", "9" * 5000)
+_CHARS = "()-+/:,# \t0123456789iabcmp"
+# the errors about a declaration that is missing, which no line can carry
+_MISSING = re.compile(r"document declares no (check|conic)|check \w+ needs (point|line) '\w+'")
+
+
+@st.composite
+def mutated_documents(draw):
+    """A fixture or golden document after one to four edits: a line deleted,
+    duplicated, swapped or inserted (from the documents' own tokens and a few
+    edge cases), a token replaced, or a few characters overwritten."""
+    lines = draw(st.sampled_from(_SCN_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("delete", "duplicate", "swap", "insert", "token", "chars")))
+        n = len(lines)
+        if kind == "insert" or not lines:
+            words = draw(st.lists(st.sampled_from(_TOKENS), max_size=6))
+            lines.insert(draw(st.integers(0, n)), " ".join(words))
+            continue
+        i = draw(st.integers(0, n - 1))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(draw(st.integers(0, n)), lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, n - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "token":
+            words = lines[i].split(" ")
+            words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(_TOKENS))
+            lines[i] = " ".join(words)
+        else:
+            at = draw(st.integers(0, len(lines[i])))
+            cut = draw(st.integers(0, 3))
+            lines[i] = lines[i][:at] + draw(st.text(_CHARS, max_size=3)) + lines[i][at + cut:]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_raise_only_parse_errors(text):
+    """Any other exception fails the property; a parse error names a line of
+    the document unless a declaration is missing altogether."""
+    try:
+        parse_scenario(text)
+    except ScenarioParseError as exc:
+        if exc.lineno is None:
+            assert _MISSING.fullmatch(str(exc)), str(exc)
+        else:
+            assert 1 <= exc.lineno <= len(text.splitlines())
 
 
 class TestRoundTrip:
