@@ -200,7 +200,7 @@ class ConicParametrization:
     chart that is built but never evaluated costs only the membership test
     of its base.
 
-    `partner(t, m)` is the Frégier involution of a point m off the conic:
+    `_partner(t, m)` is the Frégier involution of a point m off the conic:
     the parameter of the second conic point on the line through point(t)
     and m.  With w = M*m, Q(t) = point(t)^T*w = alpha*t0^2 + beta*t0*t1 +
     gamma*t1^2 for alpha, beta, gamma = A2.w, A1.w, A0.w, and the partner is
@@ -211,12 +211,14 @@ class ConicParametrization:
     factor of alpha, beta and gamma.  Dividing it out keeps the partner, and
     so point(partner), at the chart's own size; for Gaussian scenarios this
     avoids the large non-rational common factor that `second_intersection`
-    leaves in its output.  kappa^-1 is computed on the first `partner` call,
-    and alpha, beta and gamma are scaled by it as scalars.  The mono generator
-    keeps `second_intersection`: its converse point is built from y''s raw
-    coordinates, so a different representative would change the document.
+    leaves in its output.  kappa^-1 is computed on the first `_partner` call
+    and held raw, times the positive integer that clears its denominator (1
+    on the prime field); the partner pair's content reduction removes it.
+    The mono generator keeps `second_intersection`: its converse point is
+    built from y''s raw coordinates, so a different representative would
+    change the document.
 
-    `chord_meet(t, s, u, w)` meets two chords in the chart.  With S the
+    `_chord_meet(t, s, u, w)` meets two chords in the chart.  With S the
     matrix of columns (A2, A1, A0), point(t) = S*v(t) for the Veronese point
     v(t) = (t0^2, t0*t1, t1^2) of the conic xz = y^2, whose chord through
     v(t) and v(s), with the bracket t0*s1 - t1*s0 divided out, is
@@ -225,10 +227,11 @@ class ConicParametrization:
     conics).  The meet S*(l(t, s) x l(u, w)) stays at the chart's size,
     without the large Gaussian common factor of `meet` of two `join`s.
 
-    Vectors and parameters are held raw; the public methods take and
-    return scalars.  A Gaussian parameter is cleared to Gaussian integers of
-    the same ratio, which scales the point by a positive rational that
-    ProjPoint's content reduction removes.
+    Vectors and parameters are held raw: `point` and `point_coefficients`
+    are the scalar edge, and the generators call `_point`, `_partner` and
+    `_chord_meet` on raw pairs.  A Gaussian parameter is cleared to Gaussian
+    integers of the same ratio, which scales the point by a positive
+    rational that ProjPoint's content reduction removes.
     """
 
     __slots__ = ("conic", "base", "_coefficients", "_kappa_inv")
@@ -277,18 +280,14 @@ class ConicParametrization:
         # one shared content factor: the three vectors must keep their relative scale
         return thirds(k.reduce_content(a2 + a1 + a0))
 
-    def _scalar_pair(self, t) -> tuple:
-        """The two scalars of a parameter given as a scalar or a homogeneous pair."""
+    def _as_pair(self, t) -> tuple:
+        """The raw pair of a parameter given as a scalar or a homogeneous pair."""
         field = self.conic.field
         t0, t1 = t if isinstance(t, tuple) else (t, field.one())
         t0, t1 = field.coerce(t0), field.coerce(t1)
         if t0.is_zero() and t1.is_zero():
             raise ProjectiveError("(0 : 0) is not a parameter")
-        return t0, t1
-
-    def _as_pair(self, t) -> tuple:
-        """The raw pair of a parameter given as a scalar or a homogeneous pair."""
-        return self.conic.kernels.param(*self._scalar_pair(t))
+        return self.conic.kernels.param(t0, t1)
 
     def point(self, t) -> ProjPoint:
         return self._point(self._as_pair(t))
@@ -302,10 +301,6 @@ class ConicParametrization:
             raise AssertionError("chart point map gave the zero vector; arithmetic bug")
         return ProjPoint(coords, k)
 
-    def chord_meet(self, t, s, u, w) -> ProjPoint:
-        """The meet of the chords point(t)point(s) and point(u)point(w)."""
-        return self._chord_meet(*map(self._as_pair, (t, s, u, w)))
-
     def _chord_meet(self, t, s, u, w) -> ProjPoint:
         k = self.conic.kernels
         x, y, z = k.units
@@ -317,21 +312,24 @@ class ConicParametrization:
             raise DegenerateInputError("meet of coincident lines is undefined")
         return ProjPoint(coords, k)
 
-    def partner(self, t, m: ProjPoint) -> tuple:
-        """The parameter of the second conic point on the line through point(t)
-        and m, for any m other than point(t); t itself when that line is the
-        tangent at point(t)."""
-        _require_same_field(self.conic, m)
-        t0, t1 = self._scalar_pair(t)
+    def _partner(self, t, m: ProjPoint) -> tuple:
+        """The raw parameter of the second conic point on the line through
+        point(t) and m, for a raw pair t and any m other than point(t); t
+        itself, up to scale, when that line is the tangent at point(t)."""
         k = self.conic.kernels
         a2, a1, a0 = self._raw_coefficients()
         form = self.conic.raw
         if self._kappa_inv is None:
-            self._kappa_inv = k.scalar(k.dot(a2, k.matvec(form, a0))).inv()
+            kappa = k.scalar(k.dot(a2, k.matvec(form, a0)))
+            self._kappa_inv = k.param(kappa.inv(), self.conic.field.one())[0]
+        t0, t1 = (k.mul(self._kappa_inv, p) for p in t)
         w = k.matvec(form, m.raw)
-        c = self._kappa_inv
-        alpha, beta, gamma = (k.scalar(k.dot(a, w)) * c for a in (a2, a1, a0))
-        return (beta * t0 + (gamma + gamma) * t1, -((alpha + alpha) * t0 + beta * t1))
+        alpha, beta, gamma = (k.dot(a, w) for a in (a2, a1, a0))
+        # the root as the vector (u0, u1, 0), content-reduced: kappa^-1's raw scale is large
+        x, y, _ = k.units
+        u = k.reduce_content(k.combine(k.add(k.mul(beta, t0), k.mul(k.add(gamma, gamma), t1)), x,
+                                       k.add(k.mul(k.add(alpha, alpha), t0), k.mul(beta, t1)), y))
+        return k.dot(u, x), k.dot(u, y)
 
 
 class AffineConicSpec:

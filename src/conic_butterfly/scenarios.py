@@ -284,7 +284,7 @@ def _chord_through(par: ConicParametrization, m: ProjPoint,
     k = par.conic.kernels
     while True:
         t, end1 = _random_chart_point(par, rng, height, budget, real=real, avoid=avoid)
-        s = par._as_pair(par.partner(tuple(map(k.scalar, t)), m))
+        s = par._partner(t, m)
         if _same_parameter(k, s, t):
             budget.tick("tangent chord")
             continue
@@ -440,16 +440,17 @@ def random_hexagon(rng: Random, field=GaussianRational, height_bound: int = 10,
     budget = budget if budget is not None else RetryBudget()
     conic, base = random_conic(rng, field, height_bound, budget=budget)
     par = ConicParametrization(conic, base)
-    # distinct parameters give distinct points, so dedupe on the parameter
+    k, one = field.kernels, field.one()
+    # a drawn scalar's raw pair is canonical: equal pairs are equal parameters
     seen = set()
     points = []
     while len(points) < 6:
-        t = field.random(rng, height_bound)
+        t = k.param(field.random(rng, height_bound), one)
         if t in seen:
             budget.tick("conic point collision")
             continue
         seen.add(t)
-        points.append(par.point(t))
+        points.append(par._point(t))
     return conic, tuple(points)
 
 

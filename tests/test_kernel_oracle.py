@@ -18,17 +18,24 @@ denominators is cleared to Gaussian integers first.  Their references are
 the older scalar formulas, computed eagerly on the unscaled parameter from
 the chart lines that `chart_lines` rebuilds.
 
-`ConicParametrization.partner` builds a chord's second endpoint as a chart
-point.  Its reference is the chord solve it replaced in scenario
+`ConicParametrization._partner` builds a chord's second endpoint as a raw
+chart parameter.  Its reference is the chord solve it replaced in scenario
 generation, `second_intersection` on the join of point(t) and m; the two
 agree as points.  The partner's exact scale is pinned separately, on
 m = point(s), where the kappa-normalised polar form is the square bracket
-(t0*s1 - t1*s0)^2.
+(t0*s1 - t1*s0)^2: `ref_partner`, the older scalar formula with the exact
+kappa^-1, is checked against the bracket, and the raw partner against
+`ref_partner` scaled to coprime Gaussian integers.
 
-`ConicParametrization.chord_meet` meets two chords in the chart's Veronese
+`ConicParametrization._chord_meet` meets two chords in the chart's Veronese
 coordinates.  Its reference is the generic route the documents take, `meet`
 of the two `join`s (the tangent where a chord's ends coincide); the two
 agree as points and raise the same error for coincident chords.
+
+`random_hexagon` draws raw parameter pairs, dedupes them in a set and
+evaluates them with the raw point map.  Its reference is the older loop
+over scalar parameters and the public `point`; the two must give the same
+raw points, spend the same retries and leave the rng in the same state.
 
 `conic_through_five` takes the member through p5 of the pencil of two line
 pairs through p1..p4.  Its reference is the Gauss-Jordan solve of the five
@@ -62,8 +69,8 @@ from conic_butterfly.projective import (
 )
 from conic_butterfly.reflection import ReflectionFrame
 from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
-from conic_butterfly.scenarios import (random_conic, random_reflection_frame, reference_base,
-                                       reference_conic)
+from conic_butterfly.scenarios import (RetryBudget, random_conic, random_hexagon,
+                                       random_reflection_frame, reference_base, reference_conic)
 import generic_formulas as gf
 from generic_formulas import chart_lines, cross, dot, line_chart, matmul, matvec, quad_form
 
@@ -521,6 +528,17 @@ def test_second_intersection_matches_scalar_formula(field, data):
 # chord partner: the chart's Frégier involution
 
 
+def ref_partner(par, t, m):
+    """The older scalar partner of a scalar parameter: alpha, beta and gamma
+    scaled by the exact kappa^-1, and the polar form's root at t."""
+    t0, t1 = _pair(par.conic.field, t)
+    a2, _, a0 = par.point_coefficients()
+    c = dot(a2, matvec(par.conic.form, a0)).inv()
+    w = matvec(par.conic.form, m.coords)
+    alpha, beta, gamma = (dot(a, w) * c for a in par.point_coefficients())
+    return (beta * t0 + (gamma + gamma) * t1, -((alpha + alpha) * t0 + beta * t1))
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
@@ -548,7 +566,7 @@ def test_partner_matches_second_intersection(field, data):
             m = ProjPoint(coords, field)
     assume(not _same(m, end))
     expected = second_intersection(par.conic, join(end, m), end)
-    assert par.point(par.partner(t, m)) == expected
+    assert par._point(par._partner(par._as_pair(t), m)) == expected
     if kind == "tangent":
         assert expected == end
 
@@ -558,10 +576,12 @@ def test_partner_matches_second_intersection(field, data):
 @given(data=st.data())
 def test_partner_exact_scale_on_conic_points(field, data):
     """With m = point(s), Q(t)/kappa is exactly (t0*s1 - t1*s0)^2 times m's
-    content, so partner(t, m) is exactly 2*(s0*t1 - s1*t0)*(s0, s1) divided by
-    that content.  This pins kappa^-1 itself, which the point comparison
-    above cannot see (any common scale of alpha, beta, gamma gives the same
-    point)."""
+    content, so ref_partner(t, m) is exactly 2*(s0*t1 - s1*t0)*(s0, s1)
+    divided by that content.  The raw partner of the raw pair of t is that
+    pair scaled by the positive rational that makes it coprime Gaussian
+    integers, and exactly that pair on the prime field.  This pins kappa^-1
+    itself, which the point comparison above cannot see (any common scale of
+    alpha, beta, gamma gives the same point)."""
     par = data.draw(charts(field))
     t, s = data.draw(parameters(field)), data.draw(parameters(field))
     (t0, t1), (s0, s1) = _pair(field, t), _pair(field, s)
@@ -572,9 +592,11 @@ def test_partner_exact_scale_on_conic_points(field, data):
     raw = tuple(s0 * s0 * x2 + s0 * s1 * x1 + s1 * s1 * x0 for x2, x1, x0 in zip(a2, a1, a0))
     k = next(i for i, c in enumerate(m.coords) if not c.is_zero())
     content = raw[k] / m.coords[k]
-    u0, u1 = par.partner(t, m)
+    u0, u1 = ref_partner(par, t, m)
     two = field.one() + field.one()
     assert (u0 * content, u1 * content) == (two * bracket * s0, two * bracket * s1)
+    raw = par._partner(par._as_pair(t), m)
+    assert tuple(map(field.kernels.scalar, raw)) == field.reduce_content((u0, u1))
 
 
 # ----------------------------------------------------------------------
@@ -597,12 +619,49 @@ def test_chord_meet_matches_meet_of_joins(field, data):
     pool = data.draw(st.lists(parameters(field), min_size=2, max_size=4))
     t, s, u, w = (data.draw(st.sampled_from(pool)) for _ in range(4))
     expected = outcome(lambda: meet(ref_chord(par, t, s), ref_chord(par, u, w)))
-    got = outcome(par.chord_meet, t, s, u, w)
+    got = outcome(lambda *ts: par._chord_meet(*map(par._as_pair, ts)), t, s, u, w)
     if expected[0] == "point":
         assert got[0] == "point"
         assert ProjPoint(got[1], field) == ProjPoint(expected[1], field)
     else:
         assert got == expected
+
+
+# ----------------------------------------------------------------------
+# hexagons drawn on raw parameter pairs
+
+
+def ref_random_hexagon(rng, field, height_bound, budget):
+    """The older hexagon draw: scalar parameters deduped in a set, each
+    evaluated through the public `point`."""
+    conic, base = random_conic(rng, field, height_bound, budget=budget)
+    par = ConicParametrization(conic, base)
+    seen = set()
+    points = []
+    while len(points) < 6:
+        t = field.random(rng, height_bound)
+        if t in seen:
+            budget.tick("conic point collision")
+            continue
+        seen.add(t)
+        points.append(par.point(t))
+    return conic, tuple(points)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@pytest.mark.parametrize("height", (1, 2, 10, 50))
+def test_random_hexagon_matches_scalar_draws(field, height):
+    """Same raw conic and points, same retries, same rng state, over 200
+    seeds; at height 1 on gauss the draws collide often."""
+    for seed in range(200):
+        ours, theirs = Random(seed), Random(seed)
+        spent, ref_spent = RetryBudget(), RetryBudget()
+        conic, hexagon = random_hexagon(ours, field, height, budget=spent)
+        ref_conic, ref_hexagon = ref_random_hexagon(theirs, field, height, ref_spent)
+        assert conic.raw == ref_conic.raw
+        assert [p.raw for p in hexagon] == [p.raw for p in ref_hexagon]
+        assert spent.spent == ref_spent.spent
+        assert ours.getstate() == theirs.getstate()
 
 
 # ----------------------------------------------------------------------
@@ -871,8 +930,7 @@ def _backend_objects(field):
         "p": p, "q": q, "r": ProjPoint(tuple(x + y for x, y in zip(p.coords, q.coords)), field),
         "s": ProjPoint(tuple(x - y for x, y in zip(p.coords, q.coords)), field),
         "l": line, "m": ProjLine((0, 1, 4), field), "conic": conic, "par": par, "on": on,
-        "chord": join(on, p), "t": field.from_int(3), "u": field.from_int(-1),
-        "v": field.from_int(5), "w": field.from_int(7), "axis": axis,
+        "chord": join(on, p), "t": field.from_int(3), "axis": axis,
         **{f"c{i}": par.point(field.from_int(i)) for i in range(5)},
         "frame": ReflectionFrame(conic, axis),
         "map": Projectivity(((1, 2, 0), (0, 1, 3), (1, 0, 1)), field),
@@ -894,8 +952,6 @@ MIXED = {
     "conic_through_five": (lambda *pts: conic_through_five(pts), "c0", "c1", "c2", "c3", "c4"),
     "second_intersection": (second_intersection, "conic", "chord", "on"),
     "ConicParametrization.point": (ConicParametrization.point, "par", "t"),
-    "ConicParametrization.chord_meet": (ConicParametrization.chord_meet, "par", "t", "u", "v", "w"),
-    "ConicParametrization.partner": (ConicParametrization.partner, "par", "t", "p"),
     "Projectivity.apply": (Projectivity.apply, "map", "p"),
     "Projectivity.apply_line": (Projectivity.apply_line, "map", "l"),
     "Projectivity ==": (Projectivity.__eq__, "map", "map"),
