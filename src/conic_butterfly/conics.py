@@ -303,9 +303,8 @@ class ConicParametrization:
 
     def _chord_meet(self, t, s, u, w) -> ProjPoint:
         k = self.conic.kernels
-        x, y, z = k.units
-        l, n = [k.combine3(k.mul(p1, q1), x, k.neg(k.add(k.mul(p0, q1), k.mul(p1, q0))), y,
-                           k.mul(p0, q0), z) for (p0, p1), (q0, q1) in ((t, s), (u, w))]
+        l, n = [k.vector(k.mul(p1, q1), k.neg(k.add(k.mul(p0, q1), k.mul(p1, q0))), k.mul(p0, q0))
+                for (p0, p1), (q0, q1) in ((t, s), (u, w))]
         a2, a1, a0 = self._raw_coefficients()
         coords = k.combine3(k.minor(l, n, 0), a2, k.minor(l, n, 1), a1, k.minor(l, n, 2), a0)
         if not any(coords):

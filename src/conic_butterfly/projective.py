@@ -69,9 +69,10 @@ def _cofactors(m) -> tuple:
 class _Triple:
     """Shared plumbing of points and lines: a content-reduced homogeneous
     triple in the backend's raw form (`raw`), computed on through the
-    backend's kernel table (`kernels`).  `coords` builds the scalars."""
+    backend's kernel table (`kernels`).  `coords` builds the scalars; the
+    first `str` is kept in `_text`."""
 
-    __slots__ = ("raw", "kernels")
+    __slots__ = ("raw", "kernels", "_text")
 
     def __init__(self, coords: Sequence, field=None):
         """`coords` are three scalars of `field`, which is inferred when None;
@@ -119,8 +120,12 @@ class _Triple:
         return self.kernels.real(self.raw) or self == self.conjugate()
 
     def __str__(self):
-        x, y, z = self.canonical()
-        return f"({x} : {y} : {z})"
+        try:
+            return self._text
+        except AttributeError:
+            x, y, z = self.kernels.text(self.raw)
+            text = self._text = f"({x} : {y} : {z})"
+            return text
 
     def __repr__(self):
         return f"{type(self).__name__}{self}"
@@ -133,7 +138,8 @@ class _Triple:
         parts = t[1:-1].split(":")
         if len(parts) != 3:
             raise ProjectiveError(f"expected 3 coordinates in {text!r}")
-        return cls(tuple(field.parse(p) for p in parts), field)
+        k = field.kernels
+        return cls(k.parse(parts), k)
 
 
 class ProjPoint(_Triple):
@@ -249,7 +255,10 @@ class CrossRatioValue:
         return hash(("cr", self.value()))
 
     def __str__(self):
-        return "inf" if self.is_infinite() else str(self.value())
+        if self.is_infinite():
+            return "inf"
+        k = self.field.kernels
+        return k.text(k.pack((self.den, self.num)))[1]
 
     def __repr__(self):
         return f"CrossRatioValue({self})"

@@ -30,7 +30,12 @@ where each part is an integer or ``n/d``.  ``parse`` reads the parts with
 prints each part in lowest terms with one ``gcd(n, d)``; ``random`` draws
 each part as ``randint(-h, h) / randint(1, h)`` and reduces once.  None of
 them builds a ``Fraction``; ``re``, ``im`` and the constructor still accept
-and return them.  Prime residues are plain decimal integers.
+and return them.  Prime residues are plain decimal integers.  Integers of
+any size print in exact decimal, and ``parse`` keeps refusing digit strings
+past the interpreter's limit.  The kernel tables' ``text`` and ``parse``
+are the same codec on raw vectors, with no scalar objects: points, lines
+and cross-ratio values print and read through them, and ``canonical()``
+stays for hashing and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -111,6 +116,20 @@ _IMAG_RE = re.compile(rf"^({_RAT})i$")
 _COMPLEX_RE = re.compile(rf"^({_RAT})([+-]\d+(?:/\d+)?)i$")
 
 
+def _decimal(n: int) -> str:
+    """``str(n)`` for an int of any size: past ``sys.get_int_max_str_digits()``
+    the digits are built from two halves, each printed the same way."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # about half the decimal digits
+    hi, lo = divmod(n, 10 ** k)
+    return _decimal(hi) + _decimal(lo).zfill(k)
+
+
 def _rational(text: str) -> tuple:
     """``(numerator, denominator)`` of a literal that matched ``_RAT``, unreduced."""
     num, _, den = text.partition("/")
@@ -124,15 +143,42 @@ def _rational(text: str) -> tuple:
 
 
 def _ratio_text(n: int, d: int) -> str:
-    """``n/d`` in lowest terms, or ``n`` alone when the denominator reduces to 1."""
+    """``n/d`` in lowest terms for ``d > 0``, or ``n`` alone when the
+    denominator reduces to 1, in exact decimal."""
     if d != 1:
         g = gcd(n, d)
         if g != 1:
             n //= g
             d //= g
-        if d != 1:
-            return f"{n}/{d}"
-    return str(n)
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:  # a part past sys.get_int_max_str_digits()
+        return _decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
+
+
+def _gauss_text(a: int, b: int, d: int) -> str:
+    """The literal of ``(a + b*i) / d`` for ``d > 0``, each part in lowest terms."""
+    if not b:
+        return _ratio_text(a, d)
+    return f"{_ratio_text(a, d)}{'+' if b > 0 else '-'}{_ratio_text(abs(b), d)}i"
+
+
+def _gauss_literal(text: str) -> tuple:
+    """``(a, b, d)`` with ``(a + b*i) / d`` the value of a literal, unreduced."""
+    t = text.strip().replace(" ", "")
+    m = _COMPLEX_RE.match(t)
+    if m:
+        (a, d), (b, e) = _rational(m.group(1)), _rational(m.group(2))
+        return a * e, b * d, d * e
+    m = _IMAG_RE.match(t)
+    if m:
+        b, e = _rational(m.group(1))
+        return 0, b, e
+    m = _REAL_RE.match(t)
+    if m:
+        a, d = _rational(m.group(1))
+        return a, 0, d
+    raise ScalarParseError(f"bad scalar literal {text!r}")
 
 
 class GaussianRational(FieldContract):
@@ -175,20 +221,7 @@ class GaussianRational(FieldContract):
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
         """Inverse of ``str``: accepts ``a/b``, ``a/b+c/di`` and ``c/di``."""
-        t = text.strip().replace(" ", "")
-        m = _COMPLEX_RE.match(t)
-        if m:
-            (a, d), (b, e) = _rational(m.group(1)), _rational(m.group(2))
-            return _reduced(a * e, b * d, d * e)
-        m = _IMAG_RE.match(t)
-        if m:
-            b, e = _rational(m.group(1))
-            return _reduced(0, b, e)
-        m = _REAL_RE.match(t)
-        if m:
-            a, d = _rational(m.group(1))
-            return _reduced(a, 0, d)
-        raise ScalarParseError(f"bad scalar literal {text!r}")
+        return _reduced(*_gauss_literal(text))
 
     @classmethod
     def random(cls, rng: Random, height_bound: int, *, real: bool = False) -> "GaussianRational":
@@ -256,11 +289,7 @@ class GaussianRational(FieldContract):
         return hash((self.a, self.b, self.d))
 
     def __str__(self):
-        a, b, d = self.a, self.b, self.d
-        if not b:
-            return _ratio_text(a, d)
-        sign = "+" if b > 0 else "-"
-        return f"{_ratio_text(a, d)}{sign}{_ratio_text(abs(b), d)}i"
+        return _gauss_text(self.a, self.b, self.d)
 
 
 _raw_new = object.__new__
@@ -287,6 +316,15 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
 
 
 _PRIME = (1 << 61) - 1  # Mersenne prime, fixed once for the whole build
+_RESIDUE_RE = re.compile(r"[+-]?\d+")
+
+
+def _residue(text: str) -> int:
+    """The residue mod p of a decimal literal."""
+    t = text.strip()
+    if not _RESIDUE_RE.fullmatch(t):
+        raise ScalarParseError(f"bad residue literal {text!r}")
+    return int(t) % _PRIME
 
 
 class PrimeFieldElement(FieldContract):
@@ -308,10 +346,7 @@ class PrimeFieldElement(FieldContract):
     # constructors
     @classmethod
     def parse(cls, text: str) -> "PrimeFieldElement":
-        t = text.strip()
-        if not re.fullmatch(r"[+-]?\d+", t):
-            raise ScalarParseError(f"bad residue literal {text!r}")
-        return _make_residue(int(t) % _PRIME)
+        return _make_residue(_residue(text))
 
     @classmethod
     def random(cls, rng: Random, height_bound: int = 0, *, real: bool = False) -> "PrimeFieldElement":
@@ -378,8 +413,8 @@ def _make_residue(residue: int) -> PrimeFieldElement:
 
 class Kernels(namedtuple("Kernels", (
         "field units cross dot minor first_nonzero_minor combine combine3 matvec quad_form "
-        "reduce_content proportional lead real is_zero add mul neg pack param unpack "
-        "scalar normalize random"))):
+        "reduce_content proportional lead real is_zero add mul neg vector pack param unpack "
+        "scalar normalize text parse random"))):
     """One backend's kernels over its raw representation.
 
     Each computes on raw operands exactly the value its formula gives on
@@ -390,9 +425,12 @@ class Kernels(namedtuple("Kernels", (
     ``matvec``, ``quad_form``, ``reduce_content``, ``proportional`` (any
     length), ``lead`` (the first nonzero entry's index, or None), ``real``
     (every entry real) and the coordinate vectors ``units``.  Scalars: ``is_zero``, ``add``, ``mul``
-    and ``neg``.  The edge: ``pack`` (scalars to a raw
+    and ``neg``; ``vector(x, y, z)`` is the raw vector of three raw scalars.
+    The edge: ``pack`` (scalars to a raw
     vector, denominators cleared, content kept), ``param`` (two scalars to a
-    raw pair of the same ratio), ``unpack``, ``scalar``, ``normalize`` and
+    raw pair of the same ratio), ``unpack``, ``scalar``, ``normalize``, the
+    codec ``text`` (the literals of normalize's entries) and ``parse``
+    (literals to a raw vector of their ratio, content kept), and
     ``random(rng, height, n, real)`` (n packed draws of the backend's ``random``).
     """
 
@@ -468,9 +506,9 @@ def _p_lead(v):
     return next((i for i, x in enumerate(v) if x), None)
 
 
-def _p_normalize(v):
+def _p_over_lead(v):
     inv = pow(v[_p_lead(v)], -1, _PRIME)
-    return tuple(_make_residue(x * inv % _PRIME) for x in v)
+    return [x * inv % _PRIME for x in v]
 
 
 PrimeFieldElement.kernels = Kernels(
@@ -480,9 +518,12 @@ PrimeFieldElement.kernels = Kernels(
     reduce_content=tuple,  # the identity on a tuple: a residue vector has no content
     proportional=_p_proportional, lead=_p_lead, real=lambda v: True, is_zero=not_,
     add=lambda x, y: (x + y) % _PRIME, mul=lambda x, y: x * y % _PRIME, neg=lambda x: -x % _PRIME,
-    pack=lambda values: tuple(x.residue for x in values),
+    vector=lambda x, y, z: (x, y, z), pack=lambda values: tuple(x.residue for x in values),
     param=lambda t0, t1: (t0.residue, t1.residue),
-    unpack=lambda v: tuple(map(_make_residue, v)), scalar=_make_residue, normalize=_p_normalize,
+    unpack=lambda v: tuple(map(_make_residue, v)), scalar=_make_residue,
+    normalize=lambda v: tuple(map(_make_residue, _p_over_lead(v))),
+    text=lambda v: tuple(map(str, _p_over_lead(v))),
+    parse=lambda literals: tuple(map(_residue, literals)),
     random=lambda rng, height, n, real: tuple(rng.randrange(_PRIME) for _ in range(n)),
 )
 
@@ -582,6 +623,22 @@ def _g_normalize(v):
                  for i in range(0, len(v), 2))
 
 
+def _g_text(v):
+    # normalize's entries printed straight from their numerators over n
+    k = 2 * _g_lead(v)
+    p, q = v[k], v[k + 1]
+    n = p * p + q * q
+    return ("0",) * (k // 2) + ("1",) + tuple(
+        _gauss_text(v[i] * p + v[i + 1] * q, v[i + 1] * p - v[i] * q, n)
+        for i in range(k + 2, len(v), 2))
+
+
+def _g_parse(literals):
+    parts = [_gauss_literal(t) for t in literals]
+    den = lcm(*(d for _, _, d in parts))
+    return tuple(x * (den // d) for a, b, d in parts for x in (a, b))
+
+
 GaussianRational.kernels = Kernels(
     field=GaussianRational, units=((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0)),
     cross=_g_cross, dot=_g_dot, minor=_g_minor, first_nonzero_minor=_g_first_nonzero_minor,
@@ -591,10 +648,10 @@ GaussianRational.kernels = Kernels(
     real=lambda v: not any(v[1::2]),  # the imaginary parts
     is_zero=(0, 0).__eq__, add=lambda x, y: (x[0] + y[0], x[1] + y[1]),
     mul=lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]),
-    neg=lambda x: (-x[0], -x[1]),
+    neg=lambda x: (-x[0], -x[1]), vector=lambda x, y, z: x + y + z,
     pack=_g_pack, param=_g_param,
     unpack=lambda v: tuple(_make(v[i], v[i + 1], 1) for i in range(0, len(v), 2)),
-    scalar=lambda x: _make(x[0], x[1], 1), normalize=_g_normalize,
+    scalar=lambda x: _make(x[0], x[1], 1), normalize=_g_normalize, text=_g_text, parse=_g_parse,
     random=lambda rng, height, n, real: _g_pack(
         tuple(GaussianRational.random(rng, height, real=real) for _ in range(n))),
 )

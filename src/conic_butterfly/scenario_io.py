@@ -503,9 +503,11 @@ def run_document(doc: ScenarioDocument) -> List[CheckReport]:
                 f"expect {e.name!r}: witness is not a {e.kind}")
         if e.kind == "scalar" and isinstance(actual, (ProjPoint, ProjLine, CrossRatioValue)):
             raise ScenarioParseError(f"expect {e.name!r}: witness is not a scalar")
-        pairs.append((f"{e.name} expected", e.value))
+        agree = actual == e.value
+        # equal values print the same text, so an agreeing pin shows the witness already printed
+        pairs.append((f"{e.name} expected", actual if agree else e.value))
         pairs.append((f"{e.name} actual", actual))
-        if actual != e.value:
+        if not agree:
             bad += 1
             if first_residual is None:
                 first_residual = _expect_residual(e, actual)

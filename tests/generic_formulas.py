@@ -13,11 +13,35 @@ that the tests keep as references: the cross-ratio and harmonic-conjugate
 kernels read single minors where ``line_chart`` reads full cross products,
 and ``chart_lines`` builds a chart's tangent and second line with the
 public ``tangent_at`` and ``join``.
+
+``exact_text`` prints a rational with no int-to-str conversion past the
+interpreter's digit limit, the oracle of the package's exact decimal output.
 """
 
 from conic_butterfly._linalg import cross, dot, matvec
 from conic_butterfly.projective import (DegenerateInputError, ProjectiveError, ProjLine, ProjPoint,
                                         incident, join)
+
+
+def exact_decimal(n: int) -> str:
+    """The decimal digits of n, nine at a time."""
+    sign, n, chunks = "-" if n < 0 else "", abs(n), []
+    while True:
+        n, low = divmod(n, 10**9)
+        chunks.append(low)
+        if not n:
+            break
+    return sign + str(chunks[-1]) + "".join(f"{c:09d}" for c in reversed(chunks[:-1]))
+
+
+def exact_text(x) -> str:
+    """The literal of a Fraction, or of a Gaussian scalar from its Fraction parts."""
+    if hasattr(x, "numerator"):
+        num = exact_decimal(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{exact_decimal(x.denominator)}"
+    if not x.im:
+        return exact_text(x.re)
+    return f"{exact_text(x.re)}{'+' if x.im > 0 else '-'}{exact_text(abs(x.im))}i"
 
 
 def quad_form(m, v):

@@ -2,11 +2,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import conic_butterfly
+from conic_butterfly import GaussianRational, RetryBudget
 from conic_butterfly.cli import main
+from conic_butterfly.fuzz import _RUNNERS
+from conic_butterfly.scenario_io import parse_scenario, run_document, serialize_scenario
+from generic_formulas import exact_text
 
 # a device whose every write fails with ENOSPC
 DEV_FULL = "/dev/full"
@@ -54,6 +59,22 @@ class TestVerify:
         assert status == 1
         assert "witness y' point (1 : 1/5 : -1/3)\n" in out
         assert "residual -5\n" in out
+
+    def test_residual_past_the_digit_limit_prints_exactly(self, tmp_path, capsys):
+        """Cell 0 of `butterfly fuzz --seed 11 --height 120 --checks damn` with
+        a wrong cross-ratio pin: its residual has more digits than the
+        interpreter's int-to-str limit, and the report still prints it."""
+        _, make_doc = _RUNNERS["damn"](Random("11:0:damn"), GaussianRational, 120,
+                                       RetryBudget(), 0)
+        text = serialize_scenario(make_doc()) + "expect ratio cr 2\n"
+        target = tmp_path / "big.scn"
+        target.write_text(text, encoding="utf-8")
+        status = main(["verify", str(target)])
+        out, _err = capsys.readouterr()
+        assert status == 1
+        want = exact_text(run_document(parse_scenario(text))[1].residual)
+        assert len(want) > sys.get_int_max_str_digits() > 0
+        assert f"\nresidual {want}\n" in out
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         target = tmp_path / "broken.scn"

@@ -17,7 +17,9 @@ import pytest
 from conic_butterfly import GaussianRational, PrimeFieldElement, RetryBudget
 from conic_butterfly.cli import main
 from conic_butterfly.fuzz import _RUNNERS
-from conic_butterfly.scenario_io import parse_scenario, serialize_scenario
+from conic_butterfly.reports import format_value
+from conic_butterfly.scenario_io import (_EXPECT_KINDS, _NAME_RE, Expect, parse_scenario,
+                                         serialize_scenario)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,6 +57,18 @@ PINS = {
 # files pin that representative.
 CONIC_PINS = {"points_gauss": GaussianRational, "points_prime": PrimeFieldElement}
 
+# HOLDS documents of the path `butterfly verify` spends its time on: cell 0
+# of `butterfly fuzz --seed 11 --height 10` for the claim and backend, with
+# every witness whose name and kind the grammar accepts pinned by an expect
+# line, so the report prints each point, line and cross-ratio three times
+# (witness, expected, actual).  Stored as replay_<name>.scn next to its
+# verify_replay_<name>.txt.
+REPLAYS = {
+    "damn_gauss": ("damn", GaussianRational),
+    "sack_gauss": ("sack", GaussianRational),
+    "damn_prime": ("damn", PrimeFieldElement),
+}
+
 
 def _fixture(name: str):
     return resources.files("conic_butterfly") / "fixtures" / f"{name}.scn"
@@ -85,6 +99,21 @@ def _conic_pin_document(name: str) -> str:
     lines = [f"conic points {five}" if line.startswith("conic ") else line
              for line in serialize_scenario(doc).splitlines()]
     return "\n".join(lines) + "\nexpect line axis (1 : 2 : 3)\n"
+
+
+def _replay_document(name: str) -> str:
+    claim, field = REPLAYS[name]
+    report, make_doc = _RUNNERS[claim](Random(f"11:0:{claim}"), field, 10, RetryBudget(), 0)
+    doc = make_doc()
+    for key, obj in report.witnesses:
+        kind, _ = format_value(obj)
+        if _NAME_RE.fullmatch(key) and kind in _EXPECT_KINDS:
+            doc.expects.append(Expect(kind, key, obj))
+    return serialize_scenario(doc)
+
+
+def _verify_replay(name: str, out: Path) -> int:
+    return main(["verify", str(GOLDEN / f"replay_{name}.scn"), "--out", str(out)])
 
 
 def _serialize(name: str) -> str:
@@ -119,6 +148,14 @@ def test_raw_representatives(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"verify_pin_{name}.txt").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(REPLAYS))
+def test_replay_report(name, tmp_path):
+    assert _replay_document(name) == (GOLDEN / f"replay_{name}.scn").read_text(encoding="utf-8")
+    out = tmp_path / f"{name}.txt"
+    assert _verify_replay(name, out) == 0
+    assert out.read_bytes() == (GOLDEN / f"verify_replay_{name}.txt").read_bytes()
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_serialization(name):
     expected = (GOLDEN / f"serialize_{name}.scn").read_text(encoding="utf-8")
@@ -138,6 +175,9 @@ def _regenerate() -> None:
     for name in CONIC_PINS:
         (GOLDEN / f"pin_{name}.scn").write_text(_conic_pin_document(name), encoding="utf-8")
         _verify_pin(name, GOLDEN / f"verify_pin_{name}.txt")
+    for name in REPLAYS:
+        (GOLDEN / f"replay_{name}.scn").write_text(_replay_document(name), encoding="utf-8")
+        _verify_replay(name, GOLDEN / f"verify_replay_{name}.txt")
 
 
 if __name__ == "__main__":

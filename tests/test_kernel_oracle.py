@@ -41,6 +41,16 @@ raw points, spend the same retries and leave the rng in the same state.
 pairs through p1..p4.  Its reference is the Gauss-Jordan solve of the five
 incidence equations it replaced; the two must give the same raw form, or
 raise the same exception with the same message, on both backends.
+
+The kernel tables' text codec prints and reads raw vectors with no scalar
+objects.  Its reference is the scalar route it replaced: `text` against
+`normalize`'s scalars printed by their own `str` (and by Fractions, which
+share no formatting code with the package), `parse` against the scalar
+`parse`, `pack` and `reduce_content`, and a cross-ratio's text against
+`str(num / den)`.  Malformed literals must raise the same exception with
+the same message.  A point or line keeps its text after the first `str`,
+so each object must print its own text, every time, and equal objects
+built by different routes must print the same text.
 """
 
 from fractions import Fraction
@@ -55,6 +65,7 @@ from conic_butterfly.conics import (Conic, ConicParametrization, DegenerateConic
                                    _second_point_on, conic_through_five, second_intersection,
                                    transform_conic)
 from conic_butterfly.projective import (
+    CrossRatioValue,
     DegenerateInputError,
     ProjLine,
     ProjPoint,
@@ -911,6 +922,156 @@ def test_table_random_is_the_packed_scalar_draws(field, real):
             assert raw == field.kernels.pack(tuple(field.random(theirs, 7, real=real)
                                                    for _ in range(n)))
         assert ours.getstate() == theirs.getstate()
+
+
+# ----------------------------------------------------------------------
+# the text codec on raw vectors
+
+# zeros, small values and values past 2,000 bits
+_BIG = st.one_of(st.just(0), _SMALL, st.integers(-(1 << 2100), 1 << 2100))
+
+
+def fraction_text(x) -> str:
+    """A scalar's literal from Fractions, sharing no formatting code with the package."""
+    if isinstance(x, P):
+        return str(x.residue)
+    re_, im = x.re, x.im
+    if not im:
+        return str(re_)
+    return f"{re_}{'+' if im > 0 else '-'}{abs(im)}i"
+
+
+@st.composite
+def raw_vectors(draw, field, width=3):
+    """A nonzero raw vector with its lead in any slot and any later entry
+    possibly zero; Gaussian parts are often zero or negative."""
+    if field is G:
+        entry, zero = st.tuples(_BIG, _BIG), (0, 0)
+    else:
+        entry, zero = st.one_of(_SMALL.map(lambda x: x % P.MODULUS),
+                                st.integers(0, P.MODULUS - 1)), 0
+    lead = draw(st.integers(0, width - 1))
+    entries = [zero if i < lead or (i > lead and draw(st.booleans())) else draw(entry)
+               for i in range(width)]
+    assume(entries[lead] != zero)
+    return sum(entries, ()) if field is G else tuple(entries)
+
+
+def big_scalars(field):
+    if field is G:
+        den = st.one_of(st.integers(1, 50), st.integers(1, 1 << 2100))
+        return st.builds(lambda a, b, d, e: G(Fraction(a, d), Fraction(b, e)), _BIG, _BIG, den, den)
+    return st.one_of(st.just(P(0)), _SMALL.map(P), st.integers(0, P.MODULUS - 1).map(P))
+
+
+_MALFORMED = ("", " ", "i", "+i", "1.5", "2j", "1/-2", "3/4/5", "--1", "1+2", "1/2i+3", "x",
+              "1" * 5000)  # the last is past the interpreter's digit limit
+
+
+@st.composite
+def gauss_literals(draw):
+    def rational():
+        num = draw(st.one_of(_SMALL, st.integers(-(10**650), 10**650)))
+        text = str(num) if num < 0 else draw(st.sampled_from(("", "+"))) + str(num)
+        if draw(st.booleans()):
+            text += f"/{draw(st.one_of(st.integers(0, 12), st.integers(1, 10**650)))}"
+        return text
+
+    re_text, im_text = rational(), rational()
+    if not im_text.startswith("-"):
+        im_text = "+" + im_text.lstrip("+")
+    shape = draw(st.sampled_from(("real", "imag", "complex", "spaced", "malformed")))
+    if shape == "real":
+        return re_text
+    if shape == "imag":
+        return re_text + "i"
+    if shape == "complex":
+        return re_text + im_text + "i"
+    if shape == "spaced":
+        return f"  {re_text} {im_text[0]} {im_text[1:]}i "
+    return draw(st.sampled_from(_MALFORMED))
+
+
+def prime_literals():
+    digits = st.one_of(_SMALL, st.integers(-(10**700), 10**700)).map(str)
+    return st.one_of(digits, digits.map(lambda t: f" {t}  "), st.sampled_from(_MALFORMED + ("+-1",)))
+
+
+def codec_outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except ValueError as exc:  # ScalarParseError and ProjectiveError included
+        return ("raised", type(exc), str(exc))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_text_matches_the_canonical_scalars(field, data):
+    k = field.kernels
+    v = data.draw(raw_vectors(field, data.draw(st.sampled_from((2, 3)))))
+    canonical = k.normalize(v)
+    assert k.text(v) == tuple(map(str, canonical)) == tuple(map(fraction_text, canonical))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parse_matches_the_scalar_parse(field, data):
+    k = field.kernels
+    literals = data.draw(st.lists(gauss_literals() if field is G else prime_literals(),
+                                  min_size=2, max_size=3))
+    assert codec_outcome(lambda: k.reduce_content(k.parse(literals))) == codec_outcome(
+        lambda: k.reduce_content(k.pack(tuple(field.parse(t) for t in literals))))
+    if len(literals) == 3:  # the point parser against the scalar route it replaced
+        text = f"({' : '.join(literals)})"
+        assert outcome(ProjPoint.parse, text, field) == outcome(
+            lambda: ProjPoint(tuple(field.parse(t) for t in text[1:-1].split(":")), field))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_ratio_text_matches_scalar_division(field, data):
+    num, den = data.draw(big_scalars(field)), data.draw(big_scalars(field))
+    assume(not (num.is_zero() and den.is_zero()))
+    text = str(CrossRatioValue(num, den, field))
+    if den.is_zero():
+        assert text == "inf"
+    else:
+        assert text == str(num / den) == fraction_text(num / den)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_each_object_prints_its_own_text_every_time(field, data):
+    k = field.kernels
+    vectors = data.draw(st.lists(raw_vectors(field), min_size=2, max_size=4))
+    objects = [cls(v, k) for v, cls in zip(vectors, (ProjPoint, ProjLine) * 2)]
+    texts = [str(o) for o in objects]
+    for o, text in zip(objects, texts):
+        x, y, z = o.canonical()
+        assert text == f"({x} : {y} : {z})"
+        assert str(o) == text
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_equal_points_print_identically(field, data):
+    """The same point as built, rescaled through the scalar edge, read back
+    from its text, and met from two lines through it."""
+    k = field.kernels
+    p, a, b = (ProjPoint(data.draw(raw_vectors(field)), k) for _ in range(3))
+    c = data.draw(big_scalars(field).filter(lambda x: not x.is_zero()))
+    routes = [ProjPoint(tuple(c * x for x in p.coords), field),
+              ProjPoint.parse(str(ProjPoint(p.raw, k)), field)]
+    if not collinear(p, a, b):
+        routes.append(meet(join(p, a), join(p, b)))
+    texts = [str(q) for q in routes]
+    assert all(q == p for q in routes)
+    assert texts == [str(p)] * len(routes)
 
 
 # ----------------------------------------------------------------------

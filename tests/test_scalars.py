@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from random import Random
@@ -18,6 +19,7 @@ from conic_butterfly.scalars import (
     backend_name,
     get_backend,
 )
+from generic_formulas import exact_text
 
 G = GaussianRational
 P = PrimeFieldElement
@@ -332,6 +334,15 @@ class TestCodec:
         assert outcome(G.parse, long_text) == outcome(oracle_parse, long_text)
         assert outcome(G.parse, long_text)[1] == (ScalarParseError,
                                                    f"bad rational literal {long_text!r}")
+
+    def test_str_past_the_digit_limit(self):
+        """Parts print in exact decimal however long, and parse still refuses
+        digit strings past the interpreter's limit."""
+        big = 10 ** (sys.get_int_max_str_digits() + 700) + 12345  # its low digits are zeros
+        for x in (G(big), G(-big, 3), G(Fraction(-big, 3**9000), 7), G(0, -(7**9000))):
+            assert str(x) == exact_text(x)
+        text = str(G(big))
+        assert outcome(G.parse, text)[1] == (ScalarParseError, f"bad rational literal {text!r}")
 
     @given(parts)
     @example((Fraction(-3, 6), Fraction(4, 6)))

@@ -5,12 +5,13 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conic_butterfly import RetryBudget, fuzz
-from conic_butterfly.projective import CrossRatioValue, ProjPoint
+from conic_butterfly.conics import conic_through_five
+from conic_butterfly.projective import CrossRatioValue, ProjectiveError, ProjPoint
 from conic_butterfly.reports import Verdict, exit_status
-from conic_butterfly.scalars import BACKENDS, GaussianRational, PrimeFieldElement
+from conic_butterfly.scalars import BACKENDS, GaussianRational, PrimeFieldElement, backend_name
 from conic_butterfly.scenario_io import (
     CLAIMS,
     Expect,
@@ -238,6 +239,65 @@ class TestRoundTrip:
         again = parse_scenario(serialize_scenario(doc))
         assert again == doc
         assert again.field is PrimeFieldElement
+
+
+# ----------------------------------------------------------------------
+# round-trips of the hand-written forms
+
+
+def _literal(draw, field, real=False) -> str:
+    if field is G:
+        a, b, d, e = draw(st.tuples(st.integers(-9, 9), st.integers(-9, 9),
+                                    st.integers(1, 6), st.integers(1, 6)))
+        return str(G(Fraction(a, d), 0 if real else Fraction(b, e)))
+    return str(draw(st.integers(-(2**62), 2**62)))
+
+
+def _triple(draw, field, real=False) -> str:
+    return "(" + " : ".join(_literal(draw, field, real) for _ in range(3)) + ")"
+
+
+@st.composite
+def hand_written_documents(draw):
+    """A nut document whose conic is given by five points, by its symmetric
+    entries or by its affine coefficients; a base; extra points in the
+    affine, param (one value or a pair) and triple forms; and an expect of
+    every kind, a ratio at infinity included."""
+    field = draw(st.sampled_from((G, PrimeFieldElement)))
+    flavor = draw(st.sampled_from(("points", "symmetric", "affine")))
+    five = [_triple(draw, field, real=flavor == "affine") for _ in range(5)]
+    try:
+        conic = conic_through_five([ProjPoint.parse(t, field) for t in five])
+    except ProjectiveError:  # a zero triple, coincident points or a degenerate conic
+        assume(False)
+    m11, m12, m13, m22, m23, m33 = conic.canonical()
+    two = field.from_int(2)
+    body = {"points": " ".join(five),
+            "symmetric": " ".join(map(str, conic.canonical())),
+            "affine": " ".join(map(str, (m11, m22, two * m12, two * m13, two * m23, m33)))}[flavor]
+    lines = ["check nut", f"backend {backend_name(field)}", f"conic {flavor} {body}",
+             f"base {five[0]}", f"line k {_triple(draw, field)}",
+             f"point y affine ({_literal(draw, field)}, {_literal(draw, field)})",
+             f"point z {_triple(draw, field)}"]
+    for i in range(draw(st.integers(1, 3))):
+        values = " ".join(_literal(draw, field) for _ in range(draw(st.integers(1, 2))))
+        lines.append(f"point q{i} param {values}")
+    ratio = draw(st.sampled_from(("inf", _literal(draw, field))))
+    lines += [f"expect point e {_triple(draw, field)}", f"expect line f {_triple(draw, field)}",
+              f"expect ratio cr {ratio}", f"expect scalar s {_literal(draw, field)}"]
+    try:
+        return parse_scenario("\n".join(lines) + "\n")
+    except ScenarioParseError:  # a zero triple or a (0 : 0) parameter
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hand_written_documents())
+def test_hand_written_forms_round_trip(doc):
+    text = serialize_scenario(doc)
+    again = parse_scenario(text)
+    assert again == doc
+    assert serialize_scenario(again) == text
 
 
 class TestRunning:
