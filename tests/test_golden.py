@@ -30,6 +30,13 @@ FUZZ_STREAMS = {
                                      "--height", "50", "--checks", "damn,cutl"],
     "fuzz_prime_h50.txt": ["--seed", "13", "--count", "100", "--backend", "prime",
                            "--height", "50", "--checks", "mono,jap,nut,sack,pascal,damn"],
+    # low heights, where draws collide and chords turn tangent: these pin the
+    # rejection loops (retries=359 and retries=762) and the DEGENERATE reasons
+    # (six cutl cells with three coincident points)
+    "fuzz_gauss_damn_cutl_h2.txt": ["--seed", "9", "--count", "150", "--height", "2",
+                                    "--checks", "damn,cutl"],
+    "fuzz_gauss_pascal_sack_h1.txt": ["--seed", "3", "--count", "200", "--height", "1",
+                                      "--checks", "pascal,sack"],
 }
 FIXTURES = ("butterfly_circle", "cutl_hyperbola", "lemma1")
 
