@@ -200,21 +200,25 @@ class ConicParametrization:
     chart that is built but never evaluated costs only the membership test
     of its base.
 
-    `_partner(t, m)` is the Frégier involution of a point m off the conic:
+    `_partner(t, w)` is the Frégier involution of a point m off the conic:
     the parameter of the second conic point on the line through point(t)
-    and m.  With w = M*m, Q(t) = point(t)^T*w = alpha*t0^2 + beta*t0*t1 +
-    gamma*t1^2 for alpha, beta, gamma = A2.w, A1.w, A0.w, and the partner is
-    the root of Q's polar form at t, (beta*t0 + 2*gamma*t1 : -(2*alpha*t0 +
-    beta*t1)).  Since point(t)^T*M*point(s) = kappa*(t0*s1 - t1*s0)^2 with
-    kappa = A2^T*M*A0 (nonzero: A2 and A0 are the distinct conic points at
-    (1 : 0) and (0 : 1)), an m built from chart points makes kappa a common
-    factor of alpha, beta and gamma.  Dividing it out keeps the partner, and
-    so point(partner), at the chart's own size; for Gaussian scenarios this
-    avoids the large non-rational common factor that `second_intersection`
-    leaves in its output.  kappa^-1 is computed on the first `_partner` call
-    and held raw, times the positive integer that clears its denominator (1
-    on the prime field); the partner pair's content reduction removes it.
-    The mono generator keeps `second_intersection`: its converse point is
+    and m.  With S the matrix of columns (A2, A1, A0) and kappa = A2^T*M*A0
+    (nonzero: A2 and A0 are the distinct conic points at (1 : 0) and
+    (0 : 1)), S^T*M*S = kappa*G0 exactly, for G0 = [[0, 0, 1], [0, -2, 0],
+    [1, 0, 0]] the form of xz = y^2 on the Veronese points v(t) = (t0^2,
+    t0*t1, t1^2), so point(t)^T*M*point(s) = kappa*(t0*s1 - t1*s0)^2
+    (Richter-Gebert, *Perspectives on Projective Geometry*, the chapters on
+    conics).  For m = S*w, Q(t) = point(t)^T*M*m is then kappa times
+    alpha*t0^2 + beta*t0*t1 + gamma*t1^2 with (alpha, beta, gamma) = (w2,
+    -2*w1, w0), and the partner is the root of Q's polar form at t,
+    (beta*t0 + 2*gamma*t1 : -(2*alpha*t0 + beta*t1)).  The generators know
+    w: they build m from chart points and their contents, so the partner
+    costs a few products of the parameters, and point(partner) stays at the
+    chart's own size; for Gaussian scenarios this avoids the large
+    non-rational common factor that `second_intersection` leaves in its
+    output.  w may carry any positive rational factor on gauss, where the
+    pair is content-reduced, and must be exact on the prime field.  The
+    mono generator keeps `second_intersection`: its converse point is
     built from y''s raw coordinates, so a different representative would
     change the document.
 
@@ -228,13 +232,14 @@ class ConicParametrization:
     without the large Gaussian common factor of `meet` of two `join`s.
 
     Vectors and parameters are held raw: `point` and `point_coefficients`
-    are the scalar edge, and the generators call `_point`, `_partner` and
-    `_chord_meet` on raw pairs.  A Gaussian parameter is cleared to Gaussian
+    are the scalar edge, and the generators call `_point` (or `_coords`,
+    S*v(t) before content reduction), `_partner` and `_chord_meet` on raw
+    pairs.  A Gaussian parameter is cleared to Gaussian
     integers of the same ratio, which scales the point by a positive
     rational that ProjPoint's content reduction removes.
     """
 
-    __slots__ = ("conic", "base", "_coefficients", "_kappa_inv")
+    __slots__ = ("conic", "base", "_coefficients")
 
     def __init__(self, conic: Conic, base: ProjPoint):
         if not conic.contains(base):
@@ -242,7 +247,6 @@ class ConicParametrization:
         self.conic = conic
         self.base = base
         self._coefficients = None
-        self._kappa_inv = None
 
     def point_coefficients(self) -> tuple:
         """The three coefficient vectors (A2, A1, A0) of the point map."""
@@ -270,12 +274,11 @@ class ConicParametrization:
         q2 = k.dot(d1, v1)
         q1 = k.dot(d0, v1)
         q0 = k.dot(d0, v0)
-        m1 = k.dot(b, v1)
-        m1 = k.add(m1, m1)
+        # m(t) = b.M.d(t) has no t term: b.M.d1 = l1.d1 = 0, as d1 lies on the tangent
         m0 = k.dot(b, v0)
         m0 = k.add(m0, m0)
-        a2 = k.combine(q2, b, m1, d1)
-        a1 = k.combine3(k.add(q1, q1), b, k.neg(m1), d0, k.neg(m0), d1)
+        a2 = k.vector(*(k.mul(q2, x) for x in k.entries(b)))
+        a1 = k.combine(k.add(q1, q1), b, m0, d1)
         a0 = k.combine(q0, b, m0, d0)
         # one shared content factor: the three vectors must keep their relative scale
         return thirds(k.reduce_content(a2 + a1 + a0))
@@ -293,13 +296,17 @@ class ConicParametrization:
         return self._point(self._as_pair(t))
 
     def _point(self, pair) -> ProjPoint:
+        return ProjPoint(self._coords(pair), self.conic.kernels)
+
+    def _coords(self, pair) -> tuple:
+        """S*v(t) for a raw pair t: the point's raw coordinates before content reduction."""
         t0, t1 = pair
         k = self.conic.kernels
         a2, a1, a0 = self._raw_coefficients()
         coords = k.combine3(k.mul(t0, t0), a2, k.mul(t0, t1), a1, k.mul(t1, t1), a0)
         if not any(coords):
             raise AssertionError("chart point map gave the zero vector; arithmetic bug")
-        return ProjPoint(coords, k)
+        return coords
 
     def _chord_meet(self, t, s, u, w) -> ProjPoint:
         k = self.conic.kernels
@@ -311,24 +318,21 @@ class ConicParametrization:
             raise DegenerateInputError("meet of coincident lines is undefined")
         return ProjPoint(coords, k)
 
-    def _partner(self, t, m: ProjPoint) -> tuple:
+    def _partner(self, t, w) -> tuple:
         """The raw parameter of the second conic point on the line through
-        point(t) and m, for a raw pair t and any m other than point(t); t
-        itself, up to scale, when that line is the tangent at point(t)."""
+        point(t) and m = S*w, for a raw pair t, chart coordinates w as a raw
+        vector and any m other than point(t); t itself, up to scale, when
+        that line is the tangent at point(t)."""
         k = self.conic.kernels
-        a2, a1, a0 = self._raw_coefficients()
-        form = self.conic.raw
-        if self._kappa_inv is None:
-            kappa = k.scalar(k.dot(a2, k.matvec(form, a0)))
-            self._kappa_inv = k.param(kappa.inv(), self.conic.field.one())[0]
-        t0, t1 = (k.mul(self._kappa_inv, p) for p in t)
-        w = k.matvec(form, m.raw)
-        alpha, beta, gamma = (k.dot(a, w) for a in (a2, a1, a0))
-        # the root as the vector (u0, u1, 0), content-reduced: kappa^-1's raw scale is large
-        x, y, _ = k.units
-        u = k.reduce_content(k.combine(k.add(k.mul(beta, t0), k.mul(k.add(gamma, gamma), t1)), x,
-                                       k.add(k.mul(k.add(alpha, alpha), t0), k.mul(beta, t1)), y))
-        return k.dot(u, x), k.dot(u, y)
+        t0, t1 = t
+        w0, w1, w2 = k.entries(w)
+        # the root 2*(w0*t1 - w1*t0 : w1*t1 - w2*t0), content-reduced; the
+        # repeated entry leaves the content as it is
+        u0 = k.add(k.mul(w0, t1), k.neg(k.mul(w1, t0)))
+        u1 = k.add(k.mul(w1, t1), k.neg(k.mul(w2, t0)))
+        u0, u1 = k.add(u0, u0), k.add(u1, u1)
+        u0, u1, _ = k.entries(k.reduce_content(k.vector(u0, u1, u1)))
+        return u0, u1
 
 
 class AffineConicSpec:

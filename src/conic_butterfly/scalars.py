@@ -28,7 +28,8 @@ Text codec.  A Gaussian literal is ``x``, ``yi`` or ``x+yi`` / ``x-yi``
 where each part is an integer or ``n/d``.  ``parse`` reads the parts with
 ``int()`` and builds the canonical triple with one reduction; ``str``
 prints each part in lowest terms with one ``gcd(n, d)``; ``random`` draws
-each part as ``randint(-h, h) / randint(1, h)`` and reduces once.  None of
+each part as ``randint(-h, h) / randint(1, h)`` and reduces once, with
+CPython's rejection loop on ``getrandbits`` in place of ``randint``.  None of
 them builds a ``Fraction``; ``re``, ``im`` and the constructor still accept
 and return them.  Prime residues are plain decimal integers.  Integers of
 any size print in exact decimal, and ``parse`` keeps refusing digit strings
@@ -111,9 +112,19 @@ class FieldContract:
 
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
-_REAL_RE = re.compile(rf"^({_RAT})$")
-_IMAG_RE = re.compile(rf"^({_RAT})i$")
-_COMPLEX_RE = re.compile(rf"^({_RAT})([+-]\d+(?:/\d+)?)i$")
+# x, yi or x+yi: the first part, then the signed second part and the i
+_LITERAL_RE = re.compile(rf"^({_RAT})(?:([+-]\d+(?:/\d+)?)?(i))?$")
+
+
+def _randbelow(getrandbits, n: int) -> int:
+    """A uniform int in [0, n) for n > 0 by CPython's rejection loop, the one
+    behind ``randrange(n)`` and ``randint``: the same draws from the same
+    state, and the same state after, without their argument handling."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def _decimal(n: int) -> str:
@@ -165,20 +176,18 @@ def _gauss_text(a: int, b: int, d: int) -> str:
 
 def _gauss_literal(text: str) -> tuple:
     """``(a, b, d)`` with ``(a + b*i) / d`` the value of a literal, unreduced."""
-    t = text.strip().replace(" ", "")
-    m = _COMPLEX_RE.match(t)
-    if m:
-        (a, d), (b, e) = _rational(m.group(1)), _rational(m.group(2))
+    m = _LITERAL_RE.match(text.strip().replace(" ", ""))
+    if m is None:
+        raise ScalarParseError(f"bad scalar literal {text!r}")
+    first, second, imaginary = m.groups()
+    if second:
+        (a, d), (b, e) = _rational(first), _rational(second)
         return a * e, b * d, d * e
-    m = _IMAG_RE.match(t)
-    if m:
-        b, e = _rational(m.group(1))
+    if imaginary:
+        b, e = _rational(first)
         return 0, b, e
-    m = _REAL_RE.match(t)
-    if m:
-        a, d = _rational(m.group(1))
-        return a, 0, d
-    raise ScalarParseError(f"bad scalar literal {text!r}")
+    a, d = _rational(first)
+    return a, 0, d
 
 
 class GaussianRational(FieldContract):
@@ -227,13 +236,16 @@ class GaussianRational(FieldContract):
     def random(cls, rng: Random, height_bound: int, *, real: bool = False) -> "GaussianRational":
         """Random scalar whose numerators and denominators stay within ``height_bound``.
 
-        Each part is ``randint(-h, h) / randint(1, h)``, real part first."""
-        if height_bound < 1:
+        Each part is ``randint(-h, h) / randint(1, h)``, real part first,
+        drawn by `_randbelow` on ``getrandbits`` with the same stream."""
+        h = height_bound
+        if h < 1:
             raise ValueError("height_bound must be at least 1")
-        a, d = rng.randint(-height_bound, height_bound), rng.randint(1, height_bound)
+        bits = rng.getrandbits
+        a, d = _randbelow(bits, 2 * h + 1) - h, _randbelow(bits, h) + 1
         if real:
             return _reduced(a, 0, d)
-        b, e = rng.randint(-height_bound, height_bound), rng.randint(1, height_bound)
+        b, e = _randbelow(bits, 2 * h + 1) - h, _randbelow(bits, h) + 1
         return _reduced(a * e, b * d, d * e)
 
     # ------------------------------------------------------------------
@@ -350,8 +362,9 @@ class PrimeFieldElement(FieldContract):
 
     @classmethod
     def random(cls, rng: Random, height_bound: int = 0, *, real: bool = False) -> "PrimeFieldElement":
-        """Uniform residue; the height bound and reality flag do not apply here."""
-        return _make_residue(rng.randrange(_PRIME))
+        """Uniform residue, drawn as ``randrange(p)`` draws it; the height bound
+        and reality flag do not apply here."""
+        return _make_residue(_randbelow(rng.getrandbits, _PRIME))
 
     # ------------------------------------------------------------------
     # field operations
@@ -413,8 +426,8 @@ def _make_residue(residue: int) -> PrimeFieldElement:
 
 class Kernels(namedtuple("Kernels", (
         "field units cross dot minor first_nonzero_minor combine combine3 matvec quad_form "
-        "reduce_content proportional lead real is_zero add mul neg vector pack param unpack "
-        "scalar normalize text parse random"))):
+        "reduce_content content over_lead proportional lead real is_zero add mul neg vector "
+        "entries pack param unpack scalar normalize text parse random"))):
     """One backend's kernels over its raw representation.
 
     Each computes on raw operands exactly the value its formula gives on
@@ -422,10 +435,14 @@ class Kernels(namedtuple("Kernels", (
     Vectors: ``cross``, ``dot``, ``minor(u, v, k)`` (slot k of the cross product),
     ``first_nonzero_minor`` (None for proportional vectors),
     ``combine(a, u, b, v)`` (a*u - b*v), ``combine3`` (a*u + b*v + c*w),
-    ``matvec``, ``quad_form``, ``reduce_content``, ``proportional`` (any
+    ``matvec``, ``quad_form``, ``reduce_content``, ``content`` (the raw
+    scalar ``reduce_content`` divides by: a positive integer, 1 on the prime
+    field), ``over_lead`` (any length: v over its lead entry, times that
+    entry's norm on gauss), ``proportional`` (any
     length), ``lead`` (the first nonzero entry's index, or None), ``real``
     (every entry real) and the coordinate vectors ``units``.  Scalars: ``is_zero``, ``add``, ``mul``
-    and ``neg``; ``vector(x, y, z)`` is the raw vector of three raw scalars.
+    and ``neg``; ``vector(x, y, z)`` is the raw vector of three raw scalars,
+    and ``entries`` splits a raw vector back into them.
     The edge: ``pack`` (scalars to a raw
     vector, denominators cleared, content kept), ``param`` (two scalars to a
     raw pair of the same ratio), ``unpack``, ``scalar``, ``normalize``, the
@@ -516,15 +533,17 @@ PrimeFieldElement.kernels = Kernels(
     cross=_p_cross, dot=_p_dot, minor=_p_minor, first_nonzero_minor=_p_first_nonzero_minor,
     combine=_p_combine, combine3=_p_combine3, matvec=_p_matvec, quad_form=_p_quad_form,
     reduce_content=tuple,  # the identity on a tuple: a residue vector has no content
+    content=lambda v: 1, over_lead=lambda v: tuple(_p_over_lead(v)),
     proportional=_p_proportional, lead=_p_lead, real=lambda v: True, is_zero=not_,
     add=lambda x, y: (x + y) % _PRIME, mul=lambda x, y: x * y % _PRIME, neg=lambda x: -x % _PRIME,
-    vector=lambda x, y, z: (x, y, z), pack=lambda values: tuple(x.residue for x in values),
+    vector=lambda x, y, z: (x, y, z), entries=tuple,
+    pack=lambda values: tuple(x.residue for x in values),
     param=lambda t0, t1: (t0.residue, t1.residue),
     unpack=lambda v: tuple(map(_make_residue, v)), scalar=_make_residue,
     normalize=lambda v: tuple(map(_make_residue, _p_over_lead(v))),
     text=lambda v: tuple(map(str, _p_over_lead(v))),
     parse=lambda literals: tuple(map(_residue, literals)),
-    random=lambda rng, height, n, real: tuple(rng.randrange(_PRIME) for _ in range(n)),
+    random=lambda rng, height, n, real: tuple(_randbelow(rng.getrandbits, _PRIME) for _ in range(n)),
 )
 
 
@@ -591,6 +610,14 @@ def _g_reduce_content(v):
     return v if g <= 1 else tuple(x // g for x in v)  # g == 0 only for the zero vector
 
 
+def _g_over_lead(v):
+    # x / lead = x * conj(lead) / norm(lead), kept as the numerators
+    k = 2 * _g_lead(v)
+    p, q = v[k], v[k + 1]
+    return tuple(x for i in range(0, len(v), 2)
+                 for x in (v[i] * p + v[i + 1] * q, v[i + 1] * p - v[i] * q))
+
+
 def _g_proportional(u, v):
     k = 2 * _g_lead(u)
     a, b, c, d = u[k], u[k + 1], v[k], v[k + 1]
@@ -644,11 +671,13 @@ GaussianRational.kernels = Kernels(
     cross=_g_cross, dot=_g_dot, minor=_g_minor, first_nonzero_minor=_g_first_nonzero_minor,
     combine=_g_combine, combine3=_g_combine3, matvec=_g_matvec,
     quad_form=lambda m, v: _g_dot(v, _g_matvec(m, v)),
-    reduce_content=_g_reduce_content, proportional=_g_proportional, lead=_g_lead,
+    reduce_content=_g_reduce_content, content=lambda v: (gcd(*v), 0), over_lead=_g_over_lead,
+    proportional=_g_proportional, lead=_g_lead,
     real=lambda v: not any(v[1::2]),  # the imaginary parts
     is_zero=(0, 0).__eq__, add=lambda x, y: (x[0] + y[0], x[1] + y[1]),
     mul=lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]),
     neg=lambda x: (-x[0], -x[1]), vector=lambda x, y, z: x + y + z,
+    entries=lambda v: (v[0:2], v[2:4], v[4:6]),
     pack=_g_pack, param=_g_param,
     unpack=lambda v: tuple(_make(v[i], v[i + 1], 1) for i in range(0, len(v), 2)),
     scalar=lambda x: _make(x[0], x[1], 1), normalize=_g_normalize, text=_g_text, parse=_g_parse,

@@ -20,21 +20,14 @@ from functools import lru_cache
 from random import Random
 from typing import NamedTuple, Optional, Tuple
 
-from .conics import (
-    AffineConicSpec,
-    Conic,
-    ConicParametrization,
-    _second_point_on,
-    homogenize_affine_conic,
-    second_intersection,
-    transform_conic,
-)
+from .conics import Conic, ConicParametrization, _second_point_on, second_intersection, transform_conic
 from .projective import (
     DegenerateInputError,
     ProjectiveError,
     ProjLine,
     ProjPoint,
     Projectivity,
+    _cofactors,
     harmonic_conjugate,
     incident,
     join,
@@ -77,13 +70,17 @@ def reference_base(field=GaussianRational) -> ProjPoint:
     return ProjPoint((field.one(), field.zero(), field.zero()), field)
 
 
-def affine_spec_from_conic(conic: Conic) -> AffineConicSpec:
-    """Read affine coefficients off a real symmetric form, rescaling first."""
-    m11, m12, m13, m22, m23, m33 = vals = conic.canonical()
-    if not all(v.is_real() for v in vals):
+def _real_plane_form(conic: Conic) -> Conic:
+    """The conic of a real-plane (cutl) scenario: the raw form divided by its
+    first nonzero upper entry, which must leave it real.  That entry is in
+    the first row, which a nondegenerate form cannot have all zero, so it is
+    the lead of the flat form too.  The result is the conic of the affine
+    coefficients read off the canonical form."""
+    k = conic.kernels
+    flat = k.over_lead(sum(conic.raw, ()))
+    if not k.real(flat):
         raise ProjectiveError("conic is not real; no affine coefficients exist")
-    two = conic.field.one() + conic.field.one()
-    return AffineConicSpec(m11, m22, two * m12, two * m13, two * m23, m33, conic.field)
+    return Conic(flat, k)
 
 
 # ----------------------------------------------------------------------
@@ -168,10 +165,10 @@ def build_scenario(conic: Conic, a, b, m, r, s, c, d, *, kind: str = "damn") -> 
     """Validate a butterfly of flavour `kind`, whose second chord is (c, d).
 
     A real-plane (cutl) scenario needs real coordinates, and its conic is
-    rebuilt from its affine coefficients."""
+    rescaled to the real form of its affine coefficients."""
     flavour = _flavour(kind)
     if flavour.real:
-        conic = homogenize_affine_conic(affine_spec_from_conic(conic))
+        conic = _real_plane_form(conic)
     return _build_scenario(flavour, conic, (a, b, m, r, s, c, d))
 
 
@@ -257,14 +254,28 @@ def _same_parameter(k, t, s) -> bool:
 
 def _random_chart_point(par: ConicParametrization, rng: Random, height: int,
                         budget: RetryBudget, *, real: bool = False, avoid=()) -> tuple:
-    """A random raw chart parameter off the avoid list, with its point."""
+    """A random raw chart parameter t off the avoid list, with its point and
+    the raw content g its content reduction removed: point = S*v(t)/g."""
     field = par.conic.field
     k, one = field.kernels, field.one()
     while True:
         t = k.param(field.random(rng, height, real=real), one)
         if not any(_same_parameter(k, t, w) for w in avoid):
-            return t, par._point(t)
+            coords = par._coords(t)
+            return t, ProjPoint(coords, k), k.content(coords)
         budget.tick("conic point collision")
+
+
+def _chord_point(k, end1: tuple, lam, end2: tuple) -> Tuple[ProjPoint, tuple]:
+    """m = a + lam*b for two `_random_chart_point` draws (t, point, content),
+    as `_point_along` builds it, with chart coordinates w: m = S*w up to a
+    positive rational.  With lam = n/d, a = S*v(ta)/ga and b = S*v(tb)/gb,
+    w = d*gb*v(ta) + n*ga*v(tb) for the Veronese points v."""
+    (ta, a, ga), (tb, b, gb) = end1, end2
+    n, d = k.param(lam, a.field.one())
+    m = ProjPoint(k.combine(d, a.raw, k.neg(n), b.raw), k)
+    va, vb = ([k.mul(t0, t0), k.mul(t0, t1), k.mul(t1, t1)] for t0, t1 in (ta, tb))
+    return m, k.combine(k.mul(d, gb), k.vector(*va), k.neg(k.mul(n, ga)), k.vector(*vb))
 
 
 def random_conic(rng: Random, field=GaussianRational, height_bound: int = 10,
@@ -272,19 +283,38 @@ def random_conic(rng: Random, field=GaussianRational, height_bound: int = 10,
     """A random nondegenerate conic with a known point: a projective image
     of the reference conic, whose base point rides along."""
     budget = budget if budget is not None else RetryBudget()
-    t = Projectivity.random(rng, field, height_bound, real=real, budget=budget)
-    return transform_conic(t, reference_conic(field)), t.apply(reference_base(field))
+    return _reference_image(Projectivity.random(rng, field, height_bound, real=real, budget=budget))
 
 
-def _chord_through(par: ConicParametrization, m: ProjPoint,
+def _reference_image(t: Projectivity) -> Tuple[Conic, ProjPoint]:
+    """`transform_conic(t, reference_conic())` and `t.apply(reference_base())`
+    in closed form.  The reference form's only nonzero raw entries are
+    e = M02 = M20 and f = M11, so with c_j the columns of adj(T) the image's
+    entry ij is c_i.M c_j = e*(c_i0*c_j2 + c_i2*c_j0) + f*c_i1*c_j1: six dots
+    with M c_j = (e*c_j2, f*c_j1, e*c_j0) where `transform_conic` takes
+    eighteen.  The base (1 : 0 : 0) maps to T's first column."""
+    k = t.kernels
+    m0, m1, _ = reference_conic(k.field).raw
+    e, f = k.entries(m0)[2], k.entries(m1)[1]
+    c0, c1, c2 = cols = _cofactors(t)
+    y0, y1, y2 = (k.vector(k.mul(e, x2), k.mul(f, x1), k.mul(e, x0))
+                  for x0, x1, x2 in map(k.entries, cols))
+    n01, n02, n12 = k.dot(c0, y1), k.dot(c0, y2), k.dot(c1, y2)
+    form = (k.vector(k.dot(c0, y0), n01, n02) + k.vector(n01, k.dot(c1, y1), n12)
+            + k.vector(n02, n12, k.dot(c2, y2)))
+    return Conic(form, k), ProjPoint(k.vector(*(k.entries(r)[0] for r in t.raw)), k)
+
+
+def _chord_through(par: ConicParametrization, w: tuple,
                    rng: Random, height: int, budget: RetryBudget,
                    *, real: bool = False, avoid=()) -> Tuple[tuple, tuple]:
-    """A chord through m as two (raw parameter, point) ends, both parameters
-    off the avoid list; the second comes from the chart's Frégier involution at m."""
+    """A chord through m = S*w as two (raw parameter, point) ends, both
+    parameters off the avoid list; the second comes from the chart's Frégier
+    involution at m."""
     k = par.conic.kernels
     while True:
-        t, end1 = _random_chart_point(par, rng, height, budget, real=real, avoid=avoid)
-        s = par._partner(t, m)
+        t, end1, _ = _random_chart_point(par, rng, height, budget, real=real, avoid=avoid)
+        s = par._partner(t, w)
         if _same_parameter(k, s, t):
             budget.tick("tangent chord")
             continue
@@ -305,14 +335,14 @@ def random_scenario(rng: Random, field=GaussianRational, height_bound: int = 10,
     budget = budget if budget is not None else RetryBudget()
     conic, base = random_conic(rng, field, height_bound, real=real, budget=budget)
     if real:
-        conic = homogenize_affine_conic(affine_spec_from_conic(conic))
+        conic = _real_plane_form(conic)
     par = ConicParametrization(conic, base)
-    ta, a = _random_chart_point(par, rng, height_bound, budget, real=real)
-    tb, b = _random_chart_point(par, rng, height_bound, budget, real=real, avoid=(ta,))
+    end_a = ta, a, _ = _random_chart_point(par, rng, height_bound, budget, real=real)
+    end_b = tb, b, _ = _random_chart_point(par, rng, height_bound, budget, real=real, avoid=(ta,))
     mu = _random_nonzero(rng, field, height_bound, budget, real=real)
-    m = _point_along(a, mu, b)
-    (tr, r), (ts, s) = _chord_through(par, m, rng, height_bound, budget, real=real, avoid=(ta, tb))
-    (tc, c), (td, d) = _chord_through(par, m, rng, height_bound, budget, real=real,
+    m, w = _chord_point(field.kernels, end_a, mu, end_b)
+    (tr, r), (ts, s) = _chord_through(par, w, rng, height_bound, budget, real=real, avoid=(ta, tb))
+    (tc, c), (td, d) = _chord_through(par, w, rng, height_bound, budget, real=real,
                                       avoid=(ta, tb, tr, ts))
     # the crosswise meets in the chart, and the harmonic conjugate a - mu*b of m = a + mu*b
     params = dict(zip(flavour.inputs[3:], (tr, ts, tc, td)))
@@ -339,19 +369,21 @@ def random_reflection_frame(rng: Random, field=GaussianRational, height_bound: i
 
 
 def _random_frame(rng: Random, field, height: int, with_chord: bool, budget: RetryBudget):
-    """`random_reflection_frame`'s (frame, chart), and the raw parameters of u, v or None."""
+    """`random_reflection_frame`'s (frame, chart), and the two
+    `_random_chart_point` draws of u, v or None."""
     conic, base = random_conic(rng, field, height, budget=budget)
     par = ConicParametrization(conic, base)
     if with_chord:
-        tu, u = _random_chart_point(par, rng, height, budget)
-        tv, v = _random_chart_point(par, rng, height, budget, avoid=(tu,))
-        return ReflectionFrame(conic, join(u, v), u, v), par, (tu, tv)
+        end_u = tu, u, _ = _random_chart_point(par, rng, height, budget)
+        end_v = _, v, _ = _random_chart_point(par, rng, height, budget, avoid=(tu,))
+        return ReflectionFrame(conic, join(u, v), u, v), par, (end_u, end_v)
     while True:
         dual = _random_point(rng, field, height, budget)
         axis = ProjLine(dual.raw, dual.kernels)
-        if not incident(conic.pole(axis), axis):
+        try:
             return ReflectionFrame(conic, axis), par, None
-        budget.tick("tangent axis")
+        except DegenerateInputError:  # raised exactly when k.p = 0: the axis is tangent
+            budget.tick("tangent axis")
 
 
 def random_mono_inputs(rng: Random, field=GaussianRational, height_bound: int = 10,
@@ -427,10 +459,10 @@ def random_sack_inputs(rng: Random, field=GaussianRational, height_bound: int = 
                        *, budget: Optional[RetryBudget] = None):
     """(frame-with-chord, m, r, s): m on the axis, chord (r, s) through m."""
     budget = budget if budget is not None else RetryBudget()
-    frame, par, ends = _random_frame(rng, field, height_bound, True, budget)
+    frame, par, (end_u, end_v) = _random_frame(rng, field, height_bound, True, budget)
     lam = _random_nonzero(rng, field, height_bound, budget)
-    m = _point_along(frame.u, lam, frame.v)
-    (_, r), (_, s) = _chord_through(par, m, rng, height_bound, budget, avoid=ends)
+    m, w = _chord_point(field.kernels, end_u, lam, end_v)
+    (_, r), (_, s) = _chord_through(par, w, rng, height_bound, budget, avoid=(end_u[0], end_v[0]))
     return frame, m, r, s
 
 

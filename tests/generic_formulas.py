@@ -16,9 +16,15 @@ public ``tangent_at`` and ``join``.
 
 ``exact_text`` prints a rational with no int-to-str conversion past the
 interpreter's digit limit, the oracle of the package's exact decimal output.
+
+``affine_spec_from_conic`` reads a real conic's affine coefficients off its
+canonical form.  Together with ``homogenize_affine_conic`` it is the scalar
+round trip that the real-plane (cutl) scenarios once took, and the oracle of
+the raw form they now take.
 """
 
 from conic_butterfly._linalg import cross, dot, matvec
+from conic_butterfly.conics import AffineConicSpec
 from conic_butterfly.projective import (DegenerateInputError, ProjectiveError, ProjLine, ProjPoint,
                                         incident, join)
 
@@ -133,3 +139,12 @@ def chart_line(par, t) -> ProjLine:
     t0, t1 = map(field.coerce, t if isinstance(t, tuple) else (t, field.one()))
     l1, l0 = chart_lines(par)
     return ProjLine(tuple(t0 * a + t1 * b for a, b in zip(l1.coords, l0.coords)), field)
+
+
+def affine_spec_from_conic(conic) -> AffineConicSpec:
+    """Read affine coefficients off a real symmetric form, rescaling first."""
+    m11, m12, m13, m22, m23, m33 = vals = conic.canonical()
+    if not all(v.is_real() for v in vals):
+        raise ProjectiveError("conic is not real; no affine coefficients exist")
+    two = conic.field.one() + conic.field.one()
+    return AffineConicSpec(m11, m22, two * m12, two * m13, two * m23, m33, conic.field)

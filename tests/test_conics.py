@@ -22,13 +22,8 @@ from conic_butterfly.projective import (
     join,
 )
 from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
-from conic_butterfly.scenarios import (
-    affine_spec_from_conic,
-    random_conic,
-    reference_base,
-    reference_conic,
-)
-from generic_formulas import chart_line
+from conic_butterfly.scenarios import random_conic, reference_base, reference_conic
+from generic_formulas import affine_spec_from_conic, chart_line
 
 G = GaussianRational
 

@@ -19,13 +19,23 @@ the older scalar formulas, computed eagerly on the unscaled parameter from
 the chart lines that `chart_lines` rebuilds.
 
 `ConicParametrization._partner` builds a chord's second endpoint as a raw
-chart parameter.  Its reference is the chord solve it replaced in scenario
-generation, `second_intersection` on the join of point(t) and m; the two
-agree as points.  The partner's exact scale is pinned separately, on
-m = point(s), where the kappa-normalised polar form is the square bracket
-(t0*s1 - t1*s0)^2: `ref_partner`, the older scalar formula with the exact
-kappa^-1, is checked against the bracket, and the raw partner against
-`ref_partner` scaled to coprime Gaussian integers.
+chart parameter, from the chart coordinates w of m = S*w.  Its reference is
+the chord solve it replaced in scenario generation, `second_intersection`
+on the join of point(t) and m; the two agree as points, with w = adj(S)*m
+for an arbitrary m.  The partner's exact scale is pinned separately:
+`ref_partner`, the older scalar formula from M*m and the exact kappa^-1, is
+checked against the square bracket (t0*s1 - t1*s0)^2 on m = point(s), and
+the raw partner equals `ref_partner` scaled to coprime Gaussian integers
+there and on m built as the generators build it, from two chart points and
+their contents.
+
+`random_conic` builds the image of the reference conic in closed form from
+the two nonzero entries of its form.  Its reference is `transform_conic` and
+`Projectivity.apply` on the reference conic and base; the two must give the
+same raw form and base.  The real-plane (cutl) form divides the raw form by
+its lead entry; its reference is the round trip through the affine
+coefficients (`affine_spec_from_conic`, kept in `generic_formulas.py`, and
+`homogenize_affine_conic`), with the same raw form or the same error.
 
 `ConicParametrization._chord_meet` meets two chords in the chart's Veronese
 coordinates.  Its reference is the generic route the documents take, `meet`
@@ -62,8 +72,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conic_butterfly.conics import (Conic, ConicParametrization, DegenerateConicError,
-                                   _second_point_on, conic_through_five, second_intersection,
-                                   transform_conic)
+                                   _second_point_on, conic_through_five, homogenize_affine_conic,
+                                   second_intersection, transform_conic)
 from conic_butterfly.projective import (
     CrossRatioValue,
     DegenerateInputError,
@@ -80,8 +90,10 @@ from conic_butterfly.projective import (
 )
 from conic_butterfly.reflection import ReflectionFrame
 from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
-from conic_butterfly.scenarios import (RetryBudget, random_conic, random_hexagon,
-                                       random_reflection_frame, reference_base, reference_conic)
+from conic_butterfly.scenarios import (RetryBudget, _chord_point, _point_along, _real_plane_form,
+                                       _reference_image, _same_parameter, random_conic,
+                                       random_hexagon, random_reflection_frame, reference_base,
+                                       reference_conic)
 import generic_formulas as gf
 from generic_formulas import chart_lines, cross, dot, line_chart, matmul, matvec, quad_form
 
@@ -550,36 +562,86 @@ def ref_partner(par, t, m):
     return (beta * t0 + (gamma + gamma) * t1, -((alpha + alpha) * t0 + beta * t1))
 
 
+def chart_coordinates(par, m):
+    """adj(S)*m as a raw vector, for S the matrix of columns (A2, A1, A0): the
+    chart coordinates w of m up to the scale det(S), as S*adj(S) = det(S)*I."""
+    a2, a1, a0 = par.point_coefficients()
+    w = tuple(dot(cross(x, y), m.coords) for x, y in ((a1, a0), (a0, a2), (a2, a1)))
+    return par.conic.kernels.pack(w)
+
+
+def chart_end(par, t):
+    """A chart point as `random_scenario` draws it: (raw pair, point, content)."""
+    k = par.conic.kernels
+    coords = par._coords(t)
+    return t, ProjPoint(coords, k), k.content(coords)
+
+
+def generator_chord_point(par, data):
+    """m = a + lam*b on a chord of two chart points, with the chart
+    coordinates `_chord_point` gives it, as the damn, cutl and sack
+    generators build them; also checks m against `_point_along` and the
+    contents against the points."""
+    field, k = par.conic.field, par.conic.kernels
+    ta, tb = (par._as_pair(data.draw(parameters(field))) for _ in range(2))
+    assume(not _same_parameter(k, ta, tb))
+    end_a, end_b = chart_end(par, ta), chart_end(par, tb)
+    for t, point, g in (end_a, end_b):
+        assert ProjPoint(par._coords(t), k).raw == point.raw
+        assert tuple(k.mul(g, x) for x in k.entries(point.raw)) == k.entries(par._coords(t))
+    lam = data.draw(scalars(field))
+    m, w = _chord_point(k, end_a, lam, end_b)
+    assert m.raw == _point_along(end_a[1], lam, end_b[1]).raw
+    return m, w
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_partner_matches_second_intersection(field, data):
-    """point(partner(t, m)) is the chord solve's second endpoint, for m random
+    """point(partner(t, w)) is the chord solve's second endpoint, for m random
     (often on a coordinate line), a combination of two chart points as the
     generators build it, a point of the conic, or a point of the tangent at
-    point(t), where the partner is point(t) itself."""
+    point(t), where the partner is point(t) itself.  Only the generators'
+    combination comes with its chart coordinates; the others pass
+    w = adj(S)*m, which is m's up to the scale det(S)."""
     par = data.draw(charts(field))
     t = data.draw(parameters(field))
     end = par.point(t)
     kind = data.draw(st.sampled_from(("free", "free", "chart-combination", "on-conic", "tangent")))
     lam = data.draw(scalars(field))
+    w = None
     if kind == "free":
         m = data.draw(points(field))
     elif kind == "tangent":
         d = _second_point_on(par.conic.tangent_at(end), end)
         m = ProjPoint(tuple(x + lam * y for x, y in zip(d.coords, end.coords)), field)
-    else:
+    elif kind == "on-conic":
         m = par.point(data.draw(parameters(field)))
-        if kind == "chart-combination":
-            b = par.point(data.draw(parameters(field)))
-            coords = tuple(x + lam * y for x, y in zip(m.coords, b.coords))
-            assume(not all(c.is_zero() for c in coords))
-            m = ProjPoint(coords, field)
+    else:
+        m, w = generator_chord_point(par, data)
     assume(not _same(m, end))
+    if w is None:
+        w = chart_coordinates(par, m)
     expected = second_intersection(par.conic, join(end, m), end)
-    assert par._point(par._partner(par._as_pair(t), m)) == expected
+    assert par._point(par._partner(par._as_pair(t), w)) == expected
     if kind == "tangent":
         assert expected == end
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_partner_matches_kappa_formula_on_generator_points(field, data):
+    """On m built as the generators build it, contents included, the raw
+    partner from m's chart coordinates is the older formula's pair from M*m
+    and the exact kappa^-1: scaled to coprime Gaussian integers, and exactly
+    that pair on the prime field, where nothing is content-reduced."""
+    par = data.draw(charts(field))
+    t = data.draw(parameters(field))
+    m, w = generator_chord_point(par, data)
+    raw = par._partner(par._as_pair(t), w)
+    assert tuple(map(field.kernels.scalar, raw)) == field.reduce_content(ref_partner(par, t, m))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
@@ -588,11 +650,12 @@ def test_partner_matches_second_intersection(field, data):
 def test_partner_exact_scale_on_conic_points(field, data):
     """With m = point(s), Q(t)/kappa is exactly (t0*s1 - t1*s0)^2 times m's
     content, so ref_partner(t, m) is exactly 2*(s0*t1 - s1*t0)*(s0, s1)
-    divided by that content.  The raw partner of the raw pair of t is that
-    pair scaled by the positive rational that makes it coprime Gaussian
-    integers, and exactly that pair on the prime field.  This pins kappa^-1
-    itself, which the point comparison above cannot see (any common scale of
-    alpha, beta, gamma gives the same point)."""
+    divided by that content.  m's chart coordinates are v(s), and the raw
+    partner of the raw pair of t is that pair scaled by the positive rational
+    that makes it coprime Gaussian integers, and exactly that pair on the
+    prime field.  This pins the Veronese identity S^T*M*S = kappa*G0 itself,
+    which the point comparison above cannot see (any common scale of alpha,
+    beta, gamma gives the same point)."""
     par = data.draw(charts(field))
     t, s = data.draw(parameters(field)), data.draw(parameters(field))
     (t0, t1), (s0, s1) = _pair(field, t), _pair(field, s)
@@ -606,8 +669,73 @@ def test_partner_exact_scale_on_conic_points(field, data):
     u0, u1 = ref_partner(par, t, m)
     two = field.one() + field.one()
     assert (u0 * content, u1 * content) == (two * bracket * s0, two * bracket * s1)
-    raw = par._partner(par._as_pair(t), m)
-    assert tuple(map(field.kernels.scalar, raw)) == field.reduce_content((u0, u1))
+    kern = field.kernels
+    p0, p1 = par._as_pair(s)
+    v = kern.vector(kern.mul(p0, p0), kern.mul(p0, p1), kern.mul(p1, p1))
+    raw = par._partner(par._as_pair(t), v)
+    assert tuple(map(kern.scalar, raw)) == field.reduce_content((u0, u1))
+
+
+# ----------------------------------------------------------------------
+# the generated conic: the reference image and the real-plane form
+
+
+@st.composite
+def projectivities(draw, field, real=False):
+    """A random invertible map: from small entries with plenty of zeros, or
+    drawn by `Projectivity.random` at height 50."""
+    if draw(st.booleans()):
+        return Projectivity.random(Random(draw(st.integers(0, 2**32))), field, 50, real=real)
+    entries = st.integers(-3, 3).map(field.from_int) if real else scalars(field)
+    rows = draw(st.tuples(*(st.tuples(entries, entries, entries),) * 3))
+    try:
+        return Projectivity(rows, field)
+    except DegenerateInputError:
+        assume(False)
+
+
+@pytest.mark.parametrize("real", (False, True), ids=("complex", "real"))
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_reference_image_matches_transform(field, real, data):
+    t = data.draw(projectivities(field, real))
+    conic, base = _reference_image(t)
+    assert conic.raw == transform_conic(t, reference_conic(field)).raw
+    assert base.raw == t.apply(reference_base(field)).raw
+
+
+def ref_real_plane_form(conic):
+    return homogenize_affine_conic(gf.affine_spec_from_conic(conic))
+
+
+def raw_outcome(fn, *args):
+    """A conic's raw form, or the exception type and message."""
+    try:
+        return fn(*args).raw
+    except ValueError as exc:
+        return ("raised", type(exc), str(exc))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_real_plane_form_matches_affine_round_trip(field, data):
+    """On images of the reference conic under real and complex maps, the
+    real ones scaled by a random scalar (so a real conic may have a complex
+    raw form or a negative lead)."""
+    t = data.draw(projectivities(field, real=data.draw(st.booleans())))
+    conic = transform_conic(t, reference_conic(field))
+    c = data.draw(scalars(field).filter(lambda x: not x.is_zero()))
+    conic = Conic(tuple(tuple(c * x for x in row) for row in conic.form), field)
+    assert raw_outcome(_real_plane_form, conic) == raw_outcome(ref_real_plane_form, conic)
+
+
+def test_real_plane_form_reports_complex_conics():
+    conic = Conic.from_upper_entries((1, 0, 0, "1i", 0, -1), G)
+    assert raw_outcome(_real_plane_form, conic) == (
+        "raised", ProjectiveError, "conic is not real; no affine coefficients exist")
+    assert raw_outcome(_real_plane_form, conic) == raw_outcome(ref_real_plane_form, conic)
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -7,9 +8,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conic_butterfly.scalars import (
-    _COMPLEX_RE,
-    _IMAG_RE,
-    _REAL_RE,
     BACKENDS,
     FieldContract,
     GaussianRational,
@@ -237,6 +235,14 @@ def oracle_fraction(text: str) -> Fraction:
         raise ScalarParseError(f"bad rational literal {text!r}") from None
 
 
+# the grammar as three patterns, tried complex, imaginary, real; the package
+# reads it with one
+_RAT = r"[+-]?\d+(?:/\d+)?"
+_REAL_RE = re.compile(rf"^({_RAT})$")
+_IMAG_RE = re.compile(rf"^({_RAT})i$")
+_COMPLEX_RE = re.compile(rf"^({_RAT})([+-]\d+(?:/\d+)?)i$")
+
+
 def oracle_parse(text: str) -> G:
     t = text.strip().replace(" ", "")
     m = _COMPLEX_RE.match(t)
@@ -420,10 +426,59 @@ class TestPrimeField:
         rng = Random(2)
         assert all(0 <= P.random(rng, 5).residue < P.MODULUS for _ in range(50))
 
+    @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=9))
+    def test_draws_match_randrange(self, seed, n):
+        """Scalar and kernel-table draws are ``randrange(p)``'s, and leave the
+        rng in the same state."""
+        ours, theirs = Random(seed), Random(seed)
+        assert P.random(ours).residue == theirs.randrange(P.MODULUS)
+        assert P.kernels.random(ours, 50, n, False) == tuple(
+            theirs.randrange(P.MODULUS) for _ in range(n))
+        assert ours.getstate() == theirs.getstate()
+
     def test_coerce(self):
         assert P.coerce(-3) == P(P.MODULUS - 3)
         with pytest.raises(TypeError):
             P.coerce(Fraction(1, 2))
+
+
+class _ScriptedRng(Random):
+    """``getrandbits`` replays a script, so the rejection branch that a real
+    61-bit draw takes with chance 2^-61 runs; ``randint`` and ``randrange``
+    run CPython's rejection loop on it."""
+
+    def __init__(self, script):
+        super().__init__(0)
+        self.script = list(script)
+        self.calls = []
+
+    def getrandbits(self, k):
+        self.calls.append(k)
+        return self.script.pop(0)
+
+
+@pytest.mark.parametrize("script", [
+    [P.MODULUS, 5, P.MODULUS, P.MODULUS - 1, 7, 9],  # p itself is rejected
+    [3, 1, 0, 1, 2, 3],
+])
+def test_prime_draws_follow_the_rejection_loop(script):
+    ours, theirs = _ScriptedRng(script), _ScriptedRng(script)
+    assert [P.random(ours).residue for _ in range(2)] == [theirs.randrange(P.MODULUS) for _ in range(2)]
+    assert P.kernels.random(ours, 1, 2, False) == (theirs.randrange(P.MODULUS),
+                                                    theirs.randrange(P.MODULUS))
+    assert ours.calls == theirs.calls
+
+
+@pytest.mark.parametrize("height,real", [(1, False), (3, True), (5, False), (50, False)])
+def test_gaussian_draws_follow_the_rejection_loop(height, real):
+    """The script leads with 127, out of range for every part at these
+    heights, so the first draw is rejected; at height 1, where randint(1, 1)
+    takes only 0, most are."""
+    script = [(1 << 7) - 1, 0, 1, 2, 3, 4, 5, 6, 7, 8] * 4
+    ours, theirs = _ScriptedRng(script), _ScriptedRng(script)
+    assert outcome(lambda: G.random(ours, height, real=real)) == \
+        outcome(lambda: oracle_random(theirs, height, real))
+    assert ours.calls == theirs.calls and ours.script == theirs.script
 
 
 def test_backend_registry():

@@ -20,7 +20,6 @@ from conic_butterfly.scenarios import (
     ButterflyScenario,
     RetryBudget,
     RetryCapError,
-    affine_spec_from_conic,
     build_scenario,
     random_conic,
     random_hexagon,
@@ -33,6 +32,8 @@ from conic_butterfly.scenarios import (
     reference_base,
     reference_conic,
 )
+
+from generic_formulas import affine_spec_from_conic
 
 G = GaussianRational
 P = PrimeFieldElement
@@ -101,12 +102,11 @@ class TestRetryBudget:
 
 
 class _ConstantRng(Random):
-    """Every draw is 1, so every random 3x3 matrix has equal entries."""
+    """Every draw is 1, so every random 3x3 matrix has equal entries.  Both
+    backends draw through ``getrandbits``, the way ``randint`` and
+    ``randrange`` do."""
 
-    def randint(self, a, b):
-        return 1
-
-    def randrange(self, *args):
+    def getrandbits(self, k):
         return 1
 
 
