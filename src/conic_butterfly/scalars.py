@@ -642,12 +642,10 @@ def _g_param(t0, t1):
 
 
 def _g_normalize(v):
-    # x / lead = x * conj(lead) / norm(lead): one reduction per entry
-    k = 2 * _g_lead(v)
-    p, q = v[k], v[k + 1]
-    n = p * p + q * q
-    return tuple(_reduced(v[i] * p + v[i + 1] * q, v[i + 1] * p - v[i] * q, n)
-                 for i in range(0, len(v), 2))
+    # over_lead's numerators over norm(lead), the lead's own numerator: one reduction per entry
+    o = _g_over_lead(v)
+    n = o[2 * _g_lead(v)]
+    return tuple(_reduced(o[i], o[i + 1], n) for i in range(0, len(o), 2))
 
 
 def _g_text(v):
