@@ -266,12 +266,13 @@ def _random_chart_point(par: ConicParametrization, rng: Random, height: int,
         budget.tick("conic point collision")
 
 
-def _chord_point(k, end1: tuple, lam, end2: tuple) -> Tuple[ProjPoint, tuple]:
+def _chord_point(end1: tuple, lam, end2: tuple) -> Tuple[ProjPoint, tuple]:
     """m = a + lam*b for two `_random_chart_point` draws (t, point, content),
     as `_point_along` builds it, with chart coordinates w: m = S*w up to a
     positive rational.  With lam = n/d, a = S*v(ta)/ga and b = S*v(tb)/gb,
     w = d*gb*v(ta) + n*ga*v(tb) for the Veronese points v."""
     (ta, a, ga), (tb, b, gb) = end1, end2
+    k = a.kernels
     n, d = k.param(lam, a.field.one())
     m = ProjPoint(k.combine(d, a.raw, k.neg(n), b.raw), k)
     va, vb = ([k.mul(t0, t0), k.mul(t0, t1), k.mul(t1, t1)] for t0, t1 in (ta, tb))
@@ -340,7 +341,7 @@ def random_scenario(rng: Random, field=GaussianRational, height_bound: int = 10,
     end_a = ta, a, _ = _random_chart_point(par, rng, height_bound, budget, real=real)
     end_b = tb, b, _ = _random_chart_point(par, rng, height_bound, budget, real=real, avoid=(ta,))
     mu = _random_nonzero(rng, field, height_bound, budget, real=real)
-    m, w = _chord_point(field.kernels, end_a, mu, end_b)
+    m, w = _chord_point(end_a, mu, end_b)
     (tr, r), (ts, s) = _chord_through(par, w, rng, height_bound, budget, real=real, avoid=(ta, tb))
     (tc, c), (td, d) = _chord_through(par, w, rng, height_bound, budget, real=real,
                                       avoid=(ta, tb, tr, ts))
@@ -461,7 +462,7 @@ def random_sack_inputs(rng: Random, field=GaussianRational, height_bound: int = 
     budget = budget if budget is not None else RetryBudget()
     frame, par, (end_u, end_v) = _random_frame(rng, field, height_bound, True, budget)
     lam = _random_nonzero(rng, field, height_bound, budget)
-    m, w = _chord_point(field.kernels, end_u, lam, end_v)
+    m, w = _chord_point(end_u, lam, end_v)
     (_, r), (_, s) = _chord_through(par, w, rng, height_bound, budget, avoid=(end_u[0], end_v[0]))
     return frame, m, r, s
 

@@ -590,7 +590,7 @@ def generator_chord_point(par, data):
         assert ProjPoint(par._coords(t), k).raw == point.raw
         assert tuple(k.mul(g, x) for x in k.entries(point.raw)) == k.entries(par._coords(t))
     lam = data.draw(scalars(field))
-    m, w = _chord_point(k, end_a, lam, end_b)
+    m, w = _chord_point(end_a, lam, end_b)
     assert m.raw == _point_along(end_a[1], lam, end_b[1]).raw
     return m, w
 
