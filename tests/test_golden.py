@@ -8,6 +8,7 @@ kernel, whatever the scalar representation underneath.  The files under
 changes on purpose.
 """
 
+from hashlib import sha256
 from importlib import resources
 from pathlib import Path
 from random import Random
@@ -17,9 +18,10 @@ import pytest
 from conic_butterfly import GaussianRational, PrimeFieldElement, RetryBudget
 from conic_butterfly.cli import main
 from conic_butterfly.fuzz import _RUNNERS
+from conic_butterfly.projective import CrossRatioValue
 from conic_butterfly.reports import format_value
-from conic_butterfly.scenario_io import (_EXPECT_KINDS, _NAME_RE, Expect, parse_scenario,
-                                         serialize_scenario)
+from conic_butterfly.scenario_io import (_EXPECT_KINDS, _NAME_RE, CLAIM_ORDER, CLAIMS, Expect,
+                                         parse_scenario, serialize_scenario)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -76,6 +78,15 @@ REPLAYS = {
     "damn_prime": ("damn", PrimeFieldElement),
 }
 
+# Raw scale, which canonical text hides: one sha256 per backend and claim
+# over cells 0..19 of `butterfly fuzz --seed 11 --height 50`, each cell
+# contributing its verdict, its retry count, the conic's raw form and the
+# raw representative of every witness (num and den of a cross-ratio).  A
+# kernel that rescales a coordinate by anything but a positive rational
+# factor of content changes a digest here.
+RAW_GOLDEN = "raw_h50.txt"
+RAW_CELLS = 20
+
 
 def _fixture(name: str):
     return resources.files("conic_butterfly") / "fixtures" / f"{name}.scn"
@@ -121,6 +132,29 @@ def _replay_document(name: str) -> str:
 
 def _verify_replay(name: str, out: Path) -> int:
     return main(["verify", str(GOLDEN / f"replay_{name}.scn"), "--out", str(out)])
+
+
+def _raw(obj):
+    if isinstance(obj, CrossRatioValue):
+        return (str(obj.num), str(obj.den))
+    return getattr(obj, "raw", None) or str(obj)
+
+
+def _raw_digest(claim: str, field) -> str:
+    h = sha256()
+    for index in range(RAW_CELLS):
+        budget = RetryBudget()
+        report, make_doc = _RUNNERS[claim](Random(f"11:{index}:{claim}"), field, 50, budget, index)
+        cell = (str(report.verdict), budget.spent, make_doc().conic.raw,
+                tuple((name, _raw(obj)) for name, obj in report.witnesses))
+        h.update(repr(cell).encode())
+    return h.hexdigest()
+
+
+def _raw_lines() -> str:
+    return "".join(f"{backend} {claim} {_raw_digest(claim, field)}\n"
+                   for backend, field in (("gauss", GaussianRational), ("prime", PrimeFieldElement))
+                   for claim in CLAIM_ORDER if not (CLAIMS[claim].real and field is not GaussianRational))
 
 
 def _serialize(name: str) -> str:
@@ -169,6 +203,10 @@ def test_serialization(name):
     assert _serialize(name) == expected
 
 
+def test_raw_representatives_of_generated_cells():
+    assert _raw_lines() == (GOLDEN / RAW_GOLDEN).read_text(encoding="utf-8")
+
+
 def _regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for golden, argv in FUZZ_STREAMS.items():
@@ -185,6 +223,7 @@ def _regenerate() -> None:
     for name in REPLAYS:
         (GOLDEN / f"replay_{name}.scn").write_text(_replay_document(name), encoding="utf-8")
         _verify_replay(name, GOLDEN / f"verify_replay_{name}.txt")
+    (GOLDEN / RAW_GOLDEN).write_text(_raw_lines(), encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -1032,10 +1032,46 @@ def test_table_edge_wraps_to_canonical_scalars(field, data):
     t0, t1 = given_[:2]
     p0, p1 = k.param(t0, t1)
     assert k.scalar(p0) * t1 == k.scalar(p1) * t0
+    assert (p0, p1) == _split_pair(k.pack((t0, t1)), field)
     assert tuple(k.unpack(e) for e in k.units) == (
         (field.one(), field.zero(), field.zero()), (field.zero(), field.one(), field.zero()),
         (field.zero(), field.zero(), field.one()))
     assert k.real(v) == all(c.is_real() for c in scalars_)
+
+
+def _split_pair(packed, field):
+    """A packed pair of scalars as its two raw scalars."""
+    return (packed[:2], packed[2:]) if field is G else packed
+
+
+@pytest.mark.parametrize("t0,t1", [
+    ("1/6+5/6i", "7/6"), ("3/4", "-1/4i"),  # equal denominators
+    ("1/3", "2/5"), ("5/8-1/9i", "-7/10+3/11i"), ("2", "-5/3"),  # coprime denominators
+    ("0", "3/4i"), ("5/8-1/8i", "0"), ("1/4i", "-3/10"), ("2", "-7"),  # zero parts
+    ("1/6", "1/4"), ("1/12+1/8i", "5/18i")])  # shared factors
+def test_gauss_param_is_the_packed_pair(t0, t1):
+    """param clears the two denominators exactly as pack does for the pair;
+    on the prime field both are the residues, as the property above checks."""
+    k = G.kernels
+    t0, t1 = G.parse(t0), G.parse(t1)
+    assert k.param(t0, t1) == _split_pair(k.pack((t0, t1)), G)
+    assert k.param(t1, t0) == _split_pair(k.pack((t1, t0)), G)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_table_lead_on_flat_matrices(field, data):
+    """lead on a matrix's three raw rows laid flat (18 ints on gauss, 9
+    residues on prime), whose first rows are often zero: the index of the
+    first nonzero scalar, or None."""
+    k = field.kernels
+    flat = sum((data.draw(raw_vectors(field)) for _ in range(3)), ())
+    assert k.lead(flat) == _lead_ref(k.unpack(flat))
+    zero = (0, 0) if field is G else (0,)
+    last = (0, 5) if field is G else (5,)  # an imaginary lead on gauss
+    for flat in (zero * 9, zero * 8 + last, zero * 4 + last + zero * 4):
+        assert k.lead(flat) == _lead_ref(k.unpack(flat))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
@@ -1070,7 +1106,7 @@ def fraction_text(x) -> str:
 
 
 @st.composite
-def raw_vectors(draw, field, width=3):
+def nonzero_raw_vectors(draw, field, width=3):
     """A nonzero raw vector with its lead in any slot and any later entry
     possibly zero; Gaussian parts are often zero or negative."""
     if field is G:
@@ -1137,7 +1173,7 @@ def codec_outcome(fn, *args):
 @given(data=st.data())
 def test_text_matches_the_canonical_scalars(field, data):
     k = field.kernels
-    v = data.draw(raw_vectors(field, data.draw(st.sampled_from((2, 3)))))
+    v = data.draw(nonzero_raw_vectors(field, data.draw(st.sampled_from((2, 3)))))
     canonical = k.normalize(v)
     assert k.text(v) == tuple(map(str, canonical)) == tuple(map(fraction_text, canonical))
 
@@ -1175,7 +1211,7 @@ def test_ratio_text_matches_scalar_division(field, data):
 @given(data=st.data())
 def test_each_object_prints_its_own_text_every_time(field, data):
     k = field.kernels
-    vectors = data.draw(st.lists(raw_vectors(field), min_size=2, max_size=4))
+    vectors = data.draw(st.lists(nonzero_raw_vectors(field), min_size=2, max_size=4))
     objects = [cls(v, k) for v, cls in zip(vectors, (ProjPoint, ProjLine) * 2)]
     texts = [str(o) for o in objects]
     for o, text in zip(objects, texts):
@@ -1191,7 +1227,7 @@ def test_equal_points_print_identically(field, data):
     """The same point as built, rescaled through the scalar edge, read back
     from its text, and met from two lines through it."""
     k = field.kernels
-    p, a, b = (ProjPoint(data.draw(raw_vectors(field)), k) for _ in range(3))
+    p, a, b = (ProjPoint(data.draw(nonzero_raw_vectors(field)), k) for _ in range(3))
     c = data.draw(big_scalars(field).filter(lambda x: not x.is_zero()))
     routes = [ProjPoint(tuple(c * x for x in p.coords), field),
               ProjPoint.parse(str(ProjPoint(p.raw, k)), field)]

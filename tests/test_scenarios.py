@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from random import Random
 
@@ -353,3 +354,106 @@ def test_cutl_complex_input_names_the_point():
     i = G(0, 1)
     with pytest.raises(ProjectiveError, match=r"requires real coordinates, but r = "):
         _build("cutl", r=pt(i, 0, 1))
+
+
+# ----------------------------------------------------------------------
+# every raise of the butterfly validation, on generated scenarios
+
+
+_VALIDATED = [("damn", G), ("damn", P), ("cutl", G)]
+
+
+def _generated(kind, field):
+    """A height-10 generated scenario: its flavour, conic, the seven inputs
+    by name and the derived (d1, d2, conj) the generator hands in."""
+    sc = random_scenario(Random(f"validate:{kind}"), field, 10, kind=kind)
+    pts = dict(sc.points)
+    return sc.flavour, sc.conic, pts, [pts[n] for n in sc.flavour.derived]
+
+
+def _rebuild(flavour, conic, pts, derived=None, **moved):
+    """`_build_scenario` on the inputs with some, named as in the damn
+    flavour (c, d for the second chord), replaced by others of `pts`."""
+    names = dict(zip("abmrscd", flavour.inputs))
+    given = {n: pts[names[n]] for n in "abmrscd"}
+    given.update({n: pts[names.get(other, other)] for n, other in moved.items()})
+    return scenarios._build_scenario(flavour, conic, tuple(given[n] for n in "abmrscd"), derived)
+
+
+@pytest.mark.parametrize("kind,field", _VALIDATED, ids=("damn-gauss", "damn-prime", "cutl-gauss"))
+class TestValidation:
+    def test_generated_inputs_rebuild_the_scenario(self, kind, field):
+        flavour, conic, pts, derived = _generated(kind, field)
+        sc = _rebuild(flavour, conic, pts, derived)
+        assert sc.degenerate_reason is None
+        assert {n: w.raw for n, w in sc.points.items()} == {n: w.raw for n, w in pts.items()}
+        sc = _rebuild(flavour, conic, pts)
+        assert sc.degenerate_reason is None
+        assert sc.points == pts
+
+    def test_inputs_on_the_conic(self, kind, field):
+        flavour, conic, pts, _ = _generated(kind, field)
+        with pytest.raises(ProjectiveError, match=r"^\(.*\) is not on the conic$"):
+            _rebuild(flavour, conic, pts, a="m")
+        label = f"({flavour.inputs[5]},{flavour.inputs[6]})"
+        with pytest.raises(ProjectiveError, match=r"^chord point \(.*\) of \(r,s\) is not on the conic$"):
+            _rebuild(flavour, conic, pts, s="m")
+        with pytest.raises(ProjectiveError, match=rf"^chord point \(.*\) of {re.escape(label)} is not"):
+            _rebuild(flavour, conic, pts, c="m")
+
+    def test_m_inside_ab(self, kind, field):
+        flavour, conic, pts, _ = _generated(kind, field)
+        with pytest.raises(DegenerateInputError, match="^a and b must be distinct$"):
+            _rebuild(flavour, conic, pts, b="a")
+        with pytest.raises(ProjectiveError, match="^m must differ from a and b$"):
+            _rebuild(flavour, conic, pts, m="b")
+        with pytest.raises(ProjectiveError, match="^m must lie on the chord ab$"):
+            _rebuild(flavour, conic, pts, m="r")
+
+    def test_chords_through_m(self, kind, field):
+        flavour, conic, pts, _ = _generated(kind, field)
+        with pytest.raises(ProjectiveError, match=r"^chord \(r,s\) does not pass through m$"):
+            _rebuild(flavour, conic, pts, s="c")
+        label = re.escape(f"({flavour.inputs[5]},{flavour.inputs[6]})")
+        with pytest.raises(ProjectiveError, match=rf"^chord {label} does not pass through m$"):
+            _rebuild(flavour, conic, pts, d="s")
+
+    def test_degenerate_chords(self, kind, field):
+        flavour, conic, pts, derived = _generated(kind, field)
+        for given_derived in (derived, None):
+            for moved, reason in ((dict(s="r"), "tangent chord (r,s)"),
+                                  (dict(r="a", s="b"), "chord coincides with ab"),
+                                  (dict(c="a", d="b"), "chord coincides with ab"),
+                                  (dict(c="s", d="r"), "coincident chords")):
+                sc = _rebuild(flavour, conic, pts, given_derived, **moved)
+                assert sc.degenerate_reason == reason
+
+    def test_crosswise_coincidence_is_caught_as_coincident_chords(self, kind, field):
+        """The reason "derived meet undefined" cannot arise: a crosswise pair
+        such as (r, g) coincides only when g = r, and then the second chord
+        through m and r is the first; a crosswise join along ab takes r and
+        g from {a, b}, and then the chord through r and m is ab itself."""
+        flavour, conic, pts, derived = _generated(kind, field)
+        for given_derived in (derived, None):
+            for moved in (dict(c="s", d="r"), dict(c="r", d="s")):
+                sc = _rebuild(flavour, conic, pts, given_derived, **moved)
+                assert sc.degenerate_reason == "coincident chords"
+            sc = _rebuild(flavour, conic, pts, given_derived, r="a", s="b", c="a", d="b")
+            assert sc.degenerate_reason == "chord coincides with ab"
+
+    def test_derived_conjugate_on_ab_other_than_m(self, kind, field):
+        flavour, conic, pts, derived = _generated(kind, field)
+        message = rf"^{re.escape(flavour.derived[2])} is not a point of ab other than m$"
+        for conj in (pts["m"], pts["r"], pts[flavour.inputs[6]]):
+            with pytest.raises(ProjectiveError, match=message):
+                _rebuild(flavour, conic, pts, derived[:2] + [conj])
+
+    def test_derived_meets_on_ab_and_their_joins(self, kind, field):
+        flavour, conic, pts, derived = _generated(kind, field)
+        d1, d2, conj = derived
+        (e1, _), (_, e4) = flavour.crosswise
+        message = "^a derived meet is off ab or off its crosswise join$"
+        # swapped: each on ab, off its own join; a crosswise end: on its join, off ab
+        for meets in ((d2, d1), (pts[e1], d2), (d1, pts[e4]), (conj, d2), (d1, pts["a"])):
+            with pytest.raises(ProjectiveError, match=message):
+                _rebuild(flavour, conic, pts, list(meets) + [conj])
