@@ -302,7 +302,7 @@ def cross_ratio(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint, p4: ProjPoint) -> C
     den = mul(bracket(0, 3), bracket(2, 1))
     if kern.is_zero(num) and kern.is_zero(den):
         raise DegenerateInputError("cross-ratio is undefined with three coincident points")
-    c = bracket(i, j)
+    c = kern.entries(n)[k]  # bracket(i, j), slot k of n
     cc = mul(c, c)
     return CrossRatioValue(kern.scalar(mul(cc, num)), kern.scalar(mul(cc, den)), p1.field)
 

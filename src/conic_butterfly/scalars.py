@@ -435,20 +435,27 @@ class Kernels(namedtuple("Kernels", (
     Vectors: ``cross``, ``dot``, ``minor(u, v, k)`` (slot k of the cross product),
     ``first_nonzero_minor`` (None for proportional vectors),
     ``combine(a, u, b, v)`` (a*u - b*v), ``combine3`` (a*u + b*v + c*w),
-    ``matvec``, ``quad_form``, ``reduce_content``, ``content`` (the raw
-    scalar ``reduce_content`` divides by: a positive integer, 1 on the prime
-    field), ``over_lead`` (any length: v over its lead entry, times that
-    entry's norm on gauss), ``proportional`` (any
-    length), ``lead`` (the first nonzero entry's index, or None), ``real``
-    (every entry real) and the coordinate vectors ``units``.  Scalars: ``is_zero``, ``add``, ``mul``
-    and ``neg``; ``vector(x, y, z)`` is the raw vector of three raw scalars,
-    and ``entries`` splits a raw vector back into them.
-    The edge: ``pack`` (scalars to a raw
-    vector, denominators cleared, content kept), ``param`` (two scalars to a
-    raw pair of the same ratio), ``unpack``, ``scalar``, ``normalize``, the
-    codec ``text`` (the literals of normalize's entries) and ``parse``
-    (literals to a raw vector of their ratio, content kept), and
-    ``random(rng, height, n, real)`` (n packed draws of the backend's ``random``).
+    ``matvec``, ``quad_form``, ``reduce_content``, ``content(v, r)`` (the raw
+    scalar ``reduce_content`` divided v by to give r: a positive integer, 1
+    on the prime field), ``over_lead`` (any length: v over its lead entry,
+    times that entry's norm on gauss), ``proportional`` (any length),
+    ``lead`` (any length: the first nonzero entry's index, or None), ``real``
+    (every entry real) and the coordinate vectors ``units``.  Scalars:
+    ``is_zero``, ``add``, ``mul`` and ``neg``; ``vector(x, y, z)`` is the raw
+    vector of three raw scalars, and ``entries`` splits a raw vector back
+    into them.  The edge: ``pack`` (scalars to a raw vector, denominators
+    cleared, content kept), ``param`` (two scalars to a raw pair of the
+    same ratio: ``pack`` of the pair, split in two), ``unpack``, ``scalar``,
+    ``normalize``, the codec ``text`` (the literals of normalize's entries)
+    and ``parse`` (literals to a raw vector of their ratio, content kept),
+    and ``random(rng, height, n, real)`` (n packed draws of the backend's
+    ``random``).
+
+    The entries the geometry calls per point or line (``cross``, ``dot``,
+    the minors, the combinations, ``matvec``, ``lead``, ``param`` and
+    ``reduce_content``) unpack their operands and compute inline, with no
+    generator expressions: on gauss their ints are a few hundred bits, so a
+    generator frame costs about as much as the arithmetic it wraps.
     """
 
     __slots__ = ()
@@ -533,7 +540,7 @@ PrimeFieldElement.kernels = Kernels(
     cross=_p_cross, dot=_p_dot, minor=_p_minor, first_nonzero_minor=_p_first_nonzero_minor,
     combine=_p_combine, combine3=_p_combine3, matvec=_p_matvec, quad_form=_p_quad_form,
     reduce_content=tuple,  # the identity on a tuple: a residue vector has no content
-    content=lambda v: 1, over_lead=lambda v: tuple(_p_over_lead(v)),
+    content=lambda v, r: 1, over_lead=lambda v: tuple(_p_over_lead(v)),
     proportional=_p_proportional, lead=_p_lead, real=lambda v: True, is_zero=not_,
     add=lambda x, y: (x + y) % _PRIME, mul=lambda x, y: x * y % _PRIME, neg=lambda x: -x % _PRIME,
     vector=lambda x, y, z: (x, y, z), entries=tuple,
@@ -573,7 +580,16 @@ def _g_minor(u, v, k):
 
 
 def _g_first_nonzero_minor(u, v):
-    return next((m for m in (_g_minor(u, v, k) for k in range(3)) if m[0] or m[1]), None)
+    p0, q0, p1, q1, p2, q2 = u
+    r0, s0, r1, s1, r2, s2 = v
+    x, y = p1 * r2 - q1 * s2 - p2 * r1 + q2 * s1, p1 * s2 + q1 * r2 - p2 * s1 - q2 * r1
+    if x or y:
+        return x, y
+    x, y = p2 * r0 - q2 * s0 - p0 * r2 + q0 * s2, p2 * s0 + q2 * r0 - p0 * s2 - q0 * r2
+    if x or y:
+        return x, y
+    x, y = p0 * r1 - q0 * s1 - p1 * r0 + q1 * s0, p0 * s1 + q0 * r1 - p1 * s0 - q1 * r0
+    return (x, y) if x or y else None
 
 
 def _g_combine(a, u, b, v):
@@ -607,7 +623,14 @@ def _g_matvec(m, v):
 
 def _g_reduce_content(v):
     g = gcd(*v)
-    return v if g <= 1 else tuple(x // g for x in v)  # g == 0 only for the zero vector
+    return v if g <= 1 else tuple([x // g for x in v])  # g == 0 only for the zero vector
+
+
+def _g_content(v, r):
+    # v = g*r for a positive integer g, read off r's first nonzero part without a gcd
+    for x, y in zip(v, r):
+        if y:
+            return x // y, 0
 
 
 def _g_over_lead(v):
@@ -628,7 +651,10 @@ def _g_proportional(u, v):
 
 
 def _g_lead(v):
-    return next((i // 2 for i in range(0, len(v), 2) if v[i] or v[i + 1]), None)
+    for i in range(0, len(v), 2):
+        if v[i] or v[i + 1]:
+            return i // 2
+    return None
 
 
 def _g_pack(values):
@@ -637,8 +663,13 @@ def _g_pack(values):
 
 
 def _g_param(t0, t1):
-    a, b, c, d = _g_pack((t0, t1))
-    return (a, b), (c, d)
+    # _g_pack of the pair, split in two
+    d, e = t0.d, t1.d
+    if d == e:
+        return (t0.a, t0.b), (t1.a, t1.b)
+    den = lcm(d, e)
+    f, g = den // d, den // e
+    return (t0.a * f, t0.b * f), (t1.a * g, t1.b * g)
 
 
 def _g_normalize(v):
@@ -669,7 +700,7 @@ GaussianRational.kernels = Kernels(
     cross=_g_cross, dot=_g_dot, minor=_g_minor, first_nonzero_minor=_g_first_nonzero_minor,
     combine=_g_combine, combine3=_g_combine3, matvec=_g_matvec,
     quad_form=lambda m, v: _g_dot(v, _g_matvec(m, v)),
-    reduce_content=_g_reduce_content, content=lambda v: (gcd(*v), 0), over_lead=_g_over_lead,
+    reduce_content=_g_reduce_content, content=_g_content, over_lead=_g_over_lead,
     proportional=_g_proportional, lead=_g_lead,
     real=lambda v: not any(v[1::2]),  # the imaginary parts
     is_zero=(0, 0).__eq__, add=lambda x, y: (x[0] + y[0], x[1] + y[1]),

@@ -147,16 +147,17 @@ class ButterflyScenario:
                               *(t.apply(w) for _, w in self.inputs()), kind=self.flavour.claim)
 
 
-def _validate_chord(conic, end1, end2, m, label: str) -> Tuple[Optional[ProjLine], Optional[str]]:
-    """(chord line, None), or (None, reason) on structural collapse;
+def _validate_chord(conic, end1, end2, m, label: str) -> Tuple[Optional[tuple], Optional[str]]:
+    """(raw chord line, None), or (None, reason) on structural collapse;
     membership errors raise."""
     for w in (end1, end2):
         if not conic.contains(w):
             raise ProjectiveError(f"chord point {w} of {label} is not on the conic")
-    if end1 == end2:
+    k = conic.kernels
+    chord = k.cross(end1.raw, end2.raw)
+    if not any(chord):
         return None, f"tangent chord {label}"
-    chord = join(end1, end2)
-    if not incident(m, chord):
+    if not k.is_zero(k.dot(m.raw, chord)):
         raise ProjectiveError(f"chord {label} does not pass through m")
     return chord, None
 
@@ -173,7 +174,12 @@ def build_scenario(conic: Conic, a, b, m, r, s, c, d, *, kind: str = "damn") -> 
 
 
 def _build_scenario(flavour: Flavour, conic: Conic, given: tuple, derived=None) -> ButterflyScenario:
-    """Validate a butterfly; `derived` gives (d1, d2, conj) instead, each checked by incidence."""
+    """Validate a butterfly; `derived` gives (d1, d2, conj) instead, each checked by incidence.
+
+    Lines that are only tested stay raw cross products, neither content-reduced
+    nor wrapped: incidence and equality do not see a nonzero factor.  A
+    derived meet is ProjPoint(cross(join, ab)), the point `meet` builds from
+    the reduced lines, since the reduction removes a positive integer only."""
     names = flavour.inputs
     a, b, m, r, s, c, d = given
     if flavour.real:
@@ -183,12 +189,13 @@ def _build_scenario(flavour: Flavour, conic: Conic, given: tuple, derived=None) 
     for w in (a, b):
         if not conic.contains(w):
             raise ProjectiveError(f"{w} is not on the conic")
-    if a == b:
+    k = conic.kernels
+    ab = k.cross(a.raw, b.raw)
+    if not any(ab):
         raise DegenerateInputError("a and b must be distinct")
     if m == a or m == b:
         raise ProjectiveError("m must differ from a and b")
-    ab = join(a, b)
-    if not incident(m, ab):
+    if not k.is_zero(k.dot(m.raw, ab)):
         raise ProjectiveError("m must lie on the chord ab")
 
     rs, reason = _validate_chord(conic, r, s, m, "(r,s)")
@@ -197,22 +204,26 @@ def _build_scenario(flavour: Flavour, conic: Conic, given: tuple, derived=None) 
         cd, reason = _validate_chord(conic, c, d, m, f"({names[5]},{names[6]})")
     points = dict(zip(names, given))
     conj = harmonic_conjugate(a, b, m) if derived is None else derived[2]
-    if derived and (conj == m or not incident(conj, ab)):
+    if derived and (conj == m or not k.is_zero(k.dot(conj.raw, ab))):
         raise ProjectiveError(f"{flavour.derived[2]} is not a point of ab other than m")
     points[flavour.derived[2]] = conj
     if reason is None:
-        if rs == ab or cd == ab:
+        same = k.first_nonzero_minor
+        if same(rs, ab) is None or same(cd, ab) is None:
             reason = "chord coincides with ab"
-        elif rs == cd:
+        elif same(rs, cd) is None:
             reason = "coincident chords"
     if reason is None:
-        try:
-            joins = [join(points[e1], points[e2]) for e1, e2 in flavour.crosswise]
-            meets = [meet(l, ab) for l in joins] if derived is None else derived[:2]
-        except DegenerateInputError:
+        joins = [k.cross(points[e1].raw, points[e2].raw) for e1, e2 in flavour.crosswise]
+        meets = [k.cross(l, ab) for l in joins] if derived is None else derived[:2]
+        # a zero join makes a zero meet, as does a join along ab
+        if not all(map(any, joins if derived else meets)):
             reason = "derived meet undefined"
         else:
-            if derived and not all(incident(x, ab) and incident(x, l) for x, l in zip(meets, joins)):
+            if derived is None:
+                meets = [ProjPoint(x, k) for x in meets]
+            elif not all(k.is_zero(k.dot(x.raw, ab)) and k.is_zero(k.dot(x.raw, l))
+                         for x, l in zip(meets, joins)):
                 raise ProjectiveError("a derived meet is off ab or off its crosswise join")
             points.update(zip(flavour.derived, meets))
     return ButterflyScenario(flavour, conic, points, reason)
@@ -255,14 +266,16 @@ def _same_parameter(k, t, s) -> bool:
 def _random_chart_point(par: ConicParametrization, rng: Random, height: int,
                         budget: RetryBudget, *, real: bool = False, avoid=()) -> tuple:
     """A random raw chart parameter t off the avoid list, with its point and
-    the raw content g its content reduction removed: point = S*v(t)/g."""
+    the raw content g its content reduction removed: point = S*v(t)/g, with
+    g read off the two vectors, so the point's reduction is the one gcd."""
     field = par.conic.field
     k, one = field.kernels, field.one()
     while True:
         t = k.param(field.random(rng, height, real=real), one)
         if not any(_same_parameter(k, t, w) for w in avoid):
             coords = par._coords(t)
-            return t, ProjPoint(coords, k), k.content(coords)
+            point = ProjPoint(coords, k)
+            return t, point, k.content(coords, point.raw)
         budget.tick("conic point collision")
 
 

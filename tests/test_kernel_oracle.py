@@ -574,7 +574,8 @@ def chart_end(par, t):
     """A chart point as `random_scenario` draws it: (raw pair, point, content)."""
     k = par.conic.kernels
     coords = par._coords(t)
-    return t, ProjPoint(coords, k), k.content(coords)
+    point = ProjPoint(coords, k)
+    return t, point, k.content(coords, point.raw)
 
 
 def generator_chord_point(par, data):
@@ -1022,9 +1023,12 @@ def test_table_edge_wraps_to_canonical_scalars(field, data):
         r = k.reduce_content(v)
         g = gcd(*v)
         assert r == v if g <= 1 else (gcd(*r) == 1 and tuple(g * x for x in r) == v)
+        if any(v):
+            assert k.content(v, r) == (g, 0)
     else:
         assert scalars_ == tuple(P(x) for x in v)
         assert k.reduce_content(v) == v
+        assert k.content(v, v) == 1
     assert k.pack(scalars_) == v
     given_ = tuple(data.draw(scalars(field)) for _ in range(3))
     den = lcm(*(c.d for c in given_)) if field is G else 1
