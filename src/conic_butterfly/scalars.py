@@ -665,8 +665,6 @@ def _g_pack(values):
 def _g_param(t0, t1):
     # _g_pack of the pair, split in two
     d, e = t0.d, t1.d
-    if d == e:
-        return (t0.a, t0.b), (t1.a, t1.b)
     den = lcm(d, e)
     f, g = den // d, den // e
     return (t0.a * f, t0.b * f), (t1.a * g, t1.b * g)

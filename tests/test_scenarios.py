@@ -419,27 +419,21 @@ class TestValidation:
             _rebuild(flavour, conic, pts, d="s")
 
     def test_degenerate_chords(self, kind, field):
+        """Each collapse has its reason.  The reason "derived meet undefined"
+        cannot arise: a crosswise pair such as (r, g) coincides only when
+        g = r, and then the second chord, through m and r, is the first; a
+        crosswise join along ab takes r and g from {a, b}, and then the chord
+        through r and m is ab itself.  Both cases are below."""
         flavour, conic, pts, derived = _generated(kind, field)
         for given_derived in (derived, None):
             for moved, reason in ((dict(s="r"), "tangent chord (r,s)"),
                                   (dict(r="a", s="b"), "chord coincides with ab"),
                                   (dict(c="a", d="b"), "chord coincides with ab"),
-                                  (dict(c="s", d="r"), "coincident chords")):
+                                  (dict(r="a", s="b", c="a", d="b"), "chord coincides with ab"),
+                                  (dict(c="s", d="r"), "coincident chords"),
+                                  (dict(c="r", d="s"), "coincident chords")):
                 sc = _rebuild(flavour, conic, pts, given_derived, **moved)
                 assert sc.degenerate_reason == reason
-
-    def test_crosswise_coincidence_is_caught_as_coincident_chords(self, kind, field):
-        """The reason "derived meet undefined" cannot arise: a crosswise pair
-        such as (r, g) coincides only when g = r, and then the second chord
-        through m and r is the first; a crosswise join along ab takes r and
-        g from {a, b}, and then the chord through r and m is ab itself."""
-        flavour, conic, pts, derived = _generated(kind, field)
-        for given_derived in (derived, None):
-            for moved in (dict(c="s", d="r"), dict(c="r", d="s")):
-                sc = _rebuild(flavour, conic, pts, given_derived, **moved)
-                assert sc.degenerate_reason == "coincident chords"
-            sc = _rebuild(flavour, conic, pts, given_derived, r="a", s="b", c="a", d="b")
-            assert sc.degenerate_reason == "chord coincides with ab"
 
     def test_derived_conjugate_on_ab_other_than_m(self, kind, field):
         flavour, conic, pts, derived = _generated(kind, field)
