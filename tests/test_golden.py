@@ -82,8 +82,8 @@ REPLAYS = {
 # over cells 0..19 of `butterfly fuzz --seed 11 --height 50`, each cell
 # contributing its verdict, its retry count, the conic's raw form and the
 # raw representative of every witness (num and den of a cross-ratio).  A
-# kernel that rescales a coordinate by anything but a positive rational
-# factor of content changes a digest here.
+# kernel change that scales a representative by a factor content reduction
+# does not remove changes a digest here.
 RAW_GOLDEN = "raw_h50.txt"
 RAW_CELLS = 20
 
