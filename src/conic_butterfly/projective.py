@@ -204,10 +204,11 @@ class CrossRatioValue:
     """An element (num : den) of the projective line over the scalar field.
 
     Infinity is (1 : 0).  Equality is up to scale, so reports comparing
-    cross-ratios never divide.
+    cross-ratios never divide.  Values are immutable by convention, as
+    `GaussianRational` states, so the first `str` is kept in `_text`.
     """
 
-    __slots__ = ("num", "den", "field")
+    __slots__ = ("num", "den", "field", "_text")
 
     def __init__(self, num, den, field=None):
         if field is None:
@@ -255,10 +256,16 @@ class CrossRatioValue:
         return hash(("cr", self.value()))
 
     def __str__(self):
-        if self.is_infinite():
-            return "inf"
-        k = self.field.kernels
-        return k.text(k.pack((self.den, self.num)))[1]
+        try:
+            return self._text
+        except AttributeError:
+            den, num = self.den, self.num
+            if self.is_harmonic():  # -1 from (1 : -1), not from the pair cross_ratio scaled
+                den = self.field.one()
+                num = -den
+            k = self.field.kernels
+            text = self._text = "inf" if den.is_zero() else k.text(k.pack((den, num)))[1]
+            return text
 
     def __repr__(self):
         return f"CrossRatioValue({self})"

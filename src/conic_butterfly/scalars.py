@@ -446,8 +446,9 @@ class Kernels(namedtuple("Kernels", (
     into them.  The edge: ``pack`` (scalars to a raw vector, denominators
     cleared, content kept), ``param`` (two scalars to a raw pair of the
     same ratio: ``pack`` of the pair, split in two), ``unpack``, ``scalar``,
-    ``normalize``, the codec ``text`` (the literals of normalize's entries)
-    and ``parse`` (literals to a raw vector of their ratio, content kept),
+    ``normalize``, the codec ``text`` (the literals of normalize's entries;
+    on gauss a real lead divides directly, any other over its norm) and
+    ``parse`` (literals to a raw vector of their ratio, content kept),
     and ``random(rng, height, n, real)`` (n packed draws of the backend's
     ``random``).
 
@@ -678,13 +679,19 @@ def _g_normalize(v):
 
 
 def _g_text(v):
-    # normalize's entries printed straight from their numerators over n
+    # normalize's entries printed straight from their numerators over n; a
+    # real lead (every parsed point has one) divides directly, its sign moved
+    # to the numerators, with no product by its conjugate or norm to reduce
     k = 2 * _g_lead(v)
     p, q = v[k], v[k + 1]
+    head = ("0",) * (k // 2) + ("1",)
+    if not q:
+        s = 1 if p > 0 else -1
+        return head + tuple(_gauss_text(s * v[i], s * v[i + 1], s * p)
+                            for i in range(k + 2, len(v), 2))
     n = p * p + q * q
-    return ("0",) * (k // 2) + ("1",) + tuple(
-        _gauss_text(v[i] * p + v[i + 1] * q, v[i + 1] * p - v[i] * q, n)
-        for i in range(k + 2, len(v), 2))
+    return head + tuple(_gauss_text(v[i] * p + v[i + 1] * q, v[i + 1] * p - v[i] * q, n)
+                        for i in range(k + 2, len(v), 2))
 
 
 def _g_parse(literals):

@@ -57,10 +57,13 @@ objects.  Its reference is the scalar route it replaced: `text` against
 `normalize`'s scalars printed by their own `str` (and by Fractions, which
 share no formatting code with the package), `parse` against the scalar
 `parse`, `pack` and `reduce_content`, and a cross-ratio's text against
-`str(num / den)`.  Malformed literals must raise the same exception with
-the same message.  A point or line keeps its text after the first `str`,
-so each object must print its own text, every time, and equal objects
-built by different routes must print the same text.
+`str(num / den)`.  Gaussian vectors with a real lead of either sign, which
+`text` divides by directly, are drawn as well.  A harmonic cross-ratio
+prints from (1 : -1); its reference is the text of its own scaled pair.
+Malformed literals must raise the same exception with the same message.  A
+point, line or cross-ratio keeps its text after the first `str`, so each
+object must print its own text, every time, and equal objects built by
+different routes must print the same text.
 """
 
 from fractions import Fraction
@@ -1172,12 +1175,28 @@ def codec_outcome(fn, *args):
         return ("raised", type(exc), str(exc))
 
 
+@st.composite
+def real_lead_raw_vectors(draw, width=3):
+    """A nonzero Gaussian raw vector whose lead is a real integer of either
+    sign, often after zero entries, as every parsed point has."""
+    lead = draw(st.integers(0, width - 1))
+    magnitude = draw(st.one_of(st.integers(1, 4), st.integers(1, 1 << 2100)))
+    entries = [(0, 0)] * lead + [(draw(st.sampled_from((1, -1))) * magnitude, 0)]
+    entries += [(0, 0) if draw(st.booleans()) else draw(st.tuples(_BIG, _BIG))
+                for _ in range(lead + 1, width)]
+    return sum(entries, ())
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_text_matches_the_canonical_scalars(field, data):
     k = field.kernels
-    v = data.draw(nonzero_raw_vectors(field, data.draw(st.sampled_from((2, 3)))))
+    width = data.draw(st.sampled_from((2, 3)))
+    vectors = nonzero_raw_vectors(field, width)
+    if field is G:
+        vectors = st.one_of(vectors, real_lead_raw_vectors(width))
+    v = data.draw(vectors)
     canonical = k.normalize(v)
     assert k.text(v) == tuple(map(str, canonical)) == tuple(map(fraction_text, canonical))
 
@@ -1201,13 +1220,21 @@ def test_parse_matches_the_scalar_parse(field, data):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_ratio_text_matches_scalar_division(field, data):
-    num, den = data.draw(big_scalars(field)), data.draw(big_scalars(field))
+    """Harmonic pairs are drawn scaled by a large scalar, as `cross_ratio`
+    scales them, and print what their own pair prints (-1 is
+    2305843009213693950 on prime).  The first text is kept."""
+    k = field.kernels
+    c = data.draw(big_scalars(field).filter(lambda x: not x.is_zero()))
+    num, den = data.draw(st.one_of(st.just((-c, c)), st.tuples(big_scalars(field), big_scalars(field))))
     assume(not (num.is_zero() and den.is_zero()))
-    text = str(CrossRatioValue(num, den, field))
+    value = CrossRatioValue(num, den, field)
+    text = str(value)
     if den.is_zero():
         assert text == "inf"
     else:
-        assert text == str(num / den) == fraction_text(num / den)
+        assert text == k.text(k.pack((den, num)))[1] == str(num / den) == fraction_text(num / den)
+    value.num, value.den = field.one(), field.zero()  # would print "inf" if recomputed
+    assert str(value) == text
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
