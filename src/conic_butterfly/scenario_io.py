@@ -123,7 +123,11 @@ def _parse_affine_point(text: str, field, lineno: int) -> ProjPoint:
 
 
 def parse_scenario(text: str) -> ScenarioDocument:
-    """Parse a document; every diagnostic carries its line number."""
+    """Parse a document; every diagnostic carries its line number.
+
+    A coordinate text that a ``point``, ``line`` or ``expect`` line repeats is
+    read once per call, so a pin that echoes a declaration is the declared
+    object; nothing is kept across calls."""
     check: Optional[str] = None
     field = None
     conic: Optional[Conic] = None
@@ -133,12 +137,22 @@ def parse_scenario(text: str) -> ScenarioDocument:
     expects: List[Expect] = []
     decl_lines: Dict[str, int] = {}
     param_par: Optional[ConicParametrization] = None
+    by_text: Dict[tuple, object] = {}  # (ProjPoint or ProjLine, text) -> parsed
 
     def want_field():
         nonlocal field
         if field is None:
             field = GaussianRational
         return field
+
+    def triple(cls, body: str, lineno: int):
+        """cls parsed from `body`, read once per document: a malformed text
+        raises at the first line that holds it."""
+        key = (cls, body)
+        obj = by_text.get(key)
+        if obj is None:
+            obj = by_text[key] = _parsed(cls.parse, lineno, body, want_field())
+        return obj
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         stmt = raw.split("#", 1)[0].strip()
@@ -202,10 +216,9 @@ def parse_scenario(text: str) -> ScenarioDocument:
             if conic is None:
                 raise ScenarioParseError("base needs the conic declared first", lineno)
             base = _parsed(ProjPoint.parse, lineno, rest, want_field())
-            residual = conic.membership_residual(base)
-            if not residual.is_zero():
-                raise ScenarioParseError(
-                    f"base point is not on the conic; residual {residual}", lineno)
+            if not conic.contains(base):
+                raise ScenarioParseError("base point is not on the conic; residual "
+                                         f"{conic.membership_residual(base)}", lineno)
 
         elif key in ("point", "line"):
             name, _, body = rest.partition(" ")
@@ -216,7 +229,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
                 raise ScenarioParseError(f"duplicate name {name!r}", lineno)
             f = want_field()
             if key == "line":
-                lines[name] = _parsed(ProjLine.parse, lineno, body, f)
+                lines[name] = triple(ProjLine, body, lineno)
             elif body.startswith("affine"):
                 points[name] = _parse_affine_point(body[len("affine"):], f, lineno)
             elif body.startswith("param"):
@@ -239,7 +252,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
                 except ProjectiveError as exc:
                     raise ScenarioParseError(str(exc), lineno) from exc
             else:
-                points[name] = _parsed(ProjPoint.parse, lineno, body, f)
+                points[name] = triple(ProjPoint, body, lineno)
             decl_lines[name] = lineno
 
         elif key == "expect":
@@ -252,9 +265,9 @@ def parse_scenario(text: str) -> ScenarioDocument:
                 raise ScenarioParseError(f"bad expect name {name!r}", lineno)
             f = want_field()
             if kind == "point":
-                value = _parsed(ProjPoint.parse, lineno, value_text, f)
+                value = triple(ProjPoint, value_text, lineno)
             elif kind == "line":
-                value = _parsed(ProjLine.parse, lineno, value_text, f)
+                value = triple(ProjLine, value_text, lineno)
             elif kind == "ratio":
                 if value_text == "inf":
                     value = CrossRatioValue.infinity(f)
@@ -281,12 +294,10 @@ def parse_scenario(text: str) -> ScenarioDocument:
         if name not in lines and name not in claim.optional:
             raise ScenarioParseError(f"check {check} needs line {name!r}")
     for name in claim.on_conic:
-        if name in points:
-            residual = conic.membership_residual(points[name])
-            if not residual.is_zero():
-                raise ScenarioParseError(
-                    f"point {name!r} is not on the conic; residual {residual}",
-                    decl_lines.get(name))
+        p = points.get(name)
+        if p is not None and not conic.contains(p):
+            raise ScenarioParseError(f"point {name!r} is not on the conic; residual "
+                                     f"{conic.membership_residual(p)}", decl_lines.get(name))
 
     return ScenarioDocument(check, field, conic, points, lines, expects, base=base)
 
@@ -503,7 +514,8 @@ def run_document(doc: ScenarioDocument) -> List[CheckReport]:
                 f"expect {e.name!r}: witness is not a {e.kind}")
         if e.kind == "scalar" and isinstance(actual, (ProjPoint, ProjLine, CrossRatioValue)):
             raise ScenarioParseError(f"expect {e.name!r}: witness is not a scalar")
-        agree = actual == e.value
+        # a pin that echoes a declaration is the declared object (see parse_scenario)
+        agree = actual is e.value or actual == e.value
         # equal values print the same text, so an agreeing pin shows the witness already printed
         pairs.append((f"{e.name} expected", actual if agree else e.value))
         pairs.append((f"{e.name} actual", actual))

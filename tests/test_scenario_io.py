@@ -9,10 +9,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conic_butterfly import RetryBudget, fuzz
 from conic_butterfly.conics import conic_through_five
-from conic_butterfly.projective import CrossRatioValue, ProjectiveError, ProjPoint
-from conic_butterfly.reports import Verdict, exit_status
+from conic_butterfly.projective import CrossRatioValue, ProjectiveError, ProjLine, ProjPoint
+from conic_butterfly.reports import Verdict, exit_status, format_value
 from conic_butterfly.scalars import BACKENDS, GaussianRational, PrimeFieldElement, backend_name
 from conic_butterfly.scenario_io import (
+    _EXPECT_KINDS,
+    _NAME_RE,
     CLAIMS,
     Expect,
     ScenarioDocument,
@@ -106,7 +108,9 @@ point p4 (-1 : 0 : 1)
 point p5 (3 : 4 : 5)
 point p6 (1 : 1 : 1)
 """
-        with pytest.raises(ScenarioParseError, match="line 8.*not on the conic"):
+        # the residual of (1 : 1 : 1) on x^2 + y^2 - z^2 is 1
+        with pytest.raises(ScenarioParseError,
+                           match=r"^line 8: point 'p6' is not on the conic; residual 1$"):
             parse_scenario(text)
 
     def test_affine_points(self):
@@ -138,7 +142,8 @@ point p6 param 1 2
 
     def test_base_must_lie_on_conic(self):
         text = "check pascal\nconic affine 1 1 0 0 0 -1\nbase (2 : 2 : 1)\n"
-        with pytest.raises(ScenarioParseError, match="base point is not on the conic"):
+        with pytest.raises(ScenarioParseError,
+                           match=r"^line 3: base point is not on the conic; residual 7$"):
             parse_scenario(text)
 
     def test_conic_from_five_points(self):
@@ -168,11 +173,11 @@ point z (1 : 2 : 2)
 # ----------------------------------------------------------------------
 # robustness: mutated documents raise only ScenarioParseError
 
-_SCN_TEXTS = tuple(
-    path.read_text(encoding="utf-8")
-    for path in sorted([*(resources.files("conic_butterfly") / "fixtures").iterdir(),
-                        *(Path(__file__).parent / "golden").glob("*.scn")], key=str)
+_SCN_PATHS = tuple(
+    path for path in sorted([*(resources.files("conic_butterfly") / "fixtures").iterdir(),
+                             *(Path(__file__).parent / "golden").glob("*.scn")], key=str)
     if path.name.endswith(".scn"))
+_SCN_TEXTS = tuple(path.read_text(encoding="utf-8") for path in _SCN_PATHS)
 _TOKENS = tuple(sorted({t for text in _SCN_TEXTS for t in text.split()})) + (
     "", "0", "-0", "1/0", "0/7", "inf", "i", "1+i", "-1/2-3/4i", "(0 : 0 : 0)", "(1 : 2)",
     "(1 : 2 : 3 : 4)", "(1, 2)", "((1 : 2 : 3))", "#", ":", "(", ")", "9" * 5000)
@@ -396,3 +401,116 @@ def test_campaign_cells_replay(claim, backend, index):
     doc = make_doc()
     assert parse_scenario(serialize_scenario(doc)) == doc
     assert run_document(doc)[0].to_text() == report.to_text()
+
+
+# ----------------------------------------------------------------------
+# a coordinate text is read once per document
+#
+# parse_scenario parses each (point or line, coordinate text) once per call,
+# so a pin that echoes a declaration is the declared object.  The reference
+# is the same document with every `expect point|line` body respaced, which
+# no declaration repeats: both must parse to equal documents and print the
+# same reports.  Each document is also checked with its echoed pins rotated
+# to the next declaration's text, so a cache keyed on anything but the text
+# (the pin's name, say) gives a different document.
+
+_DECLARATION = re.compile(r"(point|line) (\S+) (\(.*\))")
+_PIN = re.compile(r"^(expect (point|line) \S+ )(\(.*\))$", re.M)
+
+
+def _edit_pins(text: str, edit) -> str:
+    return _PIN.sub(lambda m: m.group(1) + edit(m.group(2), m.group(3)), text)
+
+
+def _respaced(kind: str, body: str) -> str:
+    return "( " + "  :  ".join(part.strip() for part in body[1:-1].split(":")) + " )"
+
+
+def _declarations(text: str) -> dict:
+    """(kind, coordinate text) -> name, for each point and line declared by a triple."""
+    found = {}
+    for m in map(_DECLARATION.fullmatch, text.splitlines()):
+        if m:
+            found.setdefault((m.group(1), m.group(3)), m.group(2))
+    return found
+
+
+def _rotated(text: str) -> str:
+    """Every pin that echoes a declaration pins the next declaration's text instead."""
+    declared = list(_declarations(text))
+    following = {key: next(k[1] for k in declared[i + 1:] + declared[:i + 1] if k[0] == key[0])
+                 for i, key in enumerate(declared)}
+    return _edit_pins(text, lambda kind, body: following.get((kind, body), body))
+
+
+def _reports(doc) -> list:
+    return [r.to_text() for r in run_document(doc)]
+
+
+def _check_echoes(text: str):
+    rotated = _rotated(text)
+    for variant in (text, rotated):
+        doc = parse_scenario(variant)
+        spaced = parse_scenario(_edit_pins(variant, _respaced))
+        assert spaced == doc
+        assert _reports(spaced) == _reports(doc)
+        assert not any(e.value is d for e in spaced.expects
+                       for d in (*spaced.points.values(), *spaced.lines.values()))
+        names = _declarations(variant)
+        declared = {**doc.points, **doc.lines}
+        pins = [m.group(2, 3) for m in _PIN.finditer(variant)]
+        triple_expects = [e for e in doc.expects if e.kind in ("point", "line")]
+        assert len(pins) == len(triple_expects)
+        for pin, e in zip(pins, triple_expects):
+            if pin in names:
+                assert e.value is declared[names[pin]]
+    if rotated != text:  # a rotated pin pins another value, so its report differs
+        assert _reports(parse_scenario(rotated)) != _reports(parse_scenario(text))
+
+
+@pytest.mark.parametrize("claim,backend,index", [c for c in _replay_cells() if c[2] < 3])
+def test_pinned_cell_echoes_parse_once(claim, backend, index):
+    """A height-10 campaign cell's document with every nameable witness pinned."""
+    report, make_doc = fuzz._RUNNERS[claim](Random(f"3:{index}:{claim}"), BACKENDS[backend], 10,
+                                            RetryBudget(), index)
+    doc = make_doc()
+    for name, obj in report.witnesses:
+        kind, _ = format_value(obj)
+        if _NAME_RE.fullmatch(name) and kind in _EXPECT_KINDS:
+            doc.expects.append(Expect(kind, name, obj))
+    _check_echoes(serialize_scenario(doc))
+
+
+@pytest.mark.parametrize("text", _SCN_TEXTS, ids=[path.stem for path in _SCN_PATHS])
+def test_document_echoes_parse_once(text):
+    """The fixtures and every golden document."""
+    _check_echoes(text)
+
+
+class TestParseScope:
+    """The text-to-object map lives for one call and is keyed by kind and text."""
+
+    @pytest.mark.parametrize("bad", ["(1 : 0)", "(0 : 0 : 0)", "(1 : x : 1)"])
+    def test_malformed_text_raises_at_its_first_line(self, bad):
+        text = MINIMAL.replace("line k (1 : 0 : 0)", f"line k {bad}") + (
+            "expect ratio cr -1\nexpect scalar t 2\n" f"expect line k {bad}\n")
+        assert text.splitlines()[3] == f"line k {bad}"
+        assert text.splitlines()[8] == f"expect line k {bad}"
+        with pytest.raises(ScenarioParseError, match="^line 4: "):
+            parse_scenario(text)
+
+    def test_same_text_as_line_and_point(self):
+        doc = parse_scenario(MINIMAL + "point q (1 : 0 : 0)\n"
+                             "expect point q (1 : 0 : 0)\nexpect line k (1 : 0 : 0)\n")
+        k, q = doc.lines["k"], doc.points["q"]
+        assert type(k) is ProjLine and type(q) is ProjPoint
+        assert doc.expects[0].value is q and doc.expects[1].value is k
+
+    def test_nothing_is_kept_across_calls(self, fixture_text):
+        text = fixture_text("lemma1") + "expect point y (1 : 1 : 1)\n"
+        first, second = parse_scenario(text), parse_scenario(text)
+        assert first == second
+        pairs = [(first.points[n], second.points[n]) for n in first.points]
+        pairs += [(first.lines[n], second.lines[n]) for n in first.lines]
+        pairs += [(a.value, b.value) for a, b in zip(first.expects, second.expects)]
+        assert all(a == b and a is not b for a, b in pairs)
