@@ -67,6 +67,7 @@ different routes must print the same text.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd, lcm
 from random import Random
@@ -253,7 +254,11 @@ def outcome(fn, *args):
 # leading zero slots and the first-nonzero-slot logic is exercised
 _SMALL = st.integers(-4, 4)
 
+# Each strategy factory below is cached per argument, so a property builds
+# (and Hypothesis validates) each field's strategies once, not on every draw.
 
+
+@cache
 def scalars(field):
     if field is G:
         return st.one_of(
@@ -265,16 +270,24 @@ def scalars(field):
     return st.one_of(_SMALL.map(P), st.integers(0, P.MODULUS - 1).map(P))
 
 
-@st.composite
-def points(draw, field):
+@cache
+def points(field):
     """Random points, often on a coordinate line, where some minors vanish."""
-    coords = list(draw(st.tuples(*(scalars(field),) * 3)))
-    for slot in draw(st.sets(st.integers(0, 2), max_size=2)):
-        coords[slot] = field.zero()
-    assume(not all(c.is_zero() for c in coords))
-    return ProjPoint(tuple(coords), field)
+    triples = st.tuples(*(scalars(field),) * 3)
+    zeroed = st.sets(st.integers(0, 2), max_size=2)
+
+    @st.composite
+    def build(draw):
+        coords = list(draw(triples))
+        for slot in draw(zeroed):
+            coords[slot] = field.zero()
+        assume(not all(c.is_zero() for c in coords))
+        return ProjPoint(tuple(coords), field)
+
+    return build()
 
 
+@cache
 @st.composite
 def collinear_tuples(draw, field, size):
     """Points a*u + b*v on one line; some repeat an earlier point (rescaled),
@@ -301,6 +314,7 @@ def collinear_tuples(draw, field, size):
     return tuple(out)
 
 
+@cache
 def frames_and_points(field):
     """A reflection frame with a point that is random, the pole (rescaled),
     on the axis, or on a line through the pole."""
@@ -330,6 +344,7 @@ def frames_and_points(field):
     return build()
 
 
+@cache
 def frames_and_lines(field):
     """A reflection frame with a line that is random, the axis, through the
     pole, or a coordinate line."""
@@ -463,6 +478,7 @@ def test_reflect_line_matches_sampled_construction(field, data):
 # chord kernels: second intersection and the chart's point map
 
 
+@cache
 def charts(field):
     """A chart on a random conic, or on the reference conic xz = y^2."""
 
@@ -477,6 +493,7 @@ def charts(field):
     return build()
 
 
+@cache
 def parameters(field):
     """A scalar, or a homogeneous pair whose entries may be zero (not both)."""
     pair = st.tuples(scalars(field), scalars(field)).filter(
@@ -684,6 +701,7 @@ def test_partner_exact_scale_on_conic_points(field, data):
 # the generated conic: the reference image and the real-plane form
 
 
+@cache
 @st.composite
 def projectivities(draw, field, real=False):
     """A random invertible map: from small entries with plenty of zeros, or
@@ -869,6 +887,7 @@ def five_point_outcome(build, points):
         return ("raised", type(exc), str(exc))
 
 
+@cache
 @st.composite
 def quintuples(draw, field):
     """Five points of a random conic (some may coincide), five random points,
@@ -935,12 +954,14 @@ _RESIDUES = st.one_of(st.sampled_from((0, 1, P.MODULUS - 1)), st.integers(0, 2**
                       st.integers(0, P.MODULUS - 1))
 
 
+@cache
 def raw_scalars(field):
     if field is G:
         return st.tuples(_TIERED, _TIERED)
     return _RESIDUES
 
 
+@cache
 @st.composite
 def raw_vectors(draw, field, zero_entries=True):
     """A raw vector, its entries often zeroed (the zero vector included)."""
@@ -951,6 +972,7 @@ def raw_vectors(draw, field, zero_entries=True):
     return sum(entries, ()) if field is G else tuple(entries)
 
 
+@cache
 @st.composite
 def raw_vector_pairs(draw, field):
     """(u, v) with v often a raw multiple of u, so proportional pairs occur."""
@@ -1112,6 +1134,7 @@ def fraction_text(x) -> str:
     return f"{re_}{'+' if im > 0 else '-'}{abs(im)}i"
 
 
+@cache
 @st.composite
 def nonzero_raw_vectors(draw, field, width=3):
     """A nonzero raw vector with its lead in any slot and any later entry
@@ -1128,6 +1151,7 @@ def nonzero_raw_vectors(draw, field, width=3):
     return sum(entries, ()) if field is G else tuple(entries)
 
 
+@cache
 def big_scalars(field):
     if field is G:
         den = st.one_of(st.integers(1, 50), st.integers(1, 1 << 2100))
