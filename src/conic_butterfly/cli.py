@@ -13,18 +13,18 @@ import sys
 import time
 from typing import Optional
 
-from .scalars import BACKENDS, GaussianRational, ScalarParseError
-from .projective import (ProjLine, ProjPoint, ProjectiveError, cross_ratio, join, meet)
+from .scalars import BACKENDS, GaussianRational
+from .projective import (ProjLine, ProjPoint, cross_ratio, join, meet)
 from .conics import Conic
 from .reflection import ReflectionFrame
 from .reports import exit_status
-from .scenario_io import CLAIM_ORDER, CLAIMS, ScenarioParseError, parse_scenario, run_document
+from .scenario_io import CLAIM_ORDER, CLAIMS, parse_scenario, run_document
 from .fuzz import CampaignConfig, CampaignCounts, run_campaign
 from .render import render_svg
 
 __all__ = ["main"]
 
-_INPUT_ERRORS = (OSError, ScenarioParseError, ScalarParseError, ProjectiveError, ValueError)
+_INPUT_ERRORS = (OSError, ValueError)
 
 
 def _open_out(path: Optional[str]):

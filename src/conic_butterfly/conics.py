@@ -38,7 +38,7 @@ class Conic(_Matrix):
 
     __slots__ = ()
 
-    def __init__(self, rows, field=None):
+    def __init__(self, rows, field):
         d = self._set_rows(rows, field, "a conic needs a 3x3 symmetric matrix", symmetric=True)
         if self.kernels.is_zero(d):
             raise DegenerateConicError("degenerate conic (zero determinant)",
@@ -49,7 +49,7 @@ class Conic(_Matrix):
         return tuple(map(self.kernels.unpack, self.raw))
 
     @classmethod
-    def from_upper_entries(cls, entries: Sequence, field=None) -> "Conic":
+    def from_upper_entries(cls, entries: Sequence, field) -> "Conic":
         """Build from the six entries (m11, m12, m13, m22, m23, m33)."""
         if len(entries) != 6:
             raise ProjectiveError("expected 6 symmetric entries")

@@ -17,7 +17,7 @@ from random import Random
 from typing import Iterator, List, Optional, Tuple
 
 from .scalars import BACKENDS
-from .reports import CheckReport, Verdict
+from .reports import Verdict
 from .scenarios import RetryBudget, RetryCapError
 from .scenario_io import CLAIM_ORDER, CLAIMS, serialize_scenario
 
@@ -107,10 +107,8 @@ def _evaluate_cell(task: Tuple[int, int, str, str, int]) -> Tuple[List[str], str
         head += f" {report.reason}"
     lines = [head]
     if report.verdict is Verdict.VIOLATED:
-        replayed = CheckReport(report.claim, report.verdict, report.witnesses,
-                               residual=report.residual, reason=report.reason,
-                               replay=serialize_scenario(make_doc()))
-        lines.extend(replayed.to_text().splitlines())
+        report.replay = serialize_scenario(make_doc())
+        lines.extend(report.to_text().splitlines())
     return (lines, str(report.verdict), budget.spent)
 
 

@@ -22,7 +22,7 @@ from itertools import combinations
 from random import Random
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .scalars import GaussianRational, Kernels, PrimeFieldElement, thirds
+from .scalars import GaussianRational, Kernels, thirds
 
 if TYPE_CHECKING:
     from .scenarios import RetryBudget
@@ -36,25 +36,13 @@ class DegenerateInputError(ProjectiveError):
     """Inputs that collapse the construction (coincident points, singular maps)."""
 
 
-def _infer_field(values):
-    for v in values:
-        if isinstance(v, PrimeFieldElement):
-            return PrimeFieldElement
-        if isinstance(v, GaussianRational):
-            return GaussianRational
-    return GaussianRational
-
-
 def _require_same_field(a, b) -> None:
     if a.kernels is not b.kernels:
         raise TypeError("cannot mix scalar backends in one construction")
 
 
 def _coerced(entries: tuple, field) -> tuple:
-    """(kernel table, scalars) of the entries coerced to `field`, which is
-    inferred from the entries when None."""
-    if field is None:
-        field = _infer_field(entries)
+    """(kernel table, scalars) of the entries coerced to `field`."""
     return field.kernels, tuple(field.coerce(e) for e in entries)
 
 
@@ -74,10 +62,10 @@ class _Triple:
 
     __slots__ = ("raw", "kernels", "_text")
 
-    def __init__(self, coords: Sequence, field=None):
-        """`coords` are three scalars of `field`, which is inferred when None;
-        inside the package `field` may instead be a kernel table, and then
-        `coords` is already that table's raw vector."""
+    def __init__(self, coords: Sequence, field):
+        """`coords` are three scalars of `field`; inside the package `field`
+        may instead be a kernel table, and then `coords` is already that
+        table's raw vector."""
         k = field
         if type(k) is not Kernels:
             coords = tuple(coords)
@@ -188,10 +176,6 @@ def meet(k: ProjLine, l: ProjLine) -> ProjPoint:
     return ProjPoint(coords, k.kernels)
 
 
-def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
-    return collinearity_residual(p, q, r).is_zero()
-
-
 def collinearity_residual(p: ProjPoint, q: ProjPoint, r: ProjPoint):
     """The raw 3x3 determinant; zero iff the points are collinear."""
     _require_same_field(p, q)
@@ -210,9 +194,7 @@ class CrossRatioValue:
 
     __slots__ = ("num", "den", "field", "_text")
 
-    def __init__(self, num, den, field=None):
-        if field is None:
-            field = _infer_field((num, den))
+    def __init__(self, num, den, field):
         self.num = field.coerce(num)
         self.den = field.coerce(den)
         self.field = field
@@ -348,9 +330,9 @@ class _Matrix:
 
     def _set_rows(self, rows, field, shape_error: str, symmetric: bool = False):
         """Store the matrix and return its raw determinant.  `rows` are three
-        rows of scalars of `field`, which is inferred when None; inside the
-        package `field` may instead be a kernel table, and then `rows` is
-        the flat raw tuple of the three rows."""
+        rows of scalars of `field`; inside the package `field` may instead be
+        a kernel table, and then `rows` is the flat raw tuple of the three
+        rows."""
         k = field
         if type(k) is not Kernels:
             rows = tuple(tuple(r) for r in rows)
@@ -368,14 +350,18 @@ class _Matrix:
     def field(self):
         return self.kernels.field
 
+    def _normalized(self) -> tuple:
+        """The flat matrix rescaled so its first nonzero entry is 1."""
+        return self.kernels.normalize(sum(self.raw, ()))
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         _require_same_field(self, other)
-        return self.kernels.proportional(sum(self.raw, ()), sum(other.raw, ()))
+        return self._normalized() == other._normalized()
 
     def __hash__(self):
-        return hash((type(self).__name__,) + self.kernels.normalize(sum(self.raw, ())))
+        return hash((type(self).__name__,) + self._normalized())
 
 
 class Projectivity(_Matrix):
@@ -388,7 +374,7 @@ class Projectivity(_Matrix):
 
     __slots__ = ()
 
-    def __init__(self, rows, field=None):
+    def __init__(self, rows, field):
         d = self._set_rows(rows, field, "a projectivity needs a 3x3 matrix")
         if self.kernels.is_zero(d):
             raise DegenerateInputError("singular matrix is not a projectivity")

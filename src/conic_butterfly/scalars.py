@@ -82,10 +82,6 @@ class FieldContract:
         return cls(1)
 
     @classmethod
-    def from_int(cls, n: int):
-        return cls(n)
-
-    @classmethod
     def coerce(cls, value):
         if isinstance(value, cls):
             return value
@@ -94,13 +90,6 @@ class FieldContract:
         if isinstance(value, str):
             return cls.parse(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to {cls.__name__}")
-
-    @classmethod
-    def reduce_content(cls, values: tuple) -> tuple:
-        """Scale a tuple by a positive rational so all components are coprime
-        integers; the identity on the prime field, which has no content."""
-        k = cls.kernels
-        return k.unpack(k.reduce_content(k.pack(tuple(values))))
 
     def __truediv__(self, other):
         if not isinstance(other, type(self)):
@@ -426,7 +415,7 @@ def _make_residue(residue: int) -> PrimeFieldElement:
 
 class Kernels(namedtuple("Kernels", (
         "field units cross dot minor first_nonzero_minor combine combine3 matvec quad_form "
-        "reduce_content content over_lead proportional lead real is_zero add mul neg vector "
+        "reduce_content content over_lead lead real is_zero add mul neg vector "
         "entries pack param unpack scalar normalize text parse random"))):
     """One backend's kernels over its raw representation.
 
@@ -438,9 +427,9 @@ class Kernels(namedtuple("Kernels", (
     ``matvec``, ``quad_form``, ``reduce_content``, ``content(v, r)`` (the raw
     scalar ``reduce_content`` divided v by to give r: a positive integer, 1
     on the prime field), ``over_lead`` (any length: v over its lead entry,
-    times that entry's norm on gauss), ``proportional`` (any length),
-    ``lead`` (any length: the first nonzero entry's index, or None), ``real``
-    (every entry real) and the coordinate vectors ``units``.  Scalars:
+    times that entry's norm on gauss), ``lead`` (any length: the first
+    nonzero entry's index, or None), ``real`` (every entry real) and the
+    coordinate vectors ``units``.  Scalars:
     ``is_zero``, ``add``, ``mul`` and ``neg``; ``vector(x, y, z)`` is the raw
     vector of three raw scalars, and ``entries`` splits a raw vector back
     into them.  The edge: ``pack`` (scalars to a raw vector, denominators
@@ -521,12 +510,6 @@ def _p_quad_form(m, v):
             + v2 * (g * v0 + h * v1 + i * v2)) % _PRIME
 
 
-def _p_proportional(u, v):
-    k = _p_lead(u)
-    a, b = u[k], v[k]
-    return bool(b) and all((a * y - b * x) % _PRIME == 0 for x, y in zip(u, v))
-
-
 def _p_lead(v):
     return next((i for i, x in enumerate(v) if x), None)
 
@@ -542,7 +525,7 @@ PrimeFieldElement.kernels = Kernels(
     combine=_p_combine, combine3=_p_combine3, matvec=_p_matvec, quad_form=_p_quad_form,
     reduce_content=tuple,  # the identity on a tuple: a residue vector has no content
     content=lambda v, r: 1, over_lead=lambda v: tuple(_p_over_lead(v)),
-    proportional=_p_proportional, lead=_p_lead, real=lambda v: True, is_zero=not_,
+    lead=_p_lead, real=lambda v: True, is_zero=not_,
     add=lambda x, y: (x + y) % _PRIME, mul=lambda x, y: x * y % _PRIME, neg=lambda x: -x % _PRIME,
     vector=lambda x, y, z: (x, y, z), entries=tuple,
     pack=lambda values: tuple(x.residue for x in values),
@@ -642,15 +625,6 @@ def _g_over_lead(v):
                  for x in (v[i] * p + v[i + 1] * q, v[i + 1] * p - v[i] * q))
 
 
-def _g_proportional(u, v):
-    k = 2 * _g_lead(u)
-    a, b, c, d = u[k], u[k + 1], v[k], v[k + 1]
-    # (a + bi) * v[i] == (c + di) * u[i] for every entry i
-    return bool(c or d) and all(
-        a * v[i] - b * v[i + 1] == c * u[i] - d * u[i + 1]
-        and a * v[i + 1] + b * v[i] == c * u[i + 1] + d * u[i] for i in range(0, len(u), 2))
-
-
 def _g_lead(v):
     for i in range(0, len(v), 2):
         if v[i] or v[i + 1]:
@@ -705,8 +679,7 @@ GaussianRational.kernels = Kernels(
     cross=_g_cross, dot=_g_dot, minor=_g_minor, first_nonzero_minor=_g_first_nonzero_minor,
     combine=_g_combine, combine3=_g_combine3, matvec=_g_matvec,
     quad_form=lambda m, v: _g_dot(v, _g_matvec(m, v)),
-    reduce_content=_g_reduce_content, content=_g_content, over_lead=_g_over_lead,
-    proportional=_g_proportional, lead=_g_lead,
+    reduce_content=_g_reduce_content, content=_g_content, over_lead=_g_over_lead, lead=_g_lead,
     real=lambda v: not any(v[1::2]),  # the imaginary parts
     is_zero=(0, 0).__eq__, add=lambda x, y: (x[0] + y[0], x[1] + y[1]),
     mul=lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]),

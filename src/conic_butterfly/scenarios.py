@@ -214,18 +214,17 @@ def _build_scenario(flavour: Flavour, conic: Conic, given: tuple, derived=None) 
         elif same(rs, cd) is None:
             reason = "coincident chords"
     if reason is None:
+        # past the chord reasons no crosswise join is zero or along ab: a zero
+        # join needs coincident chords, one along ab a chord that is ab
         joins = [k.cross(points[e1].raw, points[e2].raw) for e1, e2 in flavour.crosswise]
-        meets = [k.cross(l, ab) for l in joins] if derived is None else derived[:2]
-        # a zero join makes a zero meet, as does a join along ab
-        if not all(map(any, joins if derived else meets)):
-            reason = "derived meet undefined"
+        if derived is None:
+            meets = [ProjPoint(k.cross(l, ab), k) for l in joins]
         else:
-            if derived is None:
-                meets = [ProjPoint(x, k) for x in meets]
-            elif not all(k.is_zero(k.dot(x.raw, ab)) and k.is_zero(k.dot(x.raw, l))
-                         for x, l in zip(meets, joins)):
+            meets = derived[:2]
+            if not all(k.is_zero(k.dot(x.raw, ab)) and k.is_zero(k.dot(x.raw, l))
+                       for x, l in zip(meets, joins)):
                 raise ProjectiveError("a derived meet is off ab or off its crosswise join")
-            points.update(zip(flavour.derived, meets))
+        points.update(zip(flavour.derived, meets))
     return ButterflyScenario(flavour, conic, points, reason)
 
 

@@ -17,6 +17,10 @@ public ``tangent_at`` and ``join``.
 ``exact_text`` prints a rational with no int-to-str conversion past the
 interpreter's digit limit, the oracle of the package's exact decimal output.
 
+``reduce_content`` is the one entry that calls a table: the backend's
+content reduction of a tuple of scalars, read back as scalars, which the
+scalar and triple tests compare with their own references.
+
 ``affine_spec_from_conic`` reads a real conic's affine coefficients off its
 canonical form.  Together with ``homogenize_affine_conic`` it is the scalar
 round trip that the real-plane (cutl) scenarios once took, and the oracle of
@@ -93,6 +97,13 @@ def normalize(v) -> tuple:
     """v scaled so its first nonzero entry is one; v must not be zero."""
     inv = next(c for c in v if not c.is_zero()).inv()
     return tuple(c * inv for c in v)
+
+
+def reduce_content(values) -> tuple:
+    """The scalars of `values` through their table's content reduction:
+    coprime Gaussian integers of the same ratio, or the residues as given."""
+    k = values[0].kernels
+    return k.unpack(k.reduce_content(k.pack(tuple(values))))
 
 
 def proportional(a, b) -> bool:

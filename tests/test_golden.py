@@ -1,7 +1,7 @@
 """Byte-for-byte golden outputs.
 
-Campaign streams, ``verify`` reports and ``.scn`` serializations are a
-contract: the same input prints the same bytes on every version of the
+Campaign streams, ``verify`` reports, ``render`` figures and ``.scn``
+serializations are a contract: the same input prints the same bytes on every version of the
 kernel, whatever the scalar representation underneath.  The files under
 ``tests/golden/`` pin that contract.  Regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py`` only when the output format
@@ -100,6 +100,10 @@ def _verify(name: str, out: Path) -> int:
     return main(["verify", str(_fixture(name)), "--out", str(out)])
 
 
+def _render(name: str, out: Path) -> int:
+    return main(["render", str(_fixture(name)), "--out", str(out)])
+
+
 def _verify_pin(name: str, out: Path) -> int:
     return main(["verify", str(GOLDEN / f"pin_{name}.scn"), "--out", str(out)])
 
@@ -182,6 +186,13 @@ def test_verify_report(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"verify_{name}.txt").read_bytes()
 
 
+@pytest.mark.parametrize("name", FIXTURES)
+def test_render_figure(name, tmp_path):
+    out = tmp_path / f"{name}.svg"
+    assert _render(name, out) == 0
+    assert out.read_bytes() == (GOLDEN / f"render_{name}.svg").read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(PINS) + sorted(CONIC_PINS))
 def test_raw_representatives(name, tmp_path):
     out = tmp_path / f"{name}.txt"
@@ -214,6 +225,7 @@ def _regenerate() -> None:
     for name in FIXTURES:
         _verify(name, GOLDEN / f"verify_{name}.txt")
         (GOLDEN / f"serialize_{name}.scn").write_text(_serialize(name), encoding="utf-8")
+        _render(name, GOLDEN / f"render_{name}.svg")
     for name in PINS:
         (GOLDEN / f"pin_{name}.scn").write_text(_pin_document(name), encoding="utf-8")
         _verify_pin(name, GOLDEN / f"verify_pin_{name}.txt")

@@ -85,7 +85,7 @@ from conic_butterfly.projective import (
     ProjPoint,
     ProjectiveError,
     Projectivity,
-    collinear,
+    collinearity_residual,
     cross_ratio,
     harmonic_conjugate,
     incident,
@@ -213,7 +213,7 @@ def ref_point_coefficients(par):
     a2 = tuple(q2 * bc - two * m1 * dc for bc, dc in zip(b, d1))
     a1 = tuple(q1 * bc - two * (m1 * dc0 + m0 * dc1) for bc, dc0, dc1 in zip(b, d0, d1))
     a0 = tuple(q0 * bc - two * m0 * dc for bc, dc in zip(b, d0))
-    flat = field.reduce_content(a2 + a1 + a0)
+    flat = gf.reduce_content(a2 + a1 + a0)
     return (flat[0:3], flat[3:6], flat[6:9])
 
 
@@ -391,7 +391,7 @@ def test_harmonic_conjugate_matches_chart_chain(field, data):
 @pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
 def test_named_failures_match(field):
     def pt(*c):
-        return ProjPoint(tuple(field.from_int(x) for x in c), field)
+        return ProjPoint(tuple(field(x) for x in c), field)
 
     a, b, c = pt(0, 0, 1), pt(1, 0, 1), pt(2, 0, 1)
     cases = [
@@ -537,7 +537,7 @@ def test_chart_zero_vector_falls_back_to_the_chord_solve(field):
     par = ConicParametrization(reference_conic(field), reference_base(field))
     zero = field.zero()
     par._coefficients = (par.conic.kernels.pack((zero,) * 3),) * 3  # raw zero vectors
-    ts = [field.from_int(3), (field.from_int(2), field.from_int(-5)), (field.one(), zero)]
+    ts = [field(3), (field(2), field(-5)), (field.one(), zero)]
     if field is G:
         ts.append((G("2/3"), G("-1/5", "1/2")))
     for t in ts:
@@ -662,7 +662,7 @@ def test_partner_matches_kappa_formula_on_generator_points(field, data):
     t = data.draw(parameters(field))
     m, w = generator_chord_point(par, data)
     raw = par._partner(par._as_pair(t), w)
-    assert tuple(map(field.kernels.scalar, raw)) == field.reduce_content(ref_partner(par, t, m))
+    assert tuple(map(field.kernels.scalar, raw)) == gf.reduce_content(ref_partner(par, t, m))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
@@ -694,7 +694,7 @@ def test_partner_exact_scale_on_conic_points(field, data):
     p0, p1 = par._as_pair(s)
     v = kern.vector(kern.mul(p0, p0), kern.mul(p0, p1), kern.mul(p1, p1))
     raw = par._partner(par._as_pair(t), v)
-    assert tuple(map(kern.scalar, raw)) == field.reduce_content((u0, u1))
+    assert tuple(map(kern.scalar, raw)) == gf.reduce_content((u0, u1))
 
 
 # ----------------------------------------------------------------------
@@ -708,7 +708,7 @@ def projectivities(draw, field, real=False):
     drawn by `Projectivity.random` at height 50."""
     if draw(st.booleans()):
         return Projectivity.random(Random(draw(st.integers(0, 2**32))), field, 50, real=real)
-    entries = st.integers(-3, 3).map(field.from_int) if real else scalars(field)
+    entries = st.integers(-3, 3).map(field) if real else scalars(field)
     rows = draw(st.tuples(*(st.tuples(entries, entries, entries),) * 3))
     try:
         return Projectivity(rows, field)
@@ -922,7 +922,7 @@ def test_conic_through_five_matches_gauss_jordan(field, data):
 def test_conic_through_five_named_failures(field):
     """Each failure the Gauss-Jordan solve names, with its message."""
     def pt(*c):
-        return ProjPoint(tuple(map(field.from_int, c)), field)
+        return ProjPoint(tuple(map(field, c)), field)
 
     line = [pt(t, 1, 0) for t in range(5)]
     off = pt(0, 0, 1)
@@ -1012,10 +1012,50 @@ def test_table_vector_kernels_match_generic_formulas(field, data):
     assert k.lead(u) == _lead_ref(U)
     if any(u):
         assert k.normalize(u) == gf.normalize(U)
-        assert k.proportional(u, v) is gf.proportional(U, V)
-        assert k.proportional(u + v, v + u) is gf.proportional(U + V, V + U)
     else:
         assert all(x.is_zero() for x in U)
+
+
+@cache
+@st.composite
+def conics(draw, field):
+    """A nondegenerate conic from six drawn upper entries."""
+    try:
+        return Conic.from_upper_entries(draw(st.tuples(*(scalars(field),) * 6)), field)
+    except DegenerateConicError:
+        assume(False)
+
+
+def _rows(m) -> list:
+    """The entries of a conic or projectivity as lists of rows."""
+    return [list(r) for r in (m.form if isinstance(m, Conic) else m.matrix)]
+
+
+@pytest.mark.parametrize("kind", ("Conic", "Projectivity"))
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_matrix_equality_is_proportionality(field, kind, data):
+    """`==` on conics and projectivities is equality up to a nonzero scale:
+    a copy with every entry times c (complex on gauss) is equal and hashes
+    alike, and a copy with one entry changed (both symmetric slots of a
+    conic) is equal exactly when the generic formula finds the entries
+    proportional."""
+    m = data.draw(conics(field) if kind == "Conic" else projectivities(field))
+    nonzero = scalars(field).filter(lambda x: not x.is_zero())
+    c = data.draw(nonzero)
+    scaled = type(m)([[c * x for x in r] for r in _rows(m)], field)
+    assert scaled == m and hash(scaled) == hash(m)
+    rows = _rows(m)
+    i, j = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    rows[i][j] += data.draw(nonzero)
+    if kind == "Conic":
+        rows[j][i] = rows[i][j]
+    try:
+        changed = type(m)(rows, field)
+    except (DegenerateConicError, DegenerateInputError):
+        assume(False)
+    assert (changed == m) is gf.proportional(sum(_rows(m), []), sum(_rows(changed), []))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
@@ -1057,7 +1097,7 @@ def test_table_edge_wraps_to_canonical_scalars(field, data):
     assert k.pack(scalars_) == v
     given_ = tuple(data.draw(scalars(field)) for _ in range(3))
     den = lcm(*(c.d for c in given_)) if field is G else 1
-    assert k.unpack(k.pack(given_)) == tuple(c * field.from_int(den) for c in given_)
+    assert k.unpack(k.pack(given_)) == tuple(c * field(den) for c in given_)
     t0, t1 = given_[:2]
     p0, p1 = k.param(t0, t1)
     assert k.scalar(p0) * t1 == k.scalar(p1) * t0
@@ -1286,7 +1326,7 @@ def test_equal_points_print_identically(field, data):
     c = data.draw(big_scalars(field).filter(lambda x: not x.is_zero()))
     routes = [ProjPoint(tuple(c * x for x in p.coords), field),
               ProjPoint.parse(str(ProjPoint(p.raw, k)), field)]
-    if not collinear(p, a, b):
+    if not collinearity_residual(p, a, b).is_zero():
         routes.append(meet(join(p, a), join(p, b)))
     texts = [str(q) for q in routes]
     assert all(q == p for q in routes)
@@ -1301,7 +1341,7 @@ def test_equal_points_print_identically(field, data):
 def _backend_objects(field):
     conic = reference_conic(field)
     par = ConicParametrization(conic, reference_base(field))
-    on = par.point(field.from_int(2))
+    on = par.point(field(2))
     p = ProjPoint((1, 2, 3), field)
     q = ProjPoint((2, -1, 5), field)
     line = join(p, q)
@@ -1310,8 +1350,8 @@ def _backend_objects(field):
         "p": p, "q": q, "r": ProjPoint(tuple(x + y for x, y in zip(p.coords, q.coords)), field),
         "s": ProjPoint(tuple(x - y for x, y in zip(p.coords, q.coords)), field),
         "l": line, "m": ProjLine((0, 1, 4), field), "conic": conic, "par": par, "on": on,
-        "chord": join(on, p), "t": field.from_int(3), "axis": axis,
-        **{f"c{i}": par.point(field.from_int(i)) for i in range(5)},
+        "chord": join(on, p), "t": field(3), "axis": axis,
+        **{f"c{i}": par.point(field(i)) for i in range(5)},
         "frame": ReflectionFrame(conic, axis),
         "map": Projectivity(((1, 2, 0), (0, 1, 3), (1, 0, 1)), field),
     }
@@ -1322,7 +1362,7 @@ MIXED = {
     "join": (join, "p", "q"),
     "meet": (meet, "l", "m"),
     "incident": (incident, "p", "l"),
-    "collinear": (collinear, "p", "q", "r"),
+    "collinearity_residual": (collinearity_residual, "p", "q", "r"),
     "cross_ratio": (cross_ratio, "p", "q", "r", "s"),
     "harmonic_conjugate": (harmonic_conjugate, "p", "q", "r"),
     "Conic.contains": (Conic.contains, "conic", "on"),
@@ -1351,3 +1391,18 @@ def test_mixed_backends_raise_type_error(name, first):
     fn(*(_OBJECTS[first][a] for a in (head, *rest)))  # the unmixed call runs
     with pytest.raises(TypeError):
         fn(_OBJECTS[first][head], *(_OBJECTS[other][a] for a in rest))
+
+
+@pytest.mark.parametrize("build", (
+    lambda: ProjPoint((1, 2, 3)),
+    lambda: ProjLine((1, 2, 3)),
+    lambda: Conic(((1, 0, 0), (0, 1, 0), (0, 0, -1))),
+    lambda: Conic.from_upper_entries((1, 0, 0, 1, 0, -1)),
+    lambda: Projectivity(((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    lambda: CrossRatioValue(G(-1), G(1)),
+), ids=("ProjPoint", "ProjLine", "Conic", "Conic.from_upper_entries", "Projectivity",
+        "CrossRatioValue"))
+def test_constructors_need_a_backend(build):
+    """No constructor infers a backend from its entries."""
+    with pytest.raises(TypeError):
+        build()

@@ -11,7 +11,6 @@ from conic_butterfly.projective import (
     ProjPoint,
     Projectivity,
     ProjectiveError,
-    collinear,
     collinearity_residual,
     cross_ratio,
     harmonic_conjugate,
@@ -123,13 +122,10 @@ class TestIncidence:
                 join(*a[:2]) == join(*b[:2])
             for mixed in ((a[0], b[1], b[2]), (a[0], a[1], b[2])):
                 with pytest.raises(TypeError):
-                    collinear(*mixed)
-                with pytest.raises(TypeError):
                     collinearity_residual(*mixed)
 
     def test_collinearity(self):
-        assert collinear(pt(1, 0, 0), pt(0, 1, 0), pt(1, 1, 0))
-        assert not collinear(pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1))
+        assert collinearity_residual(pt(1, 0, 0), pt(0, 1, 0), pt(1, 1, 0)).is_zero()
         assert not collinearity_residual(pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)).is_zero()
 
     def test_meet_of_joins_recovers_point(self):
@@ -137,7 +133,7 @@ class TestIncidence:
         for _ in range(25):
             p, q, r = (ProjPoint(tuple(G.random(rng, 5) for _ in range(3)), G)
                        for _ in range(3))
-            if collinear(p, q, r) or p == q or p == r:
+            if collinearity_residual(p, q, r).is_zero() or p == q or p == r:
                 continue
             assert meet(join(p, q), join(p, r)) == p
 

@@ -276,7 +276,7 @@ def hand_written_documents(draw):
     except ProjectiveError:  # a zero triple, coincident points or a degenerate conic
         assume(False)
     m11, m12, m13, m22, m23, m33 = conic.canonical()
-    two = field.from_int(2)
+    two = field(2)
     body = {"points": " ".join(five),
             "symmetric": " ".join(map(str, conic.canonical())),
             "affine": " ".join(map(str, (m11, m22, two * m12, two * m13, two * m23, m33)))}[flavor]

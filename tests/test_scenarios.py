@@ -419,11 +419,12 @@ class TestValidation:
             _rebuild(flavour, conic, pts, d="s")
 
     def test_degenerate_chords(self, kind, field):
-        """Each collapse has its reason.  The reason "derived meet undefined"
-        cannot arise: a crosswise pair such as (r, g) coincides only when
-        g = r, and then the second chord, through m and r, is the first; a
-        crosswise join along ab takes r and g from {a, b}, and then the chord
-        through r and m is ab itself.  Both cases are below."""
+        """Each collapse has its reason.  Past these, every crosswise meet is
+        defined, so the builder has no reason for an undefined one: a
+        crosswise pair such as (r, g) coincides only when g = r, and then
+        the second chord, through m and r, is the first; a crosswise join
+        along ab takes r and g from {a, b}, and then the chord through r and
+        m is ab itself.  Both cases are below."""
         flavour, conic, pts, derived = _generated(kind, field)
         for given_derived in (derived, None):
             for moved, reason in ((dict(s="r"), "tangent chord (r,s)"),
