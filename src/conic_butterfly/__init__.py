@@ -30,7 +30,6 @@ from .projective import (
     meet,
 )
 from .conics import (
-    AffineConicSpec,
     Conic,
     ConicParametrization,
     DegenerateConicError,
@@ -94,7 +93,6 @@ __all__ = [
     "incident",
     "join",
     "meet",
-    "AffineConicSpec",
     "Conic",
     "ConicParametrization",
     "DegenerateConicError",

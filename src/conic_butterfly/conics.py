@@ -1,7 +1,9 @@
 """Conics as symmetric 3x3 forms, with every construction square-root-free.
 
-A point x is on the conic when x^T M x = 0.  Degenerate forms (det M = 0)
-are rejected at construction with the determinant as witness.  No general
+A point x is on the conic when x^T M x = 0.  A form is given by its six
+upper entries or, for a real affine curve, by the six coefficients of its
+equation (`homogenize_affine_conic`).  Degenerate forms (det M = 0) are
+rejected at construction with the determinant as witness.  No general
 line-conic intersection is offered: new conic points are always produced
 from known ones via `second_intersection` or the chord parametrization,
 which keeps everything inside the scalar field.
@@ -22,7 +24,7 @@ from .projective import (
     _require_same_field,
     incident,
 )
-from .scalars import GaussianRational, thirds
+from .scalars import thirds
 
 
 class DegenerateConicError(ProjectiveError):
@@ -335,48 +337,20 @@ class ConicParametrization:
         return u0, u1
 
 
-class AffineConicSpec:
-    """Coefficients (A, B, Q, D, E, F) of A x^2 + B y^2 + Q xy + D x + E y + F.
-
-    All coefficients must be real scalars and the quadratic part must not
-    vanish identically.
-    """
-
-    __slots__ = ("a", "b", "q", "d", "e", "f", "field")
-
-    def __init__(self, a, b, q, d, e, f, field=GaussianRational):
-        vals = tuple(field.coerce(v) for v in (a, b, q, d, e, f))
-        if not all(v.is_real() for v in vals):
-            raise ProjectiveError("affine conic coefficients must be real")
-        if all(v.is_zero() for v in vals[:3]):
-            raise ProjectiveError("affine conic must be genuinely quadratic")
-        self.a, self.b, self.q, self.d, self.e, self.f = vals
-        self.field = field
-
-    def coefficients(self) -> tuple:
-        return (self.a, self.b, self.q, self.d, self.e, self.f)
-
-    def __eq__(self, other):
-        if not isinstance(other, AffineConicSpec):
-            return NotImplemented
-        return self.coefficients() == other.coefficients()
-
-    def __repr__(self):
-        return f"AffineConicSpec{tuple(str(v) for v in self.coefficients())}"
-
-
-def homogenize_affine_conic(spec: AffineConicSpec) -> Conic:
-    """Extend the affine curve to the projective plane; (x, y) maps to (x : y : 1)."""
-    field = spec.field
+def homogenize_affine_conic(coefficients: Sequence, field) -> Conic:
+    """The conic of A x^2 + B y^2 + Q xy + D x + E y + F = 0 for the six
+    coefficients (A, B, Q, D, E, F), extended to the projective plane; (x, y)
+    maps to (x : y : 1).  All six must be real and A, B, Q not all zero."""
+    if len(coefficients) != 6:
+        raise ProjectiveError("expected 6 affine coefficients")
+    a, b, q, d, e, f = vals = tuple(map(field.coerce, coefficients))
+    if not all(v.is_real() for v in vals):
+        raise ProjectiveError("affine conic coefficients must be real")
+    if a.is_zero() and b.is_zero() and q.is_zero():
+        raise ProjectiveError("affine conic must be genuinely quadratic")
     half = (field.one() + field.one()).inv()
-    return Conic(
-        (
-            (spec.a, spec.q * half, spec.d * half),
-            (spec.q * half, spec.b, spec.e * half),
-            (spec.d * half, spec.e * half, spec.f),
-        ),
-        field,
-    )
+    q, d, e = q * half, d * half, e * half
+    return Conic(((a, q, d), (q, b, e), (d, e, f)), field)
 
 
 def transform_conic(t: Projectivity, conic: Conic) -> Conic:

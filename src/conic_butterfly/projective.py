@@ -119,7 +119,7 @@ class _Triple:
         return f"{type(self).__name__}{self}"
 
     @classmethod
-    def parse(cls, text: str, field=GaussianRational):
+    def parse(cls, text: str, field):
         t = text.strip()
         if not (t.startswith("(") and t.endswith(")")):
             raise ProjectiveError(f"expected '(x : y : z)', got {text!r}")
@@ -136,7 +136,7 @@ class ProjPoint(_Triple):
     __slots__ = ()
 
     @classmethod
-    def affine(cls, x, y, field=GaussianRational) -> "ProjPoint":
+    def affine(cls, x, y, field) -> "ProjPoint":
         return cls((field.coerce(x), field.coerce(y), field.one()), field)
 
     def to_affine(self):
@@ -202,11 +202,11 @@ class CrossRatioValue:
             raise ProjectiveError("(0 : 0) is not a cross-ratio value")
 
     @classmethod
-    def harmonic(cls, field=GaussianRational) -> "CrossRatioValue":
+    def harmonic(cls, field) -> "CrossRatioValue":
         return cls(-field.one(), field.one(), field)
 
     @classmethod
-    def infinity(cls, field=GaussianRational) -> "CrossRatioValue":
+    def infinity(cls, field) -> "CrossRatioValue":
         return cls(field.one(), field.zero(), field)
 
     def is_infinite(self) -> bool:
@@ -400,13 +400,16 @@ class Projectivity(_Matrix):
                budget: Optional["RetryBudget"] = None) -> "Projectivity":
         """A random invertible map; entries drawn at the given height, retried if singular.
 
-        Each singular draw ticks `budget` when one is given, so a pathological
-        rng surfaces as RetryCapError instead of looping forever.
+        Each singular draw ticks `budget`, a fresh `RetryBudget` when none is
+        given, so a pathological rng surfaces as RetryCapError instead of
+        looping forever.
         """
+        if budget is None:
+            from .scenarios import RetryBudget  # scenarios imports this module
+            budget = RetryBudget()
         k = field.kernels
         while True:
             try:
                 return cls(k.random(rng, height_bound, 9, real), k)
             except DegenerateInputError:
-                if budget is not None:
-                    budget.tick("singular projectivity")
+                budget.tick("singular projectivity")

@@ -29,10 +29,10 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 from .scalars import BACKENDS, GaussianRational, backend_name
 from .projective import (CrossRatioValue, DegenerateInputError, ProjLine, ProjPoint,
                          ProjectiveError, join)
-from .conics import (AffineConicSpec, Conic, ConicParametrization, DegenerateConicError,
-                     conic_through_five, homogenize_affine_conic, second_intersection)
+from .conics import (Conic, ConicParametrization, DegenerateConicError, conic_through_five,
+                     homogenize_affine_conic, second_intersection)
 from .reflection import ReflectionFrame
-from .reports import CheckReport, Verdict
+from .reports import CheckReport, Verdict, format_value
 from .checks import (_separation_residual, lemma_jap_check, lemma_mono_check, lemma_nut_check,
                      lemma_sack_check, pascal_check, theorem_damn_check)
 from .scenarios import (FLAVOURS, build_scenario, random_hexagon, random_jap_inputs,
@@ -182,20 +182,15 @@ def parse_scenario(text: str) -> ScenarioDocument:
             flavor, _, body = rest.partition(" ")
             f = want_field()
             try:
-                if flavor == "symmetric":
+                if flavor in ("symmetric", "affine"):
+                    symmetric = flavor == "symmetric"
                     entries = body.split()
                     if len(entries) != 6:
+                        noun = "entries" if symmetric else "coefficients"
                         raise ScenarioParseError(
-                            f"conic symmetric needs 6 entries, got {len(entries)}", lineno)
-                    conic = Conic.from_upper_entries(
-                        [_parsed(f.parse, lineno, e) for e in entries], f)
-                elif flavor == "affine":
-                    entries = body.split()
-                    if len(entries) != 6:
-                        raise ScenarioParseError(
-                            f"conic affine needs 6 coefficients, got {len(entries)}", lineno)
-                    coeffs = [_parsed(f.parse, lineno, e) for e in entries]
-                    conic = homogenize_affine_conic(AffineConicSpec(*coeffs, f))
+                            f"conic {flavor} needs 6 {noun}, got {len(entries)}", lineno)
+                    build = Conic.from_upper_entries if symmetric else homogenize_affine_conic
+                    conic = build([_parsed(f.parse, lineno, e) for e in entries], f)
                 elif flavor == "points":
                     triples = re.findall(r"\([^()]*\)", body)
                     if len(triples) != 5:
@@ -488,9 +483,6 @@ def _expect_residual(expect: Expect, actual):
     return actual - expect.value
 
 
-_EXPECT_TYPES = {"point": ProjPoint, "line": ProjLine, "ratio": CrossRatioValue}
-
-
 def run_document(doc: ScenarioDocument) -> List[CheckReport]:
     """The main check's report, plus one expect report when the document pins
     witnesses.  A pinned witness that disagrees makes the expect report
@@ -508,12 +500,9 @@ def run_document(doc: ScenarioDocument) -> List[CheckReport]:
             raise ScenarioParseError(
                 f"expect {e.name!r}: the {doc.check} report has no such witness")
         actual = witnesses[e.name]
-        want_type = _EXPECT_TYPES.get(e.kind)
-        if want_type is not None and not isinstance(actual, want_type):
-            raise ScenarioParseError(
-                f"expect {e.name!r}: witness is not a {e.kind}")
-        if e.kind == "scalar" and isinstance(actual, (ProjPoint, ProjLine, CrossRatioValue)):
-            raise ScenarioParseError(f"expect {e.name!r}: witness is not a scalar")
+        # the kind the report prints; a point, line or ratio keeps the text for to_text
+        if format_value(actual)[0] != e.kind:
+            raise ScenarioParseError(f"expect {e.name!r}: witness is not a {e.kind}")
         # a pin that echoes a declaration is the declared object (see parse_scenario)
         agree = actual is e.value or actual == e.value
         # equal values print the same text, so an agreeing pin shows the witness already printed

@@ -42,18 +42,17 @@ class RetryCapError(ProjectiveError):
 
 
 class RetryBudget:
-    """Counts rejected draws; raises past the cap so pathological seeds surface."""
+    """Counts rejected draws; raises past CAP so pathological seeds surface."""
 
-    __slots__ = ("cap", "spent")
-    DEFAULT_CAP = 200
+    __slots__ = ("spent",)
+    CAP = 200
 
-    def __init__(self, cap: int = DEFAULT_CAP):
-        self.cap = cap
+    def __init__(self):
         self.spent = 0
 
     def tick(self, what: str = "draw") -> None:
         self.spent += 1
-        if self.spent > self.cap:
+        if self.spent > self.CAP:
             raise RetryCapError(f"rejected {self.spent} draws (last: {what}); giving up")
 
 
@@ -372,29 +371,17 @@ def random_scenario(rng: Random, field=GaussianRational, height_bound: int = 10,
 
 
 def random_reflection_frame(rng: Random, field=GaussianRational, height_bound: int = 10,
-                            *, with_chord: bool = False,
-                            budget: Optional[RetryBudget] = None) -> Tuple[ReflectionFrame, ConicParametrization]:
-    """A frame on a random conic.  With `with_chord` the axis is the join of
-    two rational conic points (attached as u, v); otherwise the axis is an
+                            *, budget: Optional[RetryBudget] = None) -> Tuple[ReflectionFrame, ConicParametrization]:
+    """A frame on a random conic, with the conic's chart.  The axis is an
     arbitrary non-tangent line, so its conic points typically leave the field."""
     budget = budget if budget is not None else RetryBudget()
-    return _random_frame(rng, field, height_bound, with_chord, budget)[:2]
-
-
-def _random_frame(rng: Random, field, height: int, with_chord: bool, budget: RetryBudget):
-    """`random_reflection_frame`'s (frame, chart), and the two
-    `_random_chart_point` draws of u, v or None."""
-    conic, base = random_conic(rng, field, height, budget=budget)
+    conic, base = random_conic(rng, field, height_bound, budget=budget)
     par = ConicParametrization(conic, base)
-    if with_chord:
-        end_u = tu, u, _ = _random_chart_point(par, rng, height, budget)
-        end_v = _, v, _ = _random_chart_point(par, rng, height, budget, avoid=(tu,))
-        return ReflectionFrame(conic, join(u, v), u, v), par, (end_u, end_v)
     while True:
-        dual = _random_point(rng, field, height, budget)
+        dual = _random_point(rng, field, height_bound, budget)
         axis = ProjLine(dual.raw, dual.kernels)
         try:
-            return ReflectionFrame(conic, axis), par, None
+            return ReflectionFrame(conic, axis), par
         except DegenerateInputError:  # raised exactly when k.p = 0: the axis is tangent
             budget.tick("tangent axis")
 
@@ -470,12 +457,18 @@ def random_nut_inputs(rng: Random, field=GaussianRational, height_bound: int = 1
 
 def random_sack_inputs(rng: Random, field=GaussianRational, height_bound: int = 10,
                        *, budget: Optional[RetryBudget] = None):
-    """(frame-with-chord, m, r, s): m on the axis, chord (r, s) through m."""
+    """(frame, m, r, s): the frame's axis is the chord through two rational
+    conic points, attached as u and v; m is on the axis and the chord (r, s)
+    passes through m."""
     budget = budget if budget is not None else RetryBudget()
-    frame, par, (end_u, end_v) = _random_frame(rng, field, height_bound, True, budget)
+    conic, base = random_conic(rng, field, height_bound, budget=budget)
+    par = ConicParametrization(conic, base)
+    end_u = tu, u, _ = _random_chart_point(par, rng, height_bound, budget)
+    end_v = tv, v, _ = _random_chart_point(par, rng, height_bound, budget, avoid=(tu,))
+    frame = ReflectionFrame(conic, join(u, v), u, v)
     lam = _random_nonzero(rng, field, height_bound, budget)
     m, w = _chord_point(end_u, lam, end_v)
-    (_, r), (_, s) = _chord_through(par, w, rng, height_bound, budget, avoid=(end_u[0], end_v[0]))
+    (_, r), (_, s) = _chord_through(par, w, rng, height_bound, budget, avoid=(tu, tv))
     return frame, m, r, s
 
 

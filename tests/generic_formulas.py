@@ -21,14 +21,13 @@ interpreter's digit limit, the oracle of the package's exact decimal output.
 content reduction of a tuple of scalars, read back as scalars, which the
 scalar and triple tests compare with their own references.
 
-``affine_spec_from_conic`` reads a real conic's affine coefficients off its
-canonical form.  Together with ``homogenize_affine_conic`` it is the scalar
-round trip that the real-plane (cutl) scenarios once took, and the oracle of
-the raw form they now take.
+``affine_spec_from_conic`` reads a real conic's six affine coefficients off
+its canonical form.  Together with ``homogenize_affine_conic`` it is the
+scalar round trip that the real-plane (cutl) scenarios once took, and the
+oracle of the raw form they now take.
 """
 
 from conic_butterfly._linalg import cross, dot, matvec
-from conic_butterfly.conics import AffineConicSpec
 from conic_butterfly.projective import (DegenerateInputError, ProjectiveError, ProjLine, ProjPoint,
                                         incident, join)
 
@@ -152,10 +151,11 @@ def chart_line(par, t) -> ProjLine:
     return ProjLine(tuple(t0 * a + t1 * b for a, b in zip(l1.coords, l0.coords)), field)
 
 
-def affine_spec_from_conic(conic) -> AffineConicSpec:
-    """Read affine coefficients off a real symmetric form, rescaling first."""
+def affine_spec_from_conic(conic) -> tuple:
+    """The affine coefficients (A, B, Q, D, E, F) of a real symmetric form,
+    read off its canonical form."""
     m11, m12, m13, m22, m23, m33 = vals = conic.canonical()
     if not all(v.is_real() for v in vals):
         raise ProjectiveError("conic is not real; no affine coefficients exist")
     two = conic.field.one() + conic.field.one()
-    return AffineConicSpec(m11, m22, two * m12, two * m13, two * m23, m33, conic.field)
+    return (m11, m22, two * m12, two * m13, two * m23, m33)

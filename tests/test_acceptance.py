@@ -23,7 +23,7 @@ from conic_butterfly.checks import (
     theorem_cutl_check,
     theorem_damn_check,
 )
-from conic_butterfly.conics import AffineConicSpec, Conic, homogenize_affine_conic
+from conic_butterfly.conics import Conic, homogenize_affine_conic
 from conic_butterfly.fuzz import CampaignConfig, run_campaign
 from conic_butterfly.projective import (
     CrossRatioValue,
@@ -120,7 +120,7 @@ def test_2_projective_butterfly_sweep(capsys):
 def test_3_hyperbola_two_branch_fixture(capsys, fixture_text):
     with criterion(capsys, "3 planar butterfly: hyperbola fixture values exact", 1.0):
         scenario = build_scenario(
-            homogenize_affine_conic(AffineConicSpec(1, -1, 0, 0, 0, -1, G)),
+            homogenize_affine_conic((1, -1, 0, 0, 0, -1), G),
             affine("-5/4", "3/4"), affine("5/4", "3/4"), affine("1/4", "3/4"),
             affine("5/4", "-3/4"), affine("29/20", "-21/20"),
             affine("13/12", "-5/12"), affine("17/8", "-15/8"), kind="cutl",
@@ -139,7 +139,7 @@ def test_3_hyperbola_two_branch_fixture(capsys, fixture_text):
 def test_4_circle_midpoint_corollary(capsys):
     with criterion(capsys, "4 circle midpoint: conjugate ideal, |pm|2 = |qm|2", 1.0):
         scenario = build_scenario(
-            homogenize_affine_conic(AffineConicSpec(1, 1, 0, 0, 0, -1, G)),
+            homogenize_affine_conic((1, 1, 0, 0, 0, -1), G),
             affine("-3/5", "4/5"), affine("3/5", "4/5"), affine(0, "4/5"),
             affine(0, 1), affine(0, -1),
             affine("4/5", "3/5"), affine("-36/85", "77/85"), kind="cutl",
@@ -238,7 +238,7 @@ def test_8_projective_covariance(capsys):
         for index in range(100):
             if index % 10 == 9:
                 # every tenth scenario is forced degenerate: a tangent chord
-                circle = homogenize_affine_conic(AffineConicSpec(1, 1, 0, 0, 0, -1, G))
+                circle = homogenize_affine_conic((1, 1, 0, 0, 0, -1), G)
                 scenario = build_scenario(
                     circle,
                     affine("-3/5", "4/5"), affine("3/5", "4/5"), affine(0, "4/5"),

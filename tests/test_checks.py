@@ -13,7 +13,7 @@ from conic_butterfly.checks import (
     theorem_cutl_check,
     theorem_damn_check,
 )
-from conic_butterfly.conics import AffineConicSpec, homogenize_affine_conic
+from conic_butterfly.conics import homogenize_affine_conic
 from conic_butterfly.projective import (
     ProjPoint,
     ProjectiveError,
@@ -44,8 +44,8 @@ def affine(x, y):
     return pt(Fraction(x), Fraction(y), 1)
 
 
-CIRCLE = AffineConicSpec(1, 1, 0, 0, 0, -1, G)
-HYPERBOLA = AffineConicSpec(1, -1, 0, 0, 0, -1, G)
+CIRCLE = (1, 1, 0, 0, 0, -1)
+HYPERBOLA = (1, -1, 0, 0, 0, -1)
 
 
 class TestMono:
@@ -183,7 +183,7 @@ class TestPascal:
 
 class TestDamn:
     def test_circle_fixture_values(self):
-        conic = homogenize_affine_conic(CIRCLE)
+        conic = homogenize_affine_conic(CIRCLE, G)
         scenario = build_scenario(
             conic,
             affine("-3/5", "4/5"), affine("3/5", "4/5"), affine(0, "4/5"),
@@ -205,7 +205,7 @@ class TestDamn:
             assert report.verdict is Verdict.HOLDS
 
     def test_tangent_chord_degenerate(self):
-        conic = homogenize_affine_conic(CIRCLE)
+        conic = homogenize_affine_conic(CIRCLE, G)
         scenario = build_scenario(
             conic,
             affine("-3/5", "4/5"), affine("3/5", "4/5"), affine(0, "4/5"),
@@ -217,7 +217,7 @@ class TestDamn:
         assert report.verdict is Verdict.DEGENERATE
 
     def test_coincident_chords_degenerate(self):
-        conic = homogenize_affine_conic(CIRCLE)
+        conic = homogenize_affine_conic(CIRCLE, G)
         scenario = build_scenario(
             conic,
             affine("-3/5", "4/5"), affine("3/5", "4/5"), affine(0, "4/5"),
@@ -239,7 +239,7 @@ class TestDamn:
 class TestCutl:
     def test_hyperbola_fixture_values(self):
         scenario = build_scenario(
-            homogenize_affine_conic(HYPERBOLA),
+            homogenize_affine_conic(HYPERBOLA, G),
             affine("-5/4", "3/4"), affine("5/4", "3/4"), affine("1/4", "3/4"),
             affine("5/4", "-3/4"), affine("29/20", "-21/20"),
             affine("13/12", "-5/12"), affine("17/8", "-15/8"), kind="cutl",
@@ -260,7 +260,7 @@ class TestCutl:
 
     def test_midpoint_makes_harmonic_conjugate_ideal(self):
         scenario = build_scenario(
-            homogenize_affine_conic(CIRCLE),
+            homogenize_affine_conic(CIRCLE, G),
             affine("-3/5", "4/5"), affine("3/5", "4/5"), affine(0, "4/5"),
             affine(0, 1), affine(0, -1),
             affine("4/5", "3/5"), affine("-36/85", "77/85"), kind="cutl",
@@ -277,7 +277,7 @@ class TestCutl:
         i = G(0, 1)
         with pytest.raises(ProjectiveError):
             build_scenario(
-                homogenize_affine_conic(CIRCLE),
+                homogenize_affine_conic(CIRCLE, G),
                 pt(i, 0, 1), affine("3/5", "4/5"), affine(0, "4/5"),
                 affine(0, 1), affine(0, -1),
                 affine("4/5", "3/5"), affine("-36/85", "77/85"), kind="cutl",

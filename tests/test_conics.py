@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conic_butterfly.conics import (
-    AffineConicSpec,
     Conic,
     ConicParametrization,
     DegenerateConicError,
@@ -33,7 +32,7 @@ def pt(*coords):
 
 
 def circle():
-    return homogenize_affine_conic(AffineConicSpec(1, 1, 0, 0, 0, -1, G))
+    return homogenize_affine_conic((1, 1, 0, 0, 0, -1), G)
 
 
 class TestConicConstruction:
@@ -68,24 +67,27 @@ class TestAffineConics:
         assert c.contains(pt(1, "1i", 0))  # circular point at infinity
 
     def test_hyperbola_membership(self):
-        c = homogenize_affine_conic(AffineConicSpec(1, -1, 0, 0, 0, -1, G))
+        c = homogenize_affine_conic((1, -1, 0, 0, 0, -1), G)
         assert c.contains(pt(-5, 3, 4))
 
     def test_parabola_membership(self):
-        c = homogenize_affine_conic(AffineConicSpec(1, 0, 0, 0, -1, 0, G))
+        c = homogenize_affine_conic((1, 0, 0, 0, -1, 0), G)
         assert c.contains(pt(2, 4, 1))
 
     def test_spec_validation(self):
-        with pytest.raises(ProjectiveError):
-            AffineConicSpec(0, 0, 0, 1, 1, 1, G)
-        with pytest.raises(ProjectiveError):
-            AffineConicSpec("1i", 1, 0, 0, 0, -1, G)
+        with pytest.raises(ProjectiveError, match="genuinely quadratic"):
+            homogenize_affine_conic((0, 0, 0, 1, 1, 1), G)
+        with pytest.raises(ProjectiveError, match="must be real"):
+            homogenize_affine_conic(("1i", 1, 0, 0, 0, -1), G)
+        for count in (5, 7):
+            with pytest.raises(ProjectiveError, match="expected 6 affine coefficients"):
+                homogenize_affine_conic((1,) * count, G)
 
     def test_spec_round_trip(self):
-        spec = AffineConicSpec(1, -1, 0, 0, 0, -1, G)
-        conic = homogenize_affine_conic(spec)
-        assert affine_spec_from_conic(conic) == spec
-        assert homogenize_affine_conic(affine_spec_from_conic(conic)) == conic
+        spec = (1, -1, 0, 0, 0, -1)
+        conic = homogenize_affine_conic(spec, G)
+        assert affine_spec_from_conic(conic) == tuple(map(G.coerce, spec))
+        assert homogenize_affine_conic(affine_spec_from_conic(conic), G) == conic
 
     def test_spec_from_complex_conic_rejected(self):
         c = Conic.from_upper_entries((1, 0, 0, "1i", 0, -1), G)

@@ -728,7 +728,7 @@ def test_reference_image_matches_transform(field, real, data):
 
 
 def ref_real_plane_form(conic):
-    return homogenize_affine_conic(gf.affine_spec_from_conic(conic))
+    return homogenize_affine_conic(gf.affine_spec_from_conic(conic), conic.field)
 
 
 def raw_outcome(fn, *args):
@@ -1400,9 +1400,15 @@ def test_mixed_backends_raise_type_error(name, first):
     lambda: Conic.from_upper_entries((1, 0, 0, 1, 0, -1)),
     lambda: Projectivity(((1, 0, 0), (0, 1, 0), (0, 0, 1))),
     lambda: CrossRatioValue(G(-1), G(1)),
+    lambda: ProjPoint.parse("(1 : 2 : 3)"),
+    lambda: ProjPoint.affine(1, 2),
+    lambda: CrossRatioValue.harmonic(),
+    lambda: CrossRatioValue.infinity(),
+    lambda: homogenize_affine_conic((1, 1, 0, 0, 0, -1)),
 ), ids=("ProjPoint", "ProjLine", "Conic", "Conic.from_upper_entries", "Projectivity",
-        "CrossRatioValue"))
+        "CrossRatioValue", "ProjPoint.parse", "ProjPoint.affine", "CrossRatioValue.harmonic",
+        "CrossRatioValue.infinity", "homogenize_affine_conic"))
 def test_constructors_need_a_backend(build):
-    """No constructor infers a backend from its entries."""
+    """No constructor or named constructor infers or defaults a backend."""
     with pytest.raises(TypeError):
         build()

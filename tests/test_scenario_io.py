@@ -37,6 +37,18 @@ point y (1 : 1 : 1)
 point z (1 : 2 : 3)
 """
 
+# a hexagon on the unit circle: the pascal report's det is its one scalar witness
+PASCAL_CIRCLE = """\
+check pascal
+conic affine 1 1 0 0 0 -1
+point p1 affine (1, 0)
+point p2 affine (3/5, 4/5)
+point p3 affine (0, 1)
+point p4 affine (-1, 0)
+point p5 affine (0, -1)
+point p6 affine (4/5, -3/5)
+"""
+
 
 class TestParsing:
     def test_minimal_document(self):
@@ -111,6 +123,15 @@ point p6 (1 : 1 : 1)
         # the residual of (1 : 1 : 1) on x^2 + y^2 - z^2 is 1
         with pytest.raises(ScenarioParseError,
                            match=r"^line 8: point 'p6' is not on the conic; residual 1$"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("flavor, noun", [("symmetric", "entries"), ("affine", "coefficients")])
+    @pytest.mark.parametrize("count", [5, 7])
+    def test_six_value_conic_needs_six(self, flavor, noun, count):
+        text = MINIMAL.replace("conic symmetric 0 1/2 1/2 0 -1 0",
+                               f"conic {flavor} " + " ".join(["1"] * count))
+        with pytest.raises(ScenarioParseError,
+                           match=rf"^line 3: conic {flavor} needs 6 {noun}, got {count}$"):
             parse_scenario(text)
 
     def test_affine_points(self):
@@ -336,6 +357,21 @@ class TestRunning:
         text = MINIMAL + "expect scalar y 4\n"
         with pytest.raises(ScenarioParseError, match="not a scalar"):
             run_document(parse_scenario(text))
+
+    @pytest.mark.parametrize("kind", _EXPECT_KINDS)
+    @pytest.mark.parametrize("witness, witness_kind",
+                             [("p", "point"), ("axis", "line"), ("cr", "ratio"), ("det", "scalar")])
+    def test_expect_kind_must_match_witness(self, fixture_text, witness, witness_kind, kind):
+        """Each kind against a witness of each kind: only the witness's own kind runs."""
+        doc = PASCAL_CIRCLE if witness == "det" else fixture_text("butterfly_circle")
+        value = {"point": "(1 : 0 : 0)", "line": "(1 : 0 : 0)", "ratio": "-1", "scalar": "0"}[kind]
+        text = doc + f"expect {kind} {witness} {value}\n"
+        if kind == witness_kind:
+            assert run_document(parse_scenario(text))[0].holds()
+        else:
+            with pytest.raises(ScenarioParseError,
+                               match=rf"^expect '{witness}': witness is not a {kind}$"):
+                run_document(parse_scenario(text))
 
     def test_expect_ratio_forms(self):
         assert parse_scenario(MINIMAL + "expect ratio cr -1\n").expects[0].value \

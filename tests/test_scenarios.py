@@ -6,7 +6,7 @@ import pytest
 
 from conic_butterfly import scenarios
 from conic_butterfly.checks import theorem_damn_check
-from conic_butterfly.conics import AffineConicSpec, ConicParametrization, homogenize_affine_conic
+from conic_butterfly.conics import ConicParametrization, homogenize_affine_conic
 from conic_butterfly.projective import (
     DegenerateInputError,
     ProjPoint,
@@ -48,7 +48,7 @@ def affine(x, y):
     return pt(Fraction(x), Fraction(y), 1)
 
 
-CIRCLE = AffineConicSpec(1, 1, 0, 0, 0, -1, G)
+CIRCLE = (1, 1, 0, 0, 0, -1)
 
 
 class TestReference:
@@ -62,9 +62,9 @@ class TestReference:
             assert reference_conic(field).contains(reference_base(field))
 
     def test_affine_spec_round_trip(self):
-        conic = homogenize_affine_conic(CIRCLE)
+        conic = homogenize_affine_conic(CIRCLE, G)
         spec = affine_spec_from_conic(conic)
-        assert homogenize_affine_conic(spec) == conic
+        assert homogenize_affine_conic(spec, G) == conic
 
     def test_affine_spec_needs_real_conic(self):
         conic, _ = random_conic(Random(1), G, 4)
@@ -76,25 +76,36 @@ class TestReference:
 
 class TestRetryBudget:
     def test_cap_enforced(self):
-        budget = RetryBudget(cap=2)
-        budget.tick()
-        budget.tick()
+        assert RetryBudget.CAP == 200
+        budget = RetryBudget()
+        for _ in range(RetryBudget.CAP):
+            budget.tick()
         with pytest.raises(RetryCapError):
             budget.tick()
 
     def test_error_names_last_rejection(self):
-        budget = RetryBudget(cap=0)
+        budget = RetryBudget()
+        budget.spent = RetryBudget.CAP
         with pytest.raises(RetryCapError, match="tangent chord"):
             budget.tick("tangent chord")
 
     @pytest.mark.parametrize("field", [G, P], ids=("gauss", "prime"))
     def test_singular_projectivity_draws_are_budgeted(self, field):
-        budget = RetryBudget(cap=3)
+        budget = RetryBudget()
         with pytest.raises(RetryCapError, match="singular projectivity"):
             Projectivity.random(_ConstantRng(), field, 5, budget=budget)
-        assert budget.spent == 4
+        assert budget.spent == RetryBudget.CAP + 1
         with pytest.raises(RetryCapError, match="singular projectivity"):
             random_conic(_ConstantRng(), field, 5)
+
+    @pytest.mark.parametrize("field", [G, P], ids=("gauss", "prime"))
+    def test_unbudgeted_projectivity_draws_get_a_budget(self, field):
+        """Without a budget the draw takes a fresh one; the rng gives up long
+        after the budget should, so a loop with no budget fails, not hangs."""
+        rng = _BoundedConstantRng()
+        with pytest.raises(RetryCapError, match="singular projectivity"):
+            Projectivity.random(rng, field, 5)
+        assert rng.calls < _BoundedConstantRng.LIMIT
 
     def test_budget_leaves_the_draw_alone(self):
         plain = Projectivity.random(Random(9), G, 6)
@@ -111,28 +122,44 @@ class _ConstantRng(Random):
         return 1
 
 
+class _BoundedConstantRng(_ConstantRng):
+    """A `_ConstantRng` that raises after LIMIT draws."""
+
+    LIMIT = 20_000
+
+    def __init__(self):
+        self.calls = 0
+        super().__init__()
+
+    def getrandbits(self, k):
+        self.calls += 1
+        if self.calls > self.LIMIT:
+            raise RuntimeError(f"more than {self.LIMIT} draws: the loop has no budget")
+        return 1
+
+
 class TestBuildScenario:
     def test_build_validates_membership(self):
-        conic = homogenize_affine_conic(CIRCLE)
+        conic = homogenize_affine_conic(CIRCLE, G)
         with pytest.raises(ProjectiveError):
             build_scenario(conic, affine(0, 0), affine(3, 4), affine(1, 1),
                            affine(0, 1), affine(0, -1), affine(1, 0), affine(-1, 0))
 
     def test_build_rejects_coincident_ab(self):
-        conic = homogenize_affine_conic(CIRCLE)
+        conic = homogenize_affine_conic(CIRCLE, G)
         a = affine(0, 1)
         with pytest.raises(DegenerateInputError):
             build_scenario(conic, a, a, affine(0, "1/2"),
                            affine(1, 0), affine(-1, 0), affine("3/5", "4/5"), affine("-3/5", "-4/5"))
 
     def test_build_requires_m_on_chord(self):
-        conic = homogenize_affine_conic(CIRCLE)
+        conic = homogenize_affine_conic(CIRCLE, G)
         with pytest.raises(ProjectiveError):
             build_scenario(conic, affine(0, 1), affine(0, -1), affine(1, 1),
                            affine(1, 0), affine(-1, 0), affine("3/5", "4/5"), affine("-3/5", "-4/5"))
 
     def test_chord_must_contain_m(self):
-        conic = homogenize_affine_conic(CIRCLE)
+        conic = homogenize_affine_conic(CIRCLE, G)
         with pytest.raises(ProjectiveError):
             build_scenario(conic, affine(0, 1), affine(0, -1), affine(0, 0),
                            affine(1, 0), affine("3/5", "4/5"),
@@ -229,7 +256,7 @@ class TestDispatch:
         with pytest.raises(ValueError):
             random_scenario(Random(1), kind="bogus")
         with pytest.raises(ValueError):
-            build_scenario(homogenize_affine_conic(CIRCLE), *[affine(0, 1)] * 7, kind="bogus")
+            build_scenario(homogenize_affine_conic(CIRCLE, G), *[affine(0, 1)] * 7, kind="bogus")
 
     def test_cutl_rejects_prime_backend(self):
         with pytest.raises(ProjectiveError):
@@ -242,11 +269,6 @@ class TestLemmaInputs:
         assert frame.u is None
         assert not incident(frame.pole, frame.axis)
         assert par.conic == frame.conic
-
-    def test_reflection_frame_with_chord(self):
-        frame, _par = random_reflection_frame(Random(2), height_bound=6, with_chord=True)
-        assert frame.conic.contains(frame.u) and frame.conic.contains(frame.v)
-        assert join(frame.u, frame.v) == frame.axis
 
     def test_mono_forward_candidate_is_axis_meet(self):
         frame, l, y, y_prime, m = random_mono_inputs(Random(4))
@@ -300,6 +322,8 @@ class TestLemmaInputs:
 
     def test_sack_inputs(self):
         frame, m, r, s = random_sack_inputs(Random(8))
+        assert frame.conic.contains(frame.u) and frame.conic.contains(frame.v)
+        assert join(frame.u, frame.v) == frame.axis
         assert incident(m, frame.axis)
         assert incident(m, join(r, s))
         assert r != s
@@ -324,7 +348,7 @@ _CIRCLE_POINTS = {
 def _build(kind, **moved):
     """The circle fixture as a `kind` scenario, with some points replaced."""
     pts = [moved.get(n, affine(*xy)) for n, xy in _CIRCLE_POINTS.items()]
-    return build_scenario(homogenize_affine_conic(CIRCLE), *pts, kind=kind)
+    return build_scenario(homogenize_affine_conic(CIRCLE, G), *pts, kind=kind)
 
 
 _LABEL = {"damn": "(f,g)", "cutl": "(u,v)"}
