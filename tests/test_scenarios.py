@@ -270,6 +270,15 @@ class TestLemmaInputs:
         assert not incident(frame.pole, frame.axis)
         assert par.conic == frame.conic
 
+    def test_reflection_frame_with_chord(self):
+        """The chord frame that random_sack_inputs draws: u and v are distinct
+        conic points, the axis is their join, and the pole is off it."""
+        frame, _m, _r, _s = random_sack_inputs(Random(2), height_bound=6)
+        assert frame.conic.contains(frame.u) and frame.conic.contains(frame.v)
+        assert frame.u != frame.v
+        assert join(frame.u, frame.v) == frame.axis
+        assert not incident(frame.pole, frame.axis)
+
     def test_mono_forward_candidate_is_axis_meet(self):
         frame, l, y, y_prime, m = random_mono_inputs(Random(4))
         assert m == meet(l, frame.axis)
