@@ -135,14 +135,19 @@ def lemma_nut_check(frame: ReflectionFrame, y, z) -> CheckReport:
     return CheckReport("nut", Verdict.VIOLATED, witnesses, residual=k.scalar(residual))
 
 
-def lemma_sack_check(frame: ReflectionFrame, m, r, s) -> CheckReport:
-    """x = r'v ^ su lies on the line pm, via the inscribed hexagon."""
-    if frame.u is None:
-        raise ProjectiveError("the frame must carry the axis chord endpoints u, v")
+def lemma_sack_check(frame: ReflectionFrame, u, v, m, r, s) -> CheckReport:
+    """x = r'v ^ su lies on the line pm, via the inscribed hexagon on the axis chord uv."""
+    if u == v:
+        raise DegenerateInputError("chord endpoints must be distinct")
+    for w in (u, v):
+        if not frame.conic.contains(w):
+            raise ProjectiveError(f"{w} is not on the conic")
+        if not incident(w, frame.axis):
+            raise ProjectiveError(f"{w} is not on the axis")
     for w in (r, s):
         if not frame.conic.contains(w):
             raise ProjectiveError(f"{w} is not on the conic")
-    witnesses = [("p", frame.pole), ("u", frame.u), ("v", frame.v), ("m", m), ("r", r), ("s", s)]
+    witnesses = [("p", frame.pole), ("u", u), ("v", v), ("m", m), ("r", r), ("s", s)]
     if r == s:
         return degenerate("sack", "tangent chord", witnesses)
     chord = join(r, s)
@@ -155,8 +160,8 @@ def lemma_sack_check(frame: ReflectionFrame, m, r, s) -> CheckReport:
     s_prime = frame.reflect_point(s)
     witnesses += [("r'", r_prime), ("s'", s_prime)]
     try:
-        x = meet(join(r_prime, frame.v), join(s, frame.u))
-        z = meet(join(r, frame.v), join(s_prime, frame.u))
+        x = meet(join(r_prime, v), join(s, u))
+        z = meet(join(r, v), join(s_prime, u))
     except DegenerateInputError:
         return degenerate("sack", "derived meet undefined", witnesses)
     witnesses += [("x", x), ("z", z)]

@@ -18,7 +18,7 @@ from .projective import (ProjLine, ProjPoint, cross_ratio, join, meet)
 from .conics import Conic
 from .reflection import ReflectionFrame
 from .reports import exit_status
-from .scenario_io import CLAIM_ORDER, CLAIMS, parse_scenario, run_document
+from .scenario_io import CLAIM_ORDER, parse_scenario, run_document
 from .fuzz import CampaignConfig, CampaignCounts, run_campaign
 from .render import render_svg
 
@@ -79,19 +79,16 @@ def _cmd_verify(args) -> int:
     return exit_status(reports)
 
 
-def _parse_checks(text: str, backend: str) -> tuple:
-    if text is None:
-        picked = tuple(c for c, claim in CLAIMS.items() if backend == "gauss" or not claim.real)
-    else:
-        picked = tuple(c.strip() for c in text.split(",") if c.strip())
-    return picked
+def _parse_checks(text: Optional[str]) -> Optional[tuple]:
+    """The claims --checks names, or None for every claim the backend runs."""
+    return None if text is None else tuple(c.strip() for c in text.split(",") if c.strip())
 
 
 def _cmd_fuzz(args) -> int:
     counts = CampaignCounts()
     try:
         config = CampaignConfig(args.seed, args.count, args.backend, args.height,
-                                _parse_checks(args.checks, args.backend))
+                                _parse_checks(args.checks))
         lines = run_campaign(config, jobs=args.jobs, counts=counts)
         out, close = _open_out(args.out)
     except _INPUT_ERRORS as exc:
@@ -133,7 +130,7 @@ def _demo_lemma1(out) -> None:
     pole = conic.pole(k)
     tangent_meet = meet(tangent_u, tangent_v)
     assert tangent_meet == pole
-    frame = ReflectionFrame(conic, k, u, v)
+    frame = ReflectionFrame(conic, k)
     y = ProjPoint.parse("(1 : 1 : 1)", G)
     n = meet(join(pole, y), k)
     y_prime = frame.reflect_point(y)

@@ -94,11 +94,10 @@ class Conic(_Matrix):
             raise ProjectiveError(f"{p} is not on the conic")
         return self.polar(p)
 
-    def conjugate(self) -> "Conic":
-        return Conic(tuple(tuple(e.conjugate() for e in r) for r in self.form), self.field)
-
     def is_real(self) -> bool:
-        return self == self.conjugate()
+        """Whether conjugation fixes the form up to scale: it is real over its lead entry."""
+        k = self.kernels
+        return k.real(k.over_lead(sum(self.raw, ())))
 
     # ------------------------------------------------------------------
     def __str__(self):
@@ -198,9 +197,7 @@ class ConicParametrization:
     q(t)*base - 2*m(t)*d(t) expands to a vector quadratic
     point(t0 : t1) = t0^2*A2 + t0*t1*A1 + t1^2*A0, so one point costs a
     handful of multiplications instead of a full chord solve.  The vectors
-    are computed on the first `point` or `point_coefficients` call, so a
-    chart that is built but never evaluated costs only the membership test
-    of its base.
+    are computed when the chart is built.
 
     `_partner(t, w)` is the Frégier involution of a point m off the conic:
     the parameter of the second conic point on the line through point(t)
@@ -248,21 +245,9 @@ class ConicParametrization:
             raise ProjectiveError("parametrization base must lie on the conic")
         self.conic = conic
         self.base = base
-        self._coefficients = None
-
-    def point_coefficients(self) -> tuple:
-        """The three coefficient vectors (A2, A1, A0) of the point map."""
-        return tuple(map(self.conic.kernels.unpack, self._raw_coefficients()))
-
-    def _raw_coefficients(self) -> tuple:
-        if self._coefficients is None:
-            self._coefficients = self._build_coefficients()
-        return self._coefficients
-
-    def _build_coefficients(self) -> tuple:
-        k = self.conic.kernels
-        b = self.base.raw
-        form = self.conic.raw
+        k = conic.kernels
+        b = base.raw
+        form = conic.raw
         # l1 is the tangent at the base and l0 its join with a coordinate point
         # off l1, which is not the base because the base lies on l1
         l1 = k.reduce_content(k.matvec(form, b))
@@ -283,7 +268,11 @@ class ConicParametrization:
         a1 = k.combine(k.add(q1, q1), b, m0, d1)
         a0 = k.combine(q0, b, m0, d0)
         # one shared content factor: the three vectors must keep their relative scale
-        return thirds(k.reduce_content(a2 + a1 + a0))
+        self._coefficients = thirds(k.reduce_content(a2 + a1 + a0))
+
+    def point_coefficients(self) -> tuple:
+        """The three coefficient vectors (A2, A1, A0) of the point map."""
+        return tuple(map(self.conic.kernels.unpack, self._coefficients))
 
     def _as_pair(self, t) -> tuple:
         """The raw pair of a parameter given as a scalar or a homogeneous pair."""
@@ -304,7 +293,7 @@ class ConicParametrization:
         """S*v(t) for a raw pair t: the point's raw coordinates before content reduction."""
         t0, t1 = pair
         k = self.conic.kernels
-        a2, a1, a0 = self._raw_coefficients()
+        a2, a1, a0 = self._coefficients
         coords = k.combine3(k.mul(t0, t0), a2, k.mul(t0, t1), a1, k.mul(t1, t1), a0)
         if not any(coords):
             raise AssertionError("chart point map gave the zero vector; arithmetic bug")
@@ -314,7 +303,7 @@ class ConicParametrization:
         k = self.conic.kernels
         l, n = [k.vector(k.mul(p1, q1), k.neg(k.add(k.mul(p0, q1), k.mul(p1, q0))), k.mul(p0, q0))
                 for (p0, p1), (q0, q1) in ((t, s), (u, w))]
-        a2, a1, a0 = self._raw_coefficients()
+        a2, a1, a0 = self._coefficients
         coords = k.combine3(k.minor(l, n, 0), a2, k.minor(l, n, 1), a1, k.minor(l, n, 2), a0)
         if not any(coords):
             raise DegenerateInputError("meet of coincident lines is undefined")

@@ -100,12 +100,10 @@ class _Triple:
         """Coordinates rescaled so the first nonzero entry is 1."""
         return self.kernels.normalize(self.raw)
 
-    def conjugate(self):
-        return type(self)(tuple(c.conjugate() for c in self.coords), self.field)
-
     def is_real(self) -> bool:
-        """True when the object is fixed by coordinate-wise conjugation."""
-        return self.kernels.real(self.raw) or self == self.conjugate()
+        """Whether conjugation fixes the object: it is real over its lead entry."""
+        k = self.kernels
+        return k.real(self.raw) or k.real(k.over_lead(self.raw))
 
     def __str__(self):
         try:

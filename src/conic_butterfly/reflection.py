@@ -13,18 +13,15 @@ answer there, so the reflection stays undefined at the pole itself.  The
 route never uses a cross-ratio, so it is an independent witness for the
 harmonic claims.
 
-The chord endpoints u, v = k iff conic are carried by the frame only when
-they are representable in the scalar field; nothing downstream ever needs
-them except the one lemma that names them.
+The chord endpoints u, v = k iff conic are not part of the frame: they are
+often not representable in the scalar field, and only the sack lemma names
+them, so its checker takes them as arguments.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .conics import Conic
-from .projective import (DegenerateInputError, ProjectiveError, ProjLine, ProjPoint,
-                         _require_same_field, incident)
+from .projective import DegenerateInputError, ProjLine, ProjPoint, _require_same_field
 
 
 class ReflectionFrame:
@@ -32,31 +29,18 @@ class ReflectionFrame:
 
     `kp` is k.p in the backend's raw form."""
 
-    __slots__ = ("conic", "axis", "pole", "u", "v", "kp")
+    __slots__ = ("conic", "axis", "pole", "kp")
 
-    def __init__(self, conic: Conic, axis: ProjLine,
-                 u: Optional[ProjPoint] = None, v: Optional[ProjPoint] = None):
+    def __init__(self, conic: Conic, axis: ProjLine):
         _require_same_field(conic, axis)
         pole = conic.pole(axis)
         k = conic.kernels
         kp = k.dot(axis.raw, pole.raw)
         if k.is_zero(kp):
             raise DegenerateInputError("axis is tangent to the conic; the reflection degenerates")
-        if (u is None) != (v is None):
-            raise ProjectiveError("chord endpoints must be supplied together")
-        if u is not None:
-            if u == v:
-                raise DegenerateInputError("chord endpoints must be distinct")
-            for w in (u, v):
-                if not conic.contains(w):
-                    raise ProjectiveError(f"{w} is not on the conic")
-                if not incident(w, axis):
-                    raise ProjectiveError(f"{w} is not on the axis")
         self.conic = conic
         self.axis = axis
         self.pole = pole
-        self.u = u
-        self.v = v
         self.kp = kp  # nonzero because the axis is not tangent
 
     def reflect_point(self, y: ProjPoint) -> ProjPoint:

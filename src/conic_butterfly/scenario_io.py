@@ -337,10 +337,9 @@ def claim_document(check: str, conic: Conic, named: dict) -> ScenarioDocument:
 
 def _frame_cell(check: str, checker, names, drawn):
     """A lemma cell: `drawn` is a frame followed by the checker's other
-    arguments, which `names` names.  The frame supplies the axis k, or for
-    sack the chord ends u, v."""
+    arguments, which `names` names.  The frame supplies the axis k."""
     frame, *args = drawn
-    named = {"k": frame.axis, "u": frame.u, "v": frame.v}
+    named = {"k": frame.axis}
     named.update(zip(names, args))
     return checker(frame, *args), partial(claim_document, check, frame.conic, named)
 
@@ -373,9 +372,11 @@ def _axis_frame(doc: ScenarioDocument) -> ReflectionFrame:
     return ReflectionFrame(doc.conic, doc.lines["k"])
 
 
-def _chord_frame(doc: ScenarioDocument) -> ReflectionFrame:
-    u, v = doc.points["u"], doc.points["v"]
-    return ReflectionFrame(doc.conic, join(u, v), u, v)
+def _run_sack(doc: ScenarioDocument) -> CheckReport:
+    pts = doc.points
+    u, v = pts["u"], pts["v"]
+    return lemma_sack_check(ReflectionFrame(doc.conic, join(u, v)), u, v, pts["m"], pts["r"],
+                            _partner(doc, "s", "r", "m"))
 
 
 def _run_mono(doc: ScenarioDocument) -> CheckReport:
@@ -458,10 +459,9 @@ CLAIMS: Dict[str, Claim] = {c.name: c for c in (
     Claim("sack", ("u", "v", "m", "r", "s"), optional=("s",), on_conic=("u", "v", "r", "s"),
           edges=(("u", "v"), ("r", "s")),
           cell=lambda rng, field, height, budget, index: _frame_cell(
-              "sack", lemma_sack_check, ("m", "r", "s"),
+              "sack", lemma_sack_check, ("u", "v", "m", "r", "s"),
               random_sack_inputs(rng, field, height, budget=budget)),
-          run=lambda doc: lemma_sack_check(_chord_frame(doc), doc.points["m"], doc.points["r"],
-                                           _partner(doc, "s", "r", "m"))),
+          run=_run_sack),
     Claim("pascal", _HEXAGON, on_conic=_HEXAGON,
           edges=tuple(zip(_HEXAGON, _HEXAGON[1:] + _HEXAGON[:1])) + (("x1", "x2"), ("x2", "x3")),
           cell=lambda rng, field, height, budget, index: _hexagon_cell(

@@ -371,17 +371,16 @@ def random_scenario(rng: Random, field=GaussianRational, height_bound: int = 10,
 
 
 def random_reflection_frame(rng: Random, field=GaussianRational, height_bound: int = 10,
-                            *, budget: Optional[RetryBudget] = None) -> Tuple[ReflectionFrame, ConicParametrization]:
-    """A frame on a random conic, with the conic's chart.  The axis is an
+                            *, budget: Optional[RetryBudget] = None) -> Tuple[ReflectionFrame, ProjPoint]:
+    """A frame on a random conic, with the conic's known point.  The axis is an
     arbitrary non-tangent line, so its conic points typically leave the field."""
     budget = budget if budget is not None else RetryBudget()
     conic, base = random_conic(rng, field, height_bound, budget=budget)
-    par = ConicParametrization(conic, base)
     while True:
         dual = _random_point(rng, field, height_bound, budget)
         axis = ProjLine(dual.raw, dual.kernels)
         try:
-            return ReflectionFrame(conic, axis), par
+            return ReflectionFrame(conic, axis), base
         except DegenerateInputError:  # raised exactly when k.p = 0: the axis is tangent
             budget.tick("tangent axis")
 
@@ -391,7 +390,8 @@ def random_mono_inputs(rng: Random, field=GaussianRational, height_bound: int = 
     """(frame, l, y, y', m): a pole line with its rational conic pair and a
     candidate m, either the axis meet (forward) or a generic other point."""
     budget = budget if budget is not None else RetryBudget()
-    frame, par = random_reflection_frame(rng, field, height_bound, budget=budget)
+    frame, base = random_reflection_frame(rng, field, height_bound, budget=budget)
+    par = ConicParametrization(frame.conic, base)
     while True:
         y = _random_chart_point(par, rng, height_bound, budget)[1]
         l = join(frame.pole, y)
@@ -411,15 +411,18 @@ def random_jap_inputs(rng: Random, field=GaussianRational, height_bound: int = 1
                       *, budget: Optional[RetryBudget] = None):
     """(frame, y, u, l2) with the structural collapses rejected up front."""
     budget = budget if budget is not None else RetryBudget()
-    frame, _par = random_reflection_frame(rng, field, height_bound, budget=budget)
-    axis_pts = _axis_sample_points(frame.axis)
+    frame, _base = random_reflection_frame(rng, field, height_bound, budget=budget)
+    # the first two coordinate-frame points of the axis: the pole is off a
+    # non-tangent axis (k.p != 0), so it never equals the first
+    first = _second_point_on(frame.axis, frame.pole)
+    second = _second_point_on(frame.axis, first)
     while True:
         y = _random_point(rng, field, height_bound, budget)
         if y == frame.pole:
             budget.tick("y at pole")
             continue
         lam = _random_nonzero(rng, field, height_bound, budget)
-        u = _point_along(axis_pts[0], lam, axis_pts[1])
+        u = _point_along(first, lam, second)
         if u == y:
             budget.tick("u equals y")
             continue
@@ -441,7 +444,7 @@ def random_nut_inputs(rng: Random, field=GaussianRational, height_bound: int = 1
                       *, budget: Optional[RetryBudget] = None):
     """(frame, y, z) with join(y, z) not self-reflected."""
     budget = budget if budget is not None else RetryBudget()
-    frame, _par = random_reflection_frame(rng, field, height_bound, budget=budget)
+    frame, _base = random_reflection_frame(rng, field, height_bound, budget=budget)
     while True:
         y = _random_point(rng, field, height_bound, budget)
         z = _random_point(rng, field, height_bound, budget)
@@ -457,19 +460,19 @@ def random_nut_inputs(rng: Random, field=GaussianRational, height_bound: int = 1
 
 def random_sack_inputs(rng: Random, field=GaussianRational, height_bound: int = 10,
                        *, budget: Optional[RetryBudget] = None):
-    """(frame, m, r, s): the frame's axis is the chord through two rational
-    conic points, attached as u and v; m is on the axis and the chord (r, s)
+    """(frame, u, v, m, r, s): the frame's axis is the chord through the two
+    rational conic points u and v; m is on the axis and the chord (r, s)
     passes through m."""
     budget = budget if budget is not None else RetryBudget()
     conic, base = random_conic(rng, field, height_bound, budget=budget)
     par = ConicParametrization(conic, base)
     end_u = tu, u, _ = _random_chart_point(par, rng, height_bound, budget)
     end_v = tv, v, _ = _random_chart_point(par, rng, height_bound, budget, avoid=(tu,))
-    frame = ReflectionFrame(conic, join(u, v), u, v)
+    frame = ReflectionFrame(conic, join(u, v))
     lam = _random_nonzero(rng, field, height_bound, budget)
     m, w = _chord_point(end_u, lam, end_v)
     (_, r), (_, s) = _chord_through(par, w, rng, height_bound, budget, avoid=(tu, tv))
-    return frame, m, r, s
+    return frame, u, v, m, r, s
 
 
 def random_hexagon(rng: Random, field=GaussianRational, height_bound: int = 10,
@@ -490,10 +493,3 @@ def random_hexagon(rng: Random, field=GaussianRational, height_bound: int = 10,
         seen.add(t)
         points.append(par._point(t))
     return conic, tuple(points)
-
-
-def _axis_sample_points(axis: ProjLine) -> Tuple[ProjPoint, ProjPoint]:
-    """Two distinct points of the axis, picked from the coordinate frame."""
-    k = axis.kernels
-    first = ProjPoint(next(c for c in (k.cross(axis.raw, e) for e in k.units) if any(c)), k)
-    return first, _second_point_on(axis, first)

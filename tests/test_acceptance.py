@@ -23,7 +23,7 @@ from conic_butterfly.checks import (
     theorem_cutl_check,
     theorem_damn_check,
 )
-from conic_butterfly.conics import Conic, homogenize_affine_conic
+from conic_butterfly.conics import Conic, ConicParametrization, homogenize_affine_conic
 from conic_butterfly.fuzz import CampaignConfig, run_campaign
 from conic_butterfly.projective import (
     CrossRatioValue,
@@ -92,7 +92,7 @@ def test_1_worked_reflection_example(capsys, fixture_text):
         assert pole == pt(1, Fraction(1, 2), Fraction(1, 2))
         assert pole == meet(conic.tangent_at(u), conic.tangent_at(v))
 
-        frame = ReflectionFrame(conic, k, u, v)
+        frame = ReflectionFrame(conic, k)
         y = pt(1, 1, 1)
         m = meet(join(pole, y), k)
         assert m == pt(0, 1, 1)
@@ -182,7 +182,8 @@ def test_6_reflection_properties(capsys):
         per_frame = 10
         for index in range(100):
             rng = Random(f"23:{index}:frame")
-            frame, par = random_reflection_frame(rng, G, 6)
+            frame, base = random_reflection_frame(rng, G, 6)
+            par = ConicParametrization(frame.conic, base)
 
             for _ in range(per_frame):
                 y = ProjPoint(tuple(G.random(rng, 6) for _ in range(3)), G)

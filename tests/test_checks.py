@@ -28,7 +28,6 @@ from conic_butterfly.scenarios import (
     random_jap_inputs,
     random_mono_inputs,
     random_nut_inputs,
-    random_reflection_frame,
     random_sack_inputs,
     random_scenario,
 )
@@ -129,29 +128,23 @@ class TestNut:
 class TestSack:
     def test_holds(self):
         for seed in range(5):
-            frame, m, r, s = random_sack_inputs(Random(seed))
-            report = lemma_sack_check(frame, m, r, s)
+            report = lemma_sack_check(*random_sack_inputs(Random(seed)))
             assert report.verdict is Verdict.HOLDS
 
-    def test_frame_needs_chord(self):
-        frame, _par = random_reflection_frame(Random(11))
-        with pytest.raises(ProjectiveError):
-            lemma_sack_check(frame, frame.pole, frame.pole, frame.pole)
-
     def test_tangent_chord_degenerate(self):
-        frame, m, r, _s = random_sack_inputs(Random(12))
-        report = lemma_sack_check(frame, m, r, r)
+        frame, u, v, m, r, _s = random_sack_inputs(Random(12))
+        report = lemma_sack_check(frame, u, v, m, r, r)
         assert report.verdict is Verdict.DEGENERATE
 
     def test_axis_chord_degenerate(self):
-        frame, m, _r, _s = random_sack_inputs(Random(13))
-        report = lemma_sack_check(frame, m, frame.u, frame.v)
+        frame, u, v, m, _r, _s = random_sack_inputs(Random(13))
+        report = lemma_sack_check(frame, u, v, m, u, v)
         assert report.verdict is Verdict.DEGENERATE
 
     def test_m_must_be_the_meet(self):
-        frame, _m, r, s = random_sack_inputs(Random(14))
+        frame, u, v, _m, r, s = random_sack_inputs(Random(14))
         with pytest.raises(ProjectiveError):
-            lemma_sack_check(frame, frame.pole, r, s)
+            lemma_sack_check(frame, u, v, frame.pole, r, s)
 
 
 class TestPascal:

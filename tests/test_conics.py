@@ -59,6 +59,23 @@ class TestConicConstruction:
         assert c1 != reference_conic(G)
 
 
+    @pytest.mark.parametrize("field", [G, PrimeFieldElement], ids=["gauss", "prime"])
+    def test_reality_reads_the_form_over_its_lead(self, field):
+        """A form is real when it is fixed by entry-wise conjugation up to
+        scale: a real form times a complex scalar is real, and on gauss a form
+        with one complex entry is not.  The conjugate is built here as the oracle."""
+        rows = ((1, 2, 0), (2, -3, 1), (0, 1, 5))
+        scale = G(2, 3) if field is G else field(7)  # 2 + 3i on gauss
+        cases = [(rows, True), ([[field(x) * scale for x in r] for r in rows], True)]
+        if field is G:
+            cases.append((((1, "1i", 0), ("1i", -3, 1), (0, 1, 5)), False))
+        for entries, real in cases:
+            conic = Conic(entries, field)
+            conjugate = Conic(tuple(tuple(e.conjugate() for e in r) for r in conic.form), field)
+            assert conic.is_real() is real
+            assert conic.is_real() == (conic == conjugate)
+
+
 class TestAffineConics:
     def test_circle_membership(self):
         c = circle()

@@ -20,6 +20,10 @@ class TestConfig:
         config = CampaignConfig(1, 1, checks=("cutl", "pascal", "mono"))
         assert config.checks == ("mono", "pascal", "cutl")
 
+    def test_default_checks_are_the_backends_claims(self):
+        assert CampaignConfig(1, 1).checks == CLAIM_ORDER
+        assert CampaignConfig(1, 1, "prime").checks == ("mono", "jap", "nut", "sack", "pascal", "damn")
+
     def test_seed_bounds(self):
         CampaignConfig(-(1 << 63), 1)
         CampaignConfig((1 << 64) - 1, 1)

@@ -1,7 +1,7 @@
 """Byte-for-byte golden outputs.
 
-Campaign streams, ``verify`` reports, ``render`` figures and ``.scn``
-serializations are a contract: the same input prints the same bytes on every version of the
+Campaign streams, ``verify`` reports, ``render`` figures, the worked
+``demo`` and ``.scn`` serializations are a contract: the same input prints the same bytes on every version of the
 kernel, whatever the scalar representation underneath.  The files under
 ``tests/golden/`` pin that contract.  Regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py`` only when the output format
@@ -41,6 +41,7 @@ FUZZ_STREAMS = {
                                       "--checks", "pascal,sack"],
 }
 FIXTURES = ("butterfly_circle", "cutl_hyperbola", "lemma1")
+DEMO_GOLDEN = "demo_lemma1.txt"
 
 # Height-50 damn and cutl documents with one deliberately wrong expect line
 # each.  Witnesses print canonical coordinates, but the residual of a wrong
@@ -98,6 +99,10 @@ def _fuzz(argv: list, out: Path) -> int:
 
 def _verify(name: str, out: Path) -> int:
     return main(["verify", str(_fixture(name)), "--out", str(out)])
+
+
+def _demo(out: Path) -> int:
+    return main(["demo", "lemma1", "--out", str(out)])
 
 
 def _render(name: str, out: Path) -> int:
@@ -193,6 +198,12 @@ def test_render_figure(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"render_{name}.svg").read_bytes()
 
 
+def test_demo_output(tmp_path):
+    out = tmp_path / DEMO_GOLDEN
+    assert _demo(out) == 0
+    assert out.read_bytes() == (GOLDEN / DEMO_GOLDEN).read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(PINS) + sorted(CONIC_PINS))
 def test_raw_representatives(name, tmp_path):
     out = tmp_path / f"{name}.txt"
@@ -226,6 +237,7 @@ def _regenerate() -> None:
         _verify(name, GOLDEN / f"verify_{name}.txt")
         (GOLDEN / f"serialize_{name}.scn").write_text(_serialize(name), encoding="utf-8")
         _render(name, GOLDEN / f"render_{name}.svg")
+    _demo(GOLDEN / DEMO_GOLDEN)
     for name in PINS:
         (GOLDEN / f"pin_{name}.scn").write_text(_pin_document(name), encoding="utf-8")
         _verify_pin(name, GOLDEN / f"verify_pin_{name}.txt")

@@ -75,8 +75,9 @@ class TestTriples:
 
     @pytest.mark.parametrize("field", (G, P), ids=("gauss", "prime"))
     def test_reality_agrees_with_the_conjugate_comparison(self, field):
-        """is_real reads the raw imaginary parts first and builds the conjugate
-        only when one is nonzero; the answer is the comparison's in every case."""
+        """is_real reads the raw imaginary parts, then the coordinates over their
+        lead entry; the answer is that of comparing with the conjugate, built
+        here, in every case."""
         if field is G:
             cases = {(1, 2, 3): True, ("1/2", -4, 0): True, ("1i", "1i", "2i"): True,
                      ("1+1i", "2+2i", "-3-3i"): True, ("1+2i", "1i", "2-1i"): False,
@@ -87,8 +88,9 @@ class TestTriples:
             triples = {tuple(P(rng.randrange(P.MODULUS)) for _ in range(3)): True for _ in range(8)}
         for coords, real in triples.items():
             for obj in (ProjPoint(coords, field), ProjLine(coords, field)):
+                conjugate = type(obj)(tuple(c.conjugate() for c in obj.coords), field)
                 assert obj.is_real() is real
-                assert obj.is_real() == (obj == obj.conjugate())
+                assert obj.is_real() == (obj == conjugate)
 
 
 class TestIncidence:

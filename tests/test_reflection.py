@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+from conic_butterfly.checks import lemma_sack_check
 from conic_butterfly.conics import Conic, ConicParametrization
 from conic_butterfly.projective import (
     DegenerateInputError,
@@ -14,6 +15,7 @@ from conic_butterfly.projective import (
     meet,
 )
 from conic_butterfly.reflection import ReflectionFrame
+from conic_butterfly.reports import Verdict
 from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
 from conic_butterfly.scenarios import random_reflection_frame
 
@@ -29,14 +31,14 @@ def worked_frame():
     # conic xy + xz - 2yz = 0, axis x = 0 with conic points (0:1:0), (0:0:1)
     conic = Conic.from_upper_entries((0, "1/2", "1/2", 0, -1, 0), G)
     axis = ProjLine((G(1), G(0), G(0)), G)
-    return ReflectionFrame(conic, axis, pt(0, 1, 0), pt(0, 0, 1))
+    return ReflectionFrame(conic, axis)
 
 
 class TestWorkedExample:
     def test_pole_is_tangent_meet(self, worked_frame):
         f = worked_frame
         assert f.pole == pt(2, 1, 1)
-        tangents = (f.conic.tangent_at(f.u), f.conic.tangent_at(f.v))
+        tangents = (f.conic.tangent_at(pt(0, 1, 0)), f.conic.tangent_at(pt(0, 0, 1)))
         assert meet(*tangents) == f.pole
 
     def test_reflection_value(self, worked_frame):
@@ -61,15 +63,17 @@ class TestFrameValidation:
             ReflectionFrame(conic, tangent)
 
     def test_chord_endpoints_checked(self, worked_frame):
-        conic, axis = worked_frame.conic, worked_frame.axis
-        with pytest.raises(ProjectiveError):
-            ReflectionFrame(conic, axis, pt(0, 1, 0), None)
-        with pytest.raises(DegenerateInputError):
-            ReflectionFrame(conic, axis, pt(0, 1, 0), pt(0, 1, 0))
-        with pytest.raises(ProjectiveError):
-            ReflectionFrame(conic, axis, pt(0, 1, 0), pt(0, 1, 1))  # off conic
-        with pytest.raises(ProjectiveError):
-            ReflectionFrame(conic, axis, pt(0, 1, 0), pt(1, 1, 1))  # off axis
+        """The sack lemma takes the axis chord's endpoints u, v beside the frame
+        and checks them first: distinct, then each on the conic and on the axis."""
+        u, v = pt(0, 1, 0), pt(0, 0, 1)
+        rest = pt(0, 1, 1), pt(1, 0, 0), pt(1, 1, 1)  # m on the axis, chord (r, s) through it
+        assert lemma_sack_check(worked_frame, u, v, *rest).verdict is Verdict.HOLDS
+        with pytest.raises(DegenerateInputError, match="chord endpoints must be distinct"):
+            lemma_sack_check(worked_frame, u, u, *rest)
+        with pytest.raises(ProjectiveError, match=r"\(0 : 1 : 1\) is not on the conic"):
+            lemma_sack_check(worked_frame, pt(0, 1, 1), v, *rest)
+        with pytest.raises(ProjectiveError, match=r"\(1 : 0 : 0\) is not on the axis"):
+            lemma_sack_check(worked_frame, u, pt(1, 0, 0), *rest)
 
     def test_reflection_undefined_at_pole(self, worked_frame):
         with pytest.raises(DegenerateInputError):
@@ -90,7 +94,8 @@ class TestProperties:
     def test_conic_preserved(self):
         rng = Random(37)
         for _ in range(10):
-            frame, par = random_reflection_frame(rng, G, 6)
+            frame, base = random_reflection_frame(rng, G, 6)
+            par = ConicParametrization(frame.conic, base)
             for _ in range(10):
                 y = par.point(G.random(rng, 6))
                 if y == frame.pole:

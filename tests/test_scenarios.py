@@ -6,7 +6,7 @@ import pytest
 
 from conic_butterfly import scenarios
 from conic_butterfly.checks import theorem_damn_check
-from conic_butterfly.conics import ConicParametrization, homogenize_affine_conic
+from conic_butterfly.conics import homogenize_affine_conic
 from conic_butterfly.projective import (
     DegenerateInputError,
     ProjPoint,
@@ -265,18 +265,17 @@ class TestDispatch:
 
 class TestLemmaInputs:
     def test_reflection_frame_plain(self):
-        frame, par = random_reflection_frame(Random(2), height_bound=6)
-        assert frame.u is None
+        frame, base = random_reflection_frame(Random(2), height_bound=6)
         assert not incident(frame.pole, frame.axis)
-        assert par.conic == frame.conic
+        assert frame.conic.contains(base)
 
     def test_reflection_frame_with_chord(self):
         """The chord frame that random_sack_inputs draws: u and v are distinct
         conic points, the axis is their join, and the pole is off it."""
-        frame, _m, _r, _s = random_sack_inputs(Random(2), height_bound=6)
-        assert frame.conic.contains(frame.u) and frame.conic.contains(frame.v)
-        assert frame.u != frame.v
-        assert join(frame.u, frame.v) == frame.axis
+        frame, u, v, _m, _r, _s = random_sack_inputs(Random(2), height_bound=6)
+        assert frame.conic.contains(u) and frame.conic.contains(v)
+        assert u != v
+        assert join(u, v) == frame.axis
         assert not incident(frame.pole, frame.axis)
 
     def test_mono_forward_candidate_is_axis_meet(self):
@@ -302,11 +301,11 @@ class TestLemmaInputs:
         assert not incident(frame.pole, join(y, z))
 
     @pytest.mark.parametrize("field", [G, P], ids=["gauss", "prime"])
-    @pytest.mark.parametrize("draw", [random_jap_inputs, random_nut_inputs])
-    def test_jap_and_nut_leave_the_chart_unevaluated(self, monkeypatch, field, draw):
-        """The frame's chart is built but never evaluated, so its coefficient
-        vectors are never computed; a first point() on it is the point of a
-        fresh chart whose coefficients were computed eagerly."""
+    @pytest.mark.parametrize("draw, charts", [(random_jap_inputs, 0), (random_nut_inputs, 0),
+                                              (random_mono_inputs, 1)], ids=["jap", "nut", "mono"])
+    def test_only_mono_builds_a_chart(self, monkeypatch, field, draw, charts):
+        """Jap and nut draw their points off the conic, so they build no chart;
+        mono draws y from the chart of the frame's conic."""
         built = []
 
         class Recording(scenarios.ConicParametrization):
@@ -319,20 +318,14 @@ class TestLemmaInputs:
         monkeypatch.setattr(scenarios, "ConicParametrization", Recording)
         for seed in range(5):
             built.clear()
-            draw(Random(seed), field, 8)
-            (par,) = built
-            assert par._coefficients is None
-            eager = ConicParametrization(par.conic, par.base)
-            eager.point_coefficients()
-            t = field.random(Random(seed), 8)
-            lazy_point = par.point(t)
-            assert lazy_point.coords == eager.point(t).coords
-            assert par.point_coefficients() == eager.point_coefficients()
+            frame = draw(Random(seed), field, 8)[0]
+            assert len(built) == charts
+            assert all(par.conic is frame.conic for par in built)
 
     def test_sack_inputs(self):
-        frame, m, r, s = random_sack_inputs(Random(8))
-        assert frame.conic.contains(frame.u) and frame.conic.contains(frame.v)
-        assert join(frame.u, frame.v) == frame.axis
+        frame, u, v, m, r, s = random_sack_inputs(Random(8))
+        assert frame.conic.contains(u) and frame.conic.contains(v)
+        assert join(u, v) == frame.axis
         assert incident(m, frame.axis)
         assert incident(m, join(r, s))
         assert r != s
