@@ -40,7 +40,6 @@ from .conics import (
 )
 from .reflection import ReflectionFrame
 from .checks import (
-    affine_squared_distance,
     lemma_jap_check,
     lemma_mono_check,
     lemma_nut_check,
@@ -101,7 +100,6 @@ __all__ = [
     "second_intersection",
     "transform_conic",
     "ReflectionFrame",
-    "affine_squared_distance",
     "lemma_jap_check",
     "lemma_mono_check",
     "lemma_nut_check",

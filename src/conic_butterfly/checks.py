@@ -19,7 +19,6 @@ from .conics import Conic
 from .projective import (
     DegenerateInputError,
     ProjectiveError,
-    ProjPoint,
     collinearity_residual,
     cross_ratio,
     incident,
@@ -37,16 +36,6 @@ def _separation_residual(p, q):
     if entry is None:
         raise ValueError("objects coincide; there is no separation residual")
     return p.kernels.scalar(entry)
-
-
-def affine_squared_distance(p: ProjPoint, q: ProjPoint):
-    """Exact squared Euclidean distance in the chart z = 1."""
-    pa, qa = p.to_affine(), q.to_affine()
-    if pa is None or qa is None:
-        raise ProjectiveError("ideal points have no affine distance")
-    dx = pa[0] - qa[0]
-    dy = pa[1] - qa[1]
-    return dx * dx + dy * dy
 
 
 # ----------------------------------------------------------------------

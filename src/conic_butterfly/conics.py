@@ -24,7 +24,6 @@ from .projective import (
     _require_same_field,
     incident,
 )
-from .scalars import thirds
 
 
 class DegenerateConicError(ProjectiveError):
@@ -57,10 +56,6 @@ class Conic(_Matrix):
             raise ProjectiveError("expected 6 symmetric entries")
         m11, m12, m13, m22, m23, m33 = entries
         return cls(((m11, m12, m13), (m12, m22, m23), (m13, m23, m33)), field)
-
-    def upper_entries(self) -> tuple:
-        m = self.form
-        return (m[0][0], m[0][1], m[0][2], m[1][1], m[1][2], m[2][2])
 
     def canonical(self) -> tuple:
         """The upper entries rescaled so the first nonzero one is 1."""
@@ -187,17 +182,19 @@ class ConicParametrization:
     """Rational chart on a conic: parameters sweep the chord pencil at a base point.
 
     line(t0 : t1) = t0 * (tangent at base) + t1 * l0 for a fixed second
-    line l0 through the base; the point at (t0 : t1) is the residual
+    line l0 through the base, its join with the coordinate point e_k at the
+    tangent's first nonzero slot k; the point at (t0 : t1) is the residual
     intersection of that line.  Infinity, (1 : 0), lands on the base point
     itself, and distinct parameters give distinct points.
 
     The point map is evaluated through coefficient vectors: writing
-    d(t) = t*d1 + d0 for the meet of line(t) with a fixed coordinate line
-    missing the base, the residual-intersection formula
-    q(t)*base - 2*m(t)*d(t) expands to a vector quadratic
-    point(t0 : t1) = t0^2*A2 + t0*t1*A1 + t1^2*A0, so one point costs a
-    handful of multiplications instead of a full chord solve.  The vectors
-    are computed when the chart is built.
+    d(t) = t*d1 + d0 for the meet of line(t) with the coordinate line e_j
+    at the base's first nonzero slot j, which misses the base, the
+    residual-intersection formula q(t)*base - 2*m(t)*d(t) expands to a
+    vector quadratic point(t0 : t1) = t0^2*A2 + t0*t1*A1 + t1^2*A0, so one
+    point costs a handful of multiplications instead of a full chord solve.
+    The constructor tests the base and takes the vectors, content-reduced
+    together, from the kernel table's `chart`.
 
     `_partner(t, w)` is the Frégier involution of a point m off the conic:
     the parameter of the second conic point on the line through point(t)
@@ -245,30 +242,7 @@ class ConicParametrization:
             raise ProjectiveError("parametrization base must lie on the conic")
         self.conic = conic
         self.base = base
-        k = conic.kernels
-        b = base.raw
-        form = conic.raw
-        # l1 is the tangent at the base and l0 its join with a coordinate point
-        # off l1, which is not the base because the base lies on l1
-        l1 = k.reduce_content(k.matvec(form, b))
-        l0 = k.reduce_content(k.cross(b, k.units[k.lead(l1)]))
-        # coordinate line e_j with base[j] != 0, so d(t) is never the base
-        ej = k.units[k.lead(b)]
-        d1 = k.cross(l1, ej)
-        d0 = k.cross(l0, ej)
-        v1 = k.matvec(form, d1)
-        v0 = k.matvec(form, d0)
-        q2 = k.dot(d1, v1)
-        q1 = k.dot(d0, v1)
-        q0 = k.dot(d0, v0)
-        # m(t) = b.M.d(t) has no t term: b.M.d1 = l1.d1 = 0, as d1 lies on the tangent
-        m0 = k.dot(b, v0)
-        m0 = k.add(m0, m0)
-        a2 = k.vector(*(k.mul(q2, x) for x in k.entries(b)))
-        a1 = k.combine(k.add(q1, q1), b, m0, d1)
-        a0 = k.combine(q0, b, m0, d0)
-        # one shared content factor: the three vectors must keep their relative scale
-        self._coefficients = thirds(k.reduce_content(a2 + a1 + a0))
+        self._coefficients = conic.kernels.chart(conic.raw, base.raw)
 
     def point_coefficients(self) -> tuple:
         """The three coefficient vectors (A2, A1, A0) of the point map."""

@@ -385,11 +385,6 @@ class Projectivity(_Matrix):
         _require_same_field(self, p)
         return ProjPoint(self.kernels.matvec(self.raw, p.raw), self.kernels)
 
-    def apply_line(self, l: ProjLine) -> ProjLine:
-        """adj(M)^T l: the rows of adj(M)^T are the cofactor columns."""
-        _require_same_field(self, l)
-        return ProjLine(self.kernels.matvec(_cofactors(self), l.raw), self.kernels)
-
     def __repr__(self):
         return f"Projectivity({self.matrix!r})"
 

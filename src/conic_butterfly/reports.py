@@ -75,9 +75,6 @@ class CheckReport:
                 return obj
         raise KeyError(f"report has no witness {name!r}")
 
-    def has_witness(self, name: str) -> bool:
-        return any(key == name for key, _ in self.witnesses)
-
     def to_text(self) -> str:
         lines = [f"report {self.claim}", f"verdict {self.verdict}"]
         if self.reason:

@@ -27,7 +27,6 @@ from .projective import (
     ProjLine,
     ProjPoint,
     Projectivity,
-    _cofactors,
     harmonic_conjugate,
     incident,
     join,
@@ -300,21 +299,12 @@ def random_conic(rng: Random, field=GaussianRational, height_bound: int = 10,
 
 def _reference_image(t: Projectivity) -> Tuple[Conic, ProjPoint]:
     """`transform_conic(t, reference_conic())` and `t.apply(reference_base())`
-    in closed form.  The reference form's only nonzero raw entries are
-    e = M02 = M20 and f = M11, so with c_j the columns of adj(T) the image's
-    entry ij is c_i.M c_j = e*(c_i0*c_j2 + c_i2*c_j0) + f*c_i1*c_j1: six dots
-    with M c_j = (e*c_j2, f*c_j1, e*c_j0) where `transform_conic` takes
-    eighteen.  The base (1 : 0 : 0) maps to T's first column."""
+    in closed form, by the kernel table's `reference_image`: entry ij of the
+    form is c_i.M c_j for the columns c_j of adj(T), and the base is T's
+    first column."""
     k = t.kernels
-    m0, m1, _ = reference_conic(k.field).raw
-    e, f = k.entries(m0)[2], k.entries(m1)[1]
-    c0, c1, c2 = cols = _cofactors(t)
-    y0, y1, y2 = (k.vector(k.mul(e, x2), k.mul(f, x1), k.mul(e, x0))
-                  for x0, x1, x2 in map(k.entries, cols))
-    n01, n02, n12 = k.dot(c0, y1), k.dot(c0, y2), k.dot(c1, y2)
-    form = (k.vector(k.dot(c0, y0), n01, n02) + k.vector(n01, k.dot(c1, y1), n12)
-            + k.vector(n02, n12, k.dot(c2, y2)))
-    return Conic(form, k), ProjPoint(k.vector(*(k.entries(r)[0] for r in t.raw)), k)
+    form, base = k.reference_image(t.raw)
+    return Conic(form, k), ProjPoint(base, k)
 
 
 def _chord_through(par: ConicParametrization, w: tuple,

@@ -9,6 +9,9 @@ from hypothesis import Phase, settings
 # is left out; a failure still reports its shrunk example.
 settings.register_profile("no-explain", phases=tuple(p for p in Phase if p is not Phase.explain))
 settings.load_profile("no-explain")
+# mutants.py selects this one with --hypothesis-profile: a kill needs no
+# shrunk example, and a failing property once shrank for about 6 minutes
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.generate), database=None)
 
 
 @pytest.fixture(scope="session")

@@ -17,19 +17,32 @@ public ``tangent_at`` and ``join``.
 ``exact_text`` prints a rational with no int-to-str conversion past the
 interpreter's digit limit, the oracle of the package's exact decimal output.
 
-``reduce_content`` is the one entry that calls a table: the backend's
-content reduction of a tuple of scalars, read back as scalars, which the
-scalar and triple tests compare with their own references.
+``reduce_content`` calls a table: the backend's content reduction of a
+tuple of scalars, read back as scalars, which the scalar and triple tests
+compare with their own references.
 
 ``affine_spec_from_conic`` reads a real conic's six affine coefficients off
 its canonical form.  Together with ``homogenize_affine_conic`` it is the
 scalar round trip that the real-plane (cutl) scenarios once took, and the
 oracle of the raw form they now take.
+
+``reference_image`` and ``chart`` are the generic bodies of the kernel
+tables' two constructions, written over a table's primitive entries
+(``cross``, ``dot``, ``matvec``, ``mul``, ``units``, ...) where the tables
+compute inline.  They are the oracle of both tables' entries, and a
+test-only backend can fill its own table's two entries with them, as
+``reference_image=lambda t: reference_image(table, t)``.
+
+``affine_squared_distance``, ``upper_entries``, ``apply_line`` and
+``has_witness`` are small readings of the package's objects that only the
+tests need.
 """
 
 from conic_butterfly._linalg import cross, dot, matvec
 from conic_butterfly.projective import (DegenerateInputError, ProjectiveError, ProjLine, ProjPoint,
-                                        incident, join)
+                                        _cofactors, _require_same_field, incident, join)
+from conic_butterfly.scalars import thirds
+from conic_butterfly.scenarios import reference_conic
 
 
 def exact_decimal(n: int) -> str:
@@ -159,3 +172,78 @@ def affine_spec_from_conic(conic) -> tuple:
         raise ProjectiveError("conic is not real; no affine coefficients exist")
     two = conic.field.one() + conic.field.one()
     return (m11, m22, two * m12, two * m13, two * m23, m33)
+
+
+def reference_image(k, t) -> tuple:
+    """The flat raw form and the raw base of T(xz = y^2), for T's raw rows t.
+
+    The reference form's only nonzero raw entries are e = M02 = M20 and
+    f = M11, so with c_j the columns of adj(T) the image's entry ij is
+    c_i.M c_j = e*(c_i0*c_j2 + c_i2*c_j0) + f*c_i1*c_j1: six dots with
+    M c_j = (e*c_j2, f*c_j1, e*c_j0).  The base (1 : 0 : 0) maps to T's
+    first column."""
+    m0, m1, _ = reference_conic(k.field).raw
+    e, f = k.entries(m0)[2], k.entries(m1)[1]
+    r0, r1, r2 = t
+    c0, c1, c2 = cols = k.cross(r1, r2), k.cross(r2, r0), k.cross(r0, r1)
+    y0, y1, y2 = (k.vector(k.mul(e, x2), k.mul(f, x1), k.mul(e, x0))
+                  for x0, x1, x2 in map(k.entries, cols))
+    n01, n02, n12 = k.dot(c0, y1), k.dot(c0, y2), k.dot(c1, y2)
+    form = (k.vector(k.dot(c0, y0), n01, n02) + k.vector(n01, k.dot(c1, y1), n12)
+            + k.vector(n02, n12, k.dot(c2, y2)))
+    return form, k.vector(*(k.entries(r)[0] for r in t))
+
+
+def chart(k, form, b) -> tuple:
+    """The content-reduced coefficient vectors (A2, A1, A0) of the chart at
+    the raw point b of the conic with raw rows `form`.
+
+    l1 is the tangent at the base and l0 its join with a coordinate point
+    off l1, which is not the base because the base lies on l1; d(t) =
+    t*d1 + d0 is the meet of the chord line t*l1 + l0 with the coordinate
+    line e_j where base[j] != 0, so d(t) is never the base."""
+    l1 = k.reduce_content(k.matvec(form, b))
+    l0 = k.reduce_content(k.cross(b, k.units[k.lead(l1)]))
+    ej = k.units[k.lead(b)]
+    d1 = k.cross(l1, ej)
+    d0 = k.cross(l0, ej)
+    v1 = k.matvec(form, d1)
+    v0 = k.matvec(form, d0)
+    q2 = k.dot(d1, v1)
+    q1 = k.dot(d0, v1)
+    q0 = k.dot(d0, v0)
+    # m(t) = b.M.d(t) has no t term: b.M.d1 = l1.d1 = 0, as d1 lies on the tangent
+    m0 = k.dot(b, v0)
+    m0 = k.add(m0, m0)
+    a2 = k.vector(*(k.mul(q2, x) for x in k.entries(b)))
+    a1 = k.combine(k.add(q1, q1), b, m0, d1)
+    a0 = k.combine(q0, b, m0, d0)
+    # one shared content factor: the three vectors must keep their relative scale
+    return thirds(k.reduce_content(a2 + a1 + a0))
+
+
+def affine_squared_distance(p: ProjPoint, q: ProjPoint):
+    """Exact squared Euclidean distance in the chart z = 1."""
+    pa, qa = p.to_affine(), q.to_affine()
+    if pa is None or qa is None:
+        raise ProjectiveError("ideal points have no affine distance")
+    dx = pa[0] - qa[0]
+    dy = pa[1] - qa[1]
+    return dx * dx + dy * dy
+
+
+def upper_entries(conic) -> tuple:
+    """The six entries (m11, m12, m13, m22, m23, m33) of a conic's form."""
+    m = conic.form
+    return (m[0][0], m[0][1], m[0][2], m[1][1], m[1][2], m[2][2])
+
+
+def apply_line(t, l: ProjLine) -> ProjLine:
+    """The image of a line under a projectivity: adj(M)^T l, whose rows are
+    the cofactor columns."""
+    _require_same_field(t, l)
+    return ProjLine(t.kernels.matvec(_cofactors(t), l.raw), t.kernels)
+
+
+def has_witness(report, name: str) -> bool:
+    return any(key == name for key, _ in report.witnesses)

@@ -1,0 +1,140 @@
+"""The mutation catalogue and its runner: each entry breaks one guard of the
+package, and a test must notice.
+
+Run it from the repository root, with pytest and Hypothesis installed:
+
+    python tests/mutants.py              # every entry
+    python tests/mutants.py LABEL ...    # the named entries
+
+For each entry the runner copies ``src/`` and ``tests/`` to a temporary
+directory, replaces the entry's old text by its new text, and runs the
+entry's test files there with ``pytest -x`` under the Hypothesis profile
+``mutants`` (registered in ``conftest.py``: no shrink or explain phase, since
+a kill needs no shrunk example).  The old text must occur exactly once in
+its file; an entry whose text a refactor has moved or changed is stale.
+A mutant whose tests all pass survives: its guard has no test.  The runner
+exits 1 on any survivor, stale entry or pytest error.
+
+A change that adds a guard adds its mutant here.  A survivor is a missing
+test: mend the tests, never the entry.  ``test_mutants.py`` checks in tier-1
+that every entry still applies.  This module is not collected by pytest.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600  # per entry; the slowest kill takes well under a minute
+
+
+class Mutant(NamedTuple):
+    label: str
+    file: str  # relative to the repository root
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple  # test files, relative to the repository root
+
+
+SCALARS = "src/conic_butterfly/scalars.py"
+ORACLE = ("tests/test_kernel_oracle.py",)
+
+CATALOGUE = (
+    # pascal_check must test all three pairs of opposite sides
+    Mutant("pascal opposite sides: range(2)", "src/conic_butterfly/checks.py",
+           "    for k in range(3):\n        if sides[k] == sides[k + 3]:",
+           "    for k in range(2):\n        if sides[k] == sides[k + 3]:", ("tests/test_checks.py",)),
+    # one sign flip in each coordinate-vector branch of the prime chart:
+    # l0 = b x e_k at the tangent's lead k, then d1, d0 at the base's lead j
+    Mutant("prime chart: l0 at e0", SCALARS,
+           "l00, l01, l02 = 0, b2, -b1 % _PRIME", "l00, l01, l02 = 0, b2, b1", ORACLE),
+    Mutant("prime chart: l0 at e1", SCALARS,
+           "l00, l01, l02 = -b2 % _PRIME, 0, b0", "l00, l01, l02 = b2, 0, b0", ORACLE),
+    Mutant("prime chart: l0 at e2", SCALARS,
+           "l00, l01, l02 = b1, -b0 % _PRIME, 0", "l00, l01, l02 = b1, b0, 0", ORACLE),
+    Mutant("prime chart: d1 at e0", SCALARS,
+           "= 0, l12, -l11 % _PRIME, 0, l02, -l01 % _PRIME", "= 0, l12, l11, 0, l02, -l01 % _PRIME", ORACLE),
+    Mutant("prime chart: d0 at e1", SCALARS,
+           "= -l12 % _PRIME, 0, l10, -l02 % _PRIME, 0, l00", "= -l12 % _PRIME, 0, l10, l02, 0, l00", ORACLE),
+    Mutant("prime chart: d1 at e2", SCALARS,
+           "= l11, -l10 % _PRIME, 0, l01, -l00 % _PRIME, 0", "= l11, l10, 0, l01, -l00 % _PRIME, 0", ORACLE),
+    # the same six branches of the Gaussian chart
+    Mutant("gauss chart: l0 at e0", SCALARS,
+           "l0 = (0, 0, b2, c2, -b1, -c1)", "l0 = (0, 0, b2, c2, b1, c1)", ORACLE),
+    Mutant("gauss chart: l0 at e1", SCALARS,
+           "l0 = (-b2, -c2, 0, 0, b0, c0)", "l0 = (b2, c2, 0, 0, b0, c0)", ORACLE),
+    Mutant("gauss chart: l0 at e2", SCALARS,
+           "l0 = (b1, c1, -b0, -c0, 0, 0)", "l0 = (b1, c1, b0, c0, 0, 0)", ORACLE),
+    Mutant("gauss chart: d0 at e0", SCALARS,
+           "(0, 0, l02, k02, -l01, -k01)", "(0, 0, l02, k02, l01, k01)", ORACLE),
+    Mutant("gauss chart: d1 at e1", SCALARS,
+           "d1, d0 = (-l12, -k12, 0, 0, l10, k10)", "d1, d0 = (l12, k12, 0, 0, l10, k10)", ORACLE),
+    Mutant("gauss chart: d0 at e2", SCALARS,
+           "(l01, k01, -l00, -k00, 0, 0)", "(l01, k01, l00, k00, 0, 0)", ORACLE),
+    # one dropped term of each backend's reference image
+    Mutant("prime reference image: n01 without -c01*c11", SCALARS,
+           "n01 = ((x0 * y2 + x2 * y0) * _HALF - x1 * y1) % _PRIME",
+           "n01 = ((x0 * y2 + x2 * y0) * _HALF) % _PRIME", ORACLE),
+    Mutant("gauss reference image: real part without -2*u1*v1", SCALARS,
+           "p0 * r2 - q0 * s2 + p2 * r0 - q2 * s0 - 2 * (p1 * r1 - q1 * s1),",
+           "p0 * r2 - q0 * s2 + p2 * r0 - q2 * s0,", ORACLE),
+)
+
+
+def apply(tree: Path, mutant: Mutant) -> bool:
+    """Apply the mutant to the copy at `tree`; False when its old text does
+    not occur exactly once."""
+    path = tree / mutant.file
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        return False
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    return True
+
+
+def run(mutant: Mutant) -> str:
+    """'killed', 'survived', 'stale' or 'error' (pytest neither passed nor
+    reported a failure)."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        if not apply(tree, mutant):
+            return "stale"
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+               "--hypothesis-profile=mutants", *mutant.tests]
+        try:
+            status = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                                    stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+        except subprocess.TimeoutExpired:
+            return "error"
+    return {0: "survived", 1: "killed"}.get(status, "error")
+
+
+def main(labels) -> int:
+    chosen = [m for m in CATALOGUE if not labels or m.label in labels]
+    unknown = set(labels) - {m.label for m in CATALOGUE}
+    if unknown:
+        print(f"unknown labels: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    failed = 0
+    for mutant in chosen:
+        start = time.perf_counter()
+        outcome = run(mutant)
+        failed += outcome != "killed"
+        print(f"{outcome:8} {time.perf_counter() - start:6.1f}s  {mutant.label}", flush=True)
+    print(f"{len(chosen) - failed} of {len(chosen)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -4,7 +4,6 @@ from random import Random
 import pytest
 
 from conic_butterfly.checks import (
-    affine_squared_distance,
     lemma_jap_check,
     lemma_mono_check,
     lemma_nut_check,
@@ -21,7 +20,7 @@ from conic_butterfly.projective import (
     join,
 )
 from conic_butterfly.reports import Verdict
-from conic_butterfly.scalars import GaussianRational
+from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
 from conic_butterfly.scenarios import (
     build_scenario,
     random_hexagon,
@@ -30,7 +29,9 @@ from conic_butterfly.scenarios import (
     random_nut_inputs,
     random_sack_inputs,
     random_scenario,
+    reference_conic,
 )
+from generic_formulas import affine_squared_distance
 
 G = GaussianRational
 
@@ -172,6 +173,16 @@ class TestPascal:
         conic, hexagon = random_hexagon(Random(23))
         report = pascal_check(conic, hexagon[:1] + hexagon[:5])
         assert report.verdict is Verdict.DEGENERATE
+
+    @pytest.mark.parametrize("field", (GaussianRational, PrimeFieldElement), ids=("gauss", "prime"))
+    def test_opposite_sides_coincide_degenerate(self, field):
+        """On xz = y^2 with v(t) = (1 : t : t^2), the hexagon (v(0), v(1),
+        v(2), v(0), v(3), v(2)) has no two adjacent vertices equal, and its
+        third and sixth sides are both the chord v(2)v(0)."""
+        v = [ProjPoint((1, t, t * t), field) for t in range(4)]
+        report = pascal_check(reference_conic(field), (v[0], v[1], v[2], v[0], v[3], v[2]))
+        assert report.verdict is Verdict.DEGENERATE
+        assert report.reason == "opposite sides coincide"
 
 
 class TestDamn:

@@ -22,7 +22,7 @@ from conic_butterfly.projective import (
 )
 from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
 from conic_butterfly.scenarios import random_conic, reference_base, reference_conic
-from generic_formulas import affine_spec_from_conic, chart_line
+from generic_formulas import affine_spec_from_conic, apply_line, chart_line, upper_entries
 
 G = GaussianRational
 
@@ -49,7 +49,7 @@ class TestConicConstruction:
 
     def test_upper_entries_round_trip(self):
         c = Conic.from_upper_entries((0, "1/2", "1/2", 0, -1, 0), G)
-        assert Conic.from_upper_entries(c.upper_entries(), G) == c
+        assert Conic.from_upper_entries(upper_entries(c), G) == c
 
     def test_equality_up_to_scale(self):
         c1 = Conic.from_upper_entries((1, 0, 0, 1, 0, -1), G)
@@ -283,7 +283,7 @@ class TestTransformConic:
             p = par.point(G.random(rng, 5))
             t = Projectivity.random(rng, G, 5)
             image = transform_conic(t, conic)
-            assert image.tangent_at(t.apply(p)) == t.apply_line(conic.tangent_at(p))
+            assert image.tangent_at(t.apply(p)) == apply_line(t, conic.tangent_at(p))
 
     def test_identity_fixes_conic(self):
         c = circle()

@@ -13,10 +13,18 @@ with the full cross product, so it does not share `_Triple.__eq__`.
 
 `second_intersection` and `ConicParametrization` form their coordinates
 with the kernel table's `combine`/`combine3` on raw vectors, the chart
-computes its coefficient vectors on first use, and a Gaussian parameter with
+computes its coefficient vectors when built, and a Gaussian parameter with
 denominators is cleared to Gaussian integers first.  Their references are
 the older scalar formulas, computed eagerly on the unscaled parameter from
 the chart lines that `chart_lines` rebuilds.
+
+The chart's vectors come from the kernel table's `chart`, which writes each
+cross product with a coordinate vector as moves and negations, one branch
+per slot.  Its reference is the generic construction over the table's
+primitive entries (`generic_formulas.chart`), and the two must give the
+same raw vectors.  Charts on images of xz = y^2 under sparse maps moved by
+coordinate permutations put the base's and the tangent's first nonzero
+slots in every position, so every branch is compared.
 
 `ConicParametrization._partner` builds a chord's second endpoint as a raw
 chart parameter, from the chart coordinates w of m = S*w.  Its reference is
@@ -29,10 +37,13 @@ the raw partner equals `ref_partner` scaled to coprime Gaussian integers
 there and on m built as the generators build it, from two chart points and
 their contents.
 
-`random_conic` builds the image of the reference conic in closed form from
-the two nonzero entries of its form.  Its reference is `transform_conic` and
-`Projectivity.apply` on the reference conic and base; the two must give the
-same raw form and base.  The real-plane (cutl) form divides the raw form by
+`random_conic` builds the image of the reference conic in closed form, by
+the kernel table's `reference_image`, with the two nonzero entries of its
+form folded in.  Its references are the generic closed form over the
+table's primitive entries (`generic_formulas.reference_image`), which must
+give the same raw output, and `transform_conic` and `Projectivity.apply`
+on the reference conic and base, which must give the same raw form and
+base.  The real-plane (cutl) form divides the raw form by
 its lead entry; its reference is the round trip through the affine
 coefficients (`affine_spec_from_conic`, kept in `generic_formulas.py`, and
 `homogenize_affine_conic`), with the same raw form or the same error.
@@ -68,7 +79,7 @@ different routes must print the same text.
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd, lcm
 from random import Random
 
@@ -478,15 +489,46 @@ def test_reflect_line_matches_sampled_construction(field, data):
 # chord kernels: second intersection and the chart's point map
 
 
+def permuted_image(t, perm):
+    """The image of the reference conic and base under t followed by the
+    coordinate permutation that takes row i of t to row perm[i]."""
+    return _reference_image(Projectivity(sum((t.raw[i] for i in perm), ()), t.kernels))
+
+
+# mostly zeros: maps whose images of xz = y^2 have bases and tangents with leading zeros
+_SPARSE = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+
+
+@cache
+def sparse_charts(field):
+    """A chart on the image of xz = y^2 under a sparse map moved by a
+    coordinate permutation, so the base's and the tangent's first nonzero
+    slots fall in every position."""
+
+    @st.composite
+    def build(draw):
+        rows = draw(st.tuples(*(st.tuples(_SPARSE, _SPARSE, _SPARSE),) * 3))
+        try:
+            t = Projectivity(rows, field)
+        except DegenerateInputError:
+            assume(False)
+        return ConicParametrization(*permuted_image(t, draw(st.permutations(range(3)))))
+
+    return build()
+
+
 @cache
 def charts(field):
-    """A chart on a random conic, or on the reference conic xz = y^2."""
+    """A chart on a random conic, on the reference conic xz = y^2, or a
+    sparse chart."""
 
     @st.composite
     def build(draw):
         seed = draw(st.integers(0, 2**32))
         if seed % 5 == 0:
             return ConicParametrization(reference_conic(field), reference_base(field))
+        if seed % 5 == 1:
+            return draw(sparse_charts(field))
         conic, base = random_conic(Random(seed), field, 8)
         return ConicParametrization(conic, base)
 
@@ -510,6 +552,37 @@ def test_chart_point_matches_scalar_formula(field, data):
     t = data.draw(parameters(field))
     assert outcome(par.point, t) == outcome(ref_chart_point, par, t)
     assert par.point_coefficients() == ref_point_coefficients(par)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_chart_entry_matches_generic_construction(field, data):
+    par = data.draw(st.one_of(charts(field), sparse_charts(field)))
+    k = par.conic.kernels
+    assert k.chart(par.conic.raw, par.base.raw) == gf.chart(k, par.conic.raw, par.base.raw)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+def test_chart_entry_reaches_every_slot(field):
+    """Images of xz = y^2 under small-entry maps with plenty of zeros, each
+    moved by the six coordinate permutations: the base's and the tangent's
+    first nonzero slots take every value, and on each chart the table's
+    entry equals the generic construction, so every branch of its
+    coordinate-vector cross products is compared."""
+    k = field.kernels
+    rng = Random(5)
+    leads = set()
+    for _ in range(40):
+        try:
+            t = Projectivity([[field(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)], field)
+        except DegenerateInputError:
+            continue
+        for perm in permutations(range(3)):
+            conic, base = permuted_image(t, perm)
+            assert k.chart(conic.raw, base.raw) == gf.chart(k, conic.raw, base.raw)
+            leads.add((k.lead(base.raw), k.lead(k.matvec(conic.raw, base.raw))))
+    assert {b for b, _ in leads} == {l for _, l in leads} == {0, 1, 2}
 
 
 def test_chart_point_clears_denominators():
@@ -718,6 +791,8 @@ def projectivities(draw, field, real=False):
 @given(data=st.data())
 def test_reference_image_matches_transform(field, real, data):
     t = data.draw(projectivities(field, real))
+    k = t.kernels
+    assert k.reference_image(t.raw) == gf.reference_image(k, t.raw)
     conic, base = _reference_image(t)
     assert conic.raw == transform_conic(t, reference_conic(field)).raw
     assert base.raw == t.apply(reference_base(field)).raw
@@ -1369,7 +1444,7 @@ MIXED = {
     "second_intersection": (second_intersection, "conic", "chord", "on"),
     "ConicParametrization.point": (ConicParametrization.point, "par", "t"),
     "Projectivity.apply": (Projectivity.apply, "map", "p"),
-    "Projectivity.apply_line": (Projectivity.apply_line, "map", "l"),
+    "Projectivity.apply_line": (gf.apply_line, "map", "l"),
     "Projectivity ==": (Projectivity.__eq__, "map", "map"),
     "transform_conic": (transform_conic, "map", "conic"),
     "ReflectionFrame": (ReflectionFrame, "conic", "axis"),
