@@ -85,12 +85,9 @@ def lemma_jap_check(frame: ReflectionFrame, y, u, l2) -> CheckReport:
     witnesses = [("p", frame.pole), ("y", y), ("y'", y_prime), ("u", u)]
     if u == y or u == y_prime:
         return degenerate("jap", "u coincides with the reflected pair", witnesses)
-    yu = join(y, u)
-    ypu = join(y_prime, u)
-    if l2 == yu or l2 == ypu:
-        return degenerate("jap", "l2 coincides with a connector", witnesses)
-    t = meet(l2, yu)
-    t_prime = meet(l2, ypu)
+    # l2 is no connector: one through the pole would be py, which holds y and y'
+    t = meet(l2, join(y, u))
+    t_prime = meet(l2, join(y_prime, u))
     witnesses += [("t", t), ("t'", t_prime)]
     if t == frame.pole or t_prime == frame.pole:
         return degenerate("jap", "connector passes through the pole", witnesses)

@@ -20,12 +20,9 @@ from __future__ import annotations
 
 from itertools import combinations
 from random import Random
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .scalars import GaussianRational, Kernels, thirds
-
-if TYPE_CHECKING:
-    from .scenarios import RetryBudget
 
 
 class ProjectiveError(ValueError):
@@ -137,14 +134,6 @@ class ProjPoint(_Triple):
     def affine(cls, x, y, field) -> "ProjPoint":
         return cls((field.coerce(x), field.coerce(y), field.one()), field)
 
-    def to_affine(self):
-        """Chart coordinates (x/z, y/z), or None for an ideal point."""
-        x, y, z = self.coords
-        if z.is_zero():
-            return None
-        inv = z.inv()
-        return (x * inv, y * inv)
-
 
 class ProjLine(_Triple):
     """A line of the projective plane; incidence is the dot product vanishing."""
@@ -198,10 +187,6 @@ class CrossRatioValue:
         self.field = field
         if self.num.is_zero() and self.den.is_zero():
             raise ProjectiveError("(0 : 0) is not a cross-ratio value")
-
-    @classmethod
-    def harmonic(cls, field) -> "CrossRatioValue":
-        return cls(-field.one(), field.one(), field)
 
     @classmethod
     def infinity(cls, field) -> "CrossRatioValue":
@@ -362,6 +347,25 @@ class _Matrix:
         return hash((type(self).__name__,) + self._normalized())
 
 
+class RetryCapError(ProjectiveError):
+    """A generator rejected more draws than its budget allows."""
+
+
+class RetryBudget:
+    """Counts rejected draws; raises past CAP so pathological seeds surface."""
+
+    __slots__ = ("spent",)
+    CAP = 200
+
+    def __init__(self):
+        self.spent = 0
+
+    def tick(self, what: str = "draw") -> None:
+        self.spent += 1
+        if self.spent > self.CAP:
+            raise RetryCapError(f"rejected {self.spent} draws (last: {what}); giving up")
+
+
 class Projectivity(_Matrix):
     """An invertible linear map of the plane, stored as a 3x3 matrix up to scale.
 
@@ -390,16 +394,14 @@ class Projectivity(_Matrix):
 
     @classmethod
     def random(cls, rng: Random, field=GaussianRational, height_bound: int = 10, *, real: bool = False,
-               budget: Optional["RetryBudget"] = None) -> "Projectivity":
+               budget: Optional[RetryBudget] = None) -> "Projectivity":
         """A random invertible map; entries drawn at the given height, retried if singular.
 
         Each singular draw ticks `budget`, a fresh `RetryBudget` when none is
         given, so a pathological rng surfaces as RetryCapError instead of
         looping forever.
         """
-        if budget is None:
-            from .scenarios import RetryBudget  # scenarios imports this module
-            budget = RetryBudget()
+        budget = budget if budget is not None else RetryBudget()
         k = field.kernels
         while True:
             try:

@@ -19,9 +19,8 @@ carries an exact nonzero residual.
 from __future__ import annotations
 
 import enum
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .conics import Conic
 from .projective import CrossRatioValue, ProjLine, ProjPoint
 
 
@@ -35,17 +34,13 @@ class Verdict(enum.Enum):
 
 
 def format_value(obj) -> Tuple[str, str]:
-    """(kind, text) for anything a report can carry."""
+    """(kind, text) of a report value: the four kinds an expect pin can name."""
     if isinstance(obj, ProjPoint):
         return ("point", str(obj))
     if isinstance(obj, ProjLine):
         return ("line", str(obj))
     if isinstance(obj, CrossRatioValue):
         return ("ratio", str(obj))
-    if isinstance(obj, Conic):
-        return ("conic", str(obj))
-    if isinstance(obj, str):
-        return ("text", obj)
     return ("scalar", str(obj))
 
 
@@ -56,13 +51,13 @@ class CheckReport:
 
     def __init__(self, claim: str, verdict: Verdict,
                  witnesses: Sequence[tuple] = (), residual=None,
-                 reason: str = "", replay: Optional[str] = None):
+                 reason: str = ""):
         self.claim = claim
         self.verdict = verdict
         self.witnesses = tuple(witnesses)
         self.residual = residual
         self.reason = reason
-        self.replay = replay
+        self.replay = None  # a campaign sets the scenario document of a VIOLATED cell
         if verdict is Verdict.VIOLATED and residual is None:
             raise ValueError("a VIOLATED report must carry its residual")
 

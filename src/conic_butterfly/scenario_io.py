@@ -29,8 +29,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 from .scalars import BACKENDS, GaussianRational, backend_name
 from .projective import (CrossRatioValue, DegenerateInputError, ProjLine, ProjPoint,
                          ProjectiveError, join)
-from .conics import (Conic, ConicParametrization, DegenerateConicError, conic_through_five,
-                     homogenize_affine_conic, second_intersection)
+from .conics import (Conic, ConicParametrization, conic_through_five, homogenize_affine_conic,
+                     second_intersection)
 from .reflection import ReflectionFrame
 from .reports import CheckReport, Verdict, format_value
 from .checks import (_separation_residual, lemma_jap_check, lemma_mono_check, lemma_nut_check,
@@ -65,14 +65,10 @@ _NAME_RE = re.compile(r"[a-z][a-z0-9_']*")
 _EXPECT_KINDS = ("point", "line", "ratio", "scalar")
 
 class Expect(namedtuple("Expect", "kind name value")):
-    """One pinned witness: the named report value must equal this exactly."""
+    """One pinned witness: the named report value must equal this exactly.
+    `run_document` refuses a pin whose kind is not its witness's."""
 
     __slots__ = ()
-
-    def __new__(cls, kind: str, name: str, value):
-        if kind not in _EXPECT_KINDS:
-            raise ScenarioParseError(f"unknown expect kind {kind!r}")
-        return super().__new__(cls, kind, name, value)
 
 
 class ScenarioDocument:
@@ -104,7 +100,7 @@ class ScenarioDocument:
 
 
 def _parsed(parse, lineno: int, *args):
-    """parse(*args), with a parse error raised as ScenarioParseError at `lineno`."""
+    """parse(*args); a ValueError it raises becomes a ScenarioParseError at `lineno`."""
     try:
         return parse(*args)
     except ValueError as exc:  # ScalarParseError and ProjectiveError included
@@ -181,29 +177,25 @@ def parse_scenario(text: str) -> ScenarioDocument:
                 raise ScenarioParseError("duplicate conic declaration", lineno)
             flavor, _, body = rest.partition(" ")
             f = want_field()
-            try:
-                if flavor in ("symmetric", "affine"):
-                    symmetric = flavor == "symmetric"
-                    entries = body.split()
-                    if len(entries) != 6:
-                        noun = "entries" if symmetric else "coefficients"
-                        raise ScenarioParseError(
-                            f"conic {flavor} needs 6 {noun}, got {len(entries)}", lineno)
-                    build = Conic.from_upper_entries if symmetric else homogenize_affine_conic
-                    conic = build([_parsed(f.parse, lineno, e) for e in entries], f)
-                elif flavor == "points":
-                    triples = re.findall(r"\([^()]*\)", body)
-                    if len(triples) != 5:
-                        raise ScenarioParseError(
-                            f"conic points needs 5 points, got {len(triples)}", lineno)
-                    conic = conic_through_five(
-                        [_parsed(ProjPoint.parse, lineno, t, f) for t in triples])
-                else:
+            if flavor in ("symmetric", "affine"):
+                symmetric = flavor == "symmetric"
+                entries = body.split()
+                if len(entries) != 6:
+                    noun = "entries" if symmetric else "coefficients"
                     raise ScenarioParseError(
-                        f"unknown conic flavor {flavor!r}; use symmetric, affine, or points",
-                        lineno)
-            except (DegenerateConicError, ProjectiveError) as exc:
-                raise ScenarioParseError(str(exc), lineno) from exc
+                        f"conic {flavor} needs 6 {noun}, got {len(entries)}", lineno)
+                build = Conic.from_upper_entries if symmetric else homogenize_affine_conic
+                conic = _parsed(build, lineno, [_parsed(f.parse, lineno, e) for e in entries], f)
+            elif flavor == "points":
+                triples = re.findall(r"\([^()]*\)", body)
+                if len(triples) != 5:
+                    raise ScenarioParseError(
+                        f"conic points needs 5 points, got {len(triples)}", lineno)
+                conic = _parsed(conic_through_five, lineno,
+                                [_parsed(ProjPoint.parse, lineno, t, f) for t in triples])
+            else:
+                raise ScenarioParseError(
+                    f"unknown conic flavor {flavor!r}; use symmetric, affine, or points", lineno)
 
         elif key == "base":
             if base is not None:
@@ -242,10 +234,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
                 else:
                     raise ScenarioParseError(
                         "param takes one value or a homogeneous pair", lineno)
-                try:
-                    points[name] = param_par.point(t)
-                except ProjectiveError as exc:
-                    raise ScenarioParseError(str(exc), lineno) from exc
+                points[name] = _parsed(param_par.point, lineno, t)
             else:
                 points[name] = triple(ProjPoint, body, lineno)
             decl_lines[name] = lineno

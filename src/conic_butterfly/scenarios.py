@@ -27,6 +27,8 @@ from .projective import (
     ProjLine,
     ProjPoint,
     Projectivity,
+    RetryBudget,
+    RetryCapError,  # re-exported with RetryBudget, the budget every generator here takes
     harmonic_conjugate,
     incident,
     join,
@@ -36,36 +38,12 @@ from .reflection import ReflectionFrame
 from .scalars import GaussianRational
 
 
-class RetryCapError(ProjectiveError):
-    """A generator rejected more draws than its budget allows."""
-
-
-class RetryBudget:
-    """Counts rejected draws; raises past CAP so pathological seeds surface."""
-
-    __slots__ = ("spent",)
-    CAP = 200
-
-    def __init__(self):
-        self.spent = 0
-
-    def tick(self, what: str = "draw") -> None:
-        self.spent += 1
-        if self.spent > self.CAP:
-            raise RetryCapError(f"rejected {self.spent} draws (last: {what}); giving up")
-
-
 @lru_cache(maxsize=None)
 def reference_conic(field=GaussianRational) -> Conic:
     """The conic xz - y^2 = 0, the fixed starting shape for random generation."""
     one, zero = field.one(), field.zero()
     half = (one + one).inv()
     return Conic(((zero, zero, half), (zero, -one, zero), (half, zero, zero)), field)
-
-
-@lru_cache(maxsize=None)
-def reference_base(field=GaussianRational) -> ProjPoint:
-    return ProjPoint((field.one(), field.zero(), field.zero()), field)
 
 
 def _real_plane_form(conic: Conic) -> Conic:
@@ -298,7 +276,7 @@ def random_conic(rng: Random, field=GaussianRational, height_bound: int = 10,
 
 
 def _reference_image(t: Projectivity) -> Tuple[Conic, ProjPoint]:
-    """`transform_conic(t, reference_conic())` and `t.apply(reference_base())`
+    """`transform_conic(t, reference_conic())` and `t.apply((1 : 0 : 0))`
     in closed form, by the kernel table's `reference_image`: entry ij of the
     form is c_i.M c_j for the columns c_j of adj(T), and the base is T's
     first column."""

@@ -33,14 +33,15 @@ compute inline.  They are the oracle of both tables' entries, and a
 test-only backend can fill its own table's two entries with them, as
 ``reference_image=lambda t: reference_image(table, t)``.
 
-``affine_squared_distance``, ``upper_entries``, ``apply_line`` and
-``has_witness`` are small readings of the package's objects that only the
-tests need.
+``affine_squared_distance``, ``upper_entries``, ``apply_line``,
+``has_witness``, ``to_affine``, ``reference_base`` and ``harmonic`` are
+small readings of the package's objects that only the tests need.
 """
 
 from conic_butterfly._linalg import cross, dot, matvec
-from conic_butterfly.projective import (DegenerateInputError, ProjectiveError, ProjLine, ProjPoint,
-                                        _cofactors, _require_same_field, incident, join)
+from conic_butterfly.projective import (CrossRatioValue, DegenerateInputError, ProjectiveError,
+                                        ProjLine, ProjPoint, _cofactors, _require_same_field,
+                                        incident, join)
 from conic_butterfly.scalars import thirds
 from conic_butterfly.scenarios import reference_conic
 
@@ -224,7 +225,7 @@ def chart(k, form, b) -> tuple:
 
 def affine_squared_distance(p: ProjPoint, q: ProjPoint):
     """Exact squared Euclidean distance in the chart z = 1."""
-    pa, qa = p.to_affine(), q.to_affine()
+    pa, qa = to_affine(p), to_affine(q)
     if pa is None or qa is None:
         raise ProjectiveError("ideal points have no affine distance")
     dx = pa[0] - qa[0]
@@ -247,3 +248,22 @@ def apply_line(t, l: ProjLine) -> ProjLine:
 
 def has_witness(report, name: str) -> bool:
     return any(key == name for key, _ in report.witnesses)
+
+
+def to_affine(p: ProjPoint):
+    """Chart coordinates (x/z, y/z), or None for an ideal point."""
+    x, y, z = p.coords
+    if z.is_zero():
+        return None
+    inv = z.inv()
+    return (x * inv, y * inv)
+
+
+def reference_base(field) -> ProjPoint:
+    """(1 : 0 : 0), the point of the reference conic xz = y^2 at parameter (1 : 0)."""
+    return ProjPoint((field.one(), field.zero(), field.zero()), field)
+
+
+def harmonic(field) -> CrossRatioValue:
+    """The cross-ratio value -1."""
+    return CrossRatioValue(-field.one(), field.one(), field)

@@ -44,13 +44,52 @@ class Mutant(NamedTuple):
 
 
 SCALARS = "src/conic_butterfly/scalars.py"
+CHECKS = "src/conic_butterfly/checks.py"
 ORACLE = ("tests/test_kernel_oracle.py",)
+CHECK_TESTS = ("tests/test_checks.py",)
 
 CATALOGUE = (
     # pascal_check must test all three pairs of opposite sides
-    Mutant("pascal opposite sides: range(2)", "src/conic_butterfly/checks.py",
+    Mutant("pascal opposite sides: range(2)", CHECKS,
            "    for k in range(3):\n        if sides[k] == sides[k + 3]:",
-           "    for k in range(2):\n        if sides[k] == sides[k + 3]:", ("tests/test_checks.py",)),
+           "    for k in range(2):\n        if sides[k] == sides[k + 3]:", CHECK_TESTS),
+    # each checker's VIOLATED return must carry the exact residual
+    Mutant("mono forward residual: cr for cr + 1", CHECKS,
+           "residual = ratio.plus_one() if at_axis", "residual = ratio if at_axis", CHECK_TESTS),
+    Mutant("mono converse residual: sign flip", CHECKS,
+           "else _separation_residual(m, n)", "else _separation_residual(n, m)", CHECK_TESTS),
+    Mutant("jap residual: sign flip", CHECKS,
+           "residual=_separation_residual(reflected, t_prime))",
+           "residual=_separation_residual(t_prime, reflected))", CHECK_TESTS),
+    Mutant("nut residual: sign flip", CHECKS,
+           "residual=k.scalar(residual))", "residual=k.scalar(k.neg(residual)))", CHECK_TESTS),
+    Mutant("sack residual: chain before main", CHECKS,
+           "residual=main if not main.is_zero() else chain)",
+           "residual=chain if not chain.is_zero() else main)", CHECK_TESTS),
+    Mutant("pascal residual: sign flip", CHECKS,
+           "Verdict.VIOLATED, witnesses, residual=det)", "Verdict.VIOLATED, witnesses, residual=-det)",
+           CHECK_TESTS),
+    Mutant("butterfly cross-ratio route residual: cr for cr + 1", CHECKS,
+           "residual=ratio.plus_one())", "residual=ratio)", CHECK_TESTS),
+    Mutant("butterfly reflection route residual: sign flip", CHECKS,
+           "residual=_separation_residual(reflected, pts[d2]))",
+           "residual=_separation_residual(pts[d2], reflected))", CHECK_TESTS),
+    # sack classifies a hexagon connector that is no line
+    Mutant("sack derived meet: except never matches", CHECKS,
+           "    except DegenerateInputError:\n        return degenerate(\"sack\"",
+           "    except TypeError:\n        return degenerate(\"sack\"", CHECK_TESTS),
+    # the arithmetic under every check: a kernel sign, the homology's factor 2
+    # on points and lines, and the chord partner's doubling (on prime, where
+    # content reduction is the identity, it scales the raw point)
+    Mutant("prime cross: middle entry sign flip", SCALARS,
+           "(u2 * v0 - u0 * v2) % _PRIME, (u0 * v1 - u1 * v0) % _PRIME)\n",
+           "(u0 * v2 - u2 * v0) % _PRIME, (u0 * v1 - u1 * v0) % _PRIME)\n", ORACLE),
+    Mutant("reflect_point: factor 2 dropped", "src/conic_butterfly/reflection.py",
+           "k.mul(s, k.add(ky, ky))", "k.mul(s, ky)", ("tests/test_reflection.py",)),
+    Mutant("reflect_line: factor 2 dropped", "src/conic_butterfly/reflection.py",
+           "k.add(pl, pl), self.axis.raw", "pl, self.axis.raw", ("tests/test_reflection.py",)),
+    Mutant("chord partner: doubling dropped", "src/conic_butterfly/conics.py",
+           "        u0, u1 = k.add(u0, u0), k.add(u1, u1)\n", "", ORACLE),
     # one sign flip in each coordinate-vector branch of the prime chart:
     # l0 = b x e_k at the tangent's lead k, then d1, d0 at the base's lead j
     Mutant("prime chart: l0 at e0", SCALARS,

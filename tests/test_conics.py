@@ -21,8 +21,9 @@ from conic_butterfly.projective import (
     join,
 )
 from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
-from conic_butterfly.scenarios import random_conic, reference_base, reference_conic
-from generic_formulas import affine_spec_from_conic, apply_line, chart_line, upper_entries
+from conic_butterfly.scenarios import random_conic, reference_conic
+from generic_formulas import (affine_spec_from_conic, apply_line, chart_line, reference_base,
+                              upper_entries)
 
 G = GaussianRational
 

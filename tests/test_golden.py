@@ -39,6 +39,11 @@ FUZZ_STREAMS = {
                                     "--checks", "damn,cutl"],
     "fuzz_gauss_pascal_sack_h1.txt": ["--seed", "3", "--count", "200", "--height", "1",
                                       "--checks", "pascal,sack"],
+    # the lemma generators at height 1, which reach seven of their rejection
+    # reasons (tangent pole line, tangent axis, point draw, l2 along py,
+    # self-reflected line, degenerate pair, u equals y; retries=298)
+    "fuzz_gauss_lemmas_h1.txt": ["--seed", "1", "--count", "300", "--backend", "gauss",
+                                 "--height", "1", "--checks", "mono,jap,nut,sack"],
 }
 FIXTURES = ("butterfly_circle", "cutl_hyperbola", "lemma1")
 DEMO_GOLDEN = "demo_lemma1.txt"

@@ -107,10 +107,10 @@ from conic_butterfly.reflection import ReflectionFrame
 from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
 from conic_butterfly.scenarios import (RetryBudget, _chord_point, _point_along, _real_plane_form,
                                        _reference_image, _same_parameter, random_conic,
-                                       random_hexagon, random_reflection_frame, reference_base,
-                                       reference_conic)
+                                       random_hexagon, random_reflection_frame, reference_conic)
 import generic_formulas as gf
-from generic_formulas import chart_lines, cross, dot, line_chart, matmul, matvec, quad_form
+from generic_formulas import (chart_lines, cross, dot, line_chart, matmul, matvec, quad_form,
+                              reference_base)
 
 G = GaussianRational
 P = PrimeFieldElement
@@ -1473,11 +1473,10 @@ def test_mixed_backends_raise_type_error(name, first):
     lambda: CrossRatioValue(G(-1), G(1)),
     lambda: ProjPoint.parse("(1 : 2 : 3)"),
     lambda: ProjPoint.affine(1, 2),
-    lambda: CrossRatioValue.harmonic(),
     lambda: CrossRatioValue.infinity(),
     lambda: homogenize_affine_conic((1, 1, 0, 0, 0, -1)),
 ), ids=("ProjPoint", "ProjLine", "Conic", "Conic.from_upper_entries", "Projectivity",
-        "CrossRatioValue", "ProjPoint.parse", "ProjPoint.affine", "CrossRatioValue.harmonic",
+        "CrossRatioValue", "ProjPoint.parse", "ProjPoint.affine",
         "CrossRatioValue.infinity", "homogenize_affine_conic"))
 def test_constructors_need_a_backend(build):
     """No constructor or named constructor infers or defaults a backend."""

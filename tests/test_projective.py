@@ -19,7 +19,7 @@ from conic_butterfly.projective import (
     meet,
 )
 from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
-from generic_formulas import apply_line, line_chart
+from generic_formulas import apply_line, harmonic, line_chart, to_affine
 
 G = GaussianRational
 P = PrimeFieldElement
@@ -64,8 +64,8 @@ class TestTriples:
     def test_affine_chart(self):
         p = ProjPoint.affine("1/2", -3, G)
         assert p == pt(1, -6, 2)
-        assert p.to_affine() == (G(Fraction(1, 2)), G(-3))
-        assert pt(1, 5, 0).to_affine() is None
+        assert to_affine(p) == (G(Fraction(1, 2)), G(-3))
+        assert to_affine(pt(1, 5, 0)) is None
 
     def test_reality(self):
         assert pt(1, 2, 3).is_real()
@@ -181,7 +181,7 @@ class TestCrossRatio:
 
     def test_cross_ratio_value_semantics(self):
         assert CrossRatioValue(G(2), G(-4), G) == CrossRatioValue(G(-1), G(2), G)
-        assert CrossRatioValue.harmonic(G).plus_one().is_zero()
+        assert harmonic(G).plus_one().is_zero()
         assert str(CrossRatioValue.infinity(G)) == "inf"
         with pytest.raises(ProjectiveError):
             CrossRatioValue(G(0), G(0), G)

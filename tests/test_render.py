@@ -6,7 +6,7 @@ import pytest
 from conic_butterfly.cli import main
 from conic_butterfly.conics import Conic
 from conic_butterfly.projective import ProjLine, ProjPoint, ProjectiveError
-from conic_butterfly.render import render_svg
+from conic_butterfly.render import _border_anchor, render_svg
 from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
 from conic_butterfly.scenario_io import (ScenarioDocument, claim_document, parse_scenario,
                                         run_document)
@@ -30,6 +30,15 @@ class TestFixtures:
         svg = render_svg(parse_scenario(fixture_text("cutl_hyperbola")))
         assert count_polylines(svg) == 3  # branches split at the two ideal params
         assert "(ideal)" not in svg
+
+    def test_hyperbola_swept_from_a_declared_ideal_base(self, fixture_text):
+        """The sweep starts at a declared base.  From the ideal point
+        (1 : 1 : 0), z(t) is linear, so one finite cut and t = inf split the
+        two branches."""
+        text = fixture_text("cutl_hyperbola").replace(
+            "conic affine 1 -1 0 0 0 -1\n", "conic affine 1 -1 0 0 0 -1\nbase (1 : 1 : 0)\n")
+        assert "base (1 : 1 : 0)" in text
+        assert count_polylines(render_svg(parse_scenario(text))) == 2
 
     def test_lemma_figure_has_named_axis(self, fixture_text):
         svg = render_svg(parse_scenario(fixture_text("lemma1")))
@@ -85,6 +94,14 @@ point z (1 : 2 : 3)
         doc.points["z"] = ProjPoint((i, G(1), G(1)), G)
         with pytest.raises(ProjectiveError, match="imaginary"):
             render_svg(doc)
+
+
+@pytest.mark.parametrize("direction, anchor", [((1.0, 0.0), (9.85, 5.0)), ((-1.0, 0.0), (0.15, 5.0)),
+                                               ((0.0, 1.0), (5.0, 9.85)), ((0.0, -1.0), (5.0, 0.15))])
+def test_ideal_point_anchors_on_the_border(direction, anchor):
+    """An ideal point is drawn where the ray from the box center along its
+    direction leaves the box, pulled in by 3%."""
+    assert _border_anchor(direction, (0.0, 0.0, 10.0, 10.0)) == pytest.approx(anchor)
 
 
 def test_random_real_scenario_renders():

@@ -37,6 +37,9 @@ point y (1 : 1 : 1)
 point z (1 : 2 : 3)
 """
 
+# MINIMAL with a base point, (1 : 0 : 0) on xy + xz - 2yz, declared on line 4
+BASED = MINIMAL.replace("-1 0\n", "-1 0\nbase (1 : 0 : 0)\n")
+
 # a hexagon on the unit circle: the pascal report's det is its one scalar witness
 PASCAL_CIRCLE = """\
 check pascal
@@ -182,6 +185,35 @@ point z (1 : 2 : 2)
         text = MINIMAL.replace("conic symmetric 0 1/2 1/2 0 -1 0",
                                "conic symmetric 1 0 0 0 0 0")
         with pytest.raises(ScenarioParseError, match="line 3"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("text, message", [
+        (MINIMAL.replace("point y (1 : 1 : 1)", "point y affine (1 1)"),
+         r"^line 5: bad affine point ' \(1 1\)'; expected \(x, y\)$"),
+        (MINIMAL.replace("point y (1 : 1 : 1)", "point Y (1 : 1 : 1)"), r"^line 5: bad point name 'Y'$"),
+        (MINIMAL + "conic symmetric 0 1/2 1/2 0 -1 0\n",
+         r"^line 7: duplicate conic declaration$"),
+        (MINIMAL.replace("conic symmetric 0 1/2 1/2 0 -1 0",
+                         "conic points (0 : 1 : 0) (0 : 0 : 1) (1 : 0 : 0) (1 : 1 : 1)"),
+         r"^line 3: conic points needs 5 points, got 4$"),
+        (MINIMAL.replace("conic symmetric", "conic quadric"),
+         r"^line 3: unknown conic flavor 'quadric'; use symmetric, affine, or points$"),
+        (BASED.replace("base (1 : 0 : 0)", "base (1 : 0 : 0)\nbase (0 : 1 : 0)"),
+         r"^line 5: duplicate base declaration$"),
+        ("check nut\nbase (1 : 0 : 0)\n" + MINIMAL.split("\n", 1)[1],
+         r"^line 2: base needs the conic declared first$"),
+        (BASED.replace("point y (1 : 1 : 1)", "point y param 1 2 3"),
+         r"^line 6: param takes one value or a homogeneous pair$"),
+        (BASED.replace("point y (1 : 1 : 1)", "point y param 0 0"),
+         r"^line 6: \(0 : 0\) is not a parameter$"),
+        (MINIMAL + "expect vector y (1 : 1 : 1)\n", r"^line 7: unknown expect kind 'vector'$"),
+        (MINIMAL + "expect point Y (1 : 1 : 1)\n", r"^line 7: bad expect name 'Y'$"),
+        (MINIMAL.replace("line k (1 : 0 : 0)\n", ""), r"^check nut needs line 'k'$"),
+    ], ids=["bad affine point", "bad point name", "duplicate conic", "conic points count", "unknown conic flavor",
+            "duplicate base", "base before conic", "param arity", "param (0 : 0)",
+            "unknown expect kind", "bad expect name", "needs line"])
+    def test_parse_error_message(self, text, message):
+        with pytest.raises(ScenarioParseError, match=message):
             parse_scenario(text)
 
     def test_prime_backend(self):
@@ -372,6 +404,20 @@ class TestRunning:
             with pytest.raises(ScenarioParseError,
                                match=rf"^expect '{witness}': witness is not a {kind}$"):
                 run_document(parse_scenario(text))
+
+    def test_expect_scalar_mismatch_residual(self):
+        # the hexagon's det is 0, so a pin of 5 disagrees by 0 - 5
+        reports = run_document(parse_scenario(PASCAL_CIRCLE + "expect scalar det 5\n"))
+        assert reports[0].holds()
+        assert reports[1].verdict is Verdict.VIOLATED
+        assert reports[1].residual == G(-5)
+        assert reports[1].to_text().splitlines()[-2] == "residual -5"
+
+    def test_library_pin_of_unknown_kind_refused(self, fixture_text):
+        doc = parse_scenario(fixture_text("butterfly_circle"))
+        doc.expects.append(Expect("bogus", "cr", CrossRatioValue(-G.one(), G.one(), G)))
+        with pytest.raises(ScenarioParseError, match=r"^expect 'cr': witness is not a bogus$"):
+            run_document(doc)
 
     def test_expect_ratio_forms(self):
         assert parse_scenario(MINIMAL + "expect ratio cr -1\n").expects[0].value \

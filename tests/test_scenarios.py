@@ -30,11 +30,10 @@ from conic_butterfly.scenarios import (
     random_reflection_frame,
     random_sack_inputs,
     random_scenario,
-    reference_base,
     reference_conic,
 )
 
-from generic_formulas import affine_spec_from_conic, upper_entries
+from generic_formulas import affine_spec_from_conic, reference_base, upper_entries
 
 G = GaussianRational
 P = PrimeFieldElement
