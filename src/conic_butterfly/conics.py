@@ -141,7 +141,9 @@ def conic_through_five(points: Sequence[ProjPoint]) -> Conic:
 
 
 def _second_point_on(l: ProjLine, known: ProjPoint) -> ProjPoint:
-    """Any point of l distinct from `known`, picked deterministically."""
+    """Any point of l distinct from `known`, picked deterministically.  The loop
+    always returns: l is at most one coordinate line, holding at most one
+    coordinate vertex, so two of the meets cross(l, e_i) are distinct points."""
     k = l.kernels
     for e in k.units:
         c = k.cross(l.raw, e)
@@ -150,7 +152,6 @@ def _second_point_on(l: ProjLine, known: ProjPoint) -> ProjPoint:
         q = ProjPoint(c, k)
         if q != known:
             return q
-    raise ProjectiveError("could not find a second point on the line")
 
 
 def second_intersection(conic: Conic, l: ProjLine, known: ProjPoint) -> ProjPoint:

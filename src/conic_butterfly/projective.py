@@ -205,20 +205,10 @@ class CrossRatioValue:
         """cr + 1 as a projective value; zero exactly at the harmonic position."""
         return CrossRatioValue(self.num + self.den, self.den, self.field)
 
-    def value(self):
-        if self.is_infinite():
-            raise ProjectiveError("infinite cross-ratio has no scalar value")
-        return self.num / self.den
-
     def __eq__(self, other):
         if not isinstance(other, CrossRatioValue):
             return NotImplemented
         return (self.num * other.den - other.num * self.den).is_zero()
-
-    def __hash__(self):
-        if self.is_infinite():
-            return hash(("cr", "inf"))
-        return hash(("cr", self.value()))
 
     def __str__(self):
         try:

@@ -32,8 +32,7 @@ class ReflectionFrame:
     __slots__ = ("conic", "axis", "pole", "kp")
 
     def __init__(self, conic: Conic, axis: ProjLine):
-        _require_same_field(conic, axis)
-        pole = conic.pole(axis)
+        pole = conic.pole(axis)  # pole() checks the fields agree
         k = conic.kernels
         kp = k.dot(axis.raw, pole.raw)
         if k.is_zero(kp):

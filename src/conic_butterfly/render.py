@@ -99,9 +99,9 @@ def _assert_incidences(doc: ScenarioDocument, points: Dict[str, ProjPoint]) -> N
 def _sample_base(doc: ScenarioDocument, points: Dict[str, ProjPoint]) -> ProjPoint:
     if doc.base is not None:
         return doc.base
-    for name in CLAIMS[doc.check].on_conic:
+    for name in CLAIMS[doc.check].on_conic:  # _assert_incidences put these on the conic
         p = points.get(name)
-        if p is not None and doc.conic.contains(p):
+        if p is not None:
             return p
     raise ProjectiveError(
         "no labeled point lies on the conic; declare a base point to render this document")

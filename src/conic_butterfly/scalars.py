@@ -63,12 +63,13 @@ class ScalarParseError(ValueError):
 class FieldContract:
     """The base class of both scalar backends, with what they share.
 
-    A backend adds the arithmetic dunders, ``inv``, ``conjugate``,
+    A backend adds ``__add__``, ``__neg__``, ``__mul__``, ``inv``, ``conjugate``,
     ``is_zero``, ``is_real``, ``__eq__``, ``__hash__`` and ``__str__``, the
     classmethods ``parse`` and ``random``, the number types ``coerce`` wraps
     with the constructor (``_numbers``), and its ``Kernels`` table as the
-    class attribute ``kernels``.  Conjugation must be a field automorphism;
-    on the prime field it is the identity.
+    class attribute ``kernels``; the base derives subtraction and division
+    from them.  Conjugation must be a field automorphism; on the prime field
+    it is the identity.
     """
 
     __slots__ = ()
@@ -90,6 +91,11 @@ class FieldContract:
         if isinstance(value, str):
             return cls.parse(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to {cls.__name__}")
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + -other
 
     def __truediv__(self, other):
         if not isinstance(other, type(self)):
@@ -247,14 +253,6 @@ class GaussianRational(FieldContract):
             return _reduced(self.a + other.a, self.b + other.b, d)
         return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
-    def __sub__(self, other):
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        d, e = self.d, other.d
-        if d == e:
-            return _reduced(self.a - other.a, self.b - other.b, d)
-        return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
-
     def __neg__(self):
         return _make(-self.a, -self.b, self.d)
 
@@ -323,9 +321,12 @@ _RESIDUE_RE = re.compile(r"[+-]?\d+")
 def _residue(text: str) -> int:
     """The residue mod p of a decimal literal."""
     t = text.strip()
-    if not _RESIDUE_RE.fullmatch(t):
-        raise ScalarParseError(f"bad residue literal {text!r}")
-    return int(t) % _PRIME
+    if _RESIDUE_RE.fullmatch(t):
+        try:
+            return int(t) % _PRIME
+        except ValueError:  # int() refuses digit strings past sys.get_int_max_str_digits()
+            pass
+    raise ScalarParseError(f"bad residue literal {text!r}")
 
 
 class PrimeFieldElement(FieldContract):
@@ -361,11 +362,6 @@ class PrimeFieldElement(FieldContract):
         if not isinstance(other, PrimeFieldElement):
             return NotImplemented
         return _make_residue((self.residue + other.residue) % _PRIME)
-
-    def __sub__(self, other):
-        if not isinstance(other, PrimeFieldElement):
-            return NotImplemented
-        return _make_residue((self.residue - other.residue) % _PRIME)
 
     def __neg__(self):
         return _make_residue(-self.residue % _PRIME)

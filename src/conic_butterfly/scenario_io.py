@@ -74,21 +74,24 @@ class Expect(namedtuple("Expect", "kind name value")):
 class ScenarioDocument:
     """A parsed scenario: everything a single check run needs."""
 
-    __slots__ = ("check", "field", "conic", "base", "points", "lines", "expects")
+    __slots__ = ("check", "conic", "base", "points", "lines", "expects")
 
-    def __init__(self, check: str, field, conic: Conic,
+    def __init__(self, check: str, conic: Conic,
                  points: Dict[str, ProjPoint], lines: Dict[str, ProjLine],
                  expects: Optional[List[Expect]] = None,
                  base: Optional[ProjPoint] = None):
         if check not in CLAIMS:
             raise ScenarioParseError(f"unknown check {check!r}")
         self.check = check
-        self.field = field
         self.conic = conic
         self.base = base
         self.points = dict(points)
         self.lines = dict(lines)
         self.expects = list(expects or ())
+
+    @property
+    def field(self):
+        return self.conic.field
 
     def __eq__(self, other):
         if not isinstance(other, ScenarioDocument):
@@ -268,7 +271,6 @@ def parse_scenario(text: str) -> ScenarioDocument:
         raise ScenarioParseError("document declares no check")
     if conic is None:
         raise ScenarioParseError("document declares no conic")
-    field = field if field is not None else GaussianRational
 
     claim = CLAIMS[check]
     for name in claim.points:
@@ -283,7 +285,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
             raise ScenarioParseError(f"point {name!r} is not on the conic; residual "
                                      f"{conic.membership_residual(p)}", decl_lines.get(name))
 
-    return ScenarioDocument(check, field, conic, points, lines, expects, base=base)
+    return ScenarioDocument(check, conic, points, lines, expects, base=base)
 
 
 def serialize_scenario(doc: ScenarioDocument) -> str:
@@ -317,7 +319,7 @@ def serialize_scenario(doc: ScenarioDocument) -> str:
 def claim_document(check: str, conic: Conic, named: dict) -> ScenarioDocument:
     """A document declaring the claim's points and lines, taken from `named`."""
     claim = CLAIMS[check]
-    return ScenarioDocument(check, conic.field, conic, {n: named[n] for n in claim.points},
+    return ScenarioDocument(check, conic, {n: named[n] for n in claim.points},
                             {n: named[n] for n in claim.lines})
 
 

@@ -216,10 +216,10 @@ def _random_nonzero(rng: Random, field, height: int, budget: RetryBudget, *, rea
         budget.tick("nonzero scalar")
 
 
-def _random_point(rng: Random, field, height: int, budget: RetryBudget, *, real: bool = False) -> ProjPoint:
+def _random_point(rng: Random, field, height: int, budget: RetryBudget) -> ProjPoint:
     k = field.kernels
     while True:
-        coords = k.random(rng, height, 3, real)
+        coords = k.random(rng, height, 3, False)
         if any(coords):
             return ProjPoint(coords, k)
         budget.tick("point draw")
@@ -298,9 +298,7 @@ def _chord_through(par: ConicParametrization, w: tuple,
         if _same_parameter(k, s, t):
             budget.tick("tangent chord")
             continue
-        if any(_same_parameter(k, s, w) for w in avoid):
-            budget.tick("chord endpoint collision")
-            continue
+        # s is never avoided: m and an avoided end span ab, rs or uv, whose ends t avoids
         return (t, end1), (s, par._point(s))
 
 

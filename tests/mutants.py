@@ -90,6 +90,14 @@ CATALOGUE = (
            "k.add(pl, pl), self.axis.raw", "pl, self.axis.raw", ("tests/test_reflection.py",)),
     Mutant("chord partner: doubling dropped", "src/conic_butterfly/conics.py",
            "        u0, u1 = k.add(u0, u0), k.add(u1, u1)\n", "", ORACLE),
+    # a second point on a line may need the third coordinate vector
+    Mutant("second point on a line: two candidates", "src/conic_butterfly/conics.py",
+           "    for e in k.units:\n", "    for e in k.units[:2]:\n", ("tests/test_conics.py",)),
+    # a prime literal past the interpreter's digit limit is a parse error
+    Mutant("residue literal past the digit limit: except never matches", SCALARS,
+           "            return int(t) % _PRIME\n        except ValueError:",
+           "            return int(t) % _PRIME\n        except TypeError:",
+           ("tests/test_scalars.py",)),
     # one sign flip in each coordinate-vector branch of the prime chart:
     # l0 = b x e_k at the tangent's lead k, then d1, d0 at the base's lead j
     Mutant("prime chart: l0 at e0", SCALARS,

@@ -7,6 +7,7 @@ from conic_butterfly.conics import (
     Conic,
     ConicParametrization,
     DegenerateConicError,
+    _second_point_on,
     conic_through_five,
     homogenize_affine_conic,
     second_intersection,
@@ -189,6 +190,13 @@ class TestSecondIntersection:
         c = circle()
         p = pt(0, 1, 1)
         assert second_intersection(c, c.tangent_at(p), p) == p
+
+    @pytest.mark.parametrize("field", [G, PrimeFieldElement], ids=["gauss", "prime"])
+    def test_second_point_reaches_the_third_candidate(self, field):
+        """On l = (1 : 1 : 0) the meets with e0 and e1 are both (0 : 0 : 1)."""
+        l = ProjLine((field(1), field(1), field(0)), field)
+        known = ProjPoint((field(0), field(0), field(1)), field)
+        assert _second_point_on(l, known) == ProjPoint((field(1), field(-1), field(0)), field)
 
     def test_preconditions(self):
         c = circle()

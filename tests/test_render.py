@@ -73,7 +73,7 @@ point z (1 : 2 : 3)
                        (G(0), i, G(0)),
                        (G(0), G(0), -G(1))), G)
         doc = ScenarioDocument(
-            "nut", G, conic,
+            "nut", conic,
             {"y": ProjPoint((G(1), G(1), G(1)), G),
              "z": ProjPoint((G(1), G(2), G(3)), G)},
             {"k": ProjLine((G(1), G(0), G(0)), G)})

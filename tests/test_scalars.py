@@ -403,6 +403,12 @@ class TestPrimeField:
         with pytest.raises(ScalarParseError):
             P.parse("x")
 
+    def test_parse_past_the_digit_limit(self):
+        """int() refuses digit strings past the interpreter's limit; the
+        parser reports that as a bad literal, as the Gaussian one does."""
+        text = "1" * (sys.get_int_max_str_digits() + 1)
+        assert outcome(P.parse, text)[1] == (ScalarParseError, f"bad residue literal {text!r}")
+
     @given(residues)
     def test_str_round_trip(self, x):
         assert P.parse(str(x)) == x
@@ -496,7 +502,7 @@ def test_backend_registry():
                                               (P, P(-3), str(P.MODULUS - 3))],
                          ids=("gauss", "prime"))
 def test_shared_base_methods(cls, value, text):
-    """Both backends take zero, one, coerce, / and repr from their common
+    """Both backends take zero, one, coerce, -, / and repr from their common
     base, with their own class name in messages."""
     assert isinstance(value, FieldContract) and isinstance(cls.zero(), cls)
     assert not hasattr(value, "__dict__")  # the base adds no instance dict
@@ -506,6 +512,10 @@ def test_shared_base_methods(cls, value, text):
     assert cls.coerce(value) is value
     assert (value / cls(2)) * cls(2) == value
     assert value.__truediv__(1) is NotImplemented
+    assert value - cls(2) == value + cls(-2) and value - value == cls.zero()
+    assert value.__sub__(1) is NotImplemented
+    with pytest.raises(TypeError):
+        value - (P if cls is G else G).one()  # backends do not mix
     with pytest.raises(ScalarDivisionError):
         value / cls.zero()
     with pytest.raises(TypeError, match=f"^cannot coerce float to {cls.__name__}$"):

@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -221,6 +222,9 @@ point z (1 : 2 : 2)
             "conic symmetric 0 1/2 1/2 0 -1 0", "conic symmetric 0 1 1 0 -2 0")
         doc = parse_scenario(text)
         assert doc.field is PrimeFieldElement
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ScenarioParseError, match=f"^line 4: bad residue literal ' {digits}'$"):
+            parse_scenario(text.replace("line k (1 : 0 : 0)", f"line k (1 : 0 : {digits})"))
 
 
 # ----------------------------------------------------------------------

@@ -232,6 +232,26 @@ class TestRandomButterfly:
         assert sc.conic.contains(sc.points["a"])
 
 
+@pytest.mark.parametrize("kind, field, height", [
+    ("damn", G, 1), ("damn", G, 2), ("damn", G, 3), ("cutl", G, 2), ("cutl", G, 3),
+    ("sack", G, 1), ("sack", G, 2), ("sack", G, 3), ("damn", P, 1), ("sack", P, 1)])
+def test_chord_ends_are_pairwise_distinct(kind, field, height):
+    """A chord drawn through m never ends at a, b or an end of the first
+    chord (u, v for sack), so the generator does not test for it: the line
+    through m and such an end is ab, the first chord or uv, which meets the
+    conic only at its two ends.  Low heights make parameter collisions common.
+    cutl starts at height 2, since its only real height-1 parameters are -1, 0
+    and 1; the prime draw ignores the height."""
+    for index in range(200):
+        rng = Random(f"{height}:{index}:{kind}")
+        if kind == "sack":
+            _frame, u, v, _m, r, s = random_sack_inputs(rng, field, height)
+            ends = [u, v, r, s]
+        else:
+            ends = [w for n, w in random_scenario(rng, field, height, kind=kind).inputs() if n != "m"]
+        assert len(set(ends)) == len(ends)
+
+
 class TestRandomPlanar:
     def test_structural_invariants(self):
         for seed in range(4):
