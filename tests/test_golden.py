@@ -84,6 +84,15 @@ REPLAYS = {
     "damn_prime": ("damn", PrimeFieldElement),
 }
 
+# Hand-written HOLDS documents, one per backend: the butterfly over the unit
+# circle with every point and pin spelled as `str` never prints it (a lead
+# other than 1, a sign, a leading zero, a fraction in higher terms, a zero
+# with a sign or a denominator, an imaginary part without a real part or a
+# zero one, other blanks; on prime, a literal at or past p), so the report
+# must print each coordinate from its value.  Stored as replay_<name>.scn
+# next to its verify_replay_<name>.txt; only the report is regenerated.
+NONCANONICAL = ("noncanonical_gauss", "noncanonical_prime")
+
 # Raw scale, which canonical text hides: one sha256 per backend and claim
 # over cells 0..19 of `butterfly fuzz --seed 11 --height 50`, each cell
 # contributing its verdict, its retry count, the conic's raw form and the
@@ -224,6 +233,13 @@ def test_replay_report(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"verify_replay_{name}.txt").read_bytes()
 
 
+@pytest.mark.parametrize("name", NONCANONICAL)
+def test_noncanonical_replay_report(name, tmp_path):
+    out = tmp_path / f"{name}.txt"
+    assert _verify_replay(name, out) == 0
+    assert out.read_bytes() == (GOLDEN / f"verify_replay_{name}.txt").read_bytes()
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_serialization(name):
     expected = (GOLDEN / f"serialize_{name}.scn").read_text(encoding="utf-8")
@@ -251,6 +267,8 @@ def _regenerate() -> None:
         _verify_pin(name, GOLDEN / f"verify_pin_{name}.txt")
     for name in REPLAYS:
         (GOLDEN / f"replay_{name}.scn").write_text(_replay_document(name), encoding="utf-8")
+        _verify_replay(name, GOLDEN / f"verify_replay_{name}.txt")
+    for name in NONCANONICAL:
         _verify_replay(name, GOLDEN / f"verify_replay_{name}.txt")
     (GOLDEN / RAW_GOLDEN).write_text(_raw_lines(), encoding="utf-8")
 
