@@ -55,7 +55,8 @@ class _Triple:
     """Shared plumbing of points and lines: a content-reduced homogeneous
     triple in the backend's raw form (`raw`), computed on through the
     backend's kernel table (`kernels`).  `coords` builds the scalars; the
-    first `str` is kept in `_text`."""
+    first `str` is kept in `_text`, and so is a parsed text that is already
+    what `str` prints."""
 
     __slots__ = ("raw", "kernels", "_text")
 
@@ -122,7 +123,12 @@ class _Triple:
         if len(parts) != 3:
             raise ProjectiveError(f"expected 3 coordinates in {text!r}")
         k = field.kernels
-        return cls(k.parse(parts), k)
+        raw, canonical = k.parse(parts)
+        obj = cls(raw, k)
+        # the layout str prints: one blank either side of each colon, and no other
+        if canonical and t.count(" ") == 4 and t.count(" : ") == 2 and t.isprintable():
+            obj._text = t
+        return obj
 
 
 class ProjPoint(_Triple):
@@ -191,9 +197,6 @@ class CrossRatioValue:
     @classmethod
     def infinity(cls, field) -> "CrossRatioValue":
         return cls(field.one(), field.zero(), field)
-
-    def is_infinite(self) -> bool:
-        return self.den.is_zero()
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

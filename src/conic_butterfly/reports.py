@@ -33,15 +33,20 @@ class Verdict(enum.Enum):
         return self.value
 
 
-def format_value(obj) -> Tuple[str, str]:
-    """(kind, text) of a report value: the four kinds an expect pin can name."""
+def value_kind(obj) -> str:
+    """The kind of a report value, one of the four an expect pin can name."""
     if isinstance(obj, ProjPoint):
-        return ("point", str(obj))
+        return "point"
     if isinstance(obj, ProjLine):
-        return ("line", str(obj))
+        return "line"
     if isinstance(obj, CrossRatioValue):
-        return ("ratio", str(obj))
-    return ("scalar", str(obj))
+        return "ratio"
+    return "scalar"
+
+
+def format_value(obj) -> Tuple[str, str]:
+    """(kind, text) of a report value."""
+    return value_kind(obj), str(obj)
 
 
 class CheckReport:

@@ -36,7 +36,9 @@ any size print in exact decimal, and ``parse`` keeps refusing digit strings
 past the interpreter's limit.  The kernel tables' ``text`` and ``parse``
 are the same codec on raw vectors, with no scalar objects: points, lines
 and cross-ratio values print and read through them, and ``canonical()``
-stays for hashing and as the tests' oracle.
+stays for hashing and as the tests' oracle.  ``parse`` also tells whether
+its literals are already the ones ``text`` would print, so a parsed point
+or line can keep its text instead of printing it again.
 """
 
 from __future__ import annotations
@@ -137,15 +139,18 @@ def _decimal(n: int) -> str:
 
 
 def _rational(text: str) -> tuple:
-    """``(numerator, denominator)`` of a literal that matched ``_RAT``, unreduced."""
+    """``(numerator, denominator, lowest)`` of a literal that matched ``_RAT``,
+    unreduced; ``lowest`` when, sign aside, it is a nonzero part as ``str``
+    prints it: no leading zero, and no denominator or one above 1 coprime to it."""
     num, _, den = text.partition("/")
     try:
-        num, den = int(num), (int(den) if den else 1)
+        n, d = int(num), (int(den) if den else 1)
     except ValueError:  # int() refuses digit strings past sys.get_int_max_str_digits()
         raise ScalarParseError(f"bad rational literal {text!r}") from None
-    if not den:
+    if not d:
         raise ScalarParseError(f"zero denominator in {text!r}")
-    return num, den
+    digits = num[1:] if num[0] in "+-" else num
+    return n, d, digits[0] != "0" and (not den or den[0] != "0" and d != 1 and gcd(n, d) == 1)
 
 
 def _ratio_text(n: int, d: int) -> str:
@@ -170,19 +175,23 @@ def _gauss_text(a: int, b: int, d: int) -> str:
 
 
 def _gauss_literal(text: str) -> tuple:
-    """``(a, b, d)`` with ``(a + b*i) / d`` the value of a literal, unreduced."""
-    m = _LITERAL_RE.match(text.strip().replace(" ", ""))
+    """``(a, b, d, canonical)`` with ``(a + b*i) / d`` the value of a literal,
+    unreduced, and ``canonical`` when the literal, blanks aside, is the text
+    ``str`` prints for that value."""
+    t = text.strip().replace(" ", "")
+    m = _LITERAL_RE.match(t)
     if m is None:
         raise ScalarParseError(f"bad scalar literal {text!r}")
     first, second, imaginary = m.groups()
+    a, d, lowest = _rational(first)
+    # str prints ASCII digits, a zero real part as a bare 0 and any other with no plus sign
+    canonical = t.isascii() and (first == "0" or lowest and first[0] != "+")
     if second:
-        (a, d), (b, e) = _rational(first), _rational(second)
-        return a * e, b * d, d * e
-    if imaginary:
-        b, e = _rational(first)
-        return 0, b, e
-    a, d = _rational(first)
-    return a, 0, d
+        b, e, lowest = _rational(second)
+        return a * e, b * d, d * e, canonical and lowest
+    if imaginary:  # str prints no imaginary part without a real one
+        return 0, a, d, False
+    return a, 0, d, canonical
 
 
 class GaussianRational(FieldContract):
@@ -225,7 +234,8 @@ class GaussianRational(FieldContract):
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
         """Inverse of ``str``: accepts ``a/b``, ``a/b+c/di`` and ``c/di``."""
-        return _reduced(*_gauss_literal(text))
+        a, b, d, _ = _gauss_literal(text)
+        return _reduced(a, b, d)
 
     @classmethod
     def random(cls, rng: Random, height_bound: int, *, real: bool = False) -> "GaussianRational":
@@ -318,14 +328,18 @@ _PRIME = (1 << 61) - 1  # Mersenne prime, fixed once for the whole build
 _RESIDUE_RE = re.compile(r"[+-]?\d+")
 
 
-def _residue(text: str) -> int:
-    """The residue mod p of a decimal literal."""
+def _residue(text: str) -> tuple:
+    """``(residue, canonical)``: the residue mod p of a decimal literal, and
+    whether the literal, blanks around it aside, is the text ``str`` prints
+    for it (ASCII digits, no sign, no leading zero, below p)."""
     t = text.strip()
     if _RESIDUE_RE.fullmatch(t):
         try:
-            return int(t) % _PRIME
+            n = int(t)
         except ValueError:  # int() refuses digit strings past sys.get_int_max_str_digits()
             pass
+        else:
+            return n % _PRIME, n < _PRIME and (t[0] not in "+-0" or t == "0") and t.isascii()
     raise ScalarParseError(f"bad residue literal {text!r}")
 
 
@@ -348,7 +362,7 @@ class PrimeFieldElement(FieldContract):
     # constructors
     @classmethod
     def parse(cls, text: str) -> "PrimeFieldElement":
-        return _make_residue(_residue(text))
+        return _make_residue(_residue(text)[0])
 
     @classmethod
     def random(cls, rng: Random, height_bound: int = 0, *, real: bool = False) -> "PrimeFieldElement":
@@ -433,8 +447,11 @@ class Kernels(namedtuple("Kernels", (
     same ratio: ``pack`` of the pair, split in two), ``unpack``, ``scalar``,
     ``normalize``, the codec ``text`` (the literals of normalize's entries;
     on gauss a real lead divides directly, any other over its norm) and
-    ``parse`` (literals to a raw vector of their ratio, content kept),
-    and ``random(rng, height, n, real)`` (n packed draws of the backend's
+    ``parse`` (literals to the pair of a raw vector of their ratio, content
+    kept, and whether the literals, blanks aside, are those ``text`` prints
+    for it: each canonical, which costs one gcd per part with a
+    denominator, and the first nonzero one 1), and
+    ``random(rng, height, n, real)`` (n packed draws of the backend's
     ``random``).  Constructions: ``reference_image(t)`` (the flat raw form of
     T(xz = y^2) and raw T(1 : 0 : 0) for T's rows) and ``chart(form, base)``
     (``ConicParametrization``'s content-reduced vectors (A2, A1, A0)).
@@ -522,6 +539,12 @@ def _p_over_lead(v):
     return [x * inv % _PRIME for x in v]
 
 
+def _p_parse(literals):
+    raw, canonical = zip(*map(_residue, literals))
+    # what text prints: canonical literals, the first nonzero one 1
+    return raw, all(canonical) and next(filter(None, raw), None) == 1
+
+
 _HALF = (_PRIME + 1) // 2  # 1/2 mod p, the reference form's corner entry
 
 
@@ -589,7 +612,7 @@ PrimeFieldElement.kernels = Kernels(
     unpack=lambda v: tuple(map(_make_residue, v)), scalar=_make_residue,
     normalize=lambda v: tuple(map(_make_residue, _p_over_lead(v))),
     text=lambda v: tuple(map(str, _p_over_lead(v))),
-    parse=lambda literals: tuple(map(_residue, literals)),
+    parse=_p_parse,
     random=lambda rng, height, n, real: tuple(_randbelow(rng.getrandbits, _PRIME) for _ in range(n)),
     reference_image=_p_reference_image, chart=_p_chart,
 )
@@ -727,8 +750,11 @@ def _g_text(v):
 
 def _g_parse(literals):
     parts = [_gauss_literal(t) for t in literals]
-    den = lcm(*(d for _, _, d in parts))
-    return tuple(x * (den // d) for a, b, d in parts for x in (a, b))
+    den = lcm(*(d for _, _, d, _ in parts))
+    raw = tuple(x * (den // d) for a, b, d, _ in parts for x in (a, b))
+    # what text prints: canonical literals, the first nonzero one 1, which is (1, 0, 1)
+    lead = next((q[:3] for q in parts if q[0] or q[1]), None)
+    return raw, lead == (1, 0, 1) and all(q[3] for q in parts)
 
 
 def _g_reference_entry(u, v):

@@ -32,7 +32,7 @@ from .projective import (CrossRatioValue, DegenerateInputError, ProjLine, ProjPo
 from .conics import (Conic, ConicParametrization, conic_through_five, homogenize_affine_conic,
                      second_intersection)
 from .reflection import ReflectionFrame
-from .reports import CheckReport, Verdict, format_value
+from .reports import CheckReport, Verdict, value_kind
 from .checks import (_separation_residual, lemma_jap_check, lemma_mono_check, lemma_nut_check,
                      lemma_sack_check, pascal_check, theorem_damn_check)
 from .scenarios import (FLAVOURS, build_scenario, random_hexagon, random_jap_inputs,
@@ -491,12 +491,15 @@ def run_document(doc: ScenarioDocument) -> List[CheckReport]:
             raise ScenarioParseError(
                 f"expect {e.name!r}: the {doc.check} report has no such witness")
         actual = witnesses[e.name]
-        # the kind the report prints; a point, line or ratio keeps the text for to_text
-        if format_value(actual)[0] != e.kind:
+        if value_kind(actual) != e.kind:
             raise ScenarioParseError(f"expect {e.name!r}: witness is not a {e.kind}")
         # a pin that echoes a declaration is the declared object (see parse_scenario)
         agree = actual is e.value or actual == e.value
-        # equal values print the same text, so an agreeing pin shows the witness already printed
+        if agree:  # equal values print one text, so a pin that kept its parsed text lends it
+            try:
+                actual._text = e.value._text
+            except AttributeError:  # a scalar, or a pin not written as str prints it
+                pass
         pairs.append((f"{e.name} expected", actual if agree else e.value))
         pairs.append((f"{e.name} actual", actual))
         if not agree:

@@ -46,6 +46,8 @@ class Mutant(NamedTuple):
 SCALARS = "src/conic_butterfly/scalars.py"
 CHECKS = "src/conic_butterfly/checks.py"
 ORACLE = ("tests/test_kernel_oracle.py",)
+PROJECTIVE = "src/conic_butterfly/projective.py"
+PARSED_TEXT = ("tests/test_projective.py", "tests/test_kernel_oracle.py")
 CHECK_TESTS = ("tests/test_checks.py",)
 
 CATALOGUE = (
@@ -95,9 +97,45 @@ CATALOGUE = (
            "    for e in k.units:\n", "    for e in k.units[:2]:\n", ("tests/test_conics.py",)),
     # a prime literal past the interpreter's digit limit is a parse error
     Mutant("residue literal past the digit limit: except never matches", SCALARS,
-           "            return int(t) % _PRIME\n        except ValueError:",
-           "            return int(t) % _PRIME\n        except TypeError:",
+           "            n = int(t)\n        except ValueError:",
+           "            n = int(t)\n        except TypeError:",
            ("tests/test_scalars.py",)),
+    # a parsed point or line keeps its text only when it is what str prints:
+    # each canonicality guard of the literal, the lead, the layout and the
+    # residue, and the pin that lends its text only to a witness it equals
+    Mutant("canonical literal: no gcd test", SCALARS,
+           " and gcd(n, d) == 1)\n", ")\n", PARSED_TEXT),
+    Mutant("canonical literal: /1", SCALARS, "and d != 1 and", "and", PARSED_TEXT),
+    Mutant("canonical literal: leading zero in a denominator", SCALARS,
+           'den[0] != "0" and d != 1', "d != 1", PARSED_TEXT),
+    Mutant("canonical literal: leading zero", SCALARS,
+           'digits[0] != "0" and (not den', "(not den", PARSED_TEXT),
+    Mutant("canonical literal: signed or denominated zero", SCALARS,
+           '(first == "0" or lowest', "(not a or lowest", PARSED_TEXT),
+    Mutant("canonical literal: plus sign", SCALARS,
+           'lowest and first[0] != "+")', "lowest)", PARSED_TEXT),
+    Mutant("canonical literal: imaginary part alone", SCALARS,
+           "return 0, a, d, False", "return 0, a, d, canonical", PARSED_TEXT),
+    Mutant("canonical literal: non-ASCII digit", SCALARS,
+           "canonical = t.isascii() and (first", "canonical = (first", PARSED_TEXT),
+    Mutant("gauss lead: not 1", SCALARS,
+           "lead == (1, 0, 1) and", "lead is not None and", PARSED_TEXT),
+    Mutant("prime lead: not 1", SCALARS,
+           "next(filter(None, raw), None) == 1", "next(filter(None, raw), None) is not None",
+           PARSED_TEXT),
+    Mutant("residue: at or past p", SCALARS, "n < _PRIME and (", "(", PARSED_TEXT),
+    Mutant("residue: sign or leading zero", SCALARS,
+           'n < _PRIME and (t[0] not in "+-0" or t == "0") and', "n < _PRIME and", PARSED_TEXT),
+    Mutant("residue: non-ASCII digit", SCALARS,
+           'or t == "0") and t.isascii()', 'or t == "0")', PARSED_TEXT),
+    Mutant("layout: more blanks", PROJECTIVE,
+           'canonical and t.count(" ") == 4 and', "canonical and", PARSED_TEXT),
+    Mutant("layout: a colon without its blanks", PROJECTIVE,
+           ' and t.count(" : ") == 2', "", PARSED_TEXT),
+    Mutant("layout: a tab or other blank", PROJECTIVE, " and t.isprintable()", "", PARSED_TEXT),
+    Mutant("run_document: a pin lends its text when it disagrees", "src/conic_butterfly/scenario_io.py",
+           "        if agree:  # equal values", "        if True:  # equal values",
+           ("tests/test_golden.py",)),
     # one sign flip in each coordinate-vector branch of the prime chart:
     # l0 = b x e_k at the tangent's lead k, then d1, d0 at the base's lead j
     Mutant("prime chart: l0 at e0", SCALARS,

@@ -77,11 +77,13 @@ object must print its own text, every time, and equal objects built by
 different routes must print the same text.
 """
 
+import re
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
 from math import gcd, lcm
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -1343,12 +1345,121 @@ def test_parse_matches_the_scalar_parse(field, data):
     k = field.kernels
     literals = data.draw(st.lists(gauss_literals() if field is G else prime_literals(),
                                   min_size=2, max_size=3))
-    assert codec_outcome(lambda: k.reduce_content(k.parse(literals))) == codec_outcome(
+    assert codec_outcome(lambda: k.reduce_content(k.parse(literals)[0])) == codec_outcome(
         lambda: k.reduce_content(k.pack(tuple(field.parse(t) for t in literals))))
     if len(literals) == 3:  # the point parser against the scalar route it replaced
         text = f"({' : '.join(literals)})"
         assert outcome(ProjPoint.parse, text, field) == outcome(
             lambda: ProjPoint(tuple(field.parse(t) for t in text[1:-1].split(":")), field))
+
+
+# the layout str prints, weighted up, and others: no blank, more blanks,
+# blanks inside the parentheses, a tab or a no-break space beside a literal,
+# four blanks in other places, and blanks around the parentheses, which
+# parse strips
+_LAYOUTS = ("({} : {} : {})",) * 5 + (
+    "({}:{}:{})", "({}  : {} : {})", "( {} : {} : {} )", "({} :\t{} : {})", "({} : {} : {}\t)",
+    "(\t{} : {} : {})", "({} : {} : {}\u00a0)", "( {} : {} :{})", "\t({} : {} : {})  ")
+# a canonical Gaussian literal: real part, then the sign and magnitude of an imaginary part
+_CANONICAL_GAUSS = re.compile(r"(-?\d+(?:/\d+)?)(?:([+-])(\d+(?:/\d+)?)i)?")
+
+
+def _higher_terms(part: str, k: int) -> str:
+    num, _, den = part.partition("/")
+    return f"{int(num) * k}/{int(den or 1) * k}"
+
+
+def _other_denominator(part: str) -> str:
+    """The same part over a denominator with a leading zero, or over 1."""
+    return part.replace("/", "/0") if "/" in part else part + "/1"
+
+
+def _non_ascii(text: str) -> str:
+    """The first ASCII digit as the Arabic-Indic digit of the same value."""
+    i = next(i for i, c in enumerate(text) if c.isdigit())
+    return text[:i] + chr(0x660 + int(text[i])) + text[i + 1:]
+
+
+@st.composite
+def respelled(draw, field, literal: str) -> str:
+    """`literal` (as str prints it) spelled another way: mostly the same value,
+    sometimes its real part times i, or another canonical literal, to move
+    the lead."""
+    k = draw(st.integers(2, 4))
+    others = ("1", "2", "-1", "0") + (("0+1i",) if field is G else (str(P.MODULUS - 1),))
+    if field is P:
+        n = int(literal)
+        spellings = ["+" + literal, "0" + literal, "-" + str((P.MODULUS - n) % P.MODULUS),
+                     str(n + P.MODULUS), _non_ascii(literal)]
+    else:
+        re_, sign, im = _CANONICAL_GAUSS.fullmatch(literal).groups()
+        rest = f"{sign}{im}i" if im else ""
+        spellings = [_higher_terms(re_, k) + rest, _other_denominator(re_) + rest,
+                     re_ + "i", _non_ascii(literal), literal[0] + " " + literal[1:],
+                     "0" + literal if literal[0] != "-" else "-0" + literal[1:]]
+        if literal[0] != "-":
+            spellings.append("+" + literal)
+        if im:
+            spellings += [f"{re_}{sign}{_higher_terms(im, k)}i", f"{re_}{sign}{_other_denominator(im)}i"]
+            if re_ == "0":
+                spellings.append(f"{'-' if sign == '-' else ''}{im}i")
+        else:
+            spellings += [literal + "+0i", literal + "-0/5i"]
+        if literal == "0":
+            spellings += ["-0", f"0/{k}", "0-0i"]
+    return draw(st.sampled_from(spellings + list(others)))
+
+
+@st.composite
+def triple_texts(draw, field):
+    """Mostly a printed triple (zeros, the lead 1, then any literals) with one
+    or two literals and the layout spelled another way; sometimes literals
+    from the codec strategies."""
+    if draw(st.integers(0, 4)):
+        lead = draw(st.sampled_from((0, 0, 1, 2)))  # mostly two literals after the lead
+        literals = ["0"] * lead + ["1"] + [fraction_text(draw(big_scalars(field)))
+                                           for _ in range(2 - lead)]
+        for i in draw(st.sets(st.integers(0, 2), min_size=1, max_size=2)):
+            literals[i] = draw(respelled(field, literals[i]))
+    else:
+        literals = draw(st.lists(gauss_literals() if field is G else prime_literals(),
+                                 min_size=3, max_size=3))
+    return draw(st.sampled_from(_LAYOUTS)).format(*literals)
+
+
+def _no_text(raw):
+    raise AssertionError("the kernel table's text was called")
+
+
+@pytest.mark.parametrize("cls", (ProjPoint, ProjLine))
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_parsed_triple_prints_its_value(field, cls, data):
+    """Whatever the spelling, a parsed object prints what the same raw
+    vector prints when built afresh."""
+    text = data.draw(triple_texts(field))
+    try:
+        obj = cls.parse(text, field)
+    except ValueError:  # a malformed literal, or a respelling to the zero vector
+        return
+    assert str(obj) == str(cls(obj.raw, field.kernels))
+
+
+@pytest.mark.parametrize("cls", (ProjPoint, ProjLine))
+@pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_printed_triple_keeps_its_text(field, cls, data):
+    """Parsing what str printed keeps that text: printing it again calls no
+    `text` kernel."""
+    k = field.kernels
+    obj = cls(data.draw(nonzero_raw_vectors(field)), k)
+    text = str(obj)
+    with mock.patch.object(field, "kernels", k._replace(text=_no_text)):
+        parsed = cls.parse(text, field)
+        assert str(parsed) == text
+    assert cls(parsed.raw, k) == obj
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=("gauss", "prime"))

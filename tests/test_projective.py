@@ -1,6 +1,7 @@
 import sys
 from fractions import Fraction
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,6 +101,56 @@ class TestTriples:
                 assert obj.is_real() == (obj == conjugate)
 
 
+_P1 = str(P.MODULUS + 1)
+
+# Triples that parse, each spelled as str never prints it: one departure per
+# text, from the canonical literal (lowest terms, no /1, a bare 0, no plus
+# sign or leading zero, a real part before any imaginary one and no zero
+# imaginary part, ASCII digits, no inner blank), the lead 1 after zeros, the
+# layout of one blank either side of each colon, or a residue below p.
+NOT_PRINTED = {
+    G: ("(1 : 2/4 : 0)", "(1 : 1/2+2/4i : 0)", "(1 : 3/1 : 0)", "(1 : 1+3/1i : 0)",
+        "(-0 : 1 : 0)", "(0/3 : 1 : 0)", "(1 : -0 : 0)", "(1 : 0/3 : 0)", "(1 : 0+0i : 0)",
+        "(1 : -0+1i : 0)", "(00 : 1 : 0)", "(+1 : 2 : 0)", "(1 : +2 : 0)", "(01 : 2 : 0)",
+        "(1 : 02 : 0)", "(1 : 1/02 : 0)", "(1 : 1+02i : 0)", "(1 : 3i : 0)", "(1 : -3i : 0)",
+        "(1+0i : 2 : 0)", "(1 : 2-0i : 0)", "(1 : 1 /2 : 0)", "(1 : \u0662 : 0)",
+        "(2 : 4 : 0)", "(-1 : 1/2 : 0)", "(0+1i : 1 : 0)", "(0 : 2 : 1)",
+        "(1:2:0)", "(1  : 2 : 0)", "( 1 : 2 : 0)", "(1 : 2 : 0 )", "(1 :\t2 : 0)",
+        "(1 : 2 : 0\t)", "(\t1 : 2 : 0)", "(1 : 2 : 0\u00a0)", "( 1 : 2 :0)"),
+    P: ("(1 : 0005 : 0)", "(1 : +5 : 0)", "(1 : -1 : 0)", "(1 : -0 : 0)", "(00 : 1 : 0)",
+        f"({_P1} : 5 : 0)", f"(1 : {P.MODULUS} : 1)", f"(1 : {_P1} : 0)", "(2 : 5 : 0)",
+        "(0 : 2 : 1)", "(1 : \u0665 : 0)", "(1:5:0)", "(1 : 5 : 0\t)", "(1: 5 : 0 )"),
+}
+PRINTED = {
+    G: ("(1 : 1/2 : 0)", "(0 : 1 : -3/4+5/6i)", "(0 : 0 : 1)", "(1 : 0+3i : -2-1/3i)",
+        "(1 : 10 : -7/100)"),
+    P: ("(1 : 5 : 0)", f"(0 : 1 : {P.MODULUS - 1})", "(0 : 0 : 1)"),
+}
+
+
+def _no_text(raw):
+    raise AssertionError("the kernel table's text was called")
+
+
+class TestParsedText:
+    """A parsed point or line keeps its text exactly when it is what str prints."""
+
+    @pytest.mark.parametrize("cls", (ProjPoint, ProjLine))
+    @pytest.mark.parametrize("field,text", [(f, t) for f in (G, P) for t in NOT_PRINTED[f]])
+    def test_other_spellings_print_from_the_value(self, field, text, cls):
+        obj = cls.parse(text, field)
+        assert str(obj) == str(cls(obj.raw, field.kernels)) != text.strip()
+
+    @pytest.mark.parametrize("cls", (ProjPoint, ProjLine))
+    @pytest.mark.parametrize("field,text", [(f, t) for f in (G, P) for t in PRINTED[f]])
+    def test_the_printed_spelling_is_kept(self, field, text, cls):
+        raw = cls.parse(text, field).raw
+        with mock.patch.object(field, "kernels", field.kernels._replace(text=_no_text)):
+            obj = cls.parse(f" {text}  ", field)
+            assert str(obj) == text
+        assert obj.raw == raw
+
+
 class TestIncidence:
     def test_join_meet_duality(self):
         p, q = pt(1, 0, 0), pt(0, 1, 0)
@@ -158,7 +209,7 @@ class TestCrossRatio:
     def test_coincident_pair_values(self):
         a, b, c = pt(0, 0, 1), pt(1, 0, 1), pt(2, 0, 1)
         assert cross_ratio(a, a, b, c).is_zero()
-        assert cross_ratio(a, b, c, a).is_infinite()
+        assert cross_ratio(a, b, c, a).den.is_zero()
         assert cross_ratio(a, b, a, c) == CrossRatioValue(G(1), G(1), G)
         with pytest.raises(DegenerateInputError):
             cross_ratio(a, a, a, b)
