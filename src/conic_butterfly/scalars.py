@@ -37,8 +37,7 @@ past the interpreter's limit.  The kernel tables' ``text`` and ``parse``
 are the same codec on raw vectors, with no scalar objects: points, lines
 and cross-ratio values print and read through them, and ``canonical()``
 stays for hashing and as the tests' oracle.  ``parse`` also tells whether
-its literals are already the ones ``text`` would print, so a parsed point
-or line can keep its text instead of printing it again.
+its literals are those ``text`` prints, so a parsed point or line keeps them.
 """
 
 from __future__ import annotations
@@ -139,9 +138,9 @@ def _decimal(n: int) -> str:
 
 
 def _rational(text: str) -> tuple:
-    """``(numerator, denominator, lowest)`` of a literal that matched ``_RAT``,
-    unreduced; ``lowest`` when, sign aside, it is a nonzero part as ``str``
-    prints it: no leading zero, and no denominator or one above 1 coprime to it."""
+    """``(numerator, denominator, spelled)`` of a literal that matched ``_RAT``,
+    unreduced; ``spelled`` when, sign aside, it is a nonzero part as ``str`` spells
+    one up to lowest terms: no leading zero in either number, and no ``/1``."""
     num, _, den = text.partition("/")
     try:
         n, d = int(num), (int(den) if den else 1)
@@ -149,8 +148,7 @@ def _rational(text: str) -> tuple:
         raise ScalarParseError(f"bad rational literal {text!r}") from None
     if not d:
         raise ScalarParseError(f"zero denominator in {text!r}")
-    digits = num[1:] if num[0] in "+-" else num
-    return n, d, digits[0] != "0" and (not den or den[0] != "0" and d != 1 and gcd(n, d) == 1)
+    return n, d, num.lstrip("+-")[0] != "0" and (not den or den[0] != "0" and d != 1)
 
 
 def _ratio_text(n: int, d: int) -> str:
@@ -175,23 +173,23 @@ def _gauss_text(a: int, b: int, d: int) -> str:
 
 
 def _gauss_literal(text: str) -> tuple:
-    """``(a, b, d, canonical)`` with ``(a + b*i) / d`` the value of a literal,
-    unreduced, and ``canonical`` when the literal, blanks aside, is the text
-    ``str`` prints for that value."""
+    """``(a, d, b, e, spelled)`` with ``a/d + (b/e)*i`` the value of a literal,
+    unreduced, and ``spelled`` when the literal, blanks aside and lowest terms
+    untested, is spelled as ``str`` spells that value."""
     t = text.strip().replace(" ", "")
     m = _LITERAL_RE.match(t)
     if m is None:
         raise ScalarParseError(f"bad scalar literal {text!r}")
     first, second, imaginary = m.groups()
-    a, d, lowest = _rational(first)
+    a, d, spelled = _rational(first)
     # str prints ASCII digits, a zero real part as a bare 0 and any other with no plus sign
-    canonical = t.isascii() and (first == "0" or lowest and first[0] != "+")
+    spelled = t.isascii() and (first == "0" or spelled and first[0] != "+")
     if second:
-        b, e, lowest = _rational(second)
-        return a * e, b * d, d * e, canonical and lowest
+        b, e, ok = _rational(second)
+        return a, d, b, e, spelled and ok
     if imaginary:  # str prints no imaginary part without a real one
-        return 0, a, d, False
-    return a, 0, d, canonical
+        return 0, 1, a, d, False
+    return a, d, 0, 1, spelled
 
 
 class GaussianRational(FieldContract):
@@ -234,8 +232,8 @@ class GaussianRational(FieldContract):
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
         """Inverse of ``str``: accepts ``a/b``, ``a/b+c/di`` and ``c/di``."""
-        a, b, d, _ = _gauss_literal(text)
-        return _reduced(a, b, d)
+        a, d, b, e, _ = _gauss_literal(text)
+        return _reduced(a * e, b * d, d * e)
 
     @classmethod
     def random(cls, rng: Random, height_bound: int, *, real: bool = False) -> "GaussianRational":
@@ -447,11 +445,11 @@ class Kernels(namedtuple("Kernels", (
     same ratio: ``pack`` of the pair, split in two), ``unpack``, ``scalar``,
     ``normalize``, the codec ``text`` (the literals of normalize's entries;
     on gauss a real lead divides directly, any other over its norm) and
-    ``parse`` (literals to the pair of a raw vector of their ratio, content
-    kept, and whether the literals, blanks aside, are those ``text`` prints
-    for it: each canonical, which costs one gcd per part with a
-    denominator, and the first nonzero one 1), and
-    ``random(rng, height, n, real)`` (n packed draws of the backend's
+    ``parse`` (literals to the pair of a raw vector of their ratio, scaled
+    by the lcm of their parts' denominators, and whether the literals,
+    blanks aside, are those ``text`` prints for it: spelled as ``str``
+    spells them, each part in lowest terms, which costs one gcd per part,
+    and the first nonzero one 1), and ``random(rng, height, n, real)`` (n packed draws of the backend's
     ``random``).  Constructions: ``reference_image(t)`` (the flat raw form of
     T(xz = y^2) and raw T(1 : 0 : 0) for T's rows) and ``chart(form, base)``
     (``ConicParametrization``'s content-reduced vectors (A2, A1, A0)).
@@ -750,11 +748,14 @@ def _g_text(v):
 
 def _g_parse(literals):
     parts = [_gauss_literal(t) for t in literals]
-    den = lcm(*(d for _, _, d, _ in parts))
-    raw = tuple(x * (den // d) for a, b, d, _ in parts for x in (a, b))
-    # what text prints: canonical literals, the first nonzero one 1, which is (1, 0, 1)
-    lead = next((q[:3] for q in parts if q[0] or q[1]), None)
-    return raw, lead == (1, 0, 1) and all(q[3] for q in parts)
+    den = lcm(*[x for _, d, _, e, _ in parts for x in (d, e)])
+    raw = tuple([x for a, d, b, e, _ in parts for x in (a * (den // d), b * (den // e))])
+    # what text prints: literals spelled as str spells them, each part in lowest
+    # terms (one gcd per part), the first nonzero one 1, which reads (1, 1, 0, 1)
+    for a, d, b, e, spelled in parts:
+        if not (spelled and gcd(a, d) == 1 and gcd(b, e) == 1):
+            return raw, False
+    return raw, next((q[:4] for q in parts if q[0] or q[2]), None) == (1, 1, 0, 1)
 
 
 def _g_reference_entry(u, v):

@@ -495,11 +495,8 @@ def run_document(doc: ScenarioDocument) -> List[CheckReport]:
             raise ScenarioParseError(f"expect {e.name!r}: witness is not a {e.kind}")
         # a pin that echoes a declaration is the declared object (see parse_scenario)
         agree = actual is e.value or actual == e.value
-        if agree:  # equal values print one text, so a pin that kept its parsed text lends it
-            try:
-                actual._text = e.value._text
-            except AttributeError:  # a scalar, or a pin not written as str prints it
-                pass
+        if agree and hasattr(e.value, "_text"):  # equal values print one text: the pin's kept one
+            actual._text = e.value._text
         pairs.append((f"{e.name} expected", actual if agree else e.value))
         pairs.append((f"{e.name} actual", actual))
         if not agree:

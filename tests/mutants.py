@@ -103,23 +103,25 @@ CATALOGUE = (
     # a parsed point or line keeps its text only when it is what str prints:
     # each canonicality guard of the literal, the lead, the layout and the
     # residue, and the pin that lends its text only to a witness it equals
-    Mutant("canonical literal: no gcd test", SCALARS,
-           " and gcd(n, d) == 1)\n", ")\n", PARSED_TEXT),
-    Mutant("canonical literal: /1", SCALARS, "and d != 1 and", "and", PARSED_TEXT),
+    Mutant("canonical literal: no gcd test of a real part", SCALARS,
+           "spelled and gcd(a, d) == 1 and gcd(b, e) == 1", "spelled and gcd(b, e) == 1", PARSED_TEXT),
+    Mutant("canonical literal: no gcd test of an imaginary part", SCALARS,
+           "spelled and gcd(a, d) == 1 and gcd(b, e) == 1", "spelled and gcd(a, d) == 1", PARSED_TEXT),
+    Mutant("canonical literal: /1", SCALARS, 'den[0] != "0" and d != 1)', 'den[0] != "0")',
+           PARSED_TEXT),
     Mutant("canonical literal: leading zero in a denominator", SCALARS,
            'den[0] != "0" and d != 1', "d != 1", PARSED_TEXT),
     Mutant("canonical literal: leading zero", SCALARS,
-           'digits[0] != "0" and (not den', "(not den", PARSED_TEXT),
+           'num.lstrip("+-")[0] != "0" and (not den', "(not den", PARSED_TEXT),
     Mutant("canonical literal: signed or denominated zero", SCALARS,
-           '(first == "0" or lowest', "(not a or lowest", PARSED_TEXT),
+           '(first == "0" or spelled', "(not a or spelled", PARSED_TEXT),
     Mutant("canonical literal: plus sign", SCALARS,
-           'lowest and first[0] != "+")', "lowest)", PARSED_TEXT),
+           'spelled and first[0] != "+")', "spelled)", PARSED_TEXT),
     Mutant("canonical literal: imaginary part alone", SCALARS,
-           "return 0, a, d, False", "return 0, a, d, canonical", PARSED_TEXT),
+           "return 0, 1, a, d, False", "return 0, 1, a, d, spelled", PARSED_TEXT),
     Mutant("canonical literal: non-ASCII digit", SCALARS,
-           "canonical = t.isascii() and (first", "canonical = (first", PARSED_TEXT),
-    Mutant("gauss lead: not 1", SCALARS,
-           "lead == (1, 0, 1) and", "lead is not None and", PARSED_TEXT),
+           "spelled = t.isascii() and (first", "spelled = (first", PARSED_TEXT),
+    Mutant("gauss lead: not 1", SCALARS, "== (1, 1, 0, 1)\n", "!= (0, 1, 0, 1)\n", PARSED_TEXT),
     Mutant("prime lead: not 1", SCALARS,
            "next(filter(None, raw), None) == 1", "next(filter(None, raw), None) is not None",
            PARSED_TEXT),
@@ -134,7 +136,7 @@ CATALOGUE = (
            ' and t.count(" : ") == 2', "", PARSED_TEXT),
     Mutant("layout: a tab or other blank", PROJECTIVE, " and t.isprintable()", "", PARSED_TEXT),
     Mutant("run_document: a pin lends its text when it disagrees", "src/conic_butterfly/scenario_io.py",
-           "        if agree:  # equal values", "        if True:  # equal values",
+           'if agree and hasattr(e.value, "_text"):', 'if hasattr(e.value, "_text"):',
            ("tests/test_golden.py",)),
     # one sign flip in each coordinate-vector branch of the prime chart:
     # l0 = b x e_k at the tangent's lead k, then d1, d0 at the base's lead j

@@ -74,7 +74,10 @@ prints from (1 : -1); its reference is the text of its own scaled pair.
 Malformed literals must raise the same exception with the same message.  A
 point, line or cross-ratio keeps its text after the first `str`, so each
 object must print its own text, every time, and equal objects built by
-different routes must print the same text.
+different routes must print the same text.  A parsed point or line also
+keeps its input text when that text is what `str` prints, so whatever the
+spelling, it must print what an object built afresh from its raw vector
+prints, and parsing printed text must keep it without a `text` call.
 """
 
 import re
@@ -1353,11 +1356,11 @@ def test_parse_matches_the_scalar_parse(field, data):
             lambda: ProjPoint(tuple(field.parse(t) for t in text[1:-1].split(":")), field))
 
 
-# the layout str prints, weighted up, and others: no blank, more blanks,
-# blanks inside the parentheses, a tab or a no-break space beside a literal,
-# four blanks in other places, and blanks around the parentheses, which
-# parse strips
-_LAYOUTS = ("({} : {} : {})",) * 5 + (
+_LAYOUT = "({} : {} : {})"  # the layout str prints
+# others: no blank, more blanks, blanks inside the parentheses, a tab or a
+# no-break space beside a literal, four blanks in other places, and blanks
+# around the parentheses, which parse strips, so that text is kept
+_OTHER_LAYOUTS = (
     "({}:{}:{})", "({}  : {} : {})", "( {} : {} : {} )", "({} :\t{} : {})", "({} : {} : {}\t)",
     "(\t{} : {} : {})", "({} : {} : {}\u00a0)", "( {} : {} :{})", "\t({} : {} : {})  ")
 # a canonical Gaussian literal: real part, then the sign and magnitude of an imaginary part
@@ -1412,19 +1415,19 @@ def respelled(draw, field, literal: str) -> str:
 
 @st.composite
 def triple_texts(draw, field):
-    """Mostly a printed triple (zeros, the lead 1, then any literals) with one
-    or two literals and the layout spelled another way; sometimes literals
+    """A printed triple (zeros, the lead 1, then any literals) with one
+    departure: one literal or the layout spelled another way, or literals
     from the codec strategies."""
-    if draw(st.integers(0, 4)):
-        lead = draw(st.sampled_from((0, 0, 1, 2)))  # mostly two literals after the lead
-        literals = ["0"] * lead + ["1"] + [fraction_text(draw(big_scalars(field)))
-                                           for _ in range(2 - lead)]
-        for i in draw(st.sets(st.integers(0, 2), min_size=1, max_size=2)):
-            literals[i] = draw(respelled(field, literals[i]))
-    else:
+    lead = draw(st.sampled_from((0, 0, 0, 1, 2)))  # mostly two literals after the lead
+    literals = ["0"] * lead + ["1"] + [fraction_text(draw(big_scalars(field))) for _ in range(2 - lead)]
+    departure = draw(st.sampled_from(("literal", "literal", "layout", "codec")))
+    if departure == "literal":
+        i = draw(st.integers(0, 2))
+        literals[i] = draw(respelled(field, literals[i]))
+    elif departure == "codec":
         literals = draw(st.lists(gauss_literals() if field is G else prime_literals(),
                                  min_size=3, max_size=3))
-    return draw(st.sampled_from(_LAYOUTS)).format(*literals)
+    return (draw(st.sampled_from(_OTHER_LAYOUTS)) if departure == "layout" else _LAYOUT).format(*literals)
 
 
 def _no_text(raw):
