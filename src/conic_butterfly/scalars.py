@@ -449,9 +449,10 @@ class Kernels(namedtuple("Kernels", (
     by the lcm of their parts' denominators, and whether the literals,
     blanks aside, are those ``text`` prints for it: spelled as ``str``
     spells them, each part in lowest terms, which costs one gcd per part,
-    and the first nonzero one 1), and ``random(rng, height, n, real)`` (n packed draws of the backend's
-    ``random``).  Constructions: ``reference_image(t)`` (the flat raw form of
-    T(xz = y^2) and raw T(1 : 0 : 0) for T's rows) and ``chart(form, base)``
+    and the first nonzero one 1), and ``random(rng, height, n, real)``
+    (n packed draws of the backend's ``random``).  Constructions:
+    ``reference_image(t)`` (the flat raw form of T(xz = y^2) and raw
+    T(1 : 0 : 0) for T's rows) and ``chart(form, base)``
     (``ConicParametrization``'s content-reduced vectors (A2, A1, A0)).
 
     The entries the geometry calls per point or line (``cross``, ``dot``,

@@ -47,6 +47,7 @@ SCALARS = "src/conic_butterfly/scalars.py"
 CHECKS = "src/conic_butterfly/checks.py"
 ORACLE = ("tests/test_kernel_oracle.py",)
 PROJECTIVE = "src/conic_butterfly/projective.py"
+SCENARIO_IO = "src/conic_butterfly/scenario_io.py"
 PARSED_TEXT = ("tests/test_projective.py", "tests/test_kernel_oracle.py")
 CHECK_TESTS = ("tests/test_checks.py",)
 
@@ -104,9 +105,11 @@ CATALOGUE = (
     # each canonicality guard of the literal, the lead, the layout and the
     # residue, and the pin that lends its text only to a witness it equals
     Mutant("canonical literal: no gcd test of a real part", SCALARS,
-           "spelled and gcd(a, d) == 1 and gcd(b, e) == 1", "spelled and gcd(b, e) == 1", PARSED_TEXT),
+           "spelled and gcd(a, d) == 1 and gcd(b, e) == 1", "spelled and gcd(b, e) == 1",
+           PARSED_TEXT),
     Mutant("canonical literal: no gcd test of an imaginary part", SCALARS,
-           "spelled and gcd(a, d) == 1 and gcd(b, e) == 1", "spelled and gcd(a, d) == 1", PARSED_TEXT),
+           "spelled and gcd(a, d) == 1 and gcd(b, e) == 1", "spelled and gcd(a, d) == 1",
+           PARSED_TEXT),
     Mutant("canonical literal: /1", SCALARS, 'den[0] != "0" and d != 1)', 'den[0] != "0")',
            PARSED_TEXT),
     Mutant("canonical literal: leading zero in a denominator", SCALARS,
@@ -135,7 +138,7 @@ CATALOGUE = (
     Mutant("layout: a colon without its blanks", PROJECTIVE,
            ' and t.count(" : ") == 2', "", PARSED_TEXT),
     Mutant("layout: a tab or other blank", PROJECTIVE, " and t.isprintable()", "", PARSED_TEXT),
-    Mutant("run_document: a pin lends its text when it disagrees", "src/conic_butterfly/scenario_io.py",
+    Mutant("run_document: a pin lends its text when it disagrees", SCENARIO_IO,
            'if agree and hasattr(e.value, "_text"):', 'if hasattr(e.value, "_text"):',
            ("tests/test_golden.py",)),
     # one sign flip in each coordinate-vector branch of the prime chart:

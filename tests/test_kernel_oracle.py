@@ -1403,7 +1403,8 @@ def respelled(draw, field, literal: str) -> str:
         if literal[0] != "-":
             spellings.append("+" + literal)
         if im:
-            spellings += [f"{re_}{sign}{_higher_terms(im, k)}i", f"{re_}{sign}{_other_denominator(im)}i"]
+            spellings += [f"{re_}{sign}{_higher_terms(im, k)}i",
+                          f"{re_}{sign}{_other_denominator(im)}i"]
             if re_ == "0":
                 spellings.append(f"{'-' if sign == '-' else ''}{im}i")
         else:
@@ -1419,7 +1420,8 @@ def triple_texts(draw, field):
     departure: one literal or the layout spelled another way, or literals
     from the codec strategies."""
     lead = draw(st.sampled_from((0, 0, 0, 1, 2)))  # mostly two literals after the lead
-    literals = ["0"] * lead + ["1"] + [fraction_text(draw(big_scalars(field))) for _ in range(2 - lead)]
+    literals = ["0"] * lead + ["1"] + [fraction_text(draw(big_scalars(field)))
+                                       for _ in range(2 - lead)]
     departure = draw(st.sampled_from(("literal", "literal", "layout", "codec")))
     if departure == "literal":
         i = draw(st.integers(0, 2))
@@ -1427,7 +1429,8 @@ def triple_texts(draw, field):
     elif departure == "codec":
         literals = draw(st.lists(gauss_literals() if field is G else prime_literals(),
                                  min_size=3, max_size=3))
-    return (draw(st.sampled_from(_OTHER_LAYOUTS)) if departure == "layout" else _LAYOUT).format(*literals)
+    layout = draw(st.sampled_from(_OTHER_LAYOUTS)) if departure == "layout" else _LAYOUT
+    return layout.format(*literals)
 
 
 def _no_text(raw):
