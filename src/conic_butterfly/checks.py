@@ -31,11 +31,9 @@ from .scenarios import ButterflyScenario
 
 
 def _separation_residual(p, q):
-    """The first nonzero cross-product entry, witnessing that two objects differ."""
-    entry = p.kernels.first_nonzero_minor(p.raw, q.raw)
-    if entry is None:
-        raise ValueError("objects coincide; there is no separation residual")
-    return p.kernels.scalar(entry)
+    """The first nonzero cross-product entry, witnessing that two objects differ.
+    Callers call it only once ``==`` has found that they do."""
+    return p.kernels.scalar(p.kernels.first_nonzero_minor(p.raw, q.raw))
 
 
 # ----------------------------------------------------------------------

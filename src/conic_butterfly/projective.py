@@ -51,6 +51,9 @@ def _cofactors(m) -> tuple:
     return (k.cross(m1, m2), k.cross(m2, m0), k.cross(m0, m1))
 
 
+_LAYOUT = "({} : {} : {})"  # the text of a point or line from its three literals
+
+
 class _Triple:
     """Shared plumbing of points and lines: a content-reduced homogeneous
     triple in the backend's raw form (`raw`), computed on through the
@@ -107,8 +110,7 @@ class _Triple:
         try:
             return self._text
         except AttributeError:
-            x, y, z = self.kernels.text(self.raw)
-            text = self._text = f"({x} : {y} : {z})"
+            text = self._text = _LAYOUT.format(*self.kernels.text(self.raw))
             return text
 
     def __repr__(self):
@@ -123,11 +125,12 @@ class _Triple:
         if len(parts) != 3:
             raise ProjectiveError(f"expected 3 coordinates in {text!r}")
         k = field.kernels
-        raw, canonical = k.parse(parts)
+        raw, printed = k.parse(parts)
         obj = cls(raw, k)
-        # the layout str prints: one blank either side of each colon, and no other
-        if canonical and t.count(" ") == 4 and t.count(" : ") == 2 and t.isprintable():
-            obj._text = t
+        if printed:  # every literal is what str prints for its value: keep t if str prints it
+            literals = [x.strip() for x in parts]
+            if _LAYOUT.format(*literals) == t and next(x for x in literals if x != "0") == "1":
+                obj._text = t
         return obj
 
 

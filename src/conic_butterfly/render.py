@@ -90,10 +90,10 @@ def _assert_incidences(doc: ScenarioDocument, points: Dict[str, ProjPoint]) -> N
     for name in claim.on_conic:
         p = points.get(name)
         if p is not None and not doc.conic.contains(p):
-            raise AssertionError(f"figure would place {name} off the conic")
+            raise ProjectiveError(f"figure would place {name} off the conic")
     for n1, n2 in claim.edges:
         if n1 in points and n2 in points and points[n1] == points[n2]:
-            raise AssertionError(f"edge {n1}{n2} collapsed to a point")
+            raise ProjectiveError(f"edge {n1}{n2} collapsed to a point")
 
 
 def _sample_base(doc: ScenarioDocument, points: Dict[str, ProjPoint]) -> ProjPoint:

@@ -37,7 +37,8 @@ past the interpreter's limit.  The kernel tables' ``text`` and ``parse``
 are the same codec on raw vectors, with no scalar objects: points, lines
 and cross-ratio values print and read through them, and ``canonical()``
 stays for hashing and as the tests' oracle.  ``parse`` also tells whether
-its literals are those ``text`` prints, so a parsed point or line keeps them.
+each literal is the one ``str`` prints for its value, by printing it: the
+printer is the only spelling rule, so a parsed point or line can keep its text.
 """
 
 from __future__ import annotations
@@ -138,9 +139,7 @@ def _decimal(n: int) -> str:
 
 
 def _rational(text: str) -> tuple:
-    """``(numerator, denominator, spelled)`` of a literal that matched ``_RAT``,
-    unreduced; ``spelled`` when, sign aside, it is a nonzero part as ``str`` spells
-    one up to lowest terms: no leading zero in either number, and no ``/1``."""
+    """``(numerator, denominator)`` of a literal that matched ``_RAT``, unreduced."""
     num, _, den = text.partition("/")
     try:
         n, d = int(num), (int(den) if den else 1)
@@ -148,7 +147,7 @@ def _rational(text: str) -> tuple:
         raise ScalarParseError(f"bad rational literal {text!r}") from None
     if not d:
         raise ScalarParseError(f"zero denominator in {text!r}")
-    return n, d, num.lstrip("+-")[0] != "0" and (not den or den[0] != "0" and d != 1)
+    return n, d
 
 
 def _ratio_text(n: int, d: int) -> str:
@@ -165,31 +164,24 @@ def _ratio_text(n: int, d: int) -> str:
         return _decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
 
 
-def _gauss_text(a: int, b: int, d: int) -> str:
-    """The literal of ``(a + b*i) / d`` for ``d > 0``, each part in lowest terms."""
+def _gauss_text(a: int, d: int, b: int, e: int) -> str:
+    """The literal of ``a/d + (b/e)*i`` for ``d, e > 0``, each part in lowest terms."""
     if not b:
         return _ratio_text(a, d)
-    return f"{_ratio_text(a, d)}{'+' if b > 0 else '-'}{_ratio_text(abs(b), d)}i"
+    return f"{_ratio_text(a, d)}{'+' if b > 0 else '-'}{_ratio_text(abs(b), e)}i"
 
 
 def _gauss_literal(text: str) -> tuple:
-    """``(a, d, b, e, spelled)`` with ``a/d + (b/e)*i`` the value of a literal,
-    unreduced, and ``spelled`` when the literal, blanks aside and lowest terms
-    untested, is spelled as ``str`` spells that value."""
-    t = text.strip().replace(" ", "")
-    m = _LITERAL_RE.match(t)
+    """``(a, d, b, e)`` with ``a/d + (b/e)*i`` the value of a literal, unreduced."""
+    m = _LITERAL_RE.match(text.strip().replace(" ", ""))
     if m is None:
         raise ScalarParseError(f"bad scalar literal {text!r}")
     first, second, imaginary = m.groups()
-    a, d, spelled = _rational(first)
-    # str prints ASCII digits, a zero real part as a bare 0 and any other with no plus sign
-    spelled = t.isascii() and (first == "0" or spelled and first[0] != "+")
     if second:
-        b, e, ok = _rational(second)
-        return a, d, b, e, spelled and ok
-    if imaginary:  # str prints no imaginary part without a real one
-        return 0, 1, a, d, False
-    return a, d, 0, 1, spelled
+        return _rational(first) + _rational(second)
+    if imaginary:
+        return (0, 1) + _rational(first)
+    return _rational(first) + (0, 1)
 
 
 class GaussianRational(FieldContract):
@@ -232,7 +224,7 @@ class GaussianRational(FieldContract):
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
         """Inverse of ``str``: accepts ``a/b``, ``a/b+c/di`` and ``c/di``."""
-        a, d, b, e, _ = _gauss_literal(text)
+        a, d, b, e = _gauss_literal(text)
         return _reduced(a * e, b * d, d * e)
 
     @classmethod
@@ -296,7 +288,7 @@ class GaussianRational(FieldContract):
         return hash((self.a, self.b, self.d))
 
     def __str__(self):
-        return _gauss_text(self.a, self.b, self.d)
+        return _gauss_text(self.a, self.d, self.b, self.d)
 
 
 _raw_new = object.__new__
@@ -327,17 +319,17 @@ _RESIDUE_RE = re.compile(r"[+-]?\d+")
 
 
 def _residue(text: str) -> tuple:
-    """``(residue, canonical)``: the residue mod p of a decimal literal, and
+    """``(residue, printed)``: the residue mod p of a decimal literal, and
     whether the literal, blanks around it aside, is the text ``str`` prints
-    for it (ASCII digits, no sign, no leading zero, below p)."""
+    for it."""
     t = text.strip()
     if _RESIDUE_RE.fullmatch(t):
         try:
-            n = int(t)
+            n = int(t) % _PRIME
         except ValueError:  # int() refuses digit strings past sys.get_int_max_str_digits()
             pass
         else:
-            return n % _PRIME, n < _PRIME and (t[0] not in "+-0" or t == "0") and t.isascii()
+            return n, str(n) == t
     raise ScalarParseError(f"bad residue literal {text!r}")
 
 
@@ -446,10 +438,9 @@ class Kernels(namedtuple("Kernels", (
     ``normalize``, the codec ``text`` (the literals of normalize's entries;
     on gauss a real lead divides directly, any other over its norm) and
     ``parse`` (literals to the pair of a raw vector of their ratio, scaled
-    by the lcm of their parts' denominators, and whether the literals,
-    blanks aside, are those ``text`` prints for it: spelled as ``str``
-    spells them, each part in lowest terms, which costs one gcd per part,
-    and the first nonzero one 1), and ``random(rng, height, n, real)``
+    by the lcm of their parts' denominators, and whether each literal,
+    blanks around it aside, equals what ``str`` prints for its value), and
+    ``random(rng, height, n, real)``
     (n packed draws of the backend's ``random``).  Constructions:
     ``reference_image(t)`` (the flat raw form of T(xz = y^2) and raw
     T(1 : 0 : 0) for T's rows) and ``chart(form, base)``
@@ -539,9 +530,8 @@ def _p_over_lead(v):
 
 
 def _p_parse(literals):
-    raw, canonical = zip(*map(_residue, literals))
-    # what text prints: canonical literals, the first nonzero one 1
-    return raw, all(canonical) and next(filter(None, raw), None) == 1
+    raw, printed = zip(*map(_residue, literals))
+    return raw, all(printed)
 
 
 _HALF = (_PRIME + 1) // 2  # 1/2 mod p, the reference form's corner entry
@@ -739,24 +729,19 @@ def _g_text(v):
     p, q = v[k], v[k + 1]
     head = ("0",) * (k // 2) + ("1",)
     if not q:
-        s = 1 if p > 0 else -1
-        return head + tuple(_gauss_text(s * v[i], s * v[i + 1], s * p)
+        s, n = (1, p) if p > 0 else (-1, -p)
+        return head + tuple(_gauss_text(s * v[i], n, s * v[i + 1], n)
                             for i in range(k + 2, len(v), 2))
     n = p * p + q * q
-    return head + tuple(_gauss_text(v[i] * p + v[i + 1] * q, v[i + 1] * p - v[i] * q, n)
+    return head + tuple(_gauss_text(v[i] * p + v[i + 1] * q, n, v[i + 1] * p - v[i] * q, n)
                         for i in range(k + 2, len(v), 2))
 
 
 def _g_parse(literals):
     parts = [_gauss_literal(t) for t in literals]
-    den = lcm(*[x for _, d, _, e, _ in parts for x in (d, e)])
-    raw = tuple([x for a, d, b, e, _ in parts for x in (a * (den // d), b * (den // e))])
-    # what text prints: literals spelled as str spells them, each part in lowest
-    # terms (one gcd per part), the first nonzero one 1, which reads (1, 1, 0, 1)
-    for a, d, b, e, spelled in parts:
-        if not (spelled and gcd(a, d) == 1 and gcd(b, e) == 1):
-            return raw, False
-    return raw, next((q[:4] for q in parts if q[0] or q[2]), None) == (1, 1, 0, 1)
+    den = lcm(*[x for _, d, _, e in parts for x in (d, e)])
+    raw = tuple([x for a, d, b, e in parts for x in (a * (den // d), b * (den // e))])
+    return raw, all([t.strip() == _gauss_text(*q) for t, q in zip(literals, parts)])
 
 
 def _g_reference_entry(u, v):

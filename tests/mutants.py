@@ -98,49 +98,41 @@ CATALOGUE = (
            "    for e in k.units:\n", "    for e in k.units[:2]:\n", ("tests/test_conics.py",)),
     # a prime literal past the interpreter's digit limit is a parse error
     Mutant("residue literal past the digit limit: except never matches", SCALARS,
-           "            n = int(t)\n        except ValueError:",
-           "            n = int(t)\n        except TypeError:",
+           "            n = int(t) % _PRIME\n        except ValueError:",
+           "            n = int(t) % _PRIME\n        except TypeError:",
            ("tests/test_scalars.py",)),
     # a parsed point or line keeps its text only when it is what str prints:
-    # each canonicality guard of the literal, the lead, the layout and the
-    # residue, and the pin that lends its text only to a witness it equals
-    Mutant("canonical literal: no gcd test of a real part", SCALARS,
-           "spelled and gcd(a, d) == 1 and gcd(b, e) == 1", "spelled and gcd(b, e) == 1",
-           PARSED_TEXT),
-    Mutant("canonical literal: no gcd test of an imaginary part", SCALARS,
-           "spelled and gcd(a, d) == 1 and gcd(b, e) == 1", "spelled and gcd(a, d) == 1",
-           PARSED_TEXT),
-    Mutant("canonical literal: /1", SCALARS, 'den[0] != "0" and d != 1)', 'den[0] != "0")',
-           PARSED_TEXT),
-    Mutant("canonical literal: leading zero in a denominator", SCALARS,
-           'den[0] != "0" and d != 1', "d != 1", PARSED_TEXT),
-    Mutant("canonical literal: leading zero", SCALARS,
-           'num.lstrip("+-")[0] != "0" and (not den', "(not den", PARSED_TEXT),
-    Mutant("canonical literal: signed or denominated zero", SCALARS,
-           '(first == "0" or spelled', "(not a or spelled", PARSED_TEXT),
-    Mutant("canonical literal: plus sign", SCALARS,
-           'spelled and first[0] != "+")', "spelled)", PARSED_TEXT),
-    Mutant("canonical literal: imaginary part alone", SCALARS,
-           "return 0, 1, a, d, False", "return 0, 1, a, d, spelled", PARSED_TEXT),
-    Mutant("canonical literal: non-ASCII digit", SCALARS,
-           "spelled = t.isascii() and (first", "spelled = (first", PARSED_TEXT),
-    Mutant("gauss lead: not 1", SCALARS, "== (1, 1, 0, 1)\n", "!= (0, 1, 0, 1)\n", PARSED_TEXT),
-    Mutant("prime lead: not 1", SCALARS,
-           "next(filter(None, raw), None) == 1", "next(filter(None, raw), None) is not None",
-           PARSED_TEXT),
-    Mutant("residue: at or past p", SCALARS, "n < _PRIME and (", "(", PARSED_TEXT),
-    Mutant("residue: sign or leading zero", SCALARS,
-           'n < _PRIME and (t[0] not in "+-0" or t == "0") and', "n < _PRIME and", PARSED_TEXT),
-    Mutant("residue: non-ASCII digit", SCALARS,
-           'or t == "0") and t.isascii()', 'or t == "0")', PARSED_TEXT),
-    Mutant("layout: more blanks", PROJECTIVE,
-           'canonical and t.count(" ") == 4 and', "canonical and", PARSED_TEXT),
-    Mutant("layout: a colon without its blanks", PROJECTIVE,
-           ' and t.count(" : ") == 2', "", PARSED_TEXT),
-    Mutant("layout: a tab or other blank", PROJECTIVE, " and t.isprintable()", "", PARSED_TEXT),
+    # each literal compared with the printer's literal for its value, the
+    # layout and the lead 1, and the pin that lends its text only to a
+    # witness it equals
+    Mutant("gauss literal: not compared with the printer", SCALARS,
+           "return raw, all([t.strip() == _gauss_text(*q) for t, q in zip(literals, parts)])",
+           "return raw, True", PARSED_TEXT),
+    Mutant("residue: not compared with the printer", SCALARS,
+           "return n, str(n) == t", "return n, True", PARSED_TEXT),
+    Mutant("layout: not compared with the printer's", PROJECTIVE,
+           "if _LAYOUT.format(*literals) == t and ", "if ", PARSED_TEXT),
+    Mutant("lead: not 1", PROJECTIVE,
+           ' and next(x for x in literals if x != "0") == "1"', "", PARSED_TEXT),
     Mutant("run_document: a pin lends its text when it disagrees", SCENARIO_IO,
            'if agree and hasattr(e.value, "_text"):', 'if hasattr(e.value, "_text"):',
            ("tests/test_golden.py",)),
+    # each checker rejects inputs outside its lemma's hypotheses
+    Mutant("mono: y' off l passes", CHECKS, "        if not incident(w, l):\n", "        if False:\n",
+           CHECK_TESTS),
+    Mutant("mono: tangent l passes", CHECKS, "    if y == y_prime:\n        raise",
+           "    if False:\n        raise", CHECK_TESTS),
+    Mutant("mono: m off l passes", CHECKS, "    if not incident(m, l):\n", "    if False:\n",
+           CHECK_TESTS),
+    Mutant("jap: y at the pole passes", CHECKS, "    if y == frame.pole:\n", "    if False:\n",
+           CHECK_TESTS),
+    Mutant("jap: l2 off the pole passes", CHECKS, "    if not incident(frame.pole, l2):\n",
+           "    if False:\n", CHECK_TESTS),
+    Mutant("jap: l2 = py passes", CHECKS, "    if l2 == join(frame.pole, y):\n", "    if False:\n",
+           CHECK_TESTS),
+    Mutant("nut: y = z passes", CHECKS, "    if y == z:\n", "    if False:\n", CHECK_TESTS),
+    Mutant("sack: r or s off the conic passes", CHECKS, "    for w in (r, s):\n", "    for w in ():\n",
+           CHECK_TESTS),
     # one sign flip in each coordinate-vector branch of the prime chart:
     # l0 = b x e_k at the tangent's lead k, then d1, d0 at the base's lead j
     Mutant("prime chart: l0 at e0", SCALARS,

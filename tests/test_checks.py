@@ -24,7 +24,7 @@ from conic_butterfly.projective import (
     meet,
 )
 from conic_butterfly.reflection import ReflectionFrame
-from conic_butterfly.reports import Verdict
+from conic_butterfly.reports import CheckReport, Verdict
 from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
 from conic_butterfly.scenarios import (
     build_scenario,
@@ -107,6 +107,19 @@ class TestMono:
         with pytest.raises(ProjectiveError):
             lemma_mono_check(frame, l, frame.pole, y_prime, m)
 
+    @pytest.mark.parametrize("y_prime, m, message", [
+        ((4, 3, 6), (0, 1, 1), "is not on l"),
+        ((1, 1, 1), (0, 1, 1), "l is tangent"),
+        ((1, 0, 0), (0, 0, 1), "m must lie on l"),
+    ], ids=("y' off l", "tangent l", "m off l"))
+    def test_rejected_inputs(self, y_prime, m, message):
+        """On the lemma frame, l: y = z joins the pole to y = (1 : 1 : 1) and
+        meets the conic again at (1 : 0 : 0) and the axis at (0 : 1 : 1);
+        (4 : 3 : 6) is on the conic but not on l."""
+        frame, y = lemma_frame(), pt(1, 1, 1)
+        with pytest.raises(ProjectiveError, match=message):
+            lemma_mono_check(frame, join(frame.pole, y), y, pt(*y_prime), pt(*m))
+
 
 class TestJap:
     def test_holds(self):
@@ -132,6 +145,16 @@ class TestJap:
         frame, y, _u, l2 = random_jap_inputs(Random(4))
         with pytest.raises(ProjectiveError):
             lemma_jap_check(frame, y, frame.pole, l2)
+
+    @pytest.mark.parametrize("inputs, message", [
+        (lambda frame, y, u, l2: (frame.pole, u, l2), "y must differ from the pole"),
+        (lambda frame, y, u, l2: (y, u, frame.axis), "l2 must pass through the pole"),
+        (lambda frame, y, u, l2: (y, u, join(frame.pole, y)), "l2 must differ from the pole line"),
+    ], ids=("y at the pole", "l2 off the pole", "l2 = py"))
+    def test_rejected_inputs(self, inputs, message):
+        frame, *args = random_jap_inputs(Random(4))
+        with pytest.raises(ProjectiveError, match=message):
+            lemma_jap_check(frame, *inputs(frame, *args))
 
     def test_u_equal_y_degenerate(self):
         frame, _y, u, l2 = random_jap_inputs(Random(5))
@@ -164,6 +187,11 @@ class TestNut:
         with pytest.raises(ProjectiveError):
             lemma_nut_check(frame, y, frame.pole)
 
+    def test_equal_points_rejected(self):
+        frame, y, _z = random_nut_inputs(Random(8))
+        with pytest.raises(ProjectiveError, match="must be distinct"):
+            lemma_nut_check(frame, y, y)
+
 
 class TestSack:
     def test_holds(self):
@@ -195,6 +223,13 @@ class TestSack:
         frame, u, v, _m, r, s = random_sack_inputs(Random(14))
         with pytest.raises(ProjectiveError):
             lemma_sack_check(frame, u, v, frame.pole, r, s)
+
+    @pytest.mark.parametrize("off", ("r", "s"))
+    def test_chord_ends_must_sit_on_conic(self, off):
+        frame, u, v, m, r, s = random_sack_inputs(Random(14))
+        r, s = (frame.pole, s) if off == "r" else (r, frame.pole)
+        with pytest.raises(ProjectiveError, match="is not on the conic"):
+            lemma_sack_check(frame, u, v, m, r, s)
 
 
 class TestPascal:
@@ -413,3 +448,15 @@ def test_affine_squared_distance_rejects_ideal():
 
 def test_affine_squared_distance_value():
     assert affine_squared_distance(affine(0, 0), affine(3, 4)) == G(25)
+
+
+class TestCheckReport:
+    def test_violated_needs_a_residual(self):
+        with pytest.raises(ValueError, match="must carry its residual"):
+            CheckReport("nut", Verdict.VIOLATED, [("y", pt(1, 1, 1))])
+
+    def test_missing_witness(self):
+        report = CheckReport("nut", Verdict.HOLDS, [("y", pt(1, 1, 1))])
+        assert report.witness("y") == pt(1, 1, 1)
+        with pytest.raises(KeyError, match="no witness 'z'"):
+            report.witness("z")

@@ -43,6 +43,8 @@ class TestConicConstruction:
             Conic(((1, 0), (0, 1)), G)
         with pytest.raises(ProjectiveError):
             Conic(((1, 2, 0), (0, 1, 0), (0, 0, 1)), G)
+        with pytest.raises(ProjectiveError, match="expected 6 symmetric entries"):
+            Conic.from_upper_entries((1, 0, 0, 1, 0), G)
 
     def test_degenerate_rejected_with_witness(self):
         with pytest.raises(DegenerateConicError) as exc:
@@ -177,6 +179,8 @@ class TestFivePoints:
         collinear_pts = [pt(t, 0, 1) for t in range(4)] + [pt(0, 1, 0)]
         with pytest.raises(ProjectiveError):
             conic_through_five(collinear_pts)
+        with pytest.raises(ProjectiveError, match="expected exactly 5 points"):
+            conic_through_five(collinear_pts[:4])
 
 
 class TestSecondIntersection:

@@ -96,6 +96,21 @@ point z (1 : 2 : 3)
             render_svg(doc)
 
 
+    def test_collapsed_edge_is_an_input_error(self, tmp_path, capsys):
+        """The chord from r through m is tangent, so the document's s is r:
+        verify reports DEGENERATE and render refuses the edge rs, both with
+        exit 2 and no traceback."""
+        source = tmp_path / "tangent.scn"
+        source.write_text("check damn\nconic symmetric 1 0 0 1 0 -1\npoint a (-1 : 0 : 1)\n"
+                          "point b (1 : 0 : 1)\npoint m (5 : 0 : 3)\npoint r (3 : 4 : 5)\n"
+                          "point f (0 : 1 : 1)\n")
+        assert main(["verify", str(source)]) == 2
+        assert "verdict DEGENERATE\nreason tangent chord (r,s)\n" in capsys.readouterr().out
+        assert main(["render", str(source), "--out", str(tmp_path / "tangent.svg")]) == 2
+        assert capsys.readouterr().err == "error: edge rs collapsed to a point\n"
+        assert not (tmp_path / "tangent.svg").exists()
+
+
 @pytest.mark.parametrize("direction, anchor", [((1.0, 0.0), (9.85, 5.0)), ((-1.0, 0.0), (0.15, 5.0)),
                                                ((0.0, 1.0), (5.0, 9.85)), ((0.0, -1.0), (5.0, 0.15))])
 def test_ideal_point_anchors_on_the_border(direction, anchor):

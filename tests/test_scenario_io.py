@@ -82,6 +82,9 @@ class TestParsing:
     def test_unknown_check(self):
         with pytest.raises(ScenarioParseError, match="unknown check"):
             parse_scenario(MINIMAL.replace("check nut", "check lemma_one"))
+        conic = parse_scenario(MINIMAL).conic
+        with pytest.raises(ScenarioParseError, match="unknown check 'lemma_one'"):
+            ScenarioDocument("lemma_one", conic, {}, {})
 
     def test_zero_point_rejected_with_line_number(self):
         bad = MINIMAL.replace("point y (1 : 1 : 1)", "point y (0 : 0 : 0)")
@@ -500,12 +503,13 @@ def test_campaign_cells_replay(claim, backend, index):
 # to the next declaration's text, so a cache keyed on anything but the text
 # (the pin's name, say) gives a different document.
 
-_DECLARATION = re.compile(r"(point|line) (\S+) (\(.*\))")
-_PIN = re.compile(r"^(expect (point|line) \S+ )(\(.*\))$", re.M)
+# a declaration or pin may end in a comment, which the parser drops
+_DECLARATION = re.compile(r"(point|line) (\S+) (\([^)]*\))(?:[ \t]*#.*)?")
+_PIN = re.compile(r"^(expect (point|line) \S+ )(\([^)\n]*\))([ \t]*#.*)?$", re.M)
 
 
 def _edit_pins(text: str, edit) -> str:
-    return _PIN.sub(lambda m: m.group(1) + edit(m.group(2), m.group(3)), text)
+    return _PIN.sub(lambda m: m.group(1) + edit(m.group(2), m.group(3)) + (m.group(4) or ""), text)
 
 
 def _respaced(kind: str, body: str) -> str:
@@ -567,9 +571,18 @@ def test_pinned_cell_echoes_parse_once(claim, backend, index):
     _check_echoes(serialize_scenario(doc))
 
 
-@pytest.mark.parametrize("text", _SCN_TEXTS, ids=[path.stem for path in _SCN_PATHS])
+# two golden documents with a trailing comment on each declaration and pin
+_COMMENTED = tuple(
+    (f"{path.stem}_commented", re.sub(r"^((?:expect )?(?:point|line) \S+ \(.*\))$", r"\1  # pinned",
+                                      text, flags=re.M))
+    for path, text in zip(_SCN_PATHS, _SCN_TEXTS)
+    if path.stem in ("pin_damn_i", "replay_noncanonical_prime"))
+
+
+@pytest.mark.parametrize("text", _SCN_TEXTS + tuple(text for _, text in _COMMENTED),
+                         ids=[path.stem for path in _SCN_PATHS] + [name for name, _ in _COMMENTED])
 def test_document_echoes_parse_once(text):
-    """The fixtures and every golden document."""
+    """The fixtures and every golden document, and two of them with comments."""
     _check_echoes(text)
 
 
