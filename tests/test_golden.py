@@ -8,6 +8,8 @@ kernel, whatever the scalar representation underneath.  The files under
 changes on purpose.
 """
 
+import io
+from contextlib import redirect_stderr
 from hashlib import sha256
 from importlib import resources
 from pathlib import Path
@@ -89,9 +91,19 @@ REPLAYS = {
 # other than 1, a sign, a leading zero, a fraction in higher terms, a zero
 # with a sign or a denominator, an imaginary part without a real part or a
 # zero one, other blanks; on prime, a literal at or past p), so the report
-# must print each coordinate from its value.  Stored as replay_<name>.scn
-# next to its verify_replay_<name>.txt; only the report is regenerated.
-NONCANONICAL = ("noncanonical_gauss", "noncanonical_prime")
+# must print each coordinate from its value.  The two conic_ twins give the
+# conic as `conic symmetric` at another scale and in spellings `str` never
+# prints, and print the same reports.  Stored as replay_<name>.scn next to
+# its verify_replay_<name>.txt; only the report is regenerated.
+NONCANONICAL = ("noncanonical_gauss", "noncanonical_prime", "noncanonical_conic_gauss",
+                "noncanonical_conic_prime")
+
+# Documents verify rejects: the noncanonical conic documents with r moved off
+# the conic.  The error line's residual is r's quadratic form under the
+# conic's content-reduced representative, so it pins that representative.
+# Stored as error_<name>.scn next to verify_error_<name>.txt, the text verify
+# prints on stderr; only that text is regenerated.
+ERRORS = ("offconic_gauss", "offconic_prime")
 
 # Raw scale, which canonical text hides: one sha256 per backend and claim
 # over cells 0..19 of `butterfly fuzz --seed 11 --height 50`, each cell
@@ -155,6 +167,15 @@ def _replay_document(name: str) -> str:
 
 def _verify_replay(name: str, out: Path) -> int:
     return main(["verify", str(GOLDEN / f"replay_{name}.scn"), "--out", str(out)])
+
+
+def _verify_error(name: str) -> str:
+    """What verify prints on stderr for the error document, after exiting 2."""
+    err = io.StringIO()
+    with redirect_stderr(err):
+        status = main(["verify", str(GOLDEN / f"error_{name}.scn")])
+    assert status == 2
+    return err.getvalue()
 
 
 def _raw(obj):
@@ -240,6 +261,11 @@ def test_noncanonical_replay_report(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"verify_replay_{name}.txt").read_bytes()
 
 
+@pytest.mark.parametrize("name", ERRORS)
+def test_error_report(name):
+    assert _verify_error(name) == (GOLDEN / f"verify_error_{name}.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_serialization(name):
     expected = (GOLDEN / f"serialize_{name}.scn").read_text(encoding="utf-8")
@@ -270,6 +296,8 @@ def _regenerate() -> None:
         _verify_replay(name, GOLDEN / f"verify_replay_{name}.txt")
     for name in NONCANONICAL:
         _verify_replay(name, GOLDEN / f"verify_replay_{name}.txt")
+    for name in ERRORS:
+        (GOLDEN / f"verify_error_{name}.txt").write_text(_verify_error(name), encoding="utf-8")
     (GOLDEN / RAW_GOLDEN).write_text(_raw_lines(), encoding="utf-8")
 
 
