@@ -52,6 +52,7 @@ def _cofactors(m) -> tuple:
 
 
 _LAYOUT = "({} : {} : {})"  # the text of a point or line from its three literals
+_new = object.__new__
 
 
 class _Triple:
@@ -59,7 +60,10 @@ class _Triple:
     triple in the backend's raw form (`raw`), computed on through the
     backend's kernel table (`kernels`).  `coords` builds the scalars; the
     first `str` is kept in `_text`, and so is a parsed text that is already
-    what `str` prints."""
+    what `str` prints: the literals' printed texts, set in `str`'s layout,
+    equal it and lead with `1`.  Such a text's raw vector, its parts in
+    lowest terms over their lcm with a lead entry of 1, has content 1, so
+    it is kept without `reduce_content`."""
 
     __slots__ = ("raw", "kernels", "_text")
 
@@ -125,13 +129,14 @@ class _Triple:
         if len(parts) != 3:
             raise ProjectiveError(f"expected 3 coordinates in {text!r}")
         k = field.kernels
-        raw, printed = k.parse(parts)
-        obj = cls(raw, k)
-        if printed:  # every literal is what str prints for its value: keep t if str prints it
-            literals = [x.strip() for x in parts]
-            if _LAYOUT.format(*literals) == t and next(x for x in literals if x != "0") == "1":
-                obj._text = t
-        return obj
+        raw, texts = k.parse(parts)
+        # printed texts hold no ':' and no blank, so one comparison tests each
+        # literal (blanks around it aside) and the layout; (0 : 0 : 0) has no 1
+        if _LAYOUT.format(*texts) == t and next((x for x in texts if x != "0"), "0") == "1":
+            obj = _new(cls)
+            obj.raw, obj.kernels, obj._text = raw, k, t
+            return obj
+        return cls(raw, k)
 
 
 class ProjPoint(_Triple):

@@ -36,9 +36,9 @@ any size print in exact decimal, and ``parse`` keeps refusing digit strings
 past the interpreter's limit.  The kernel tables' ``text`` and ``parse``
 are the same codec on raw vectors, with no scalar objects: points, lines
 and cross-ratio values print and read through them, and ``canonical()``
-stays for hashing and as the tests' oracle.  ``parse`` also tells whether
-each literal is the one ``str`` prints for its value, by printing it: the
-printer is the only spelling rule, so a parsed point or line can keep its text.
+stays for hashing and as the tests' oracle.  ``parse`` also returns the
+text ``str`` prints for each literal's value: the printer is the only
+spelling rule, so a parsed point or line that those texts spell keeps its text.
 """
 
 from __future__ import annotations
@@ -318,10 +318,8 @@ _PRIME = (1 << 61) - 1  # Mersenne prime, fixed once for the whole build
 _RESIDUE_RE = re.compile(r"[+-]?\d+")
 
 
-def _residue(text: str) -> tuple:
-    """``(residue, printed)``: the residue mod p of a decimal literal, and
-    whether the literal, blanks around it aside, is the text ``str`` prints
-    for it."""
+def _residue(text: str) -> int:
+    """The residue mod p of a decimal literal, blanks around it aside."""
     t = text.strip()
     if _RESIDUE_RE.fullmatch(t):
         try:
@@ -329,7 +327,7 @@ def _residue(text: str) -> tuple:
         except ValueError:  # int() refuses digit strings past sys.get_int_max_str_digits()
             pass
         else:
-            return n, str(n) == t
+            return n
     raise ScalarParseError(f"bad residue literal {text!r}")
 
 
@@ -352,7 +350,7 @@ class PrimeFieldElement(FieldContract):
     # constructors
     @classmethod
     def parse(cls, text: str) -> "PrimeFieldElement":
-        return _make_residue(_residue(text)[0])
+        return _make_residue(_residue(text))
 
     @classmethod
     def random(cls, rng: Random, height_bound: int = 0, *, real: bool = False) -> "PrimeFieldElement":
@@ -438,8 +436,8 @@ class Kernels(namedtuple("Kernels", (
     ``normalize``, the codec ``text`` (the literals of normalize's entries;
     on gauss a real lead divides directly, any other over its norm) and
     ``parse`` (literals to the pair of a raw vector of their ratio, scaled
-    by the lcm of their parts' denominators, and whether each literal,
-    blanks around it aside, equals what ``str`` prints for its value), and
+    by the lcm of their parts' denominators and not content-reduced, and
+    the texts ``str`` prints for the literals' values), and
     ``random(rng, height, n, real)``
     (n packed draws of the backend's ``random``).  Constructions:
     ``reference_image(t)`` (the flat raw form of T(xz = y^2) and raw
@@ -530,8 +528,8 @@ def _p_over_lead(v):
 
 
 def _p_parse(literals):
-    raw, printed = zip(*map(_residue, literals))
-    return raw, all(printed)
+    raw = tuple(map(_residue, literals))
+    return raw, tuple(map(str, raw))
 
 
 _HALF = (_PRIME + 1) // 2  # 1/2 mod p, the reference form's corner entry
@@ -741,7 +739,7 @@ def _g_parse(literals):
     parts = [_gauss_literal(t) for t in literals]
     den = lcm(*[x for _, d, _, e in parts for x in (d, e)])
     raw = tuple([x for a, d, b, e in parts for x in (a * (den // d), b * (den // e))])
-    return raw, all([t.strip() == _gauss_text(*q) for t, q in zip(literals, parts)])
+    return raw, [_gauss_text(*q) for q in parts]
 
 
 def _g_reference_entry(u, v):

@@ -110,6 +110,14 @@ def _parsed(parse, lineno: int, *args):
         raise ScenarioParseError(str(exc), lineno) from exc
 
 
+def _symmetric_rows(upper: tuple) -> tuple:
+    """The flat raw rows of the symmetric matrix whose upper entries
+    (m11, m12, m13, m22, m23, m33) are the flat raw tuple `upper`."""
+    w = len(upper) // 6  # the width of one raw scalar
+    m11, m12, m13, m22, m23, m33 = (upper[i:i + w] for i in range(0, 6 * w, w))
+    return m11 + m12 + m13 + m12 + m22 + m23 + m13 + m23 + m33
+
+
 _AFFINE_PAIR = re.compile(r"\(\s*([^(),]+?)\s*,\s*([^(),]+?)\s*\)")
 
 
@@ -187,8 +195,15 @@ def parse_scenario(text: str) -> ScenarioDocument:
                     noun = "entries" if symmetric else "coefficients"
                     raise ScenarioParseError(
                         f"conic {flavor} needs 6 {noun}, got {len(entries)}", lineno)
-                build = Conic.from_upper_entries if symmetric else homogenize_affine_conic
-                conic = _parsed(build, lineno, [_parsed(f.parse, lineno, e) for e in entries], f)
+                if symmetric:
+                    # raw, with no scalar objects: the lcm scales the entries by a
+                    # positive rational, which content reduction removes again
+                    k = f.kernels
+                    upper, _ = _parsed(k.parse, lineno, entries)
+                    conic = _parsed(Conic, lineno, _symmetric_rows(upper), k)
+                else:
+                    conic = _parsed(homogenize_affine_conic, lineno,
+                                    [_parsed(f.parse, lineno, e) for e in entries], f)
             elif flavor == "points":
                 triples = re.findall(r"\([^()]*\)", body)
                 if len(triples) != 5:
@@ -396,7 +411,8 @@ class Claim(NamedTuple):
     `points` and `lines` are a document's declarations in canonical order,
     `optional` those a document may omit because `run` derives them, and
     `on_conic` the points that must lie on the conic.  `edges` are the
-    segments a figure draws, named by report witnesses.  A `real` claim
+    segments a figure draws, named by report witnesses.  `equal` pairs a
+    witness with the one a HOLDS verdict makes it equal to.  A `real` claim
     draws real-plane configurations, so it needs the gauss backend.
 
     `cell(rng, field, height, budget, index)` draws and checks one campaign
@@ -414,14 +430,17 @@ class Claim(NamedTuple):
     optional: tuple = ()
     on_conic: tuple = ()
     edges: tuple = ()
+    equal: tuple = ()
     real: bool = False
 
 
 def _butterfly_claim(flavour) -> Claim:
     a, b, m, r, s, c, d = flavour.inputs
+    d1, d2, _ = flavour.derived
     return Claim(
         flavour.claim, flavour.inputs, optional=(s, d), on_conic=(a, b, r, s, c, d),
         edges=((a, b), (r, s), (c, d)) + flavour.crosswise, real=flavour.real,
+        equal=((f"reflect({d1})", d2),),
         cell=lambda rng, field, height, budget, index: _butterfly_cell(
             random_scenario(rng, field, height, kind=flavour.claim, budget=budget)),
         run=_run_butterfly)
@@ -436,7 +455,7 @@ CLAIMS: Dict[str, Claim] = {c.name: c for c in (
               "mono", lemma_mono_check, ("l", "y", "y'", "m"), random_mono_inputs(
                   rng, field, height, converse=bool(index % 2), budget=budget)),
           run=_run_mono),
-    Claim("jap", ("y", "u"), lines=("k", "l2"),
+    Claim("jap", ("y", "u"), lines=("k", "l2"), equal=(("reflect(t)", "t'"),),
           cell=lambda rng, field, height, budget, index: _frame_cell(
               "jap", lemma_jap_check, ("y", "u", "l2"),
               random_jap_inputs(rng, field, height, budget=budget)),
@@ -477,7 +496,9 @@ def _expect_residual(expect: Expect, actual):
 def run_document(doc: ScenarioDocument) -> List[CheckReport]:
     """The main check's report, plus one expect report when the document pins
     witnesses.  A pinned witness that disagrees makes the expect report
-    VIOLATED with the exact residual."""
+    VIOLATED with the exact residual.  A witness that agrees with a pin
+    that kept its text prints that text, and on a HOLDS report so does the
+    witness that the claim's `equal` pairs with such a one."""
     reports = [CLAIMS[doc.check].run(doc)]
     if not doc.expects:
         return reports
@@ -503,6 +524,10 @@ def run_document(doc: ScenarioDocument) -> List[CheckReport]:
             bad += 1
             if first_residual is None:
                 first_residual = _expect_residual(e, actual)
+    if reports[0].holds():
+        for name, twin in CLAIMS[doc.check].equal:
+            if hasattr(witnesses[twin], "_text"):
+                witnesses[name]._text = witnesses[twin]._text
     if bad:
         reports.append(CheckReport("expect", Verdict.VIOLATED, pairs,
                                    residual=first_residual,

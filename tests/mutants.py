@@ -102,21 +102,40 @@ CATALOGUE = (
            "            n = int(t) % _PRIME\n        except TypeError:",
            ("tests/test_scalars.py",)),
     # a parsed point or line keeps its text only when it is what str prints:
-    # each literal compared with the printer's literal for its value, the
-    # layout and the lead 1, and the pin that lends its text only to a
-    # witness it equals
+    # the texts the kernel parse prints for the literals' values, set in the
+    # layout, equal the text and lead with 1; only then is its raw vector kept
+    # without reduce_content.  A pin lends its text only to a witness it
+    # equals, and a HOLDS report only to the witness it makes equal to that one
     Mutant("gauss literal: not compared with the printer", SCALARS,
-           "return raw, all([t.strip() == _gauss_text(*q) for t, q in zip(literals, parts)])",
-           "return raw, True", PARSED_TEXT),
+           "return raw, [_gauss_text(*q) for q in parts]",
+           "return raw, [t.strip() for t in literals]", PARSED_TEXT),
     Mutant("residue: not compared with the printer", SCALARS,
-           "return n, str(n) == t", "return n, True", PARSED_TEXT),
+           "return raw, tuple(map(str, raw))", "return raw, tuple(t.strip() for t in literals)",
+           PARSED_TEXT),
     Mutant("layout: not compared with the printer's", PROJECTIVE,
-           "if _LAYOUT.format(*literals) == t and ", "if ", PARSED_TEXT),
+           "if _LAYOUT.format(*texts) == t and ",
+           "if [x.strip() for x in parts] == list(texts) and ", PARSED_TEXT),
     Mutant("lead: not 1", PROJECTIVE,
-           ' and next(x for x in literals if x != "0") == "1"', "", PARSED_TEXT),
+           'next((x for x in texts if x != "0"), "0") == "1":',
+           'next((x for x in texts if x != "0"), "0") != "0":', PARSED_TEXT),
+    Mutant("kept path: without the lead test", PROJECTIVE,
+           "            return obj\n        return cls(raw, k)\n",
+           "            return obj\n        if _LAYOUT.format(*texts) == t and any(x != \"0\" for x in texts):\n"
+           "            obj = _new(cls)\n            obj.raw, obj.kernels = raw, k\n"
+           "            return obj\n        return cls(raw, k)\n", PARSED_TEXT),
+    Mutant("conic symmetric line: two entries swapped", SCENARIO_IO,
+           "return m11 + m12 + m13 + m12 + m22 + m23 + m13 + m23 + m33",
+           "return m11 + m13 + m12 + m12 + m22 + m23 + m13 + m23 + m33",
+           ("tests/test_scenario_io.py",)),
     Mutant("run_document: a pin lends its text when it disagrees", SCENARIO_IO,
            'if agree and hasattr(e.value, "_text"):', 'if hasattr(e.value, "_text"):',
            ("tests/test_golden.py",)),
+    Mutant("run_document: a report that is not HOLDS lends", SCENARIO_IO,
+           "    if reports[0].holds():\n        for name, twin in",
+           "    if True:\n        for name, twin in", ("tests/test_scenario_io.py",)),
+    Mutant("butterfly claims: reflect(d1) lends from d1", SCENARIO_IO,
+           'equal=((f"reflect({d1})", d2),)', 'equal=((f"reflect({d1})", d1),)',
+           ("tests/test_scenario_io.py",)),
     # each checker rejects inputs outside its lemma's hypotheses
     Mutant("mono: y' off l passes", CHECKS, "        if not incident(w, l):\n", "        if False:\n",
            CHECK_TESTS),

@@ -77,7 +77,8 @@ object must print its own text, every time, and equal objects built by
 different routes must print the same text.  A parsed point or line also
 keeps its input text when that text is what `str` prints, so whatever the
 spelling, it must print what an object built afresh from its raw vector
-prints, and parsing printed text must keep it without a `text` call.
+prints, and parsing printed text must keep it without a `text` call and
+without `reduce_content`, with the raw vector the constructor builds.
 """
 
 import re
@@ -1465,6 +1466,9 @@ def test_printed_triple_keeps_its_text(field, cls, data):
     with mock.patch.object(field, "kernels", k._replace(text=_no_text)):
         parsed = cls.parse(text, field)
         assert str(parsed) == text
+    # kept without reduce_content, yet the raw vector the constructor builds
+    assert parsed.raw == k.reduce_content(parsed.raw) == cls(
+        *k.parse(text[1:-1].split(":"))[:1], k).raw
     assert cls(parsed.raw, k) == obj
 
 

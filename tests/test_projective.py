@@ -140,6 +140,7 @@ class TestParsedText:
     def test_other_spellings_print_from_the_value(self, field, text, cls):
         obj = cls.parse(text, field)
         assert str(obj) == str(cls(obj.raw, field.kernels)) != text.strip()
+        assert obj.raw == field.kernels.reduce_content(obj.raw)  # (2 : 4 : 0) is (1 : 2 : 0)
 
     @pytest.mark.parametrize("cls", (ProjPoint, ProjLine))
     @pytest.mark.parametrize("field,text", [(f, t) for f in (G, P) for t in PRINTED[f]])

@@ -8,10 +8,10 @@ from random import Random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conic_butterfly import RetryBudget, fuzz
-from conic_butterfly.conics import conic_through_five
+from conic_butterfly import RetryBudget, fuzz, scenario_io
+from conic_butterfly.conics import Conic, conic_through_five
 from conic_butterfly.projective import CrossRatioValue, ProjectiveError, ProjLine, ProjPoint
-from conic_butterfly.reports import Verdict, exit_status, format_value
+from conic_butterfly.reports import CheckReport, Verdict, exit_status, format_value
 from conic_butterfly.scalars import BACKENDS, GaussianRational, PrimeFieldElement, backend_name
 from conic_butterfly.scenario_io import (
     _EXPECT_KINDS,
@@ -366,6 +366,95 @@ def test_hand_written_forms_round_trip(doc):
     assert serialize_scenario(again) == text
 
 
+# ----------------------------------------------------------------------
+# a conic symmetric line is read raw
+#
+# Its reference is the scalar route it replaced: each entry parsed by the
+# backend's `parse`, then `Conic.from_upper_entries`.  Both must build the
+# same raw form or raise the same error at the conic's line.
+
+_PAST_LIMIT = "1" * (sys.get_int_max_str_digits() + 1)
+_BAD_ENTRIES = {G: ("x", "1/0", "0/0", "2//3", "i", "1+i", "1.5", _PAST_LIMIT, f"1/{_PAST_LIMIT}"),
+                PrimeFieldElement: ("x", "1/2", "i", "1.5", "++1", _PAST_LIMIT)}
+
+
+@st.composite
+def _spelled_int(draw, n: int) -> str:
+    """n with an optional plus sign (or a minus on 0) and leading zero."""
+    sign = "-" if n < 0 else draw(st.sampled_from(("", "+", "-" if n == 0 else "")))
+    return sign + "0" * draw(st.integers(0, 1)) + str(abs(n))
+
+
+@st.composite
+def _conic_entries(draw, field) -> str:
+    """One entry in any spelling, of a small value so that forms are often
+    degenerate, or now and then a literal that does not parse."""
+    if draw(st.integers(0, 14)) == 0:
+        return draw(st.sampled_from(_BAD_ENTRIES[field]))
+    if field is PrimeFieldElement:
+        n = draw(st.one_of(st.integers(-3, 3), st.integers(-(2**62), 2**62)))
+        return draw(_spelled_int(n))
+
+    def part(signed: bool) -> str:
+        text = draw(_spelled_int(draw(st.integers(-3 if signed else 0, 3))))
+        if draw(st.booleans()):
+            text += "/" + draw(_spelled_int(draw(st.integers(1, 6))))
+        return text
+
+    shape = draw(st.sampled_from(("real", "imaginary", "complex")))
+    if shape == "real":
+        return part(True)
+    if shape == "imaginary":
+        return part(True) + "i"
+    return part(True) + draw(st.sampled_from("+-")) + part(False) + "i"
+
+
+def _conic_line_outcomes(field, entries) -> tuple:
+    """(the document's conic or error, the scalar route's) for the entries."""
+    text = MINIMAL.replace("backend gauss", f"backend {backend_name(field)}").replace(
+        "conic symmetric 0 1/2 1/2 0 -1 0", "conic symmetric " + " ".join(entries))
+    try:
+        got = ("ok", parse_scenario(text).conic.raw)
+    except ScenarioParseError as exc:
+        got = ("raised", str(exc), exc.lineno)
+    try:
+        want = ("ok", Conic.from_upper_entries([field.parse(e) for e in entries], field).raw)
+    except ValueError as exc:  # ScalarParseError and DegenerateConicError included
+        want = ("raised", f"line 3: {exc}", 3)
+    return got, want
+
+
+@pytest.mark.parametrize("field", (G, PrimeFieldElement), ids=("gauss", "prime"))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_conic_symmetric_line_is_the_scalar_route(field, data):
+    entries = data.draw(st.lists(_conic_entries(field), min_size=6, max_size=6))
+    got, want = _conic_line_outcomes(field, entries)
+    assert got == want
+
+
+@pytest.mark.parametrize("field,body,error", [
+    (G, "-1/2 0/3 +0 -2/4 -0 1/2", None), (G, "1/2 1/3+1/4i 0 2i -1/6 5", None),
+    (G, "x 1/0 0 1 0 1", "line 3: bad scalar literal 'x'"),
+    (G, "1 0 0 1/0 0 -1", "line 3: zero denominator in '1/0'"),
+    (G, f"1 0 0 1 0 {_PAST_LIMIT}", f"line 3: bad rational literal '{_PAST_LIMIT}'"),
+    (G, "1 1 1 1 1 1", "line 3: degenerate conic (zero determinant)"),
+    (PrimeFieldElement, "2 00 +0 02 0 -2", None),
+    (PrimeFieldElement, "1 0 0 1 0 1/2", "line 3: bad residue literal '1/2'"),
+    (PrimeFieldElement, f"1 0 0 1 0 {_PAST_LIMIT}", f"line 3: bad residue literal '{_PAST_LIMIT}'"),
+    (PrimeFieldElement, "1 1 1 1 1 1", "line 3: degenerate conic (zero determinant)"),
+], ids=["gauss scaled", "gauss complex", "gauss first bad literal", "gauss zero denominator",
+        "gauss past the digit limit", "gauss degenerate", "prime scaled", "prime bad literal",
+        "prime past the digit limit", "prime degenerate"])
+def test_conic_symmetric_line_examples(field, body, error):
+    """Each case the property draws, at least once: a form, a bad literal
+    (the first of two raises), a zero denominator, a literal past the digit
+    limit and a degenerate form."""
+    got, want = _conic_line_outcomes(field, body.split())
+    assert got == want
+    assert got[0] == "ok" if error is None else got[1] == error
+
+
 class TestRunning:
     def test_fixtures_all_hold(self, fixture_text):
         for name in ("lemma1", "butterfly_circle", "cutl_hyperbola"):
@@ -559,9 +648,9 @@ def _check_echoes(text: str):
         assert _reports(parse_scenario(rotated)) != _reports(parse_scenario(text))
 
 
-@pytest.mark.parametrize("claim,backend,index", [c for c in _replay_cells() if c[2] < 3])
-def test_pinned_cell_echoes_parse_once(claim, backend, index):
-    """A height-10 campaign cell's document with every nameable witness pinned."""
+def _pinned_cell(claim: str, backend: str, index: int):
+    """(report, document text) of a height-10 campaign cell, with every
+    nameable witness pinned."""
     report, make_doc = fuzz._RUNNERS[claim](Random(f"3:{index}:{claim}"), BACKENDS[backend], 10,
                                             RetryBudget(), index)
     doc = make_doc()
@@ -569,7 +658,62 @@ def test_pinned_cell_echoes_parse_once(claim, backend, index):
         kind, _ = format_value(obj)
         if _NAME_RE.fullmatch(name) and kind in _EXPECT_KINDS:
             doc.expects.append(Expect(kind, name, obj))
-    _check_echoes(serialize_scenario(doc))
+    return report, serialize_scenario(doc)
+
+
+@pytest.mark.parametrize("claim,backend,index", [c for c in _replay_cells() if c[2] < 3])
+def test_pinned_cell_echoes_parse_once(claim, backend, index):
+    _check_echoes(_pinned_cell(claim, backend, index)[1])
+
+
+def _holds_document(claim: str, backend: str) -> str:
+    """The first pinned cell whose report HOLDS."""
+    return next(text for report, text in (_pinned_cell(claim, backend, i) for i in range(6))
+                if report.holds())
+
+
+def _clear_kept_texts(reports) -> None:
+    for report in reports:
+        for _, obj in report.witnesses:
+            if hasattr(obj, "_text"):
+                del obj._text
+
+
+@pytest.mark.parametrize("claim,backend", [("damn", "gauss"), ("damn", "prime"),
+                                           ("cutl", "gauss"), ("jap", "gauss"), ("jap", "prime")])
+def test_holds_lends_the_equal_witness_its_twin_text(claim, backend):
+    """On a HOLDS report the witness the verdict makes equal to a pinned one
+    borrows its kept text, and every text is the one printed afresh."""
+    reports = run_document(parse_scenario(_holds_document(claim, backend)))
+    assert all(r.holds() for r in reports)
+    witnesses = dict(reports[0].witnesses)
+    (name, twin), = CLAIMS[claim].equal
+    assert witnesses[name] is not witnesses[twin]
+    assert witnesses[name]._text == witnesses[twin]._text
+    texts = [r.to_text() for r in reports]
+    _clear_kept_texts(reports)
+    assert [r.to_text() for r in reports] == texts
+
+
+def test_a_report_that_does_not_hold_lends_nothing(monkeypatch):
+    """A damn checker patched to report VIOLATED with reflect(i) = i: the
+    pins still lend their texts, but reflect(i) prints its own."""
+    real = scenario_io.theorem_damn_check
+
+    def violated(scenario):
+        report = real(scenario)
+        i = report.witness("i")
+        wrong = ProjPoint(i.raw, i.kernels)  # equal to i, with no kept text
+        witnesses = [(n, wrong if n == "reflect(i)" else obj) for n, obj in report.witnesses]
+        return CheckReport("damn", Verdict.VIOLATED, witnesses, residual=i.field.one())
+
+    text = _holds_document("damn", "gauss")
+    monkeypatch.setattr(scenario_io, "theorem_damn_check", violated)
+    reports = run_document(parse_scenario(text))
+    assert reports[0].verdict is Verdict.VIOLATED and reports[1].holds()
+    witnesses = dict(reports[0].witnesses)
+    assert hasattr(witnesses["j"], "_text") and not hasattr(witnesses["reflect(i)"], "_text")
+    assert f"witness reflect(i) point {witnesses['i']}\n" in reports[0].to_text()
 
 
 # two golden documents with a trailing comment on each declaration and pin
