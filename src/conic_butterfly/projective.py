@@ -22,7 +22,7 @@ from itertools import combinations
 from random import Random
 from typing import Optional, Sequence
 
-from .scalars import GaussianRational, Kernels, thirds
+from .scalars import GaussianRational, Kernels, _raw_new, thirds
 
 
 class ProjectiveError(ValueError):
@@ -52,7 +52,6 @@ def _cofactors(m) -> tuple:
 
 
 _LAYOUT = "({} : {} : {})"  # the text of a point or line from its three literals
-_new = object.__new__
 
 
 class _Triple:
@@ -133,7 +132,7 @@ class _Triple:
         # printed texts hold no ':' and no blank, so one comparison tests each
         # literal (blanks around it aside) and the layout; (0 : 0 : 0) has no 1
         if _LAYOUT.format(*texts) == t and next((x for x in texts if x != "0"), "0") == "1":
-            obj = _new(cls)
+            obj = _raw_new(cls)
             obj.raw, obj.kernels, obj._text = raw, k, t
             return obj
         return cls(raw, k)

@@ -121,7 +121,7 @@ CATALOGUE = (
     Mutant("kept path: without the lead test", PROJECTIVE,
            "            return obj\n        return cls(raw, k)\n",
            "            return obj\n        if _LAYOUT.format(*texts) == t and any(x != \"0\" for x in texts):\n"
-           "            obj = _new(cls)\n            obj.raw, obj.kernels = raw, k\n"
+           "            obj = _raw_new(cls)\n            obj.raw, obj.kernels = raw, k\n"
            "            return obj\n        return cls(raw, k)\n", PARSED_TEXT),
     Mutant("conic symmetric line: two entries swapped", SCENARIO_IO,
            "return m11 + m12 + m13 + m12 + m22 + m23 + m13 + m23 + m33",

@@ -672,13 +672,6 @@ def _holds_document(claim: str, backend: str) -> str:
                 if report.holds())
 
 
-def _clear_kept_texts(reports) -> None:
-    for report in reports:
-        for _, obj in report.witnesses:
-            if hasattr(obj, "_text"):
-                del obj._text
-
-
 @pytest.mark.parametrize("claim,backend", [("damn", "gauss"), ("damn", "prime"),
                                            ("cutl", "gauss"), ("jap", "gauss"), ("jap", "prime")])
 def test_holds_lends_the_equal_witness_its_twin_text(claim, backend):
@@ -691,7 +684,9 @@ def test_holds_lends_the_equal_witness_its_twin_text(claim, backend):
     assert witnesses[name] is not witnesses[twin]
     assert witnesses[name]._text == witnesses[twin]._text
     texts = [r.to_text() for r in reports]
-    _clear_kept_texts(reports)
+    for _, obj in (w for r in reports for w in r.witnesses):
+        if hasattr(obj, "_text"):
+            del obj._text
     assert [r.to_text() for r in reports] == texts
 
 
