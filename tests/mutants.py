@@ -50,6 +50,8 @@ PROJECTIVE = "src/conic_butterfly/projective.py"
 SCENARIO_IO = "src/conic_butterfly/scenario_io.py"
 PARSED_TEXT = ("tests/test_projective.py", "tests/test_kernel_oracle.py")
 CHECK_TESTS = ("tests/test_checks.py",)
+SCENARIOS = "src/conic_butterfly/scenarios.py"
+SCENARIO_TESTS = ("tests/test_scenarios.py",)
 
 CATALOGUE = (
     # pascal_check must test all three pairs of opposite sides
@@ -152,6 +154,17 @@ CATALOGUE = (
     Mutant("nut: y = z passes", CHECKS, "    if y == z:\n", "    if False:\n", CHECK_TESTS),
     Mutant("sack: r or s off the conic passes", CHECKS, "    for w in (r, s):\n", "    for w in ():\n",
            CHECK_TESTS),
+    # the jap generator rejects each collapse as it draws, with its own reason
+    Mutant("jap draw: y at the pole passes", SCENARIOS, "        if y == frame.pole:\n",
+           "        if False:\n", SCENARIO_TESTS),
+    Mutant("jap draw: yu through the pole passes", SCENARIOS,
+           "        if incident(frame.pole, join(y, u)):\n", "        if False:\n", SCENARIO_TESTS),
+    Mutant("jap draw: w at the pole passes", SCENARIOS, "        if w == frame.pole:\n",
+           "        if False:\n", SCENARIO_TESTS),
+    # render needs a conic point to sweep the conic from
+    Mutant("render: no conic point and no base passes", "src/conic_butterfly/render.py",
+           '    raise ProjectiveError(\n        "no labeled point lies on the conic; declare a base point'
+           ' to render this document")\n', "", ("tests/test_golden.py",)),
     # one sign flip in each coordinate-vector branch of the prime chart:
     # l0 = b x e_k at the tangent's lead k, then d1, d0 at the base's lead j
     Mutant("prime chart: l0 at e0", SCALARS,

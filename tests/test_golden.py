@@ -1,19 +1,27 @@
 """Byte-for-byte golden outputs.
 
-Campaign streams, ``verify`` reports, ``render`` figures, the worked
-``demo`` and ``.scn`` serializations are a contract: the same input prints the same bytes on every version of the
-kernel, whatever the scalar representation underneath.  The files under
-``tests/golden/`` pin that contract.  Regenerate them with
-``PYTHONPATH=src python tests/test_golden.py`` only when the output format
-changes on purpose.
+Campaign streams, ``verify`` reports, ``render`` figures and errors, the
+worked ``demo`` and ``.scn`` documents are a contract: the same input prints
+the same bytes on every version of the kernel, whatever the scalar
+representation underneath.  The files under ``tests/golden/`` pin that
+contract.  ``GOLDENS`` names each file the code produces, in the order they
+are written: a ``butterfly`` run (argv from the repository root, exit status
+and the stream that holds the golden) or the function that builds a
+document.  ``INPUTS`` names the hand-written documents.  Adding a golden is
+one table line: tier-1 compares it, ``_regenerate`` writes it, and CI runs
+each ``Cli`` entry through the installed ``butterfly`` script.  Regenerate
+with ``PYTHONPATH=src python tests/test_golden.py`` only when the output
+format changes on purpose.
 """
 
 import io
+import os
 from contextlib import redirect_stderr
+from functools import partial
 from hashlib import sha256
-from importlib import resources
 from pathlib import Path
 from random import Random
+from typing import NamedTuple
 
 import pytest
 
@@ -25,6 +33,7 @@ from conic_butterfly.reports import format_value
 from conic_butterfly.scenario_io import (_EXPECT_KINDS, _NAME_RE, CLAIM_ORDER, CLAIMS, Expect,
                                          parse_scenario, serialize_scenario)
 
+ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 
 FUZZ_STREAMS = {
@@ -48,7 +57,6 @@ FUZZ_STREAMS = {
                                  "--height", "1", "--checks", "mono,jap,nut,sack"],
 }
 FIXTURES = ("butterfly_circle", "cutl_hyperbola", "lemma1")
-DEMO_GOLDEN = "demo_lemma1.txt"
 
 # Height-50 damn and cutl documents with one deliberately wrong expect line
 # each.  Witnesses print canonical coordinates, but the residual of a wrong
@@ -93,16 +101,16 @@ REPLAYS = {
 # zero one, other blanks; on prime, a literal at or past p), so the report
 # must print each coordinate from its value.  The two conic_ twins give the
 # conic as `conic symmetric` at another scale and in spellings `str` never
-# prints, and print the same reports.  Stored as replay_<name>.scn next to
-# its verify_replay_<name>.txt; only the report is regenerated.
+# prints, and print the same reports.  Stored as replay_<name>.scn, an
+# input, next to its verify_replay_<name>.txt.
 NONCANONICAL = ("noncanonical_gauss", "noncanonical_prime", "noncanonical_conic_gauss",
                 "noncanonical_conic_prime")
 
 # Documents verify rejects: the noncanonical conic documents with r moved off
 # the conic.  The error line's residual is r's quadratic form under the
 # conic's content-reduced representative, so it pins that representative.
-# Stored as error_<name>.scn next to verify_error_<name>.txt, the text verify
-# prints on stderr; only that text is regenerated.
+# Stored as error_<name>.scn, an input, next to verify_error_<name>.txt, the
+# text verify prints on stderr.
 ERRORS = ("offconic_gauss", "offconic_prime")
 
 # Raw scale, which canonical text hides: one sha256 per backend and claim
@@ -110,33 +118,8 @@ ERRORS = ("offconic_gauss", "offconic_prime")
 # contributing its verdict, its retry count, the conic's raw form and the
 # raw representative of every witness (num and den of a cross-ratio).  A
 # kernel change that scales a representative by a factor content reduction
-# does not remove changes a digest here.
-RAW_GOLDEN = "raw_h50.txt"
+# does not remove changes a digest here.  Stored as raw_h50.txt.
 RAW_CELLS = 20
-
-
-def _fixture(name: str):
-    return resources.files("conic_butterfly") / "fixtures" / f"{name}.scn"
-
-
-def _fuzz(argv: list, out: Path) -> int:
-    return main(["fuzz", *argv, "--out", str(out)])
-
-
-def _verify(name: str, out: Path) -> int:
-    return main(["verify", str(_fixture(name)), "--out", str(out)])
-
-
-def _demo(out: Path) -> int:
-    return main(["demo", "lemma1", "--out", str(out)])
-
-
-def _render(name: str, out: Path) -> int:
-    return main(["render", str(_fixture(name)), "--out", str(out)])
-
-
-def _verify_pin(name: str, out: Path) -> int:
-    return main(["verify", str(GOLDEN / f"pin_{name}.scn"), "--out", str(out)])
 
 
 def _pin_document(name: str) -> str:
@@ -165,19 +148,6 @@ def _replay_document(name: str) -> str:
     return serialize_scenario(doc)
 
 
-def _verify_replay(name: str, out: Path) -> int:
-    return main(["verify", str(GOLDEN / f"replay_{name}.scn"), "--out", str(out)])
-
-
-def _verify_error(name: str) -> str:
-    """What verify prints on stderr for the error document, after exiting 2."""
-    err = io.StringIO()
-    with redirect_stderr(err):
-        status = main(["verify", str(GOLDEN / f"error_{name}.scn")])
-    assert status == 2
-    return err.getvalue()
-
-
 def _raw(obj):
     if isinstance(obj, CrossRatioValue):
         return (str(obj.num), str(obj.den))
@@ -201,104 +171,89 @@ def _raw_lines() -> str:
                    for claim in CLAIM_ORDER if not (CLAIMS[claim].real and field is not GaussianRational))
 
 
+def _fixture(name: str) -> str:
+    return f"src/conic_butterfly/fixtures/{name}.scn"
+
+
 def _serialize(name: str) -> str:
-    return serialize_scenario(parse_scenario(_fixture(name).read_text(encoding="utf-8")))
+    return serialize_scenario(parse_scenario((ROOT / _fixture(name)).read_text(encoding="utf-8")))
 
 
-@pytest.mark.parametrize("golden", sorted(FUZZ_STREAMS))
-def test_fuzz_stream(golden, tmp_path):
-    out = tmp_path / golden
-    assert _fuzz(FUZZ_STREAMS[golden], out) == 0
-    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+class Cli(NamedTuple):
+    """A `butterfly` run from the repository root whose output is the golden."""
+    argv: tuple
+    status: int = 0
+    route: str = "stdout"  # or "out", the file render's --out names, or "stderr"
+
+
+def _verify(document: str, *outcome) -> Cli:
+    """`butterfly verify` on a golden document; `outcome` is Cli's status and route."""
+    return Cli(("verify", f"tests/golden/{document}"), *outcome)
+
+
+GOLDENS = {
+    **{name: Cli(("fuzz", *argv)) for name, argv in FUZZ_STREAMS.items()},
+    **{golden: entry for name in FIXTURES for golden, entry in (
+        (f"verify_{name}.txt", Cli(("verify", _fixture(name)))),
+        (f"serialize_{name}.scn", partial(_serialize, name)),
+        (f"render_{name}.svg", Cli(("render", _fixture(name)), route="out")))},
+    "demo_lemma1.txt": Cli(("demo", "lemma1")),
+    **{f"pin_{name}.scn": partial(_pin_document, name) for name in PINS},
+    **{f"pin_{name}.scn": partial(_conic_pin_document, name) for name in CONIC_PINS},
+    **{f"verify_pin_{name}.txt": _verify(f"pin_{name}.scn", 1) for name in [*PINS, *CONIC_PINS]},
+    **{f"replay_{name}.scn": partial(_replay_document, name) for name in REPLAYS},
+    **{f"verify_replay_{name}.txt": _verify(f"replay_{name}.scn") for name in [*REPLAYS, *NONCANONICAL]},
+    **{f"verify_error_{name}.txt": _verify(f"error_{name}.scn", 2, "stderr") for name in ERRORS},
+    # a document that verifies but names no point on the conic, and no base
+    "render_nobase_nut.txt": Cli(("render", "tests/golden/nobase_nut.scn", "--out", "/dev/null"),
+                                 2, "stderr"),
+    "raw_h50.txt": _raw_lines,
+}
+INPUTS = (*(f"replay_{name}.scn" for name in NONCANONICAL), *(f"error_{name}.scn" for name in ERRORS),
+          "nobase_nut.scn")
+# the golden documents that parse: verify rejects the others with exit status 2
+DOCUMENTS = tuple(name for name in (*GOLDENS, *INPUTS)
+                  if name.endswith(".scn") and _verify(name, 2, "stderr") not in GOLDENS.values())
+
+
+def _produce(name: str, out: Path) -> None:
+    """Write the file `GOLDENS[name]` describes to `out`; run from ROOT."""
+    entry = GOLDENS[name]
+    if not isinstance(entry, Cli):
+        out.write_text(entry(), encoding="utf-8")
+        return
+    if entry.route == "stderr":
+        err = io.StringIO()
+        with redirect_stderr(err):
+            status = main(list(entry.argv))
+        out.write_text(err.getvalue(), encoding="utf-8")
+    else:
+        status = main([*entry.argv, "--out", str(out)])
+    assert status == entry.status
+
+
+@pytest.mark.parametrize("name", GOLDENS)
+def test_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    _produce(name, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_fuzz_stream_under_two_jobs(tmp_path):
     golden = "fuzz_gauss_all_h10.txt"
     out = tmp_path / golden
-    assert _fuzz(FUZZ_STREAMS[golden] + ["--jobs", "2"], out) == 0
+    assert main([*GOLDENS[golden].argv, "--jobs", "2", "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
-@pytest.mark.parametrize("name", FIXTURES)
-def test_verify_report(name, tmp_path):
-    out = tmp_path / f"{name}.txt"
-    assert _verify(name, out) == 0
-    assert out.read_bytes() == (GOLDEN / f"verify_{name}.txt").read_bytes()
-
-
-@pytest.mark.parametrize("name", FIXTURES)
-def test_render_figure(name, tmp_path):
-    out = tmp_path / f"{name}.svg"
-    assert _render(name, out) == 0
-    assert out.read_bytes() == (GOLDEN / f"render_{name}.svg").read_bytes()
-
-
-def test_demo_output(tmp_path):
-    out = tmp_path / DEMO_GOLDEN
-    assert _demo(out) == 0
-    assert out.read_bytes() == (GOLDEN / DEMO_GOLDEN).read_bytes()
-
-
-@pytest.mark.parametrize("name", sorted(PINS) + sorted(CONIC_PINS))
-def test_raw_representatives(name, tmp_path):
-    out = tmp_path / f"{name}.txt"
-    assert _verify_pin(name, out) == 1
-    assert out.read_bytes() == (GOLDEN / f"verify_pin_{name}.txt").read_bytes()
-
-
-@pytest.mark.parametrize("name", sorted(REPLAYS))
-def test_replay_report(name, tmp_path):
-    assert _replay_document(name) == (GOLDEN / f"replay_{name}.scn").read_text(encoding="utf-8")
-    out = tmp_path / f"{name}.txt"
-    assert _verify_replay(name, out) == 0
-    assert out.read_bytes() == (GOLDEN / f"verify_replay_{name}.txt").read_bytes()
-
-
-@pytest.mark.parametrize("name", NONCANONICAL)
-def test_noncanonical_replay_report(name, tmp_path):
-    out = tmp_path / f"{name}.txt"
-    assert _verify_replay(name, out) == 0
-    assert out.read_bytes() == (GOLDEN / f"verify_replay_{name}.txt").read_bytes()
-
-
-@pytest.mark.parametrize("name", ERRORS)
-def test_error_report(name):
-    assert _verify_error(name) == (GOLDEN / f"verify_error_{name}.txt").read_text(encoding="utf-8")
-
-
-@pytest.mark.parametrize("name", FIXTURES)
-def test_serialization(name):
-    expected = (GOLDEN / f"serialize_{name}.scn").read_text(encoding="utf-8")
-    assert _serialize(name) == expected
-
-
-def test_raw_representatives_of_generated_cells():
-    assert _raw_lines() == (GOLDEN / RAW_GOLDEN).read_text(encoding="utf-8")
+def test_every_golden_file_is_produced_or_an_input():
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted([*GOLDENS, *INPUTS])
 
 
 def _regenerate() -> None:
-    GOLDEN.mkdir(exist_ok=True)
-    for golden, argv in FUZZ_STREAMS.items():
-        _fuzz(argv, GOLDEN / golden)
-    for name in FIXTURES:
-        _verify(name, GOLDEN / f"verify_{name}.txt")
-        (GOLDEN / f"serialize_{name}.scn").write_text(_serialize(name), encoding="utf-8")
-        _render(name, GOLDEN / f"render_{name}.svg")
-    _demo(GOLDEN / DEMO_GOLDEN)
-    for name in PINS:
-        (GOLDEN / f"pin_{name}.scn").write_text(_pin_document(name), encoding="utf-8")
-        _verify_pin(name, GOLDEN / f"verify_pin_{name}.txt")
-    for name in CONIC_PINS:
-        (GOLDEN / f"pin_{name}.scn").write_text(_conic_pin_document(name), encoding="utf-8")
-        _verify_pin(name, GOLDEN / f"verify_pin_{name}.txt")
-    for name in REPLAYS:
-        (GOLDEN / f"replay_{name}.scn").write_text(_replay_document(name), encoding="utf-8")
-        _verify_replay(name, GOLDEN / f"verify_replay_{name}.txt")
-    for name in NONCANONICAL:
-        _verify_replay(name, GOLDEN / f"verify_replay_{name}.txt")
-    for name in ERRORS:
-        (GOLDEN / f"verify_error_{name}.txt").write_text(_verify_error(name), encoding="utf-8")
-    (GOLDEN / RAW_GOLDEN).write_text(_raw_lines(), encoding="utf-8")
+    os.chdir(ROOT)
+    for name in GOLDENS:
+        _produce(name, GOLDEN / name)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,6 @@ import re
 import sys
 from fractions import Fraction
 from importlib import resources
-from pathlib import Path
 from random import Random
 
 import pytest
@@ -26,6 +25,8 @@ from conic_butterfly.scenario_io import (
     serialize_scenario,
 )
 from conic_butterfly.scenarios import random_scenario
+
+from test_golden import DOCUMENTS, GOLDEN
 
 G = GaussianRational
 
@@ -233,11 +234,10 @@ point z (1 : 2 : 2)
 # ----------------------------------------------------------------------
 # robustness: mutated documents raise only ScenarioParseError
 
-# every document that parses: the error_ goldens are rejected on purpose
-_SCN_PATHS = tuple(
-    path for path in sorted([*(resources.files("conic_butterfly") / "fixtures").iterdir(),
-                             *(Path(__file__).parent / "golden").glob("*.scn")], key=str)
-    if path.name.endswith(".scn") and not path.name.startswith("error_"))
+# every document that parses: the fixtures, and the golden documents verify accepts
+_SCN_PATHS = tuple(sorted([*(path for path in (resources.files("conic_butterfly") / "fixtures").iterdir()
+                             if path.name.endswith(".scn")),
+                           *(GOLDEN / name for name in DOCUMENTS)], key=str))
 _SCN_TEXTS = tuple(path.read_text(encoding="utf-8") for path in _SCN_PATHS)
 _TOKENS = tuple(sorted({t for text in _SCN_TEXTS for t in text.split()})) + (
     "", "0", "-0", "1/0", "0/7", "inf", "i", "1+i", "-1/2-3/4i", "(0 : 0 : 0)", "(1 : 2)",

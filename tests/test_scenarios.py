@@ -1,6 +1,7 @@
 import re
 from fractions import Fraction
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +10,7 @@ from conic_butterfly.checks import theorem_damn_check
 from conic_butterfly.conics import homogenize_affine_conic
 from conic_butterfly.projective import (
     DegenerateInputError,
+    ProjLine,
     ProjPoint,
     Projectivity,
     ProjectiveError,
@@ -16,6 +18,7 @@ from conic_butterfly.projective import (
     join,
     meet,
 )
+from conic_butterfly.reflection import ReflectionFrame
 from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
 from conic_butterfly.scenarios import (
     ButterflyScenario,
@@ -313,6 +316,23 @@ class TestLemmaInputs:
         assert incident(u, frame.axis)
         assert incident(frame.pole, l2)
         assert y != frame.pole
+
+    def test_jap_rejections_in_order(self, monkeypatch):
+        """Scripted draws: y at the pole, then a y whose line to u passes the
+        pole, then a w at the pole; each is rejected once, in that order."""
+        frame = ReflectionFrame(homogenize_affine_conic(CIRCLE, G), ProjLine.parse("(1 : 0 : 0)", G))
+        first = scenarios._second_point_on(frame.axis, frame.pole)
+        u = scenarios._point_along(first, G.one(), scenarios._second_point_on(frame.axis, first))
+        y, w = ProjPoint.parse("(1 : 2 : 3)", G), ProjPoint.parse("(1 : 1 : 1)", G)
+        draws = iter([frame.pole, scenarios._point_along(frame.pole, G.one(), u), y, frame.pole, y, w])
+        monkeypatch.setattr(scenarios, "random_reflection_frame", lambda *a, **kw: (frame, None))
+        monkeypatch.setattr(scenarios, "_random_point", lambda *a: next(draws))
+        monkeypatch.setattr(scenarios, "_random_nonzero", lambda *a: G.one())
+        reasons = []
+        inputs = random_jap_inputs(Random(0), G, budget=SimpleNamespace(tick=reasons.append))
+        assert reasons == ["y at pole", "yu through pole", "w at pole"]
+        assert inputs == (frame, y, u, join(frame.pole, w))
+        assert next(draws, None) is None
 
     def test_nut_inputs(self):
         frame, y, z = random_nut_inputs(Random(7))
