@@ -39,6 +39,8 @@ point y (1 : 1 : 1)
 point z (1 : 2 : 3)
 """
 
+_CONIC = "conic symmetric 0 1/2 1/2 0 -1 0"  # MINIMAL's conic line
+
 # MINIMAL with a base point, (1 : 0 : 0) on xy + xz - 2yz, declared on line 4
 BASED = MINIMAL.replace("-1 0\n", "-1 0\nbase (1 : 0 : 0)\n")
 
@@ -77,44 +79,45 @@ class TestParsing:
             assert doc.expects
 
     def test_unknown_key(self):
-        with pytest.raises(ScenarioParseError, match="line 1.*unknown key"):
+        with pytest.raises(ScenarioParseError, match=r"^line 1: unknown key 'pointt'$"):
             parse_scenario("pointt y (1 : 0 : 0)\n" + MINIMAL)
 
     def test_unknown_check(self):
-        with pytest.raises(ScenarioParseError, match="unknown check"):
+        with pytest.raises(ScenarioParseError, match=r"^line 1: unknown check 'lemma_one'$"):
             parse_scenario(MINIMAL.replace("check nut", "check lemma_one"))
         conic = parse_scenario(MINIMAL).conic
-        with pytest.raises(ScenarioParseError, match="unknown check 'lemma_one'"):
+        with pytest.raises(ScenarioParseError, match=r"^unknown check 'lemma_one'$"):
             ScenarioDocument("lemma_one", conic, {}, {})
 
     def test_zero_point_rejected_with_line_number(self):
         bad = MINIMAL.replace("point y (1 : 1 : 1)", "point y (0 : 0 : 0)")
-        with pytest.raises(ScenarioParseError, match="line 5"):
+        with pytest.raises(ScenarioParseError, match=r"^line 5: \(0 : 0 : 0\) is not a projective object$"):
             parse_scenario(bad)
 
     def test_duplicate_name(self):
         bad = MINIMAL + "point y (1 : 2 : 2)\n"
-        with pytest.raises(ScenarioParseError, match="duplicate name"):
+        with pytest.raises(ScenarioParseError, match=r"^line 7: duplicate name 'y'$"):
             parse_scenario(bad)
 
     def test_backend_must_precede_coordinates(self):
         lines = MINIMAL.splitlines()
         reordered = "\n".join([lines[0]] + lines[2:4] + ["backend gauss"] + lines[4:])
-        with pytest.raises(ScenarioParseError, match="before any coordinates"):
+        with pytest.raises(ScenarioParseError,
+                           match=r"^line 4: backend must be declared once, before any coordinates$"):
             parse_scenario(reordered)
 
     def test_unknown_backend(self):
-        with pytest.raises(ScenarioParseError, match="unknown backend"):
+        with pytest.raises(ScenarioParseError, match=r"^line 2: unknown backend 'float'$"):
             parse_scenario(MINIMAL.replace("backend gauss", "backend float"))
 
     def test_missing_required_point(self):
         text = "\n".join(l for l in MINIMAL.splitlines() if not l.startswith("point z"))
-        with pytest.raises(ScenarioParseError, match="needs point 'z'"):
+        with pytest.raises(ScenarioParseError, match=r"^check nut needs point 'z'$"):
             parse_scenario(text)
 
     def test_missing_conic(self):
         text = "\n".join(l for l in MINIMAL.splitlines() if not l.startswith("conic"))
-        with pytest.raises(ScenarioParseError, match="declares no conic"):
+        with pytest.raises(ScenarioParseError, match=r"^document declares no conic$"):
             parse_scenario(text)
 
     def test_on_conic_membership_enforced(self):
@@ -136,8 +139,7 @@ point p6 (1 : 1 : 1)
     @pytest.mark.parametrize("flavor, noun", [("symmetric", "entries"), ("affine", "coefficients")])
     @pytest.mark.parametrize("count", [5, 7])
     def test_six_value_conic_needs_six(self, flavor, noun, count):
-        text = MINIMAL.replace("conic symmetric 0 1/2 1/2 0 -1 0",
-                               f"conic {flavor} " + " ".join(["1"] * count))
+        text = MINIMAL.replace(_CONIC, f"conic {flavor} " + " ".join(["1"] * count))
         with pytest.raises(ScenarioParseError,
                            match=rf"^line 3: conic {flavor} needs 6 {noun}, got {count}$"):
             parse_scenario(text)
@@ -149,7 +151,8 @@ point p6 (1 : 1 : 1)
 
     def test_param_points_need_base(self):
         text = MINIMAL.replace("point y (1 : 1 : 1)", "point y param 3")
-        with pytest.raises(ScenarioParseError, match="conic and base"):
+        with pytest.raises(ScenarioParseError,
+                           match=r"^line 5: param points need conic and base declared first$"):
             parse_scenario(text)
 
     def test_param_points(self):
@@ -187,9 +190,9 @@ point z (1 : 2 : 2)
         assert doc.conic.contains(ProjPoint((G(3), G(4), G(5)), G))
 
     def test_degenerate_conic_rejected(self):
-        text = MINIMAL.replace("conic symmetric 0 1/2 1/2 0 -1 0",
+        text = MINIMAL.replace(_CONIC,
                                "conic symmetric 1 0 0 0 0 0")
-        with pytest.raises(ScenarioParseError, match="line 3"):
+        with pytest.raises(ScenarioParseError, match=r"^line 3: degenerate conic \(zero determinant\)$"):
             parse_scenario(text)
 
     @pytest.mark.parametrize("text, message", [
@@ -198,7 +201,7 @@ point z (1 : 2 : 2)
         (MINIMAL.replace("point y (1 : 1 : 1)", "point Y (1 : 1 : 1)"), r"^line 5: bad point name 'Y'$"),
         (MINIMAL + "conic symmetric 0 1/2 1/2 0 -1 0\n",
          r"^line 7: duplicate conic declaration$"),
-        (MINIMAL.replace("conic symmetric 0 1/2 1/2 0 -1 0",
+        (MINIMAL.replace(_CONIC,
                          "conic points (0 : 1 : 0) (0 : 0 : 1) (1 : 0 : 0) (1 : 1 : 1)"),
          r"^line 3: conic points needs 5 points, got 4$"),
         (MINIMAL.replace("conic symmetric", "conic quadric"),
@@ -214,9 +217,36 @@ point z (1 : 2 : 2)
         (MINIMAL + "expect vector y (1 : 1 : 1)\n", r"^line 7: unknown expect kind 'vector'$"),
         (MINIMAL + "expect point Y (1 : 1 : 1)\n", r"^line 7: bad expect name 'Y'$"),
         (MINIMAL.replace("line k (1 : 0 : 0)\n", ""), r"^check nut needs line 'k'$"),
+        (MINIMAL.replace("check nut\n", ""), r"^document declares no check$"),
+        (MINIMAL + "check nut\n", r"^line 7: duplicate check declaration$"),
+        (MINIMAL.replace("backend gauss", "backend gauss\nbackend gauss"),
+         r"^line 3: backend must be declared once, before any coordinates$"),
+        (MINIMAL.replace(_CONIC, "conic symmetric 0 1/2 1/2 0 -1 x"), r"^line 3: bad scalar literal 'x'$"),
+        (MINIMAL.replace(_CONIC, "conic affine 1 1 0 0 0 x"), r"^line 3: bad scalar literal 'x'$"),
+        (MINIMAL.replace("point y (1 : 1 : 1)", "point y affine (1, x)"),
+         r"^line 5: bad scalar literal 'x'$"),
+        (BASED.replace("point y (1 : 1 : 1)", "point y param x"), r"^line 6: bad scalar literal 'x'$"),
+        (BASED.replace("point y (1 : 1 : 1)", "point y param 1 x"), r"^line 6: bad scalar literal 'x'$"),
+        (BASED.replace("base (1 : 0 : 0)", "base (1 : 0 : x)"), r"^line 4: bad scalar literal ' x'$"),
+        (MINIMAL.replace(_CONIC, "conic points (0 : 1 : 1) (0 : -1 : 1) (1 : 0 : 1) (-1 : 0 : 1) (3 : 4 : x)"),
+         r"^line 3: bad scalar literal ' x'$"),
+        (MINIMAL + "expect ratio cr x\n", r"^line 7: bad scalar literal 'x'$"),
+        (MINIMAL + "expect scalar det x\n", r"^line 7: bad scalar literal 'x'$"),
+        (MINIMAL.replace(_CONIC, "conic affine 1i 1 0 0 0 -1"),
+         r"^line 3: affine conic coefficients must be real$"),
+        (MINIMAL.replace(_CONIC, "conic affine 0 0 0 1 1 1"),
+         r"^line 3: affine conic must be genuinely quadratic$"),
+        (MINIMAL.replace(_CONIC, "conic points (0 : 1 : 1) (0 : 1 : 1) (1 : 0 : 1) (-1 : 0 : 1) (3 : 4 : 5)"),
+         r"^line 3: coincident points cannot pin down a conic$"),
+        (MINIMAL.replace(_CONIC, "conic points (0 : 0 : 1) (1 : 0 : 1) (2 : 0 : 1) (3 : 0 : 1) (0 : 1 : 1)"),
+         r"^line 3: five-point system has kernel dimension 2, need 1$"),
     ], ids=["bad affine point", "bad point name", "duplicate conic", "conic points count", "unknown conic flavor",
             "duplicate base", "base before conic", "param arity", "param (0 : 0)",
-            "unknown expect kind", "bad expect name", "needs line"])
+            "unknown expect kind", "bad expect name", "needs line", "no check", "duplicate check",
+            "backend twice", "conic symmetric literal", "conic affine literal", "affine point literal", "param literal",
+            "param pair literal", "base literal", "conic points literal", "expect ratio literal",
+            "expect scalar literal", "affine conic not real", "affine conic not quadratic",
+            "conic points equal", "conic points collinear"])
     def test_parse_error_message(self, text, message):
         with pytest.raises(ScenarioParseError, match=message):
             parse_scenario(text)
