@@ -64,11 +64,14 @@ def _drop_stdout() -> None:
     os.close(devnull)
 
 
+def _read_document(path: str):
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
+        return parse_scenario(fh.read())
+
+
 def _cmd_verify(args) -> int:
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            doc = parse_scenario(fh.read())
-        reports = run_document(doc)
+        reports = run_document(_read_document(args.file))
         out, close = _open_out(args.out)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -109,9 +112,7 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_render(args) -> int:
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            doc = parse_scenario(fh.read())
-        render_svg(doc, args.out)
+        render_svg(_read_document(args.file), args.out)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,8 +27,7 @@ from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .scalars import BACKENDS, GaussianRational, backend_name
-from .projective import (CrossRatioValue, DegenerateInputError, ProjLine, ProjPoint,
-                         ProjectiveError, join)
+from .projective import CrossRatioValue, ProjLine, ProjPoint, ProjectiveError, join
 from .conics import (Conic, ConicParametrization, conic_through_five, homogenize_affine_conic,
                      second_intersection)
 from .reflection import ReflectionFrame
@@ -102,14 +101,6 @@ class ScenarioDocument:
                 and self.expects == other.expects)
 
 
-def _parsed(parse, lineno: int, *args):
-    """parse(*args); a ValueError it raises becomes a ScenarioParseError at `lineno`."""
-    try:
-        return parse(*args)
-    except ValueError as exc:  # ScalarParseError and ProjectiveError included
-        raise ScenarioParseError(str(exc), lineno) from exc
-
-
 def _symmetric_rows(upper: tuple) -> tuple:
     """The flat raw rows of the symmetric matrix whose upper entries
     (m11, m12, m13, m22, m23, m33) are the flat raw tuple `upper`."""
@@ -121,20 +112,19 @@ def _symmetric_rows(upper: tuple) -> tuple:
 _AFFINE_PAIR = re.compile(r"\(\s*([^(),]+?)\s*,\s*([^(),]+?)\s*\)")
 
 
-def _parse_affine_point(text: str, field, lineno: int) -> ProjPoint:
+def _parse_affine_point(text: str, field) -> ProjPoint:
     m = _AFFINE_PAIR.fullmatch(text.strip())
     if m is None:
-        raise ScenarioParseError(f"bad affine point {text!r}; expected (x, y)", lineno)
-    return ProjPoint.affine(_parsed(field.parse, lineno, m.group(1)),
-                            _parsed(field.parse, lineno, m.group(2)), field)
+        raise ScenarioParseError(f"bad affine point {text!r}; expected (x, y)")
+    return ProjPoint.affine(field.parse(m.group(1)), field.parse(m.group(2)), field)
 
 
 def parse_scenario(text: str) -> ScenarioDocument:
-    """Parse a document; every diagnostic carries its line number.
-
-    A coordinate text that a ``point``, ``line`` or ``expect`` line repeats is
-    read once per call, so a pin that echoes a declaration is the declared
-    object; nothing is kept across calls."""
+    """Parse a document.  A statement's error names its line; an error about
+    what the document lacks (no check, no conic, a point or line the check
+    needs) names none.  A coordinate text that a ``point``, ``line`` or
+    ``expect`` line repeats is read once per call, so a pin that echoes a
+    declaration is the declared object; nothing is kept across calls."""
     check: Optional[str] = None
     field = None
     conic: Optional[Conic] = None
@@ -152,13 +142,13 @@ def parse_scenario(text: str) -> ScenarioDocument:
             field = GaussianRational
         return field
 
-    def triple(cls, body: str, lineno: int):
+    def triple(cls, body: str):
         """cls parsed from `body`, read once per document: a malformed text
         raises at the first line that holds it."""
         key = (cls, body)
         obj = by_text.get(key)
         if obj is None:
-            obj = by_text[key] = _parsed(cls.parse, lineno, body, want_field())
+            obj = by_text[key] = cls.parse(body, want_field())
         return obj
 
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -167,120 +157,110 @@ def parse_scenario(text: str) -> ScenarioDocument:
             continue
         key, _, rest = stmt.partition(" ")
         rest = rest.strip()
+        try:
+            if key == "check":
+                if check is not None:
+                    raise ScenarioParseError("duplicate check declaration")
+                if rest not in CLAIMS:
+                    raise ScenarioParseError(f"unknown check {rest!r}")
+                check = rest
 
-        if key == "check":
-            if check is not None:
-                raise ScenarioParseError("duplicate check declaration", lineno)
-            if rest not in CLAIMS:
-                raise ScenarioParseError(f"unknown check {rest!r}", lineno)
-            check = rest
+            elif key == "backend":
+                if field is not None:
+                    raise ScenarioParseError("backend must be declared once, before any coordinates")
+                if rest not in BACKENDS:
+                    raise ScenarioParseError(f"unknown backend {rest!r}")
+                field = BACKENDS[rest]
 
-        elif key == "backend":
-            if field is not None:
-                raise ScenarioParseError(
-                    "backend must be declared once, before any coordinates", lineno)
-            if rest not in BACKENDS:
-                raise ScenarioParseError(f"unknown backend {rest!r}", lineno)
-            field = BACKENDS[rest]
-
-        elif key == "conic":
-            if conic is not None:
-                raise ScenarioParseError("duplicate conic declaration", lineno)
-            flavor, _, body = rest.partition(" ")
-            f = want_field()
-            if flavor in ("symmetric", "affine"):
-                symmetric = flavor == "symmetric"
-                entries = body.split()
-                if len(entries) != 6:
-                    noun = "entries" if symmetric else "coefficients"
-                    raise ScenarioParseError(
-                        f"conic {flavor} needs 6 {noun}, got {len(entries)}", lineno)
-                if symmetric:
-                    # raw, with no scalar objects: the lcm scales the entries by a
-                    # positive rational, which content reduction removes again
-                    k = f.kernels
-                    upper, _ = _parsed(k.parse, lineno, entries)
-                    conic = _parsed(Conic, lineno, _symmetric_rows(upper), k)
-                else:
-                    conic = _parsed(homogenize_affine_conic, lineno,
-                                    [_parsed(f.parse, lineno, e) for e in entries], f)
-            elif flavor == "points":
-                triples = re.findall(r"\([^()]*\)", body)
-                if len(triples) != 5:
-                    raise ScenarioParseError(
-                        f"conic points needs 5 points, got {len(triples)}", lineno)
-                conic = _parsed(conic_through_five, lineno,
-                                [_parsed(ProjPoint.parse, lineno, t, f) for t in triples])
-            else:
-                raise ScenarioParseError(
-                    f"unknown conic flavor {flavor!r}; use symmetric, affine, or points", lineno)
-
-        elif key == "base":
-            if base is not None:
-                raise ScenarioParseError("duplicate base declaration", lineno)
-            if conic is None:
-                raise ScenarioParseError("base needs the conic declared first", lineno)
-            base = _parsed(ProjPoint.parse, lineno, rest, want_field())
-            if not conic.contains(base):
-                raise ScenarioParseError("base point is not on the conic; residual "
-                                         f"{conic.membership_residual(base)}", lineno)
-
-        elif key in ("point", "line"):
-            name, _, body = rest.partition(" ")
-            body = body.strip()
-            if not _NAME_RE.fullmatch(name):
-                raise ScenarioParseError(f"bad {key} name {name!r}", lineno)
-            if name in points or name in lines:
-                raise ScenarioParseError(f"duplicate name {name!r}", lineno)
-            f = want_field()
-            if key == "line":
-                lines[name] = triple(ProjLine, body, lineno)
-            elif body.startswith("affine"):
-                points[name] = _parse_affine_point(body[len("affine"):], f, lineno)
-            elif body.startswith("param"):
-                if conic is None or base is None:
-                    raise ScenarioParseError(
-                        "param points need conic and base declared first", lineno)
-                if param_par is None:
-                    param_par = ConicParametrization(conic, base)
-                literals = body[len("param"):].split()
-                if len(literals) == 1:
-                    t = _parsed(f.parse, lineno, literals[0])
-                elif len(literals) == 2:
-                    t = (_parsed(f.parse, lineno, literals[0]),
-                         _parsed(f.parse, lineno, literals[1]))
+            elif key == "conic":
+                if conic is not None:
+                    raise ScenarioParseError("duplicate conic declaration")
+                flavor, _, body = rest.partition(" ")
+                f = want_field()
+                if flavor in ("symmetric", "affine"):
+                    symmetric = flavor == "symmetric"
+                    entries = body.split()
+                    if len(entries) != 6:
+                        noun = "entries" if symmetric else "coefficients"
+                        raise ScenarioParseError(f"conic {flavor} needs 6 {noun}, got {len(entries)}")
+                    if symmetric:
+                        # raw, with no scalar objects: the lcm scales the entries by a
+                        # positive rational, which content reduction removes again
+                        k = f.kernels
+                        conic = Conic(_symmetric_rows(k.parse(entries)[0]), k)
+                    else:
+                        conic = homogenize_affine_conic([f.parse(e) for e in entries], f)
+                elif flavor == "points":
+                    triples = re.findall(r"\([^()]*\)", body)
+                    if len(triples) != 5:
+                        raise ScenarioParseError(f"conic points needs 5 points, got {len(triples)}")
+                    conic = conic_through_five([ProjPoint.parse(t, f) for t in triples])
                 else:
                     raise ScenarioParseError(
-                        "param takes one value or a homogeneous pair", lineno)
-                points[name] = _parsed(param_par.point, lineno, t)
-            else:
-                points[name] = triple(ProjPoint, body, lineno)
-            decl_lines[name] = lineno
+                        f"unknown conic flavor {flavor!r}; use symmetric, affine, or points")
 
-        elif key == "expect":
-            kind, _, body = rest.partition(" ")
-            name, _, value_text = body.strip().partition(" ")
-            value_text = value_text.strip()
-            if kind not in _EXPECT_KINDS:
-                raise ScenarioParseError(f"unknown expect kind {kind!r}", lineno)
-            if not _NAME_RE.fullmatch(name):
-                raise ScenarioParseError(f"bad expect name {name!r}", lineno)
-            f = want_field()
-            if kind == "point":
-                value = triple(ProjPoint, value_text, lineno)
-            elif kind == "line":
-                value = triple(ProjLine, value_text, lineno)
-            elif kind == "ratio":
-                if value_text == "inf":
-                    value = CrossRatioValue.infinity(f)
+            elif key == "base":
+                if base is not None:
+                    raise ScenarioParseError("duplicate base declaration")
+                if conic is None:
+                    raise ScenarioParseError("base needs the conic declared first")
+                base = ProjPoint.parse(rest, want_field())
+                if not conic.contains(base):
+                    raise ScenarioParseError("base point is not on the conic; residual "
+                                             f"{conic.membership_residual(base)}")
+
+            elif key in ("point", "line"):
+                name, _, body = rest.partition(" ")
+                body = body.strip()
+                if not _NAME_RE.fullmatch(name):
+                    raise ScenarioParseError(f"bad {key} name {name!r}")
+                if name in points or name in lines:
+                    raise ScenarioParseError(f"duplicate name {name!r}")
+                f = want_field()
+                if key == "line":
+                    lines[name] = triple(ProjLine, body)
+                elif body.startswith("affine"):
+                    points[name] = _parse_affine_point(body[len("affine"):], f)
+                elif body.startswith("param"):
+                    if conic is None or base is None:
+                        raise ScenarioParseError("param points need conic and base declared first")
+                    if param_par is None:
+                        param_par = ConicParametrization(conic, base)
+                    literals = body[len("param"):].split()
+                    if len(literals) not in (1, 2):
+                        raise ScenarioParseError("param takes one value or a homogeneous pair")
+                    t = tuple(map(f.parse, literals))
+                    points[name] = param_par.point(t if len(t) == 2 else t[0])
                 else:
-                    value = CrossRatioValue(_parsed(f.parse, lineno, value_text), f.one(), f)
-            else:
-                value = _parsed(f.parse, lineno, value_text)
-            expects.append(Expect(kind, name, value))
+                    points[name] = triple(ProjPoint, body)
+                decl_lines[name] = lineno
 
-        else:
-            raise ScenarioParseError(f"unknown key {key!r}", lineno)
+            elif key == "expect":
+                kind, _, body = rest.partition(" ")
+                name, _, value_text = body.strip().partition(" ")
+                value_text = value_text.strip()
+                if kind not in _EXPECT_KINDS:
+                    raise ScenarioParseError(f"unknown expect kind {kind!r}")
+                if not _NAME_RE.fullmatch(name):
+                    raise ScenarioParseError(f"bad expect name {name!r}")
+                f = want_field()
+                if kind == "point":
+                    value = triple(ProjPoint, value_text)
+                elif kind == "line":
+                    value = triple(ProjLine, value_text)
+                elif kind == "ratio":
+                    if value_text == "inf":
+                        value = CrossRatioValue.infinity(f)
+                    else:
+                        value = CrossRatioValue(f.parse(value_text), f.one(), f)
+                else:
+                    value = f.parse(value_text)
+                expects.append(Expect(kind, name, value))
+
+            else:
+                raise ScenarioParseError(f"unknown key {key!r}")
+        except ValueError as exc:  # ScenarioParseError, ScalarParseError and ProjectiveError
+            raise ScenarioParseError(str(exc), lineno) from exc
 
     if check is None:
         raise ScenarioParseError("document declares no check")
@@ -370,7 +350,7 @@ def _partner(doc: ScenarioDocument, name: str, end_name: str, through: str) -> P
     end, m = doc.points[end_name], doc.points[through]
     try:
         return second_intersection(doc.conic, join(end, m), end)
-    except (ProjectiveError, DegenerateInputError) as exc:
+    except ProjectiveError as exc:
         raise ScenarioParseError(f"cannot derive {name}: {exc}") from exc
 
 

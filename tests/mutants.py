@@ -125,6 +125,13 @@ CATALOGUE = (
            "            return obj\n        if _LAYOUT.format(*texts) == t and any(x != \"0\" for x in texts):\n"
            "            obj = _raw_new(cls)\n            obj.raw, obj.kernels = raw, k\n"
            "            return obj\n        return cls(raw, k)\n", PARSED_TEXT),
+    # each statement's ValueError becomes a ScenarioParseError naming its line
+    Mutant("parse boundary: line number dropped", SCENARIO_IO,
+           "raise ScenarioParseError(str(exc), lineno) from exc",
+           "raise ScenarioParseError(str(exc)) from exc", ("tests/test_scenario_io.py",)),
+    Mutant("parse boundary: catches only ScenarioParseError", SCENARIO_IO,
+           "        except ValueError as exc:  # ScenarioParseError,",
+           "        except ScenarioParseError as exc:  # ScenarioParseError,", ("tests/test_scenario_io.py",)),
     Mutant("conic symmetric line: two entries swapped", SCENARIO_IO,
            "return m11 + m12 + m13 + m12 + m22 + m23 + m13 + m23 + m33",
            "return m11 + m13 + m12 + m12 + m22 + m23 + m13 + m23 + m33",

@@ -12,6 +12,7 @@ from conic_butterfly.cli import main
 from conic_butterfly.fuzz import _RUNNERS
 from conic_butterfly.scenario_io import parse_scenario, run_document, serialize_scenario
 from generic_formulas import exact_text
+from test_golden import FIXTURES, GOLDEN
 
 # a device whose every write fails with ENOSPC
 DEV_FULL = "/dev/full"
@@ -266,3 +267,15 @@ class TestRender:
         _out, err = capsys.readouterr()
         assert status == 2
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_byte_order_mark_is_dropped(name, fixture_text, tmp_path, capsys):
+    """A fixture saved with a UTF-8 byte-order mark verifies and renders to its goldens."""
+    source = tmp_path / f"{name}.scn"
+    source.write_text("\ufeff" + fixture_text(name), encoding="utf-8")
+    assert main(["verify", str(source)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"verify_{name}.txt").read_text(encoding="utf-8")
+    target = tmp_path / f"{name}.svg"
+    assert main(["render", str(source), "--out", str(target)]) == 0
+    assert target.read_bytes() == (GOLDEN / f"render_{name}.svg").read_bytes()
