@@ -55,7 +55,6 @@ from .scenarios import (
     RetryCapError,
     build_scenario,
     random_scenario,
-    reference_conic,
 )
 from .scenario_io import (
     CLAIM_ORDER,
@@ -116,7 +115,6 @@ __all__ = [
     "RetryCapError",
     "build_scenario",
     "random_scenario",
-    "reference_conic",
     "Expect",
     "ScenarioDocument",
     "ScenarioParseError",

@@ -4,9 +4,12 @@ A scenario bundles the conic with every named point of the statement
 (a, b, m, the two chords, and the derived meets and harmonic conjugate),
 under the names of its flavour: the projective butterfly (damn) or its
 real-plane form (cutl).
-Construction validates all memberships and incidences and classifies the
-exceptional positions as degenerate rather than raising, because the
-randomized campaigns will occasionally land on them.
+`build_scenario` tests the points a caller hands in: realness for a cutl
+scenario, then that a, b and the chord ends lie on the conic, then every
+incidence.  `random_scenario` draws its points on the conic through the
+chart, so it is tested on the incidences only, not again on the chart's
+points.  Both classify the exceptional positions as degenerate rather than
+raising, because the randomized campaigns will occasionally land on them.
 
 Generation draws everything through the rational chord parametrization of
 a transformed reference conic, so every produced coordinate stays in the
@@ -16,7 +19,6 @@ budget, and exhausting the budget is reported distinctly.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from random import Random
 from typing import NamedTuple, Optional, Tuple
 
@@ -36,14 +38,6 @@ from .projective import (
 )
 from .reflection import ReflectionFrame
 from .scalars import GaussianRational
-
-
-@lru_cache(maxsize=None)
-def reference_conic(field=GaussianRational) -> Conic:
-    """The conic xz - y^2 = 0, the fixed starting shape for random generation."""
-    one, zero = field.one(), field.zero()
-    half = (one + one).inv()
-    return Conic(((zero, zero, half), (zero, -one, zero), (half, zero, zero)), field)
 
 
 def _real_plane_form(conic: Conic) -> Conic:
@@ -123,13 +117,10 @@ class ButterflyScenario:
                               *(t.apply(w) for _, w in self.inputs()), kind=self.flavour.claim)
 
 
-def _validate_chord(conic, end1, end2, m, label: str) -> Tuple[Optional[tuple], Optional[str]]:
-    """(raw chord line, None), or (None, reason) on structural collapse;
-    membership errors raise."""
-    for w in (end1, end2):
-        if not conic.contains(w):
-            raise ProjectiveError(f"chord point {w} of {label} is not on the conic")
-    k = conic.kernels
+def _validate_chord(k, end1, end2, m, label: str) -> Tuple[Optional[tuple], Optional[str]]:
+    """(raw chord line, None), or (None, reason) on structural collapse; a
+    chord off m raises.  The ends are on the conic: `build_scenario` tests
+    given ends, and the generator's come from the chart."""
     chord = k.cross(end1.raw, end2.raw)
     if not any(chord):
         return None, f"tangent chord {label}"
@@ -141,16 +132,32 @@ def _validate_chord(conic, end1, end2, m, label: str) -> Tuple[Optional[tuple], 
 def build_scenario(conic: Conic, a, b, m, r, s, c, d, *, kind: str = "damn") -> ButterflyScenario:
     """Validate a butterfly of flavour `kind`, whose second chord is (c, d).
 
-    A real-plane (cutl) scenario needs real coordinates, and its conic is
-    rescaled to the real form of its affine coefficients."""
+    The given points are tested here, in this order: a real-plane (cutl)
+    scenario needs real coordinates, and its conic is rescaled to the real
+    form of its affine coefficients; a and b, then the ends of (r, s), then
+    those of (c, d) must lie on the conic.  `_build_scenario` then tests the
+    incidences."""
     flavour = _flavour(kind)
+    names, given = flavour.inputs, (a, b, m, r, s, c, d)
     if flavour.real:
         conic = _real_plane_form(conic)
-    return _build_scenario(flavour, conic, (a, b, m, r, s, c, d))
+        for name, w in zip(names, given):
+            if not w.is_real():
+                raise ProjectiveError(f"planar scenario requires real coordinates, but {name} = {w}")
+    for w in (a, b):
+        if not conic.contains(w):
+            raise ProjectiveError(f"{w} is not on the conic")
+    for label, ends in (("(r,s)", (r, s)), (f"({names[5]},{names[6]})", (c, d))):
+        for w in ends:
+            if not conic.contains(w):
+                raise ProjectiveError(f"chord point {w} of {label} is not on the conic")
+    return _build_scenario(flavour, conic, given)
 
 
 def _build_scenario(flavour: Flavour, conic: Conic, given: tuple, derived=None) -> ButterflyScenario:
-    """Validate a butterfly; `derived` gives (d1, d2, conj) instead, each checked by incidence.
+    """Validate the incidences of a butterfly whose given points are real and
+    on the conic, as `build_scenario` tests and the generator's chart draws
+    them; `derived` gives (d1, d2, conj) instead, each checked by incidence.
 
     Lines that are only tested stay raw cross products, neither content-reduced
     nor wrapped: incidence and equality do not see a nonzero factor.  A
@@ -158,13 +165,6 @@ def _build_scenario(flavour: Flavour, conic: Conic, given: tuple, derived=None) 
     the reduced lines, since the reduction removes a positive integer only."""
     names = flavour.inputs
     a, b, m, r, s, c, d = given
-    if flavour.real:
-        for name, w in zip(names, given):
-            if not w.is_real():
-                raise ProjectiveError(f"planar scenario requires real coordinates, but {name} = {w}")
-    for w in (a, b):
-        if not conic.contains(w):
-            raise ProjectiveError(f"{w} is not on the conic")
     k = conic.kernels
     ab = k.cross(a.raw, b.raw)
     if not any(ab):
@@ -174,10 +174,10 @@ def _build_scenario(flavour: Flavour, conic: Conic, given: tuple, derived=None) 
     if not k.is_zero(k.dot(m.raw, ab)):
         raise ProjectiveError("m must lie on the chord ab")
 
-    rs, reason = _validate_chord(conic, r, s, m, "(r,s)")
+    rs, reason = _validate_chord(k, r, s, m, "(r,s)")
     cd = None
     if reason is None:
-        cd, reason = _validate_chord(conic, c, d, m, f"({names[5]},{names[6]})")
+        cd, reason = _validate_chord(k, c, d, m, f"({names[5]},{names[6]})")
     points = dict(zip(names, given))
     conj = harmonic_conjugate(a, b, m) if derived is None else derived[2]
     if derived and (conj == m or not k.is_zero(k.dot(conj.raw, ab))):
@@ -270,16 +270,16 @@ def _chord_point(end1: tuple, lam, end2: tuple) -> Tuple[ProjPoint, tuple]:
 def random_conic(rng: Random, field=GaussianRational, height_bound: int = 10,
                  *, real: bool = False, budget: Optional[RetryBudget] = None) -> Tuple[Conic, ProjPoint]:
     """A random nondegenerate conic with a known point: a projective image
-    of the reference conic, whose base point rides along."""
+    of the reference conic xz = y^2, whose base point (1 : 0 : 0) rides along."""
     budget = budget if budget is not None else RetryBudget()
     return _reference_image(Projectivity.random(rng, field, height_bound, real=real, budget=budget))
 
 
 def _reference_image(t: Projectivity) -> Tuple[Conic, ProjPoint]:
-    """`transform_conic(t, reference_conic())` and `t.apply((1 : 0 : 0))`
-    in closed form, by the kernel table's `reference_image`: entry ij of the
-    form is c_i.M c_j for the columns c_j of adj(T), and the base is T's
-    first column."""
+    """`transform_conic` of t on the reference conic xz = y^2, and
+    `t.apply((1 : 0 : 0))`, in closed form, by the kernel table's
+    `reference_image`: entry ij of the form is c_i.M c_j for the columns c_j
+    of adj(T), and the base is T's first column."""
     k = t.kernels
     form, base = k.reference_image(t.raw)
     return Conic(form, k), ProjPoint(base, k)
@@ -447,15 +447,9 @@ def random_hexagon(rng: Random, field=GaussianRational, height_bound: int = 10,
     budget = budget if budget is not None else RetryBudget()
     conic, base = random_conic(rng, field, height_bound, budget=budget)
     par = ConicParametrization(conic, base)
-    k, one = field.kernels, field.one()
-    # a drawn scalar's raw pair is canonical: equal pairs are equal parameters
-    seen = set()
-    points = []
+    params, points = [], []
     while len(points) < 6:
-        t = k.param(field.random(rng, height_bound), one)
-        if t in seen:
-            budget.tick("conic point collision")
-            continue
-        seen.add(t)
-        points.append(par._point(t))
+        t, point, _ = _random_chart_point(par, rng, height_bound, budget, avoid=params)
+        params.append(t)
+        points.append(point)
     return conic, tuple(points)

@@ -34,16 +34,17 @@ test-only backend can fill its own table's two entries with them, as
 ``reference_image=lambda t: reference_image(table, t)``.
 
 ``affine_squared_distance``, ``upper_entries``, ``apply_line``,
-``has_witness``, ``to_affine``, ``reference_base`` and ``harmonic`` are
-small readings of the package's objects that only the tests need.
+``has_witness``, ``to_affine``, ``reference_conic``, ``reference_base`` and
+``harmonic`` are small readings of the package's objects that only the tests
+need.
 """
 
 from conic_butterfly._linalg import cross, dot, matvec
+from conic_butterfly.conics import Conic
 from conic_butterfly.projective import (CrossRatioValue, DegenerateInputError, ProjectiveError,
                                         ProjLine, ProjPoint, _cofactors, _require_same_field,
                                         incident, join)
 from conic_butterfly.scalars import thirds
-from conic_butterfly.scenarios import reference_conic
 
 
 def exact_decimal(n: int) -> str:
@@ -257,6 +258,14 @@ def to_affine(p: ProjPoint):
         return None
     inv = z.inv()
     return (x * inv, y * inv)
+
+
+def reference_conic(field) -> Conic:
+    """The conic xz - y^2 = 0, whose projective images random generation
+    draws (the kernel tables' `reference_image` builds them in closed form)."""
+    one, zero = field.one(), field.zero()
+    half = (one + one).inv()
+    return Conic(((zero, zero, half), (zero, -one, zero), (half, zero, zero)), field)
 
 
 def reference_base(field) -> ProjPoint:

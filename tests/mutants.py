@@ -161,6 +161,13 @@ CATALOGUE = (
     Mutant("nut: y = z passes", CHECKS, "    if y == z:\n", "    if False:\n", CHECK_TESTS),
     Mutant("sack: r or s off the conic passes", CHECKS, "    for w in (r, s):\n", "    for w in ():\n",
            CHECK_TESTS),
+    # build_scenario tests every given point, before any incidence
+    Mutant("build_scenario: a complex cutl input passes", SCENARIOS,
+           "            if not w.is_real():\n", "            if False:\n", SCENARIO_TESTS),
+    Mutant("build_scenario: a or b off the conic passes", SCENARIOS, "    for w in (a, b):\n",
+           "    for w in ():\n", SCENARIO_TESTS),
+    Mutant("build_scenario: a chord end off the conic passes", SCENARIOS, "        for w in ends:\n",
+           "        for w in ():\n", SCENARIO_TESTS),
     # the jap generator rejects each collapse as it draws, with its own reason
     Mutant("jap draw: y at the pole passes", SCENARIOS, "        if y == frame.pole:\n",
            "        if False:\n", SCENARIO_TESTS),

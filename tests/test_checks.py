@@ -34,9 +34,8 @@ from conic_butterfly.scenarios import (
     random_nut_inputs,
     random_sack_inputs,
     random_scenario,
-    reference_conic,
 )
-from generic_formulas import affine_squared_distance, to_affine
+from generic_formulas import affine_squared_distance, reference_conic, to_affine
 
 G = GaussianRational
 

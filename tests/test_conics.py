@@ -22,9 +22,9 @@ from conic_butterfly.projective import (
     join,
 )
 from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
-from conic_butterfly.scenarios import random_conic, reference_conic
+from conic_butterfly.scenarios import random_conic
 from generic_formulas import (affine_spec_from_conic, apply_line, chart_line, reference_base,
-                              upper_entries)
+                              reference_conic, upper_entries)
 
 G = GaussianRational
 

@@ -53,10 +53,11 @@ coordinates.  Its reference is the generic route the documents take, `meet`
 of the two `join`s (the tangent where a chord's ends coincide); the two
 agree as points and raise the same error for coincident chords.
 
-`random_hexagon` draws raw parameter pairs, dedupes them in a set and
-evaluates them with the raw point map.  Its reference is the older loop
-over scalar parameters and the public `point`; the two must give the same
-raw points, spend the same retries and leave the rng in the same state.
+`random_hexagon` draws raw parameter pairs through `_random_chart_point`,
+which rejects a pair equal to an earlier one and evaluates it with the raw
+point map.  Its reference is the older loop over scalar parameters and the
+public `point`; the two must give the same raw points, spend the same
+retries and leave the rng in the same state.
 
 `conic_through_five` takes the member through p5 of the pencil of two line
 pairs through p1..p4.  Its reference is the Gauss-Jordan solve of the five
@@ -113,10 +114,10 @@ from conic_butterfly.reflection import ReflectionFrame
 from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
 from conic_butterfly.scenarios import (RetryBudget, _chord_point, _point_along, _real_plane_form,
                                        _reference_image, _same_parameter, random_conic,
-                                       random_hexagon, random_reflection_frame, reference_conic)
+                                       random_hexagon, random_reflection_frame)
 import generic_formulas as gf
 from generic_formulas import (chart_lines, cross, dot, line_chart, matmul, matvec, quad_form,
-                              reference_base)
+                              reference_base, reference_conic)
 
 G = GaussianRational
 P = PrimeFieldElement

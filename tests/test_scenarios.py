@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction
 from random import Random
 from types import SimpleNamespace
@@ -7,7 +8,7 @@ import pytest
 
 from conic_butterfly import scenarios
 from conic_butterfly.checks import theorem_damn_check
-from conic_butterfly.conics import homogenize_affine_conic
+from conic_butterfly.conics import Conic, homogenize_affine_conic
 from conic_butterfly.projective import (
     DegenerateInputError,
     ProjLine,
@@ -20,6 +21,7 @@ from conic_butterfly.projective import (
 )
 from conic_butterfly.reflection import ReflectionFrame
 from conic_butterfly.scalars import GaussianRational, PrimeFieldElement
+from conic_butterfly.scenario_io import CLAIMS
 from conic_butterfly.scenarios import (
     ButterflyScenario,
     RetryBudget,
@@ -33,10 +35,10 @@ from conic_butterfly.scenarios import (
     random_reflection_frame,
     random_sack_inputs,
     random_scenario,
-    reference_conic,
 )
 
-from generic_formulas import affine_spec_from_conic, reference_base, upper_entries
+from generic_formulas import (affine_spec_from_conic, reference_base, reference_conic,
+                              upper_entries)
 
 G = GaussianRational
 P = PrimeFieldElement
@@ -54,11 +56,6 @@ CIRCLE = (1, 1, 0, 0, 0, -1)
 
 
 class TestReference:
-    def test_reference_conic_cached(self):
-        assert reference_conic(G) is reference_conic(G)
-        assert reference_conic(P) is reference_conic(P)
-        assert reference_conic(G) is not reference_conic(P)
-
     def test_base_lies_on_reference(self):
         for field in (G, P):
             assert reference_conic(field).contains(reference_base(field))
@@ -219,14 +216,17 @@ class TestRandomButterfly:
         ("damn", G, 3), ("damn", G, 10), ("damn", G, 50),
         ("cutl", G, 3), ("cutl", G, 10), ("cutl", G, 50), ("damn", P, 50)])
     def test_derived_points_match_the_generic_route(self, kind, field, height):
-        """The generator's chart-built meets and conjugate are the points that
-        `build_scenario` derives with `meet`, `join` and `harmonic_conjugate`."""
+        """A generated scenario passes `build_scenario` unchanged, so it passes
+        the tests of given points that the generator skips, its chart having
+        put them on the conic; and the chart-built meets and conjugate are the
+        points `build_scenario` derives with `meet`, `join` and
+        `harmonic_conjugate`."""
         for index in range(100):
             sc = random_scenario(Random(f"{height}:{index}:{kind}"), field, height, kind=kind)
             generic = build_scenario(sc.conic, *(w for _n, w in sc.inputs()), kind=kind)
             assert generic.degenerate_reason is None
-            for name in sc.flavour.derived:
-                assert sc.points[name] == generic.points[name]
+            assert generic.conic.raw == sc.conic.raw
+            assert generic.points == sc.points
 
     def test_prime_backend(self):
         sc = random_scenario(Random(3), P, height_bound=6)
@@ -436,13 +436,23 @@ def _generated(kind, field):
     return sc.flavour, sc.conic, pts, [pts[n] for n in sc.flavour.derived]
 
 
-def _rebuild(flavour, conic, pts, derived=None, **moved):
-    """`_build_scenario` on the inputs with some, named as in the damn
-    flavour (c, d for the second chord), replaced by others of `pts`."""
+def _given(flavour, pts, **moved):
+    """The seven inputs with some, named as in the damn flavour (c, d for
+    the second chord), replaced by others of `pts`."""
     names = dict(zip("abmrscd", flavour.inputs))
     given = {n: pts[names[n]] for n in "abmrscd"}
     given.update({n: pts[names.get(other, other)] for n, other in moved.items()})
-    return scenarios._build_scenario(flavour, conic, tuple(given[n] for n in "abmrscd"), derived)
+    return tuple(given[n] for n in "abmrscd")
+
+
+def _rebuild(flavour, conic, pts, derived=None, **moved):
+    """`_build_scenario`, which tests incidences only, on `_given` inputs."""
+    return scenarios._build_scenario(flavour, conic, _given(flavour, pts, **moved), derived)
+
+
+def _build_given(flavour, conic, pts, **moved):
+    """`build_scenario`, which also tests that the inputs lie on the conic, on `_given` inputs."""
+    return build_scenario(conic, *_given(flavour, pts, **moved), kind=flavour.claim)
 
 
 @pytest.mark.parametrize("kind,field", _VALIDATED, ids=("damn-gauss", "damn-prime", "cutl-gauss"))
@@ -459,12 +469,29 @@ class TestValidation:
     def test_inputs_on_the_conic(self, kind, field):
         flavour, conic, pts, _ = _generated(kind, field)
         with pytest.raises(ProjectiveError, match=r"^\(.*\) is not on the conic$"):
-            _rebuild(flavour, conic, pts, a="m")
+            _build_given(flavour, conic, pts, a="m")
         label = f"({flavour.inputs[5]},{flavour.inputs[6]})"
         with pytest.raises(ProjectiveError, match=r"^chord point \(.*\) of \(r,s\) is not on the conic$"):
-            _rebuild(flavour, conic, pts, s="m")
+            _build_given(flavour, conic, pts, s="m")
         with pytest.raises(ProjectiveError, match=rf"^chord point \(.*\) of {re.escape(label)} is not"):
-            _rebuild(flavour, conic, pts, c="m")
+            _build_given(flavour, conic, pts, c="m")
+
+    def test_a_generated_cell_tests_only_its_chart_base(self, kind, field, monkeypatch):
+        """A campaign cell makes one `Conic.contains` call, the chart's test
+        of its base: the chart puts a, b and the chord ends on the conic, so
+        neither the builder nor the checker tests them again."""
+        callers = []
+        contains = Conic.contains
+
+        def recording(conic, p):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return contains(conic, p)
+
+        monkeypatch.setattr(Conic, "contains", recording)
+        for index in range(5):
+            callers.clear()
+            CLAIMS[kind].cell(Random(f"validate:{index}:{kind}"), field, 10, RetryBudget(), index)
+            assert callers == ["__init__"]  # ConicParametrization's
 
     def test_m_inside_ab(self, kind, field):
         flavour, conic, pts, _ = _generated(kind, field)
